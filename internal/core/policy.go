@@ -30,6 +30,11 @@ type Options struct {
 	Gamma float64
 
 	Objective Objective
+
+	// Speculation, when non-nil, supplies the rest-of-system power
+	// instead of NonMemPower: the calibrated value once it resolves, an
+	// estimate logged for confirmation before that.
+	Speculation *Speculation
 }
 
 // Policy is the MemScale governor.
@@ -104,15 +109,20 @@ func (p *Policy) ProfileComplete(prof sim.Profile) config.FreqMHz {
 	p.model.Fit(prof)
 	epoch := p.cfg.Policy.EpochLength
 
+	nonMem, g := p.nonMem(prof)
 	best := config.MaxBusFreq
-	bestScore := p.score(prof, config.MaxBusFreq)
+	bestScore := p.score(prof, config.MaxBusFreq, nonMem, g)
 	for _, f := range config.BusFrequencies[1:] {
 		if !p.feasible(f, epoch) {
 			continue
 		}
-		if s := p.score(prof, f); s < bestScore {
+		if s := p.score(prof, f, nonMem, g); s < bestScore {
 			best, bestScore = f, s
 		}
+	}
+	if g != nil {
+		g.chosen = best
+		p.opts.Speculation.log = append(p.opts.Speculation.log, *g)
 	}
 	p.chosen = best
 	p.decisions++
@@ -144,17 +154,36 @@ func (p *Policy) feasible(f config.FreqMHz, epoch config.Time) bool {
 	return true
 }
 
+// nonMem returns the rest-of-system power a decision scores with, and
+// the log entry to record its candidates in when that power is a
+// speculative estimate. The memory-energy objective never reads it.
+func (p *Policy) nonMem(prof sim.Profile) (float64, *guess) {
+	sp := p.opts.Speculation
+	if sp == nil || p.opts.Objective == MinimizeMemoryEnergy {
+		return p.opts.NonMemPower, nil
+	}
+	w, estimated := sp.lookup(prof, p.emod)
+	if !estimated {
+		return w, nil
+	}
+	return w, &guess{}
+}
+
 // score evaluates the Equation 10 numerator (predicted energy for the
-// profiled work at f); SER's denominator is common to all candidates,
-// so minimizing the numerator minimizes SER.
-func (p *Policy) score(prof sim.Profile, f config.FreqMHz) float64 {
+// profiled work at f) with rest-of-system power nonMem; SER's
+// denominator is common to all candidates, so minimizing the numerator
+// minimizes SER. A non-nil g logs the candidate's terms.
+func (p *Policy) score(prof sim.Profile, f config.FreqMHz, nonMem float64, g *guess) float64 {
 	relTime := p.model.RelTime(f, prof.BusFreq)
 	mem := p.predictMemEnergy(prof, f, relTime)
 	if p.opts.Objective == MinimizeMemoryEnergy {
 		return mem
 	}
-	dur := float64(prof.Elapsed()) * relTime
-	return mem + p.opts.NonMemPower*config.Time(dur).Seconds()
+	secs := config.Time(float64(prof.Elapsed()) * relTime).Seconds()
+	if g != nil {
+		g.cands = append(g.cands, candidate{f: f, memJ: mem, secs: secs})
+	}
+	return systemScore(mem, secs, nonMem)
 }
 
 // predictMemEnergy builds the what-if power-model interval for

@@ -177,5 +177,8 @@ func (p Params) memScaleSpec() policies.Spec {
 	spec.Governor = func(cfg *config.Config, nonMem float64) sim.Governor {
 		return core.NewPolicy(cfg, core.Options{NonMemPower: nonMem, Gamma: gamma})
 	}
+	spec.Speculative = func(cfg *config.Config, sp *core.Speculation) sim.Governor {
+		return core.NewPolicy(cfg, core.Options{Speculation: sp, Gamma: gamma})
+	}
 	return spec
 }

@@ -44,6 +44,12 @@ type Spec struct {
 	// Governor builds the OS policy driving frequency decisions; nil
 	// means the memory runs at whatever the configuration boots with.
 	Governor func(cfg *config.Config, nonMemPower float64) sim.Governor
+
+	// Speculative, when non-nil, builds the same governor as Governor
+	// but takes the rest-of-system power from sp (see core.Speculation),
+	// so the governor can start before that power is calibrated. Schemes
+	// without it are handed the calibrated value up front.
+	Speculative func(cfg *config.Config, sp *core.Speculation) sim.Governor
 }
 
 // Static is a trivial governor pinning one frequency.
@@ -87,12 +93,18 @@ var (
 		Governor: func(*config.Config, float64) sim.Governor {
 			return Static{Freq: StaticFreq}
 		},
+		Speculative: func(*config.Config, *core.Speculation) sim.Governor {
+			return Static{Freq: StaticFreq}
+		},
 	}
 	MemScale = Spec{
 		Name:        "MemScale",
 		Description: "dynamic DVFS/DFS minimizing full-system energy under the CPI bound",
 		Governor: func(cfg *config.Config, nonMem float64) sim.Governor {
 			return core.NewPolicy(cfg, core.Options{NonMemPower: nonMem})
+		},
+		Speculative: func(cfg *config.Config, sp *core.Speculation) sim.Governor {
+			return core.NewPolicy(cfg, core.Options{Speculation: sp})
 		},
 	}
 	MemScaleMemEnergy = Spec{
@@ -104,6 +116,12 @@ var (
 				Objective:   core.MinimizeMemoryEnergy,
 			})
 		},
+		Speculative: func(cfg *config.Config, sp *core.Speculation) sim.Governor {
+			return core.NewPolicy(cfg, core.Options{
+				Speculation: sp,
+				Objective:   core.MinimizeMemoryEnergy,
+			})
+		},
 	}
 	MemScaleFastPD = Spec{
 		Name:        "MemScale + Fast-PD",
@@ -111,6 +129,9 @@ var (
 		Configure:   func(c *config.Config) { c.Powerdown = config.PowerdownFast },
 		Governor: func(cfg *config.Config, nonMem float64) sim.Governor {
 			return core.NewPolicy(cfg, core.Options{NonMemPower: nonMem})
+		},
+		Speculative: func(cfg *config.Config, sp *core.Speculation) sim.Governor {
+			return core.NewPolicy(cfg, core.Options{Speculation: sp})
 		},
 	}
 )

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"memscale/internal/config"
@@ -17,8 +18,13 @@ import (
 // across all its schemes, so without memoization the harness simulates
 // the identical run over and over. The cache is safe for concurrent
 // use and guarantees each distinct baseline executes exactly once:
-// concurrent requests for the same key block on the first requester
-// instead of duplicating the simulation.
+// concurrent requests for the same key wait on the one simulation
+// instead of duplicating it.
+//
+// Each baseline simulates on a goroutine the cache owns, so a paired
+// run can overlap it with its managed simulation. The goroutine lives
+// only as long as some caller still wants its result: once the last
+// one gives up, the simulation is cancelled and its entry dropped.
 type BaselineCache struct {
 	mu      sync.Mutex
 	entries map[string]*baselineEntry
@@ -31,6 +37,9 @@ type baselineEntry struct {
 	res    sim.Result
 	nonMem float64
 	err    error
+
+	claims int                // callers still waiting on the result; guarded by the cache mutex
+	cancel context.CancelFunc // stops the simulation
 }
 
 // NewBaselineCache returns an empty cache.
@@ -51,39 +60,20 @@ func baselineKey(cfg config.Config, mixName string, epochs int) string {
 // epoch count, together with the rest-of-system power calibrated from
 // its average DIMM power (Section 4.1), simulating it only on the
 // first request. Errors are not cached: a failed or cancelled
-// computation is discarded so a later caller can retry.
+// computation is discarded so a later caller can retry. A panicking
+// baseline fails every caller waiting on it with a *PanicError.
 //
 // shards requests the sharded event engine for the simulation. It is
 // deliberately absent from the cache key: the sharded engine is
 // bit-identical to the serial one at any shard count, so a baseline
 // computed at one count is the baseline at every count.
 func (c *BaselineCache) Baseline(ctx context.Context, cfg config.Config, mix workload.Mix, epochs, shards int) (sim.Result, float64, error) {
-	key := baselineKey(cfg, mix.Name, epochs)
-
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		select {
-		case <-e.ready:
-			return e.res, e.nonMem, e.err
-		case <-ctx.Done():
-			return sim.Result{}, 0, ctx.Err()
-		}
+	cl := c.claim(cfg, mix, epochs, shards)
+	defer cl.release()
+	if err := cl.wait(ctx); err != nil {
+		return sim.Result{}, 0, err
 	}
-	e := &baselineEntry{ready: make(chan struct{})}
-	c.entries[key] = e
-	c.misses++
-	c.mu.Unlock()
-
-	e.res, e.nonMem, e.err = runBaseline(ctx, cfg, mix, epochs, shards)
-	if e.err != nil {
-		c.mu.Lock()
-		delete(c.entries, key)
-		c.mu.Unlock()
-	}
-	close(e.ready)
-	return e.res, e.nonMem, e.err
+	return cl.e.res, cl.e.nonMem, nil
 }
 
 // Stats reports the cache behaviour so far: hits is the number of
@@ -93,6 +83,105 @@ func (c *BaselineCache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
+}
+
+// baselineClaim is one caller's interest in a baseline. The caller
+// must release it exactly once.
+type baselineClaim struct {
+	c   *BaselineCache
+	key string
+	e   *baselineEntry
+}
+
+// claim registers interest in a baseline, starting its simulation on a
+// cache-owned goroutine when no entry exists yet.
+func (c *BaselineCache) claim(cfg config.Config, mix workload.Mix, epochs, shards int) *baselineClaim {
+	key := baselineKey(cfg, mix.Name, epochs)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+		ctx, cancel := context.WithCancel(context.Background())
+		e = &baselineEntry{ready: make(chan struct{}), cancel: cancel}
+		c.entries[key] = e
+		go c.simulate(ctx, key, e, cfg, mix, epochs, shards)
+	}
+	e.claims++
+	return &baselineClaim{c: c, key: key, e: e}
+}
+
+// simulate runs one baseline and publishes it to the entry's waiters.
+// A panic is recovered here, where it happens: it would otherwise kill
+// the process, and the waiters would block on ready forever.
+func (c *BaselineCache) simulate(ctx context.Context, key string, e *baselineEntry, cfg config.Config, mix workload.Mix, epochs, shards int) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.res, e.nonMem, e.err = sim.Result{}, 0, &PanicError{Value: r, Stack: debug.Stack()}
+		}
+		if e.err != nil {
+			c.forget(key, e)
+		}
+		e.cancel()
+		close(e.ready)
+	}()
+	e.res, e.nonMem, e.err = runBaseline(ctx, cfg, mix, epochs, shards)
+}
+
+// forget drops e from the cache unless a newer entry replaced it.
+func (c *BaselineCache) forget(key string, e *baselineEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[key] == e {
+		delete(c.entries, key)
+	}
+}
+
+// wait blocks until the baseline is final or ctx ends.
+func (cl *baselineClaim) wait(ctx context.Context) error {
+	select {
+	case <-cl.e.ready:
+		return cl.e.err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// resolved reports the calibrated rest-of-system power once the
+// baseline has finished successfully, without blocking.
+func (cl *baselineClaim) resolved() (float64, bool) {
+	select {
+	case <-cl.e.ready:
+		return cl.e.nonMem, cl.e.err == nil
+	default:
+		return 0, false
+	}
+}
+
+// release gives up the claim. The last claim on an unfinished baseline
+// cancels it and waits for its goroutine to stop, so no simulation
+// outlives every caller that wanted it.
+func (cl *baselineClaim) release() {
+	c, e := cl.c, cl.e
+	c.mu.Lock()
+	e.claims--
+	last := e.claims == 0
+	if last {
+		select {
+		case <-e.ready:
+		default:
+			e.cancel()
+			if c.entries[cl.key] == e {
+				delete(c.entries, cl.key)
+			}
+		}
+	}
+	c.mu.Unlock()
+	if last {
+		<-e.ready
+	}
 }
 
 // runBaseline executes one unmanaged run and calibrates the

@@ -9,7 +9,6 @@ import (
 
 	"memscale/internal/checkpoint"
 	"memscale/internal/config"
-	"memscale/internal/faults"
 	"memscale/internal/invariant"
 	"memscale/internal/policies"
 	"memscale/internal/sim"
@@ -216,108 +215,40 @@ func (e *Engine) RunWithCheckpoint(ctx context.Context, job Job, ckEpoch int) (o
 	if job.Warm != nil {
 		return Outcome{}, nil, errors.New("runner: checkpointing a warm-started job is not supported")
 	}
-	retries := 0
-	if job.Faults != nil {
-		if err := job.Faults.Validate(); err != nil {
-			return Outcome{}, nil, fmt.Errorf("runner: %w", err)
-		}
-		retries = job.Faults.WithDefaults().MaxRunRetries
-	}
-
-	cfg, baseCfg := jobConfig(job)
-	base, nonMem, err := e.cache.Baseline(ctx, baseCfg, job.Mix, job.Epochs, job.Shards)
-	if err != nil {
+	if err := validateFaults(job.Faults); err != nil {
 		return Outcome{}, nil, err
 	}
-
-	var aborts uint64
-	for attempt := 0; ; attempt++ {
-		out, snap, snapEpochs, err := e.runCheckpointAttempt(ctx, job, cfg, nonMem, attempt, ckEpoch)
-		if err == nil || errors.Is(err, ErrInterrupted) {
-			ck := &checkpoint.Checkpoint{
-				Meta: checkpoint.Meta{
-					Mix:     job.Mix.Name,
-					Policy:  job.Spec.Name,
-					Gamma:   cfg.Policy.Gamma,
-					NonMem:  nonMem,
-					Epochs:  snapEpochs,
-					Faults:  job.Faults,
-					Attempt: attempt,
-				},
-				Config: cfg,
-				Base:   baseCfg,
-				State:  snap,
-			}
-			if err != nil {
-				// Interrupted: the checkpoint carries the boundary the
-				// run stopped on; there is no finished outcome to pair.
-				return Outcome{}, ck, err
-			}
-			out.Mix, out.Policy = job.Mix, job.Spec.Name
-			out.NonMem, out.Base = nonMem, base
-			out.Attempts = attempt + 1
-			out.Res.Faults.TransientAborts += aborts
-			return out, ck, nil
-		}
-		if !errors.Is(err, faults.ErrTransient) || attempt >= retries || ctx.Err() != nil {
-			return Outcome{}, nil, err
-		}
-		aborts++
+	cfg, baseCfg := jobConfig(job)
+	p := &pairing{job: job, cfg: cfg, base: e.cache.claim(baseCfg, job.Mix, job.Epochs, job.Shards), ckEpoch: ckEpoch}
+	defer p.base.release()
+	r, err := e.pair(ctx, p, 0)
+	if err != nil && !errors.Is(err, ErrInterrupted) {
+		return Outcome{}, nil, err
 	}
+	// Interrupted runs return the checkpoint of the boundary they
+	// stopped on, with a zero Outcome.
+	return r.out, &checkpoint.Checkpoint{
+		Meta: checkpoint.Meta{
+			Mix:     job.Mix.Name,
+			Policy:  job.Spec.Name,
+			Gamma:   cfg.Policy.Gamma,
+			NonMem:  p.nonMem,
+			Epochs:  r.snapEpochs,
+			Faults:  job.Faults,
+			Attempt: r.attempt,
+		},
+		Config: cfg,
+		Base:   baseCfg,
+		State:  r.snap,
+	}, err
 }
 
-// runCheckpointAttempt is runAttempt driven through StepEpoch so the
-// state can be captured at the ckEpoch boundary mid-run (or, when
-// Job.Interrupt fires, at whatever epoch boundary the run stopped on —
-// reported through the returned completed-epoch count alongside
-// ErrInterrupted).
-func (e *Engine) runCheckpointAttempt(ctx context.Context, job Job, cfg config.Config, nonMem float64, attempt, ckEpoch int) (Outcome, *sim.SystemState, int, error) {
-	timeout := job.Timeout
-	if timeout <= 0 {
-		timeout = e.jobTimeout
-	}
-	parent := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	var inj *faults.Injector
-	if job.Faults != nil {
-		var err error
-		if inj, err = faults.New(*job.Faults, attempt); err != nil {
-			return Outcome{}, nil, 0, fmt.Errorf("runner: %w", err)
-		}
-	}
-	streams, err := job.Mix.Streams(&cfg)
-	if err != nil {
-		return Outcome{}, nil, 0, err
-	}
-	var gov sim.Governor
-	if job.Spec.Governor != nil {
-		gov = job.Spec.Governor(&cfg, nonMem)
-	}
-	var rec *telemetry.Recorder
-	if job.Telemetry != nil {
-		rec = telemetry.NewRecorder(*job.Telemetry)
-		rec.NonMemPowerW.Set(nonMem)
-		rec.GammaBound.Set(cfg.Policy.Gamma)
-	}
-	s, err := sim.New(cfg, streams, sim.Options{
-		Governor:         gov,
-		NonMemPower:      nonMem,
-		KeepTimeline:     job.Timeline,
-		Telemetry:        rec,
-		Faults:           inj,
-		Shards:           job.Shards,
-		ShardGranularity: job.ShardGranularity,
-	})
-	if err != nil {
-		return Outcome{}, nil, 0, err
-	}
-
-	target := config.Time(job.Epochs) * cfg.Policy.EpochLength
+// stepRun drives s epoch by epoch to target, stopping exactly where
+// RunForContext would, and captures the state after ckEpoch epochs.
+// Once interrupt fires, it finishes the epoch just stepped and returns
+// the state at that boundary, with the epochs it covers, and
+// ErrInterrupted.
+func stepRun(ctx context.Context, s *sim.System, interrupt <-chan struct{}, target config.Time, ckEpoch int) (sim.Result, *sim.SystemState, int, error) {
 	// Mirror the sim's MaxDuration safety net (Options.MaxDuration
 	// defaults to 2 s in sim.New) so the epoch loop stops exactly where
 	// RunForContext would.
@@ -326,60 +257,30 @@ func (e *Engine) runCheckpointAttempt(ctx context.Context, job Job, cfg config.C
 	for {
 		rec, err := s.StepEpoch(ctx)
 		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-				return Outcome{}, nil, 0, fmt.Errorf("runner: job exceeded %v watchdog: %w", timeout, ErrJobTimeout)
-			}
-			return Outcome{}, nil, 0, err
+			return sim.Result{}, nil, 0, err
 		}
 		if rec.Index+1 == ckEpoch {
 			if snap, err = s.Save(); err != nil {
-				return Outcome{}, nil, 0, fmt.Errorf("runner: checkpoint save: %w", err)
+				return sim.Result{}, nil, 0, fmt.Errorf("runner: checkpoint save: %w", err)
 			}
 		}
 		if rec.End >= target || rec.End >= maxDur {
 			break
 		}
-		// Soft stop: finish the epoch just stepped, capture the state at
-		// this boundary, and hand it back as the final checkpoint.
 		select {
-		case <-job.Interrupt:
-			snap, err = s.Save()
-			if err != nil {
-				return Outcome{}, nil, 0, fmt.Errorf("runner: interrupt checkpoint save: %w", err)
+		case <-interrupt:
+			if snap, err = s.Save(); err != nil {
+				return sim.Result{}, nil, 0, fmt.Errorf("runner: interrupt checkpoint save: %w", err)
 			}
-			return Outcome{}, snap, rec.Index + 1, ErrInterrupted
+			return sim.Result{}, snap, rec.Index + 1, ErrInterrupted
 		default:
 		}
 	}
 	res := s.Finalize()
 	if snap == nil {
-		return Outcome{}, nil, 0, fmt.Errorf("runner: run ended before checkpoint epoch %d", ckEpoch)
+		return sim.Result{}, nil, 0, fmt.Errorf("runner: run ended before checkpoint epoch %d", ckEpoch)
 	}
-
-	out := Outcome{Res: res, Shards: s.ParallelShards()}
-	if rec != nil {
-		apps := make([]string, cfg.Cores)
-		for i := range apps {
-			apps[i] = job.Mix.Assignment(i)
-		}
-		freqSeconds := make(map[int]float64, len(res.FreqTime))
-		for f, t := range res.FreqTime {
-			freqSeconds[int(f)] = t.Seconds()
-		}
-		out.Telemetry = rec.Export(telemetry.RunMeta{
-			Mix:          job.Mix.Name,
-			Policy:       job.Spec.Name,
-			Gamma:        cfg.Policy.Gamma,
-			Cores:        cfg.Cores,
-			Channels:     cfg.Channels,
-			CoreApps:     apps,
-			NonMemPowerW: nonMem,
-		}, freqSeconds)
-		if err := rec.SinkErr(); err != nil {
-			return Outcome{}, nil, 0, fmt.Errorf("runner: telemetry sink: %w", err)
-		}
-	}
-	return out, snap, ckEpoch, nil
+	return res, snap, ckEpoch, nil
 }
 
 // ResumeJob describes how to continue a checkpointed run.
@@ -452,121 +353,26 @@ func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err err
 			return Outcome{}, fmt.Errorf("runner: resume: %w", err)
 		}
 	}
-	retries := 0
-	if ck.Meta.Faults != nil {
-		if err := ck.Meta.Faults.Validate(); err != nil {
-			return Outcome{}, fmt.Errorf("runner: %w", err)
-		}
-		retries = ck.Meta.Faults.WithDefaults().MaxRunRetries
-	}
-
-	base, nonMem, err := e.cache.Baseline(ctx, ck.Base, mix, rj.Epochs, rj.Shards)
-	if err != nil {
+	if err := validateFaults(ck.Meta.Faults); err != nil {
 		return Outcome{}, err
 	}
 
-	var aborts uint64
-	first := ck.Meta.Attempt
-	for attempt := first; ; attempt++ {
-		out, err := e.resumeAttempt(ctx, rj, spec, mix, attempt)
-		if err == nil {
-			out.Mix, out.Policy = mix, ck.Meta.Policy
-			out.NonMem, out.Base = nonMem, base
-			out.Attempts = attempt - first + 1
-			out.Res.Faults.TransientAborts += aborts
-			return out, nil
-		}
-		if !errors.Is(err, faults.ErrTransient) || attempt-first >= retries || ctx.Err() != nil {
-			return Outcome{}, err
-		}
-		aborts++
+	// The checkpoint fixes the rest-of-system power, so the resumed run
+	// needs nothing from the baseline until the pairing. ck.Config is
+	// already post-Configure; the spec's Configure hook must not run
+	// again.
+	job := Job{
+		Mix: mix, Spec: spec, Epochs: rj.Epochs, Shards: rj.Shards,
+		Timeline: rj.Timeline, Telemetry: rj.Telemetry, Timeout: rj.Timeout,
+		Faults: ck.Meta.Faults, Warm: ck.State,
 	}
-}
-
-// resumeAttempt restores one attempt from the checkpoint and runs it
-// to rj.Epochs total. The governor is rebuilt through the spec's
-// constructor with the checkpoint's calibrated non-memory power —
-// matching how the original run built it — and then loaded with the
-// saved governor state by sim.Restore.
-func (e *Engine) resumeAttempt(ctx context.Context, rj ResumeJob, spec policies.Spec, mix workload.Mix, attempt int) (Outcome, error) {
-	ck := rj.Checkpoint
-	timeout := rj.Timeout
-	if timeout <= 0 {
-		timeout = e.jobTimeout
+	p := &pairing{
+		job: job, cfg: ck.Config, base: e.cache.claim(ck.Base, mix, rj.Epochs, rj.Shards),
+		nonMem: ck.Meta.NonMem, known: true,
 	}
-	parent := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	var inj *faults.Injector
-	if ck.Meta.Faults != nil {
-		var err error
-		if inj, err = faults.New(*ck.Meta.Faults, attempt); err != nil {
-			return Outcome{}, fmt.Errorf("runner: %w", err)
-		}
-	}
-	// ck.Config is already post-Configure; the spec's Configure hook
-	// must not run again.
-	cfg := ck.Config
-	streams, err := mix.Streams(&cfg)
-	if err != nil {
-		return Outcome{}, err
-	}
-	var gov sim.Governor
-	if spec.Governor != nil {
-		gov = spec.Governor(&cfg, ck.Meta.NonMem)
-	}
-	var rec *telemetry.Recorder
-	if rj.Telemetry != nil {
-		rec = telemetry.NewRecorder(*rj.Telemetry)
-		rec.NonMemPowerW.Set(ck.Meta.NonMem)
-		rec.GammaBound.Set(cfg.Policy.Gamma)
-	}
-	s, err := sim.Restore(cfg, streams, sim.Options{
-		Governor:     gov,
-		NonMemPower:  ck.Meta.NonMem,
-		KeepTimeline: rj.Timeline,
-		Telemetry:    rec,
-		Faults:       inj,
-		Shards:       rj.Shards,
-	}, ck.State)
-	if err != nil {
-		return Outcome{}, err
-	}
-	res, err := s.RunForContext(ctx, config.Time(rj.Epochs)*cfg.Policy.EpochLength)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-			return Outcome{}, fmt.Errorf("runner: job exceeded %v watchdog: %w", timeout, ErrJobTimeout)
-		}
-		return Outcome{}, err
-	}
-	out := Outcome{Res: res, Shards: s.ParallelShards()}
-	if rec != nil {
-		apps := make([]string, cfg.Cores)
-		for i := range apps {
-			apps[i] = mix.Assignment(i)
-		}
-		freqSeconds := make(map[int]float64, len(res.FreqTime))
-		for f, t := range res.FreqTime {
-			freqSeconds[int(f)] = t.Seconds()
-		}
-		out.Telemetry = rec.Export(telemetry.RunMeta{
-			Mix:          mix.Name,
-			Policy:       ck.Meta.Policy,
-			Gamma:        cfg.Policy.Gamma,
-			Cores:        cfg.Cores,
-			Channels:     cfg.Channels,
-			CoreApps:     apps,
-			NonMemPowerW: ck.Meta.NonMem,
-		}, freqSeconds)
-		if err := rec.SinkErr(); err != nil {
-			return Outcome{}, fmt.Errorf("runner: telemetry sink: %w", err)
-		}
-	}
-	return out, nil
+	defer p.base.release()
+	r, err := e.pair(ctx, p, ck.Meta.Attempt)
+	return r.out, err
 }
 
 // WarmGroups reports how many distinct warm-up prefixes a job set

@@ -4,11 +4,17 @@
 // worker pool, memoizes the unmanaged baseline runs the jobs share,
 // and honours context cancellation mid-simulation.
 //
-// Determinism: parallelism is across jobs only — each simulation is
-// the same single-threaded discrete-event run it always was, so one
-// job's result is bit-identical whether the batch ran on one worker or
-// sixteen. Results come back indexed by submission order, never by
-// completion order.
+// Each job simulates its baseline on a second goroutine, owned by the
+// baseline cache, while its managed run proceeds; the managed run gets
+// by without the baseline's calibrated rest-of-system power until the
+// pairing needs it (see pairing).
+//
+// Determinism: each simulation is the same discrete-event run it always
+// was, and a managed run that overlaps its baseline is confirmed to be
+// the run a serial pairing would have produced, so one job's result is
+// bit-identical whether the batch ran on one worker or sixteen, with a
+// cold cache or a warm one. Results come back indexed by submission
+// order, never by completion order.
 package runner
 
 import (
@@ -17,9 +23,11 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"memscale/internal/config"
+	"memscale/internal/core"
 	"memscale/internal/faults"
 	"memscale/internal/policies"
 	"memscale/internal/sim"
@@ -224,7 +232,9 @@ type Progress struct {
 // Options configure an Engine.
 type Options struct {
 	// Workers bounds the number of concurrently executing jobs;
-	// zero or negative means runtime.GOMAXPROCS(0).
+	// zero or negative means runtime.GOMAXPROCS(0). A job may briefly
+	// use a second goroutine: its baseline, when no other job has
+	// simulated it yet, runs alongside its managed run.
 	Workers int
 
 	// Cache, when non-nil, shares baseline memoization with other
@@ -247,6 +257,15 @@ type Engine struct {
 	cache      *BaselineCache
 	jobTimeout time.Duration
 	onResult   func(Progress)
+
+	// speculation, when non-nil, replaces core.NewSpeculation(resolved,
+	// nil) for speculative attempts; tests use it to hold the baseline
+	// back or to force a wrong guess.
+	speculation func(resolved func() (float64, bool)) *core.Speculation
+
+	// confirmed and reruns count the managed attempts whose speculated
+	// decisions a replay confirmed or rejected.
+	confirmed, reruns atomic.Int64
 }
 
 // New builds an engine.
@@ -274,6 +293,10 @@ func (e *Engine) Cache() *BaselineCache { return e.cache }
 // *PanicError instead of unwinding the caller — and attempts killed
 // by an injected transient fault are retried with the same hardware
 // fault schedule, up to the fault config's retry budget.
+//
+// The baseline simulates on a second goroutine while the managed run
+// proceeds; see pairing for how the managed run gets by without the
+// baseline's calibrated rest-of-system power.
 func (e *Engine) Run(ctx context.Context, job Job) (out Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -287,43 +310,175 @@ func (e *Engine) Run(ctx context.Context, job Job) (out Outcome, err error) {
 	if job.Epochs <= 0 {
 		return Outcome{}, fmt.Errorf("runner: job epochs must be positive, got %d", job.Epochs)
 	}
-	retries := 0
-	if job.Faults != nil {
-		if err := job.Faults.Validate(); err != nil {
-			return Outcome{}, fmt.Errorf("runner: %w", err)
-		}
-		retries = job.Faults.WithDefaults().MaxRunRetries
-	}
-
-	cfg, baseCfg := jobConfig(job)
-	base, nonMem, err := e.cache.Baseline(ctx, baseCfg, job.Mix, job.Epochs, job.Shards)
-	if err != nil {
+	if err := validateFaults(job.Faults); err != nil {
 		return Outcome{}, err
 	}
+	cfg, baseCfg := jobConfig(job)
+	p := &pairing{job: job, cfg: cfg, base: e.cache.claim(baseCfg, job.Mix, job.Epochs, job.Shards)}
+	defer p.base.release()
+	r, err := e.pair(ctx, p, 0)
+	return r.out, err
+}
 
+func validateFaults(fc *faults.Config) error {
+	if fc == nil {
+		return nil
+	}
+	if err := fc.Validate(); err != nil {
+		return fmt.Errorf("runner: %w", err)
+	}
+	return nil
+}
+
+// pairing is one paired job in flight: its managed run and its claim on
+// the baseline, which simulates concurrently on the cache's goroutine.
+//
+// The rest-of-system power nonMem, calibrated from the baseline, reaches
+// the managed trajectory only through the governor's Equation 10 argmin
+// (core.Policy). Neither the governor's saved state nor the simulator's
+// reads it; the Result's rest-of-system energy, the checkpoint meta and
+// the telemetry gauge and run meta are filled in after the run (finish).
+// So the managed run starts at once: governors that never read nonMem
+// run as they are, and governors with a Speculative hook decide on an
+// estimate until the baseline resolves, logging each such decision. A
+// replay of the log with the calibrated value then confirms the run
+// (attempt), or the attempt re-runs with that value, as a serial pairing
+// would have run it. Either way the outcome is bit-identical.
+type pairing struct {
+	job     Job
+	cfg     config.Config // the managed run's configuration
+	base    *baselineClaim
+	ckEpoch int // > 0: capture the managed state after this many epochs
+
+	// nonMem is the rest-of-system power the managed run uses, once
+	// known: the baseline's calibration, or a checkpoint's.
+	nonMem float64
+	known  bool
+}
+
+// resolve waits for the baseline and adopts its calibrated power unless
+// the run already has one.
+func (p *pairing) resolve(ctx context.Context) error {
+	if err := p.base.wait(ctx); err != nil {
+		return err
+	}
+	if !p.known {
+		p.nonMem, p.known = p.base.e.nonMem, true
+	}
+	return nil
+}
+
+// mayGuess reports whether a managed attempt may run on an estimate. A
+// rejected guess re-runs the attempt, so a run that streams telemetry
+// to a sink or can be interrupted mid-way must not guess: the re-run
+// would repeat the streamed events, or the interrupt would fire again.
+func (p *pairing) mayGuess() bool {
+	return p.job.Spec.Speculative != nil && p.job.Interrupt == nil &&
+		(p.job.Telemetry == nil || p.job.Telemetry.Sink == nil)
+}
+
+// attemptResult is what one managed attempt produced.
+type attemptResult struct {
+	out        Outcome
+	rec        *telemetry.Recorder
+	snap       *sim.SystemState // the captured state when ckEpoch > 0
+	snapEpochs int              // epochs the snapshot covers
+	attempt    int
+}
+
+// pair runs the managed attempts, starting at attempt number first,
+// and pairs the surviving one with the baseline.
+func (e *Engine) pair(ctx context.Context, p *pairing, first int) (attemptResult, error) {
+	retries := 0
+	if p.job.Faults != nil {
+		retries = p.job.Faults.WithDefaults().MaxRunRetries
+	}
 	var aborts uint64
-	for attempt := 0; ; attempt++ {
-		out, err := e.runAttempt(ctx, job, cfg, nonMem, attempt)
-		if err == nil {
-			out.Mix, out.Policy = job.Mix, job.Spec.Name
-			out.NonMem, out.Base = nonMem, base
-			out.Attempts = attempt + 1
+	for attempt := first; ; attempt++ {
+		r, err := e.attempt(ctx, p, attempt)
+		if err == nil || errors.Is(err, ErrInterrupted) {
+			if perr := p.resolve(ctx); perr != nil {
+				return attemptResult{}, perr
+			}
+			if err != nil {
+				// Interrupted: the snapshot carries the boundary the run
+				// stopped on; there is no finished outcome to pair.
+				return attemptResult{snap: r.snap, snapEpochs: r.snapEpochs, attempt: attempt}, err
+			}
+			if err := p.finish(&r); err != nil {
+				return attemptResult{}, err
+			}
+			r.out.Mix, r.out.Policy = p.job.Mix, p.job.Spec.Name
+			r.out.NonMem, r.out.Base = p.base.e.nonMem, p.base.e.res
+			r.out.Attempts = attempt - first + 1
 			// Aborted attempts discarded their partial state; fold the
 			// retries they cost into the surviving run's fault tally.
-			out.Res.Faults.TransientAborts += aborts
-			return out, nil
+			r.out.Res.Faults.TransientAborts += aborts
+			return r, nil
 		}
-		if !errors.Is(err, faults.ErrTransient) || attempt >= retries || ctx.Err() != nil {
-			return Outcome{}, err
+		if !errors.Is(err, faults.ErrTransient) || attempt-first >= retries || ctx.Err() != nil {
+			return attemptResult{}, err
 		}
 		aborts++
 	}
 }
 
-// runAttempt executes one managed-run attempt under the job's
-// watchdog deadline, with a fresh governor, recorder, injector, and
-// trace streams (all are stateful and must not leak across attempts).
-func (e *Engine) runAttempt(ctx context.Context, job Job, cfg config.Config, nonMem float64, attempt int) (Outcome, error) {
+// attempt executes one managed attempt, on an estimate of nonMem when
+// the governor needs the value before the baseline has it.
+func (e *Engine) attempt(ctx context.Context, p *pairing, attempt int) (attemptResult, error) {
+	spec := p.job.Spec
+	if !p.known {
+		p.nonMem, p.known = p.base.resolved()
+	}
+	if !p.known && spec.Governor != nil && !p.mayGuess() {
+		// The governor reads nonMem and cannot confirm a guess: wait for
+		// the baseline, as a serial pairing does.
+		if err := p.resolve(ctx); err != nil {
+			return attemptResult{}, err
+		}
+	}
+	calibrated := func(cfg *config.Config) sim.Governor {
+		if spec.Governor == nil {
+			return nil
+		}
+		return spec.Governor(cfg, p.nonMem)
+	}
+	if p.known || spec.Governor == nil {
+		return e.simulate(ctx, p, attempt, calibrated)
+	}
+
+	var sp *core.Speculation
+	if e.speculation != nil {
+		sp = e.speculation(p.base.resolved)
+	} else {
+		sp = core.NewSpeculation(p.base.resolved, nil)
+	}
+	r, err := e.simulate(ctx, p, attempt, func(cfg *config.Config) sim.Governor {
+		return spec.Speculative(cfg, sp)
+	})
+	// A cancelled attempt has nothing to confirm, and a transient abort
+	// strikes at an epoch the fault plan fixes whatever the run decided.
+	if ctx.Err() != nil || errors.Is(err, ErrJobTimeout) || errors.Is(err, faults.ErrTransient) || sp.Guesses() == 0 {
+		return r, err
+	}
+	if perr := p.resolve(ctx); perr != nil {
+		return attemptResult{}, perr
+	}
+	if sp.Confirm(p.nonMem) {
+		e.confirmed.Add(1)
+		return r, err
+	}
+	e.reruns.Add(1)
+	return e.simulate(ctx, p, attempt, calibrated)
+}
+
+// simulate executes one managed attempt under the job's watchdog
+// deadline, with a fresh governor (built by gov), recorder, injector,
+// and trace streams — all are stateful and must not leak across
+// attempts. The run's rest-of-system power is left at zero; finish
+// accounts it once it is known.
+func (e *Engine) simulate(ctx context.Context, p *pairing, attempt int, gov func(*config.Config) sim.Governor) (attemptResult, error) {
+	job, cfg := p.job, p.cfg
 	timeout := job.Timeout
 	if timeout <= 0 {
 		timeout = e.jobTimeout
@@ -335,79 +490,90 @@ func (e *Engine) runAttempt(ctx context.Context, job Job, cfg config.Config, non
 		defer cancel()
 	}
 
+	r := attemptResult{attempt: attempt}
 	var inj *faults.Injector
 	if job.Faults != nil {
 		var err error
 		if inj, err = faults.New(*job.Faults, attempt); err != nil {
-			return Outcome{}, fmt.Errorf("runner: %w", err)
+			return r, fmt.Errorf("runner: %w", err)
 		}
 	}
 	streams, err := job.Mix.Streams(&cfg)
 	if err != nil {
-		return Outcome{}, err
-	}
-	var gov sim.Governor
-	if job.Spec.Governor != nil {
-		gov = job.Spec.Governor(&cfg, nonMem)
-	}
-	var rec *telemetry.Recorder
-	if job.Telemetry != nil {
-		rec = telemetry.NewRecorder(*job.Telemetry)
-		rec.NonMemPowerW.Set(nonMem)
-		rec.GammaBound.Set(cfg.Policy.Gamma)
+		return r, err
 	}
 	opts := sim.Options{
-		Governor:         gov,
-		NonMemPower:      nonMem,
+		Governor:         gov(&cfg),
 		KeepTimeline:     job.Timeline,
-		Telemetry:        rec,
 		Faults:           inj,
 		Shards:           job.Shards,
 		ShardGranularity: job.ShardGranularity,
 	}
+	if job.Telemetry != nil {
+		r.rec = telemetry.NewRecorder(*job.Telemetry)
+		r.rec.GammaBound.Set(cfg.Policy.Gamma)
+		opts.Telemetry = r.rec
+	}
 	var s *sim.System
 	if job.Warm != nil {
-		// Fork from the shared warm-up snapshot instead of simulating
-		// the prefix: the restored system resumes at the prefix's epoch
-		// boundary with a fresh governor.
+		// Fork from the snapshot instead of simulating the prefix: the
+		// restored system resumes at the snapshot's epoch boundary with
+		// a fresh governor.
 		s, err = sim.Restore(cfg, streams, opts, job.Warm)
 	} else {
 		s, err = sim.New(cfg, streams, opts)
 	}
 	if err != nil {
-		return Outcome{}, err
+		return r, err
 	}
-	res, err := s.RunForContext(ctx, config.Time(job.Epochs)*cfg.Policy.EpochLength)
+	target := config.Time(job.Epochs) * cfg.Policy.EpochLength
+	var res sim.Result
+	if p.ckEpoch > 0 {
+		res, r.snap, r.snapEpochs, err = stepRun(ctx, s, job.Interrupt, target, p.ckEpoch)
+	} else {
+		res, err = s.RunForContext(ctx, target)
+	}
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-			return Outcome{}, fmt.Errorf("runner: job exceeded %v watchdog: %w", timeout, ErrJobTimeout)
+			return r, fmt.Errorf("runner: job exceeded %v watchdog: %w", timeout, ErrJobTimeout)
 		}
-		return Outcome{}, err
+		return r, err
 	}
-	out := Outcome{Res: res, Shards: s.ParallelShards()}
-	if rec != nil {
-		apps := make([]string, cfg.Cores)
-		for i := range apps {
-			apps[i] = job.Mix.Assignment(i)
-		}
-		freqSeconds := make(map[int]float64, len(res.FreqTime))
-		for f, t := range res.FreqTime {
-			freqSeconds[int(f)] = t.Seconds()
-		}
-		out.Telemetry = rec.Export(telemetry.RunMeta{
-			Mix:          job.Mix.Name,
-			Policy:       job.Spec.Name,
-			Gamma:        cfg.Policy.Gamma,
-			Cores:        cfg.Cores,
-			Channels:     cfg.Channels,
-			CoreApps:     apps,
-			NonMemPowerW: nonMem,
-		}, freqSeconds)
-		if err := rec.SinkErr(); err != nil {
-			return Outcome{}, fmt.Errorf("runner: telemetry sink: %w", err)
-		}
+	r.out = Outcome{Res: res, Shards: s.ParallelShards()}
+	return r, nil
+}
+
+// finish accounts the finished attempt's rest-of-system energy at the
+// run's nonMem, as sim's finalize would have, and builds its telemetry
+// export.
+func (p *pairing) finish(r *attemptResult) error {
+	res := &r.out.Res
+	res.SetNonMemPower(p.nonMem)
+	if r.rec == nil {
+		return nil
 	}
-	return out, nil
+	r.rec.NonMemPowerW.Set(p.nonMem)
+	apps := make([]string, p.cfg.Cores)
+	for i := range apps {
+		apps[i] = p.job.Mix.Assignment(i)
+	}
+	freqSeconds := make(map[int]float64, len(res.FreqTime))
+	for f, t := range res.FreqTime {
+		freqSeconds[int(f)] = t.Seconds()
+	}
+	r.out.Telemetry = r.rec.Export(telemetry.RunMeta{
+		Mix:          p.job.Mix.Name,
+		Policy:       p.job.Spec.Name,
+		Gamma:        p.cfg.Policy.Gamma,
+		Cores:        p.cfg.Cores,
+		Channels:     p.cfg.Channels,
+		CoreApps:     apps,
+		NonMemPowerW: p.nonMem,
+	}, freqSeconds)
+	if err := r.rec.SinkErr(); err != nil {
+		return fmt.Errorf("runner: telemetry sink: %w", err)
+	}
+	return nil
 }
 
 // RunEach executes every job on the worker pool and returns outcomes

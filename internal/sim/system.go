@@ -139,6 +139,15 @@ type Result struct {
 // SystemEnergy returns total server energy for the run.
 func (r Result) SystemEnergy() float64 { return r.Memory.Memory() + r.NonMemEnergy }
 
+// SetNonMemPower accounts the run's rest-of-system energy at w watts.
+// Nothing else in a run reads Options.NonMemPower, so a caller that
+// learns the calibrated power only after the run can set it here and
+// get the Result the run would have finished with.
+func (r *Result) SetNonMemPower(w float64) {
+	r.NonMemPower = w
+	r.NonMemEnergy = w * r.Duration.Seconds()
+}
+
 // MeanCPI returns the average per-core CPI.
 func (r Result) MeanCPI() float64 {
 	if len(r.CPI) == 0 {
@@ -1097,8 +1106,7 @@ func (s *System) finalize() Result {
 	}
 	r.Memory = s.Meter.Total()
 	r.Residency = s.Meter.Residency()
-	r.NonMemPower = s.opts.NonMemPower
-	r.NonMemEnergy = s.opts.NonMemPower * now.Seconds()
+	r.SetNonMemPower(s.opts.NonMemPower)
 	r.DIMMAvgWatts = s.Meter.AverageDIMMPower()
 	r.MemAvgWatts = s.Meter.AveragePower()
 	r.Events = s.Q.Fired()

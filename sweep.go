@@ -16,9 +16,9 @@ type SweepConfig struct {
 	Runs []RunConfig
 
 	// Workers bounds the number of concurrently executing jobs;
-	// zero means runtime.GOMAXPROCS(0). Parallelism is across jobs
-	// only — each simulation stays single-threaded — so results are
-	// bit-identical on any worker count.
+	// zero means runtime.GOMAXPROCS(0). A job may briefly use a second
+	// goroutine for its baseline, which simulates alongside the managed
+	// run; results are bit-identical on any worker count.
 	Workers int
 
 	// Progress, when non-nil, is invoked once per finished job, in

@@ -190,6 +190,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: DIMMs/ranks per channel must be positive")
 	case c.BanksPerRank <= 0 || c.ChipsPerRank <= 0:
 		return fmt.Errorf("config: banks/chips per rank must be positive")
+	case c.BanksPerRank > 64:
+		// The memory controller tracks a rank's deferred bank closes in
+		// one 64-bit mask.
+		return fmt.Errorf("config: BanksPerRank must be at most 64, got %d", c.BanksPerRank)
 	case c.LineBytes <= 0 || c.RowBytes < c.LineBytes:
 		return fmt.Errorf("config: RowBytes (%d) must be >= LineBytes (%d) > 0", c.RowBytes, c.LineBytes)
 	case c.RowsPerBank <= 0:

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -199,27 +200,39 @@ func TestDefaultConfigValid(t *testing.T) {
 }
 
 func TestConfigValidateRejections(t *testing.T) {
-	mutations := []func(*Config){
-		func(c *Config) { c.Cores = 0 },
-		func(c *Config) { c.CPUFreqMHz = 0 },
-		func(c *Config) { c.Channels = -1 },
-		func(c *Config) { c.DIMMsPerChannel = 0 },
-		func(c *Config) { c.BanksPerRank = 0 },
-		func(c *Config) { c.RowBytes = 32 },
-		func(c *Config) { c.RowsPerBank = 0 },
-		func(c *Config) { c.MemPowerFraction = 0 },
-		func(c *Config) { c.MemPowerFraction = 1 },
-		func(c *Config) { c.Policy.EpochLength = 0 },
-		func(c *Config) { c.Policy.ProfilingLength = 10 * Millisecond },
-		func(c *Config) { c.WritebackQueueCap = 0 },
-		func(c *Config) { c.DecoupledDevFreq = 123 },
+	mutations := []struct {
+		mutate func(*Config)
+		want   string // substring the error must contain, if set
+	}{
+		{mutate: func(c *Config) { c.Cores = 0 }},
+		{mutate: func(c *Config) { c.CPUFreqMHz = 0 }},
+		{mutate: func(c *Config) { c.Channels = -1 }},
+		{mutate: func(c *Config) { c.DIMMsPerChannel = 0 }},
+		{mutate: func(c *Config) { c.BanksPerRank = 0 }},
+		{mutate: func(c *Config) { c.BanksPerRank = 65 }, want: "BanksPerRank"},
+		{mutate: func(c *Config) { c.RowBytes = 32 }},
+		{mutate: func(c *Config) { c.RowsPerBank = 0 }},
+		{mutate: func(c *Config) { c.MemPowerFraction = 0 }},
+		{mutate: func(c *Config) { c.MemPowerFraction = 1 }},
+		{mutate: func(c *Config) { c.Policy.EpochLength = 0 }},
+		{mutate: func(c *Config) { c.Policy.ProfilingLength = 10 * Millisecond }},
+		{mutate: func(c *Config) { c.WritebackQueueCap = 0 }},
+		{mutate: func(c *Config) { c.DecoupledDevFreq = 123 }},
 	}
-	for i, mutate := range mutations {
+	for i, m := range mutations {
 		c := Default()
-		mutate(&c)
-		if err := c.Validate(); err == nil {
+		m.mutate(&c)
+		err := c.Validate()
+		if err == nil {
 			t.Errorf("mutation %d: expected validation error", i)
+		} else if !strings.Contains(err.Error(), m.want) {
+			t.Errorf("mutation %d: error %q does not name %s", i, err, m.want)
 		}
+	}
+	c := Default()
+	c.BanksPerRank = 64
+	if err := c.Validate(); err != nil {
+		t.Errorf("BanksPerRank = 64 rejected: %v", err)
 	}
 }
 

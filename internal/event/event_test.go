@@ -423,6 +423,35 @@ func BenchmarkEventQueue(b *testing.B) {
 	q.Run(0)
 }
 
+// BenchmarkEventQueuePaperShape drives the queue with the shape the
+// simulator produces: 16 refresh timers re-armed 7.8 µs ahead and 16
+// events churning a few nanoseconds ahead, so about 32 are pending and
+// nearly every schedule lands near the front. Each op fires one event,
+// which re-schedules itself.
+func BenchmarkEventQueuePaperShape(b *testing.B) {
+	var q Queue
+	const refresh = 7800 * config.Nanosecond
+	var timer, churn Bound
+	timer = func(now config.Time, _ any, a, _ int32) {
+		q.ScheduleBound(now+refresh, timer, nil, a, 0)
+	}
+	churn = func(now config.Time, _ any, a, _ int32) {
+		q.ScheduleBound(now+config.Time(1+a*7%40)*config.Nanosecond, churn, nil, a+1, 0)
+	}
+	for k := int32(0); k < 16; k++ {
+		q.ScheduleBound(config.Time(k)*refresh/16, timer, nil, k, 0)
+		q.ScheduleBound(config.Time(k)*config.Nanosecond, churn, nil, k, 0)
+	}
+	for i := 0; i < 4096; i++ {
+		q.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Step()
+	}
+}
+
 // BenchmarkEventQueueCancel measures the eager-removal path.
 func BenchmarkEventQueueCancel(b *testing.B) {
 	var q Queue

@@ -183,10 +183,10 @@ func (s *ShardSet) RunCross(at config.Time, tickets []Seq, fn func(now config.Ti
 
 // Save captures the whole set as a single canonical Queue state: the
 // image of the serial queue that holds every pending event of every
-// shard. Entries are merged in (time, seq) order — a sorted array is a
-// valid 4-ary min-heap — over a dense node arena with an empty free
-// list, so loading the state into one serial queue (or re-partitioning
-// it across any shard count) reproduces the same future behaviour.
+// shard. Entries are merged in (time, seq) order over a dense node
+// arena with an empty free list, so loading the state into one serial
+// queue (or re-partitioning it across any shard count) reproduces the
+// same future behaviour.
 func (s *ShardSet) Save(codec Codec) (*State, error) {
 	st := &State{Now: s.Now()}
 	for _, q := range s.qs {
@@ -202,16 +202,18 @@ func (s *ShardSet) Save(codec Codec) (*State, error) {
 	}
 	st.Fired += s.crossFired
 	for _, q := range s.qs {
-		for _, e := range q.heap {
-			n := &q.nodes[e.idx]
-			kind, owner, err := codec.Encode(n.fn, n.bfn, n.env)
-			if err != nil {
-				return nil, fmt.Errorf("event: save shard entry: %w", err)
+		for _, es := range [][]entry{q.near, q.heap} {
+			for _, e := range es {
+				n := &q.nodes[e.idx]
+				kind, owner, err := codec.Encode(n.fn, n.bfn, n.env)
+				if err != nil {
+					return nil, fmt.Errorf("event: save shard entry: %w", err)
+				}
+				st.Heap = append(st.Heap, EntryState{At: e.at, Seq: e.seq})
+				st.Nodes = append(st.Nodes, NodeState{
+					Gen: 1, Pos: 0, Kind: kind, Owner: owner, A: n.a, B: n.b,
+				})
 			}
-			st.Heap = append(st.Heap, EntryState{At: e.at, Seq: e.seq})
-			st.Nodes = append(st.Nodes, NodeState{
-				Gen: 1, Pos: 0, Kind: kind, Owner: owner, A: n.a, B: n.b,
-			})
 		}
 		for i := range q.defers {
 			d := &q.defers[i]
@@ -307,7 +309,7 @@ func (s *ShardSet) Load(st *State, codec Codec, shardOf ShardOf) error {
 	}
 	for j, p := range parts {
 		// Per-shard entries in (time, seq) order: the subsequence of the
-		// canonical order owned by this shard, again a valid heap.
+		// canonical order owned by this shard.
 		sort.Slice(p.Heap, func(a, b int) bool {
 			if p.Heap[a].At != p.Heap[b].At {
 				return p.Heap[a].At < p.Heap[b].At
@@ -320,12 +322,6 @@ func (s *ShardSet) Load(st *State, codec Codec, shardOf ShardOf) error {
 			p.Heap[i].Idx = int32(i)
 		}
 		p.Nodes = nodes
-		sort.Slice(p.Defers, func(a, b int) bool {
-			if p.Defers[a].ActivateAt != p.Defers[b].ActivateAt {
-				return p.Defers[a].ActivateAt < p.Defers[b].ActivateAt
-			}
-			return p.Defers[a].Seq < p.Defers[b].Seq
-		})
 		if err := s.qs[j].Load(p, codec); err != nil {
 			return fmt.Errorf("event: shard %d load: %w", j, err)
 		}

@@ -1,18 +1,25 @@
 package event
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"memscale/internal/config"
 )
 
 // This file is the checkpoint plane of the event engine. The queue's
-// pooled arena, free list, flat heap, and deferred-schedule plane are
-// captured verbatim — including free slots, generation counters, and
-// the exact heap array layout — so a restored queue reproduces not just
-// the pending events but the engine's future behaviour bit-identically:
+// pooled arena, free list, pending entries, and deferred-schedule plane
+// are captured — the arena verbatim, including free slots and
+// generation counters — so a restored queue reproduces not just the
+// pending events but the engine's future behaviour bit-identically:
 // slot allocation order, sequence numbering, and same-instant FIFO
 // order all continue exactly as they would have in the original run.
+// Pending entries and deferred schedules are written in ascending
+// (time, seq) order. Fire order is the total (time, seq) order whatever
+// container holds the keys, so their layout carries no behaviour; a
+// sorted array is also a valid 4-ary min-heap image, the layout earlier
+// versions of the engine wrote and read back verbatim.
 //
 // Callbacks cannot be serialized directly (they are function values
 // bound to live simulator components), so Save translates each pending
@@ -49,8 +56,9 @@ type NodeState struct {
 	B     int32  `json:"b,omitempty"`
 }
 
-// EntryState is one heap entry, preserved at its exact array position
-// so sift behaviour after restore matches the original run.
+// EntryState is one pending event's (time, seq) key and the node
+// carrying its callback. Save writes entries in ascending key order;
+// Load accepts them in any order.
 type EntryState struct {
 	At  config.Time `json:"at"`
 	Seq uint64      `json:"seq"`
@@ -69,7 +77,8 @@ type DeferredState struct {
 	B          int32       `json:"b,omitempty"`
 }
 
-// State is the complete serializable image of a Queue.
+// State is the complete serializable image of a Queue. Heap and Defers
+// keep the field names of the heap images earlier versions wrote.
 type State struct {
 	Now       config.Time     `json:"now"`
 	Seq       uint64          `json:"seq"`
@@ -95,7 +104,6 @@ func (q *Queue) Save(codec Codec) (*State, error) {
 		Firing:    q.firing,
 		Nodes:     make([]NodeState, len(q.nodes)),
 		Free:      append([]int32(nil), q.free...),
-		Heap:      make([]EntryState, len(q.heap)),
 	}
 	for i := range q.nodes {
 		n := &q.nodes[i]
@@ -109,10 +117,10 @@ func (q *Queue) Save(codec Codec) (*State, error) {
 		}
 		st.Nodes[i] = ns
 	}
-	for i, e := range q.heap {
-		st.Heap[i] = EntryState{At: e.at, Seq: e.seq, Idx: e.idx}
+	for _, e := range q.entries() {
+		st.Heap = append(st.Heap, EntryState{At: e.at, Seq: e.seq, Idx: e.idx})
 	}
-	for i := range q.defers {
+	for i := len(q.defers) - 1; i >= 0; i-- {
 		d := &q.defers[i]
 		kind, owner, err := codec.Encode(nil, d.bfn, d.env)
 		if err != nil {
@@ -130,8 +138,9 @@ func (q *Queue) Save(codec Codec) (*State, error) {
 // pending callback through codec. Structural invariants are validated
 // so a corrupted state yields an error, never a panic in later queue
 // operations: indices must be in range, free slots must not be
-// referenced by the heap, and every pending node must appear exactly
-// once in the heap array.
+// referenced by an entry, and every pending node must appear exactly
+// once among the entries. Entries and deferred schedules may come in
+// any order.
 func (q *Queue) Load(st *State, codec Codec) error {
 	n := len(st.Nodes)
 	nodes := make([]node, n)
@@ -190,11 +199,16 @@ func (q *Queue) Load(st *State, codec Codec) error {
 		})
 	}
 
+	// The defers array is kept latest first.
+	slices.SortFunc(defers, func(a, b deferred) int {
+		return cmpKey(b.activateAt, b.seq, a.activateAt, a.seq)
+	})
+
 	q.nodes = nodes
 	q.free = append(q.free[:0], st.Free...)
-	q.heap = q.heap[:0]
+	q.near, q.heap = q.near[:0], q.heap[:0]
 	for _, e := range st.Heap {
-		q.heap = append(q.heap, entry{at: e.At, seq: e.Seq, idx: e.Idx})
+		q.push(entry{at: e.At, seq: e.Seq, idx: e.Idx})
 	}
 	q.defers = defers
 	q.now = st.Now
@@ -204,4 +218,21 @@ func (q *Queue) Load(st *State, codec Codec) error {
 	q.coalesced = st.Coalesced
 	q.firing = st.Firing
 	return nil
+}
+
+// entries returns a copy of the pending entries in ascending
+// (time, seq) order.
+func (q *Queue) entries() []entry {
+	es := make([]entry, 0, len(q.near)+len(q.heap))
+	es = append(append(es, q.near...), q.heap...)
+	slices.SortFunc(es, func(a, b entry) int { return cmpKey(a.at, a.seq, b.at, b.seq) })
+	return es
+}
+
+// cmpKey orders two (time, seq) keys.
+func cmpKey(at1 config.Time, seq1 uint64, at2 config.Time, seq2 uint64) int {
+	if c := cmp.Compare(at1, at2); c != 0 {
+		return c
+	}
+	return cmp.Compare(seq1, seq2)
 }

@@ -14,6 +14,7 @@ package memctrl
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"memscale/internal/config"
 	"memscale/internal/dram"
@@ -131,12 +132,17 @@ type Controller struct {
 	// every copy — is the global value.
 	mcTimes []config.Time
 
-	ranksPerCh int // cached cfg.RanksPerChannel(), for the defGate index
+	ranksPerCh int // cached cfg.RanksPerChannel(), for the defGate/defMask index
 
 	// Per-rank dispatch bookkeeping for refresh/powerdown decisions.
 	dispatched [][]int // requests dispatched but not yet through the bus
 	pending    [][]int // requests queued or dispatched per rank
-	defPrech   [][]int // deferred precharge closes outstanding per rank
+
+	// defMask has bit i set while bank i of the rank holds a deferred
+	// close (its defAts entry is real), flattened like defGate, so
+	// settlement visits only the deferred banks — usually one or two of
+	// eight. config.Validate caps BanksPerRank at the mask's 64 bits.
+	defMask []uint64
 
 	// defGate is a lower bound on the earliest prechAt among a rank's
 	// deferred closes (noDeferral when none are outstanding), flattened
@@ -225,7 +231,7 @@ func New(cfg *config.Config, q *event.Queue) *Controller {
 	c.ranks = make([][]*dram.Rank, cfg.Channels)
 	c.dispatched = make([][]int, cfg.Channels)
 	c.pending = make([][]int, cfg.Channels)
-	c.defPrech = make([][]int, cfg.Channels)
+	c.defMask = make([]uint64, cfg.Channels*cfg.RanksPerChannel())
 	c.defGate = make([]config.Time, cfg.Channels*cfg.RanksPerChannel())
 	for i := range c.defGate {
 		c.defGate[i] = noDeferral
@@ -245,7 +251,6 @@ func New(cfg *config.Config, q *event.Queue) *Controller {
 		c.ranks[chIdx] = make([]*dram.Rank, cfg.RanksPerChannel())
 		c.dispatched[chIdx] = make([]int, cfg.RanksPerChannel())
 		c.pending[chIdx] = make([]int, cfg.RanksPerChannel())
-		c.defPrech[chIdx] = make([]int, cfg.RanksPerChannel())
 		for r := range c.ranks[chIdx] {
 			c.ranks[chIdx][r] = dram.NewRank(cfg.BanksPerRank, &ch.timing)
 		}
@@ -507,7 +512,7 @@ func (c *Controller) tryDispatch(now config.Time, chIdx int, b bankID) {
 				c.qs[chIdx].ScheduleViaSeq(bk.prechAt, bk.prechSeq, bk.prechAt+c.mcTimeAt(chIdx),
 					c.onStartBank, bk.defReq, int32(chIdx), int32(b))
 			} else {
-				c.materializePrecharge(bk, chIdx, rankIdx, b)
+				c.materializePrecharge(bk, chIdx, b)
 			}
 		}
 		return
@@ -657,7 +662,7 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 		bk.prechSeq = c.qs[chIdx].ReserveSeq()
 		ch.defAts[b] = prechargeDone
 		ch.defSeqs[b] = uint64(bk.prechSeq)
-		c.deferAdded(chIdx, rankIdx, prechargeDone)
+		c.deferAdded(chIdx, b, prechargeDone)
 	} else if bk := &ch.banks[b]; c.tel == nil && prechargeDone <= c.quiesce &&
 		bk.queue.Len() > 0 && bk.wb.Len() == 0 && !rank.RefreshBlocked() {
 		// Deferred dispatching precharge: reads are queued and no
@@ -675,7 +680,7 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 		bk.defReq = bk.queue.Peek()
 		ch.defAts[b] = prechargeDone
 		ch.defSeqs[b] = uint64(bk.prechSeq)
-		c.deferAdded(chIdx, rankIdx, prechargeDone)
+		c.deferAdded(chIdx, b, prechargeDone)
 		c.qs[chIdx].ScheduleViaSeq(prechargeDone, bk.prechSeq, prechargeDone+c.mcTimeAt(chIdx),
 			c.onStartBank, bk.defReq, int32(chIdx), int32(b))
 	} else {
@@ -742,6 +747,23 @@ func (c *Controller) prechargeEvent(now config.Time, _ any, a, b int32) {
 	c.maybePowerdown(now, chIdx, rankIdx)
 }
 
+// deferAdded records a new deferred close of bank b for its rank,
+// tightening the earliest-instant bound.
+func (c *Controller) deferAdded(chIdx int, b bankID, at config.Time) {
+	g := chIdx*c.ranksPerCh + int(b)/c.cfg.BanksPerRank
+	if at < c.defGate[g] {
+		c.defGate[g] = at
+	}
+	c.defMask[g] |= 1 << (int(b) % c.cfg.BanksPerRank)
+}
+
+// deferCleared drops bank b's deferred close from the rank's
+// bookkeeping.
+func (c *Controller) deferCleared(chIdx int, b bankID) {
+	c.channels[chIdx].defAts[b] = noDeferral
+	c.defMask[chIdx*c.ranksPerCh+int(b)/c.cfg.BanksPerRank] &^= 1 << (int(b) % c.cfg.BanksPerRank)
+}
+
 // settleRank applies any deferred precharge closes for a rank whose
 // instant has been reached, exactly as the elided events would have,
 // in the (time, ticket) order those events would have fired in. It is
@@ -753,19 +775,9 @@ func (c *Controller) prechargeEvent(now config.Time, _ any, a, b int32) {
 // (FlushInterval), where every event at the deadline has already
 // fired, so deferred work due exactly now is retroactive rather than
 // still pending in the queue.
-// deferAdded records a new deferred close for the rank, tightening the
-// earliest-instant bound.
-func (c *Controller) deferAdded(chIdx, rankIdx int, at config.Time) {
-	g := chIdx*c.cfg.RanksPerChannel() + rankIdx
-	if at < c.defGate[g] {
-		c.defGate[g] = at
-	}
-	c.defPrech[chIdx][rankIdx]++
-}
-
-// settleRank settles every deferred close of the rank that is due at or
-// before now; the inlineable gate makes the no-deferral-due common case
-// a single compare at each rank-touch site.
+//
+// The inlineable gate makes the no-deferral-due common case a single
+// compare at each rank-touch site.
 func (c *Controller) settleRank(now config.Time, chIdx, rankIdx int, boundary bool) {
 	if c.defGate[chIdx*c.ranksPerCh+rankIdx] > now {
 		return
@@ -776,10 +788,13 @@ func (c *Controller) settleRank(now config.Time, chIdx, rankIdx int, boundary bo
 func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundary bool) {
 	ch := c.channels[chIdx]
 	base := rankIdx * c.cfg.BanksPerRank
-	for c.defPrech[chIdx][rankIdx] > 0 {
-		best := base
-		bestAt := ch.defAts[base]
-		for i := base + 1; i < base+c.cfg.BanksPerRank; i++ {
+	g := chIdx*c.ranksPerCh + rankIdx
+	for c.defMask[g] != 0 {
+		m := c.defMask[g]
+		best := base + bits.TrailingZeros64(m)
+		bestAt := ch.defAts[best]
+		for m &= m - 1; m != 0; m &= m - 1 {
+			i := base + bits.TrailingZeros64(m)
 			if at := ch.defAts[i]; at < bestAt ||
 				(at == bestAt && ch.defSeqs[i] < ch.defSeqs[best]) {
 				best, bestAt = i, at
@@ -788,8 +803,8 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 		b := bankID(best)
 		bk := &ch.banks[b]
 		if bk.prechAt > now {
-			c.defGate[chIdx*c.ranksPerCh+rankIdx] = bk.prechAt // exact again
-			return                                             // still in the future; revival on arrival handles it
+			c.defGate[g] = bk.prechAt // exact again
+			return                    // still in the future; revival on arrival handles it
 		}
 		if !boundary && bk.prechAt == now && uint64(bk.prechSeq) > c.qs[chIdx].FiringSeq() {
 			if bk.defDispatch {
@@ -801,7 +816,7 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 			}
 			// The elided event's same-instant position hasn't been passed
 			// yet: make it real so it fires in place.
-			c.materializePrecharge(bk, chIdx, rankIdx, b)
+			c.materializePrecharge(bk, chIdx, b)
 			continue
 		}
 		// The instant is behind us: replay the close at its own
@@ -809,8 +824,7 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 		// evaluation sees exactly the state the event would have seen.
 		at := bk.prechAt
 		bk.prechDeferred = false
-		ch.defAts[b] = noDeferral
-		c.defPrech[chIdx][rankIdx]--
+		c.deferCleared(chIdx, b)
 		c.ranks[chIdx][rankIdx].PrechargeDone(at, int(b)%c.cfg.BanksPerRank)
 		if bk.defDispatch {
 			// Replay the forced dispatch: the head is popped and the
@@ -830,15 +844,14 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 			c.maybePowerdown(at, chIdx, rankIdx)
 		}
 	}
-	c.defGate[chIdx*c.ranksPerCh+rankIdx] = noDeferral
+	c.defGate[g] = noDeferral
 }
 
 // materializePrecharge converts a deferred precharge close back into a
 // real event at its reserved (time, ticket) position.
-func (c *Controller) materializePrecharge(bk *bank, chIdx, rankIdx int, b bankID) {
+func (c *Controller) materializePrecharge(bk *bank, chIdx int, b bankID) {
 	bk.prechDeferred = false
-	c.channels[chIdx].defAts[b] = noDeferral
-	c.defPrech[chIdx][rankIdx]--
+	c.deferCleared(chIdx, b)
 	c.qs[chIdx].ScheduleBoundSeq(bk.prechAt, bk.prechSeq, c.onPrecharge, nil, int32(chIdx), int32(b))
 }
 
@@ -857,8 +870,7 @@ func (c *Controller) reviveDispatch(chIdx int, b bankID) {
 	bk.prechDeferred = false
 	bk.defDispatch = false
 	bk.defReq = nil
-	ch.defAts[b] = noDeferral
-	c.defPrech[chIdx][int(b)/c.cfg.BanksPerRank]--
+	c.deferCleared(chIdx, b)
 	c.qs[chIdx].ScheduleBoundSeq(bk.prechAt, bk.prechSeq, c.onPrecharge, nil, int32(chIdx), int32(b))
 }
 
@@ -867,14 +879,11 @@ func (c *Controller) reviveDispatch(chIdx int, b bankID) {
 // obligation blocks dispatch, so any not-yet-due forced dispatch must
 // be re-decided by a live event.
 func (c *Controller) reviveRankDispatches(chIdx, rankIdx int) {
-	if c.defPrech[chIdx][rankIdx] == 0 {
-		return
-	}
 	ch := c.channels[chIdx]
 	base := rankIdx * c.cfg.BanksPerRank
-	for i := 0; i < c.cfg.BanksPerRank; i++ {
-		if ch.banks[base+i].defDispatch {
-			c.reviveDispatch(chIdx, bankID(base+i))
+	for m := c.defMask[chIdx*c.ranksPerCh+rankIdx]; m != 0; m &= m - 1 {
+		if b := bankID(base + bits.TrailingZeros64(m)); ch.banks[b].defDispatch {
+			c.reviveDispatch(chIdx, b)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"memscale/internal/config"
 	"memscale/internal/dram"
+	"memscale/internal/event"
 	"memscale/internal/trace"
 )
 
@@ -238,4 +239,39 @@ func BenchmarkControllerThroughput(b *testing.B) {
 		}
 	}
 	rig.drain()
+}
+
+// TestLoadRebuildsDeferralMask checks that a restored controller
+// rebuilds the per-rank deferred-close bitmask from the saved DefAts,
+// and that Load rejects a DefPrech count that disagrees with them.
+func TestLoadRebuildsDeferralMask(t *testing.T) {
+	r := newRig(nil)
+	r.c.SetQuiesceHorizon(config.Second)
+	for bank := 0; bank < 3; bank++ {
+		r.c.Enqueue(0, r.line(0, 0, bank, 10, 0), true, 0, nil)
+	}
+	for r.q.Step() && r.c.defMask[0]&(r.c.defMask[0]-1) == 0 {
+	}
+	if r.c.defMask[0]&(r.c.defMask[0]-1) == 0 {
+		t.Fatalf("no two deferred closes on rank 0 (mask %b)", r.c.defMask[0])
+	}
+	tbl := NewRequestTable()
+	st := r.c.Save(tbl)
+	st.Requests = tbl.States()
+	doneFor := func(int) func(config.Time) { return nil }
+
+	c := New(&r.cfg, &event.Queue{})
+	if _, err := c.Load(st, doneFor); err != nil {
+		t.Fatal(err)
+	}
+	for g := range c.defMask {
+		if c.defMask[g] != r.c.defMask[g] {
+			t.Fatalf("rank %d: restored mask %b, saved %b", g, c.defMask[g], r.c.defMask[g])
+		}
+	}
+
+	st.DefPrech[0][0]++
+	if _, err := New(&r.cfg, &event.Queue{}).Load(st, doneFor); err == nil {
+		t.Fatal("Load accepted a DefPrech count that disagrees with DefAts")
+	}
 }

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"memscale/internal/config"
 	"memscale/internal/dram"
@@ -123,7 +124,7 @@ type ControllerState struct {
 	Ranks      [][]dram.RankState `json:"ranks"`
 	Dispatched [][]int            `json:"dispatched"`
 	Pending    [][]int            `json:"pending"`
-	DefPrech   [][]int            `json:"def_prech"`
+	DefPrech   [][]int            `json:"def_prech"` // deferred closes per rank; Load checks it against DefAts
 	DefGate    []config.Time      `json:"def_gate"`
 	Counters   Counters           `json:"counters"`
 	FlushedAt  config.Time        `json:"flushed_at"`
@@ -151,13 +152,17 @@ func (c *Controller) Save(tbl *RequestTable) *ControllerState {
 		Ranks:      make([][]dram.RankState, len(c.ranks)),
 		Dispatched: copy2D(c.dispatched),
 		Pending:    copy2D(c.pending),
-		DefPrech:   copy2D(c.defPrech),
+		DefPrech:   make([][]int, len(c.channels)),
 		DefGate:    append([]config.Time(nil), c.defGate...),
 		Counters:   c.Counters(),
 		FlushedAt:  c.flushedAt,
 		Quiesce:    c.quiesce,
 	}
 	for chIdx, ch := range c.channels {
+		st.DefPrech[chIdx] = make([]int, c.ranksPerCh)
+		for r := range st.DefPrech[chIdx] {
+			st.DefPrech[chIdx][r] = bits.OnesCount64(c.defMask[chIdx*c.ranksPerCh+r])
+		}
 		cs := ChannelState{
 			Banks:       make([]BankState, len(ch.banks)),
 			WBCount:     ch.wbCount,
@@ -210,7 +215,7 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 		return nil, fmt.Errorf("memctrl: state has %d channels, controller has %d", len(st.Channels), len(c.channels))
 	}
 	if len(st.Dispatched) != len(c.dispatched) || len(st.Pending) != len(c.pending) ||
-		len(st.DefPrech) != len(c.defPrech) || len(st.DefGate) != len(c.defGate) {
+		len(st.DefPrech) != len(c.channels) || len(st.DefGate) != len(c.defGate) {
 		return nil, fmt.Errorf("memctrl: state bookkeeping dimensions do not match controller geometry")
 	}
 	if len(st.Counters.TLM) != len(c.counters.TLM) || len(st.Counters.PerChannel) != len(c.counters.PerChannel) {
@@ -250,6 +255,7 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 		return nil
 	}
 
+	clear(c.defMask)
 	for chIdx, cs := range st.Channels {
 		ch := c.channels[chIdx]
 		if len(cs.Banks) != len(ch.banks) || len(cs.Outstanding) != len(ch.outstanding) ||
@@ -293,6 +299,11 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 		ch.busBusy = cs.BusBusy
 		copy(ch.outstanding, cs.Outstanding)
 		copy(ch.defAts, cs.DefAts)
+		for b, at := range ch.defAts {
+			if at != noDeferral {
+				c.defMask[chIdx*c.ranksPerCh+b/c.cfg.BanksPerRank] |= 1 << (b % c.cfg.BanksPerRank)
+			}
+		}
 		copy(ch.defSeqs, cs.DefSeqs)
 		ch.timing = dram.Resolve(c.cfg.Timing, cs.BusFreq, cs.DevFreq)
 		ch.relocking = cs.Relocking
@@ -313,8 +324,13 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 		if err := copyInto(c.pending[chIdx], st.Pending, chIdx); err != nil {
 			return nil, err
 		}
-		if err := copyInto(c.defPrech[chIdx], st.DefPrech, chIdx); err != nil {
-			return nil, err
+		if len(st.DefPrech[chIdx]) != c.ranksPerCh {
+			return nil, fmt.Errorf("memctrl: state row %d has %d entries, controller has %d", chIdx, len(st.DefPrech[chIdx]), c.ranksPerCh)
+		}
+		for r, n := range st.DefPrech[chIdx] {
+			if got := bits.OnesCount64(c.defMask[chIdx*c.ranksPerCh+r]); n != got {
+				return nil, fmt.Errorf("memctrl: channel %d rank %d counts %d deferred closes, def_ats holds %d", chIdx, r, n, got)
+			}
 		}
 	}
 	copy(c.defGate, st.DefGate)

@@ -113,6 +113,7 @@ type Stream struct {
 
 	cur      config.Location // current streaming position
 	rows     int             // usable rows per bank for the current phase
+	rowLines int             // lines per row region (columns per row)
 	channels []int           // allowed channels (nil = all), for page partitioning
 	totalIn  uint64          // total instructions generated
 
@@ -143,6 +144,7 @@ func NewStreamOnChannels(p Profile, mapper *config.AddressMapper, seed uint64, c
 		rng:      NewRNG(seed),
 		mapper:   mapper,
 		channels: append([]int(nil), channels...),
+		rowLines: mapper.Map(mapper.Lines()-1).Col + 1,
 	}
 	s.enterPhase(0)
 	return s, nil
@@ -231,15 +233,10 @@ func (s *Stream) randomLoc() config.Location {
 // stride), wrapping into the next row of the same bank.
 func (s *Stream) advance() {
 	s.cur.Col++
-	if s.cur.Col >= s.linesPerRow() {
+	if s.cur.Col >= s.rowLines {
 		s.cur.Col = 0
 		s.cur.Row = (s.cur.Row + 1) % s.rows
 	}
-}
-
-func (s *Stream) linesPerRow() int {
-	// Probe once per call; cheap (a handful of integer ops).
-	return s.mapper.Map(s.mapper.Lines()-1).Col + 1
 }
 
 // phase returns the active phase, advancing past any phase boundaries

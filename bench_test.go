@@ -20,7 +20,6 @@ import (
 	"memscale/internal/exp"
 	"memscale/internal/policies"
 	"memscale/internal/runner"
-	"memscale/internal/sim"
 	"memscale/internal/stats"
 	"memscale/internal/workload"
 )
@@ -170,93 +169,6 @@ func BenchmarkSingleRun(b *testing.B) {
 		events += sum.Events
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-// parallelBenchSystem builds the managed system the parallel-engine
-// benchmarks time: the named MEM1 placement variant under the MemScale
-// governor, on the requested event-engine shard count. Construction is
-// outside the timed region; each measurement gets fresh streams and
-// governor state so serial and sharded runs start identically.
-func parallelBenchSystem(b *testing.B, mixName string, shards int) *sim.System {
-	b.Helper()
-	cfg := config.Default()
-	mix, err := workload.ByName(mixName)
-	if err != nil {
-		b.Fatal(err)
-	}
-	streams, err := mix.Streams(&cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec, err := policies.ByName("MemScale")
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := sim.New(cfg, streams, sim.Options{
-		Governor: spec.Governor(&cfg, 0),
-		Shards:   shards,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-// BenchmarkSingleRunParallel times the managed MEM1/part run on the
-// serial event engine and on the channel-sharded engine (4 shards, one
-// per memory channel), and reports the wall-clock ratio as "speedup-x".
-// The two engines produce bit-identical results (see the shard parity
-// tests); this benchmark guards the point of the parallel engine — that
-// it is actually faster. The ratio is only reported on hosts with at
-// least two CPUs available (NumCPU and GOMAXPROCS both >= 2): on a
-// single-hardware-thread host the shards serialize and the ratio
-// measures goroutine overhead, not the engine. The CI benchmark guard
-// (4 CPUs) enforces a 1.4x floor against an ideal 4x.
-func BenchmarkSingleRunParallel(b *testing.B) {
-	benchParallelSpeedup(b, "MEM1"+workload.PartitionedSuffix, 4)
-}
-
-// BenchmarkSingleRunParallelInterleaved is the same differential on the
-// group-interleaved MEM1/ilv2 mix — an unpartitioned workload (no
-// stream is channel-confined) that PR 9's strict rule could not shard
-// at all. The confinement-group analysis finds two 2-channel groups, so
-// the requested 4 shards resolve to 2 and the ideal speedup is 2x; the
-// CI benchmark guard enforces a 1.3x floor.
-func BenchmarkSingleRunParallelInterleaved(b *testing.B) {
-	benchParallelSpeedup(b, "MEM1"+workload.InterleavePrefix+"2", 4)
-}
-
-// benchParallelSpeedup times the serial-vs-sharded differential both
-// parallel-engine benchmarks share.
-func benchParallelSpeedup(b *testing.B, mixName string, shards int) {
-	b.Helper()
-	b.ReportAllocs()
-	const window = 4 * 5 * config.Millisecond // 4 OS epochs
-	var serial, parallel time.Duration
-	var events uint64
-	resolved := 1
-	for i := 0; i < b.N; i++ {
-		s := parallelBenchSystem(b, mixName, 1)
-		start := time.Now()
-		s.RunFor(window)
-		serial += time.Since(start)
-
-		p := parallelBenchSystem(b, mixName, shards)
-		start = time.Now()
-		res := p.RunFor(window)
-		parallel += time.Since(start)
-		events += res.Events
-		resolved = p.ParallelShards()
-	}
-	if resolved < 2 {
-		b.Fatalf("parallel engine resolved %d shards on %s, want >= 2", resolved, mixName)
-	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	b.ReportMetric(float64(resolved), "shards")
-	if runtime.GOMAXPROCS(0) >= 2 && runtime.NumCPU() >= 2 {
-		b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup-x")
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "procs")
-	}
 }
 
 // benchSweepGrid is the fixed grid behind BenchmarkSweep and

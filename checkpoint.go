@@ -109,26 +109,15 @@ func CheckpointRunInterruptible(ctx context.Context, rc RunConfig, atEpoch int, 
 // to epochs total OS quanta (counting the epochs already completed at
 // the snapshot), pairing it against the cold baseline of the full
 // length. The summary is bit-identical to the uninterrupted run of the
-// same configuration.
+// same configuration. Containers written by earlier releases' parallel
+// engine (residue-class sequence numbers, a dense node arena) load the
+// same way.
 //
 // Corrupted containers fail with ErrCorruptCheckpoint, incompatible
 // schema versions with a *CheckpointSchemaVersionError, and a
 // container whose state does not fit the run it describes (hand-edited
 // geometry, mismatched governor) with ErrInvalidConfig.
 func ResumeRun(ctx context.Context, r io.Reader, epochs int) (RunSummary, error) {
-	return ResumeRunShards(ctx, r, epochs, 0)
-}
-
-// ResumeRunShards is ResumeRun continuing the run on the channel-sharded
-// parallel event engine (see RunConfig.Shards; 0 or 1 selects the serial
-// engine). The shard count is an execution strategy, not part of the
-// checkpointed state: a container written under any shard count resumes
-// under any other with a bit-identical summary.
-func ResumeRunShards(ctx context.Context, r io.Reader, epochs, shards int) (RunSummary, error) {
-	if shards < 0 {
-		return RunSummary{}, fmt.Errorf("%w: resume.shards: must be >= 0 (0 selects the serial engine), got %d",
-			ErrInvalidConfig, shards)
-	}
 	ck, err := checkpoint.Decode(r)
 	if err != nil {
 		return RunSummary{}, err
@@ -140,7 +129,6 @@ func ResumeRunShards(ctx context.Context, r io.Reader, epochs, shards int) (RunS
 	out, err := runner.New(runner.Options{Workers: 1}).Resume(ctx, runner.ResumeJob{
 		Checkpoint: ck,
 		Epochs:     epochs,
-		Shards:     shards,
 	})
 	if err != nil {
 		if errors.Is(err, sim.ErrStateMismatch) {

@@ -30,8 +30,6 @@
 // -max-allocs 'BenchmarkSingleRun=10000',
 // -max-events 'BenchmarkSingleRun=4500000', and
 // -min-metrics 'BenchmarkForkedSweep=warm-speedup-x:1.8'.
-// -min-speedup-x 'BenchmarkSingleRunParallel=1.4' is shorthand for a
-// floor on the "speedup-x" metric the parallel-engine benchmarks emit.
 package main
 
 import (
@@ -48,11 +46,7 @@ import (
 // PRs' reports; the report's speedup and event-reduction ratios are
 // computed against them. BenchmarkSingleRun is measured against
 // results/BENCH_4.json — the zero-allocation event core the coalescing
-// fast paths started from. BenchmarkSingleRunParallel carries no
-// recorded baseline: its op times the serial coalesced engine (the
-// BENCH_5 state of the code) and the channel-sharded engine on
-// identical work in-process, and reports the ratio as speedup-x — a
-// live serial-vs-parallel comparison instead of a stale recorded one.
+// fast paths started from.
 var recordedBaselines = map[string]result{
 	"BenchmarkSingleRun": {
 		NsPerOp:     2487728979,
@@ -92,16 +86,6 @@ var defaultEventBudgets = map[string]float64{
 // while catching any loss of prefix sharing.
 var defaultMinMetrics = map[string]map[string]float64{
 	"BenchmarkForkedSweep": {"warm-speedup-x": 1.8},
-	// The channel-sharded event engine must actually pay for its
-	// complexity: 1.4x over the serial engine at 4 shards (the ideal is
-	// 4x; window-edge synchronization and cross-shard storms eat part of
-	// it). The benchmark only emits speedup-x on multi-CPU hosts, so
-	// single-core runs cannot trip the floor.
-	"BenchmarkSingleRunParallel": {"speedup-x": 1.4},
-	// The unpartitioned interleaved mix shards at confinement-group
-	// boundaries: MEM1/ilv2 resolves to 2 shards (ideal 2x), so the
-	// floor sits lower than the 4-shard partitioned one.
-	"BenchmarkSingleRunParallelInterleaved": {"speedup-x": 1.3},
 }
 
 type result struct {
@@ -206,30 +190,6 @@ func parseEventBudgets(spec string, into map[string]float64) error {
 	return nil
 }
 
-// parseMinSpeedup decodes 'Name=floor,Name=floor' specs into floors on
-// the "speedup-x" metric — sugar over parseMinMetrics for the common
-// case of guarding a parallel engine's wall-clock win.
-func parseMinSpeedup(spec string, into map[string]map[string]float64) error {
-	if spec == "" {
-		return nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		name, val, found := strings.Cut(strings.TrimSpace(part), "=")
-		if !found {
-			return fmt.Errorf("min speedup %q is not Name=floor", part)
-		}
-		n, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("min speedup %q: %v", part, err)
-		}
-		if into[name] == nil {
-			into[name] = map[string]float64{}
-		}
-		into[name]["speedup-x"] = n
-	}
-	return nil
-}
-
 // parseMinMetrics decodes 'Name=metric:floor,Name=metric:floor'
 // specs into the floor table.
 func parseMinMetrics(spec string, into map[string]map[string]float64) error {
@@ -265,8 +225,6 @@ func main() {
 		"extra events/op budgets as 'Name=N,Name=N' (override or extend the defaults)")
 	minSpec := flag.String("min-metrics", "",
 		"extra custom-metric floors as 'Name=metric:floor,...' (override or extend the defaults)")
-	speedupSpec := flag.String("min-speedup-x", "",
-		"speedup-x floors as 'Name=floor,Name=floor' (shorthand for -min-metrics 'Name=speedup-x:floor')")
 	flag.Parse()
 
 	budgets := make(map[string]int64, len(defaultBudgets))
@@ -293,10 +251,6 @@ func main() {
 		}
 	}
 	if err := parseMinMetrics(*minSpec, minMetrics); err != nil {
-		fmt.Fprintln(os.Stderr, "memscale-benchguard:", err)
-		os.Exit(2)
-	}
-	if err := parseMinSpeedup(*speedupSpec, minMetrics); err != nil {
 		fmt.Fprintln(os.Stderr, "memscale-benchguard:", err)
 		os.Exit(2)
 	}

@@ -68,8 +68,6 @@ func main() {
 	budget := flag.Float64("budget", 0, "global memory-power budget in watts (0 = uncapped)")
 	capEvery := flag.Int("cap-every", 1, "coordinator period in epochs")
 	gamma := flag.Float64("gamma", 0.10, "maximum allowed per-node performance degradation")
-	shards := flag.Int("shards", 1, "event-engine shards per node (1 = serial; >1 engages the parallel engine on partitioned or interleaved mixes, e.g. MEM1/part, MEM1/ilv2)")
-	coreSplit := flag.String("core-split", "", "core-split policy between node workers and per-node shards: auto, nodes, or shards (default auto)")
 	seed := flag.Uint64("seed", 0, "fleet seed (decorrelates nodes; fixes the whole run)")
 	workers := flag.Int("workers", 0, "node-level parallelism (0 = GOMAXPROCS); results are worker-count independent")
 	jsonOut := flag.String("json", "", "write the full fleet summary JSON to this path")
@@ -96,7 +94,6 @@ func main() {
 		CapIntervalEpochs: *capEvery,
 		Seed:              *seed,
 		Workers:           *workers,
-		CoreSplit:         *coreSplit,
 	}
 	if *selfHeal || *maxRetries > 0 || *ckptEvery > 0 || *stepTimeout > 0 {
 		fc.Recovery = &memscale.FleetRecoveryConfig{
@@ -124,7 +121,6 @@ func main() {
 			fatal(err)
 		}
 		g.Gamma = *gamma
-		g.Shards = *shards
 		if chaos != nil {
 			f := *chaos
 			g.Faults = &f
@@ -218,12 +214,8 @@ func parseGroup(spec string) (memscale.NodeGroup, error) {
 }
 
 func digest(w io.Writer, fc memscale.FleetConfig, sum memscale.FleetSummary) {
-	engine := "serial"
-	if len(fc.Groups) > 0 && fc.Groups[0].Shards > 1 {
-		engine = fmt.Sprintf("%d shards/node", fc.Groups[0].Shards)
-	}
-	fmt.Fprintf(w, "fleet: %d nodes, %d groups, %d epochs; event engine: %s\n",
-		sum.Nodes, len(sum.Groups), sum.Epochs, engine)
+	fmt.Fprintf(w, "fleet: %d nodes, %d groups, %d epochs\n",
+		sum.Nodes, len(sum.Groups), sum.Epochs)
 	fmt.Fprintf(w, "  system-energy ratio (SER): %.4f  (%.1f%% fleet energy savings)\n",
 		sum.SER, (1-sum.SER)*100)
 	fmt.Fprintf(w, "  CPI increase: avg %+.2f%%  p99 %+.2f%%  p999 %+.2f%%\n",

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	memscale-repro [-experiment all|table1|figure5+6|...] [-epochs N]
-//	               [-gamma 0.10] [-workers N] [-shards N] [-csv DIR]
+//	               [-gamma 0.10] [-workers N] [-csv DIR]
 //	               [-quiet]
 //
 // The default scale (10 quanta = 50 ms simulated per run) reproduces
@@ -36,7 +36,6 @@ func main() {
 	timelineEpochs := flag.Int("timeline-epochs", 20, "OS quanta for the figure 7/8 timelines")
 	gamma := flag.Float64("gamma", 0.10, "maximum allowed performance degradation")
 	workers := flag.Int("workers", 0, "concurrent simulations per experiment grid (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "event-engine shards per simulation (1 = serial; >1 engages the parallel engine on partitioned or interleaved workloads)")
 	csvDir := flag.String("csv", "", "directory to write per-figure CSV files (optional)")
 	quiet := flag.Bool("quiet", false, "suppress per-run progress lines")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -57,7 +56,6 @@ func main() {
 		TimelineEpochs: *timelineEpochs,
 		Gamma:          *gamma,
 		Workers:        *workers,
-		Shards:         *shards,
 	}
 	if !*quiet {
 		params.Progress = os.Stderr
@@ -85,12 +83,5 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
 	}
-	// The same engine digest memscale-sim prints; per-run eligibility
-	// still decides, so a shard request is a ceiling across the grids.
-	engine := "serial"
-	if *shards > 1 {
-		engine = fmt.Sprintf("up to %d shards", *shards)
-	}
-	fmt.Fprintf(os.Stderr, "event engine: %s\n", engine)
 	fmt.Fprintf(os.Stderr, "completed %d report(s) in %s\n", len(reports), time.Since(start).Round(time.Second))
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	memscale-sim -mix MID1 [-policy MemScale] [-epochs 10]
-//	             [-gamma 0.10] [-cores 16] [-channels 4] [-shards 1]
+//	             [-gamma 0.10] [-cores 16] [-channels 4]
 //	             [-partitioned] [-timeline]
 //	             [-checkpoint-out run.ckpt [-checkpoint-epoch K]]
 //	             [-restore run.ckpt]
@@ -18,14 +18,6 @@
 // The -fault-* flags enable the deterministic fault-injection plane;
 // the same seed and rates reproduce the same disturbance schedule,
 // fault counts, and energy totals.
-//
-// -shards N runs the simulation on the sharded parallel event engine
-// (results — telemetry included — are bit-identical to the serial
-// engine). The engine partitions the workload into confinement groups
-// from its channel placement: "/part" mixes (or -partitioned) shard
-// per channel, "/ilvK" interleaved mixes per K-channel group; plain
-// fully-interleaved mixes fall back to serial. The printed engine line
-// reports the shard count that actually ran.
 //
 // -checkpoint-out captures the run's full simulation state to a
 // container file (at the final epoch by default, or after
@@ -76,7 +68,6 @@ func main() {
 	gamma := flag.Float64("gamma", 0.10, "maximum allowed performance degradation")
 	cores := flag.Int("cores", 0, "core count override (default 16)")
 	channels := flag.Int("channels", 0, "channel count override (default 4)")
-	shards := flag.Int("shards", 1, "event-engine shards (1 = serial; >1 engages the parallel engine on partitioned or interleaved workloads)")
 	partitioned := flag.Bool("partitioned", false, "confine each application of the mix to its own memory channel")
 	timeline := flag.Bool("timeline", false, "print the per-epoch frequency/CPI timeline")
 	checkpointOut := flag.String("checkpoint-out", "",
@@ -175,7 +166,6 @@ func main() {
 		Gamma:       *gamma,
 		Cores:       *cores,
 		Channels:    *channels,
-		Shards:      *shards,
 		Partitioned: *partitioned,
 		Timeline:    *timeline,
 	}
@@ -201,7 +191,7 @@ func main() {
 		if f, err = os.Open(*restore); err != nil {
 			fatal(err)
 		}
-		sum, err = memscale.ResumeRunShards(ctx, f, *epochs, *shards)
+		sum, err = memscale.ResumeRun(ctx, f, *epochs)
 		f.Close()
 		if err == nil {
 			fmt.Printf("resumed from %s\n", *restore)
@@ -243,15 +233,8 @@ func main() {
 	}
 
 	fmt.Println(sum)
-	// The engine line reports what actually ran: the summary carries
-	// the resolved shard count (1 when the engine fell back to serial —
-	// results are bit-identical either way, so nothing else could tell).
-	engine := "serial"
-	if sum.EngineShards > 1 {
-		engine = fmt.Sprintf("%d shards", sum.EngineShards)
-	}
-	fmt.Printf("simulated %.0f ms; memory energy %.3f J; system energy %.3f J; event engine: %s\n",
-		sum.DurationSeconds*1000, sum.MemoryEnergyJ, sum.SystemEnergyJ, engine)
+	fmt.Printf("simulated %.0f ms; memory energy %.3f J; system energy %.3f J\n",
+		sum.DurationSeconds*1000, sum.MemoryEnergyJ, sum.SystemEnergyJ)
 
 	if rc.Faults != nil {
 		fmt.Printf("fault injection: %d degraded epochs, %d attempts\n",

@@ -28,11 +28,6 @@ type ExperimentParams struct {
 	// of the worker count.
 	Workers int
 
-	// Shards, when > 1, runs every simulation of the grids (managed
-	// runs and baselines) on the sharded event engine, exactly like
-	// RunConfig.Shards. Results are bit-identical at any count.
-	Shards int
-
 	// Progress receives per-run progress lines when non-nil.
 	Progress io.Writer
 }
@@ -49,7 +44,6 @@ func (p ExperimentParams) params(ctx context.Context) exp.Params {
 		q.Gamma = p.Gamma
 	}
 	q.Workers = p.Workers
-	q.Shards = p.Shards
 	q.Progress = p.Progress
 	q.Ctx = ctx
 	return q

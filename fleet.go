@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"memscale/internal/config"
 	"memscale/internal/fleet"
 	"memscale/internal/policies"
 	"memscale/internal/workload"
@@ -92,14 +91,6 @@ type NodeGroup struct {
 	Gamma    float64
 	Cores    int
 	Channels int
-
-	// Shards selects the sharded parallel event engine for the group's
-	// nodes — managed runs and paired baselines alike — exactly like
-	// RunConfig.Shards (0 or 1 runs the serial engine; results are
-	// bit-identical either way). Must not exceed the group's channel
-	// count. The effective per-node count is bounded by the fleet's
-	// core split (FleetConfig.CoreSplit).
-	Shards int
 
 	// Arrival is the group's open-loop arrival process. The zero value
 	// offers a steady nominal load.
@@ -212,16 +203,6 @@ type FleetConfig struct {
 	// Workers bounds node-level parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// CoreSplit names the policy dividing the core pool between
-	// node-level workers and per-node event-engine shards when groups
-	// request Shards > 1: "" or "auto" (work-conserving: saturate
-	// node-level parallelism first, leftover cores become shards),
-	// "nodes" (all cores to node workers; nodes run serial), or
-	// "shards" (honor shard requests first, workers from the
-	// remainder). Results are bit-identical under every policy; only
-	// wall-clock changes.
-	CoreSplit string
-
 	// Recovery arms the self-healing supervisor on every node (groups
 	// may override it per group). Nil disables recovery.
 	Recovery *FleetRecoveryConfig
@@ -245,12 +226,6 @@ func (fc FleetConfig) Validate() error {
 	case fc.CapIntervalEpochs < 0:
 		return fmt.Errorf("%w: cap_interval_epochs: must be >= 0 (0 selects the default 1), got %d",
 			ErrInvalidConfig, fc.CapIntervalEpochs)
-	}
-	switch fc.CoreSplit {
-	case "", "auto", "nodes", "shards":
-	default:
-		return fmt.Errorf("%w: core_split: must be \"\", %q, %q, or %q, got %q",
-			ErrInvalidConfig, "auto", "nodes", "shards", fc.CoreSplit)
 	}
 	if err := fc.Recovery.validate("recovery"); err != nil {
 		return err
@@ -280,18 +255,6 @@ func (fc FleetConfig) Validate() error {
 		case g.Channels < 0:
 			return fmt.Errorf("%w: groups[%d].channels: must be >= 0, got %d",
 				ErrInvalidConfig, gi, g.Channels)
-		case g.Shards < 0:
-			return fmt.Errorf("%w: groups[%d].shards: must be >= 0 (0 selects the serial engine), got %d",
-				ErrInvalidConfig, gi, g.Shards)
-		}
-		if ch := g.Channels; g.Shards > 1 {
-			if ch == 0 {
-				ch = config.Default().Channels
-			}
-			if g.Shards > ch {
-				return fmt.Errorf("%w: groups[%d].shards: must not exceed the channel count %d, got %d",
-					ErrInvalidConfig, gi, ch, g.Shards)
-			}
 		}
 		if err := g.Arrival.Validate(); err != nil {
 			return fmt.Errorf("%w: groups[%d].arrival: %v", ErrInvalidConfig, gi, err)
@@ -310,13 +273,12 @@ func (fc FleetConfig) Validate() error {
 // engine's own config type.
 func (fc FleetConfig) internal() (fleet.Config, error) {
 	c := fleet.Config{
-		Epochs:    fc.Epochs,
-		BudgetW:   fc.PowerBudgetW,
-		CapEvery:  fc.CapIntervalEpochs,
-		Seed:      fc.Seed,
-		Workers:   fc.Workers,
-		CoreSplit: fc.CoreSplit,
-		Recovery:  fc.Recovery.internal(),
+		Epochs:   fc.Epochs,
+		BudgetW:  fc.PowerBudgetW,
+		CapEvery: fc.CapIntervalEpochs,
+		Seed:     fc.Seed,
+		Workers:  fc.Workers,
+		Recovery: fc.Recovery.internal(),
 	}
 	for gi, g := range fc.Groups {
 		mix, err := workload.ByName(g.Mix)
@@ -339,7 +301,6 @@ func (fc FleetConfig) internal() (fleet.Config, error) {
 			Name: name, Nodes: g.Nodes,
 			Mix: mix, Spec: spec,
 			Gamma: g.Gamma, Cores: g.Cores, Channels: g.Channels,
-			Shards:   g.Shards,
 			Arrival:  g.Arrival,
 			Faults:   g.Faults.internal(),
 			Recovery: g.Recovery.internal(),

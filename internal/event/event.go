@@ -133,22 +133,11 @@ type Queue struct {
 	scheduled uint64
 	coalesced uint64
 	firing    uint64 // seq of the event currently (or most recently) firing
-
-	// stride is the sequence-number increment. Zero behaves as 1 (the
-	// serial queue); a shard of a ShardSet uses the shard count so the
-	// member queues allocate from disjoint residue classes of one global
-	// counter and their merged (time, seq) order is well defined.
-	stride uint64
 }
 
-// bump advances the sequence counter by one allocation step and
-// returns the new value.
+// bump advances the sequence counter and returns the new value.
 func (q *Queue) bump() uint64 {
-	s := q.stride
-	if s == 0 {
-		s = 1
-	}
-	q.seq += s
+	q.seq++
 	return q.seq
 }
 
@@ -481,34 +470,6 @@ func (q *Queue) RunUntil(deadline config.Time) {
 		break
 	}
 	q.now = deadline
-}
-
-// RunUntilExclusive executes events strictly preceding the position
-// (t, bound) in global (time, seq) order: every pending event or
-// deferred activation with at < t, or at == t and seq < bound, fires;
-// everything at or after the position stays queued. The clock then
-// advances to exactly t. A ShardSet uses this to drain each shard up
-// to — but not past — a cross-shard event's reserved position before
-// executing the cross-shard callback serially.
-func (q *Queue) RunUntilExclusive(t config.Time, bound Seq) {
-	if t < q.now {
-		panic(fmt.Sprintf("event: RunUntilExclusive(%v) before now %v", t, q.now))
-	}
-	before := func(at config.Time, seq uint64) bool {
-		return at < t || (at == t && seq < uint64(bound))
-	}
-	for {
-		if e, ok := q.top(); ok && before(e.at, e.seq) {
-			q.Step()
-			continue
-		}
-		if n := len(q.defers); n > 0 && before(q.defers[n-1].activateAt, q.defers[n-1].seq) {
-			q.materializeDeferred()
-			continue
-		}
-		break
-	}
-	q.now = t
 }
 
 // Run executes events until the queue is empty or limit events have

@@ -43,11 +43,6 @@ type Params struct {
 	// results are ordered by submission, not completion.
 	Workers int
 
-	// Shards, when > 1, requests the sharded event engine for every
-	// run in the grids (runner.Job.Shards). Results are bit-identical
-	// at any count; eligibility falls back per run.
-	Shards int
-
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
 
@@ -110,7 +105,6 @@ func (p Params) job(mutate func(*config.Config), mix workload.Mix, spec policies
 		Spec:   spec,
 		Epochs: p.Epochs,
 		Gamma:  p.Gamma,
-		Shards: p.Shards,
 		Mutate: mutate,
 	}
 }
@@ -155,7 +149,7 @@ func (p Params) runBaseline(cfg config.Config, mix workload.Mix) (sim.Result, fl
 	if cache == nil {
 		cache = runner.NewBaselineCache()
 	}
-	return cache.Baseline(p.ctx(), cfg, mix, p.Epochs, p.Shards)
+	return cache.Baseline(p.ctx(), cfg, mix, p.Epochs, 0)
 }
 
 // runPair runs (mix, spec) against its baseline under a possibly

@@ -33,14 +33,6 @@ type GroupSpec struct {
 	Gamma           float64
 	Cores, Channels int
 
-	// Shards selects the sharded event engine for every node of the
-	// group — managed runs and their paired baselines alike (0 or 1 =
-	// serial). Results are bit-identical to the serial engine. The
-	// effective per-node count is bounded by the fleet's core split
-	// (Config.CoreSplit): node-level workers and per-node shards share
-	// one GOMAXPROCS pool.
-	Shards int
-
 	Arrival ArrivalSpec
 
 	// Faults, when non-nil, injects the disturbance plane into every
@@ -77,14 +69,6 @@ type Config struct {
 	// Workers bounds node-level parallelism (0 = GOMAXPROCS). Results
 	// are bit-identical on any worker count.
 	Workers int
-
-	// CoreSplit names the policy dividing the core pool between
-	// node-level workers and per-node event-engine shards when groups
-	// request Shards > 1: "" or "auto" (work-conserving: saturate
-	// node-level first, leftover cores shard), "nodes" (all cores to
-	// workers, nodes serial), "shards" (shard requests first). Results
-	// are bit-identical under every policy; only wall-clock changes.
-	CoreSplit string
 
 	// Recovery, when non-nil, arms the self-healing supervisor on every
 	// node: periodic snapshots, watchdog-bounded window attempts, and
@@ -321,31 +305,11 @@ func run(ctx context.Context, c Config, wantBundle bool) (Summary, *CheckpointBu
 		return Summary{}, nil, errors.New("fleet: no nodes configured")
 	}
 
-	// Two-level core split: divide the worker pool between node-level
-	// parallelism and per-node event-engine shards. The split touches
-	// only wall-clock — each node's effective shard count changes no
-	// bits (the sharded engine is exact), so determinism on any worker
-	// count is preserved.
 	procs := c.Workers
 	if procs <= 0 {
 		procs = runtime.GOMAXPROCS(0)
 	}
-	maxShards := 1
-	for _, n := range nodes {
-		if n.shards > maxShards {
-			maxShards = n.shards
-		}
-	}
-	workers, shardsPer, err := runner.SplitCores(c.CoreSplit, procs, len(nodes), maxShards)
-	if err != nil {
-		return Summary{}, nil, fmt.Errorf("fleet: %w", err)
-	}
-	for _, n := range nodes {
-		n.effShards = n.shards
-		if n.effShards > shardsPer {
-			n.effShards = shardsPer
-		}
-	}
+	workers := min(procs, len(nodes))
 
 	// Phase 1: paired baselines, parallel across nodes. The baseline
 	// also calibrates each node's rest-of-system power, which the
@@ -540,7 +504,6 @@ func buildNodes(c Config) ([]*node, error) {
 				faultsCfg: g.Faults,
 				recovery:  recEff,
 				seed:      c.Seed,
-				shards:    g.Shards,
 			}
 			n.schedule = arr.schedule(c.Seed, n.global, c.Epochs, epochSec)
 			nodes = append(nodes, n)

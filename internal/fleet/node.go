@@ -39,8 +39,6 @@ type node struct {
 	faultsCfg *faults.Config
 	recovery  *RecoverySpec // effective (defaulted) supervisor spec; nil disables recovery
 	seed      uint64
-	shards    int // event-engine shards requested by the group (0/1 = serial)
-	effShards int // effective count after the fleet's core split
 
 	// schedule is the precomputed per-epoch intensity profile both the
 	// baseline and the managed run replay.
@@ -97,17 +95,10 @@ type capChange struct {
 // stable global index.
 func (n *node) streamsFor(cfg *config.Config) ([]*trace.Stream, error) {
 	mapper := config.NewAddressMapper(cfg)
-	// Seed from the base mix name so a mix and its Partition() or
-	// Interleaved() variant draw identical traces on every node —
-	// placement, not content, is what those variants change.
+	// Seed from the base mix name so a mix and its Partition() variant
+	// draw identical traces on every node — placement, not content, is
+	// what the variant changes.
 	base := strings.TrimSuffix(n.mix.Name, workload.PartitionedSuffix)
-	if k := n.mix.Interleave; k > 1 {
-		base = strings.TrimSuffix(base, fmt.Sprintf("%s%d", workload.InterleavePrefix, k))
-		if cfg.Channels%k != 0 {
-			return nil, fmt.Errorf("fleet: node %d: mix %q interleave %d does not divide %d channels",
-				n.global, n.mix.Name, k, cfg.Channels)
-		}
-	}
 	streams := make([]*trace.Stream, cfg.Cores)
 	for core := 0; core < cfg.Cores; core++ {
 		appIdx := core % len(n.mix.Apps)
@@ -119,14 +110,6 @@ func (n *node) streamsFor(cfg *config.Config) ([]*trace.Stream, error) {
 		var channels []int
 		if n.mix.Partitioned {
 			channels = []int{appIdx % cfg.Channels}
-		} else if k := n.mix.Interleave; k > 1 {
-			// The same K-channel group placement the single-node
-			// InterleavedStreams uses: genuinely interleaved inside the
-			// group, confined across groups.
-			g := appIdx % (cfg.Channels / k)
-			for ch := g * k; ch < (g+1)*k; ch++ {
-				channels = append(channels, ch)
-			}
 		}
 		s, err := trace.NewStreamOnChannels(p, mapper,
 			trace.Seed("fleet", int(n.seed), n.global, base, name, core), channels)
@@ -163,7 +146,7 @@ func (n *node) runBaseline(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	s, err := sim.New(cfg, streams, sim.Options{MaxDuration: n.horizon(cfg), Shards: n.effShards})
+	s, err := sim.New(cfg, streams, sim.Options{MaxDuration: n.horizon(cfg)})
 	if err != nil {
 		return fmt.Errorf("fleet: node %d baseline: %w", n.global, err)
 	}
@@ -240,7 +223,6 @@ func (n *node) buildSystem(st *sim.SystemState) error {
 		NonMemPower: n.nonMem,
 		Faults:      inj,
 		MaxDuration: n.horizon(cfg),
-		Shards:      n.effShards,
 	}
 	var s *sim.System
 	if st == nil {

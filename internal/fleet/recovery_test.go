@@ -109,10 +109,10 @@ func TestChaosRecoveryTransparent(t *testing.T) {
 	sameSurvivorMetrics(t, ref, got)
 }
 
-// shardedChaosConfig is a channel-partitioned fleet eligible for the
-// 4-shard parallel event engine: one group of MEM1/part nodes with one
-// application per memory channel.
-func shardedChaosConfig(t *testing.T, shards int, fc faults.Config, rec *RecoverySpec) Config {
+// partitionedChaosConfig is a channel-partitioned fleet: one group of
+// MEM1/part nodes with one application per memory channel, the
+// placement the Section 6 per-channel extension runs on.
+func partitionedChaosConfig(t *testing.T, fc faults.Config, rec *RecoverySpec) Config {
 	t.Helper()
 	mem, err := workload.ByName("MEM1" + workload.PartitionedSuffix)
 	if err != nil {
@@ -126,7 +126,6 @@ func shardedChaosConfig(t *testing.T, shards int, fc faults.Config, rec *Recover
 	return Config{
 		Groups: []GroupSpec{
 			{Name: "mem", Nodes: 3, Mix: mem, Spec: spec, Cores: 4, Channels: 4,
-				Shards:  shards,
 				Arrival: ArrivalSpec{Kind: ArrivalPoisson, UsersPerNode: 200, RequestsPerUserHz: 10},
 				Faults:  &f},
 		},
@@ -137,31 +136,30 @@ func shardedChaosConfig(t *testing.T, shards int, fc faults.Config, rec *Recover
 	}
 }
 
-// TestChaosShardedRecovery runs the recovery plane on top of the
-// 4-shard parallel event engine: nodes crash mid-window, restore from
-// checkpoints written by the sharded engine, and replay on it — and the
-// survivor metrics must still be Float64bits-identical to the serial
-// undisturbed same-seed run. This composes the two transparency
-// contracts (shard identity and recovery identity) in one pass.
-func TestChaosShardedRecovery(t *testing.T) {
+// TestChaosPartitionedRecovery runs the recovery plane on a
+// channel-partitioned fleet: nodes crash mid-window, restore from
+// their periodic checkpoints, and replay — and the survivor metrics
+// must still be Float64bits-identical to the undisturbed same-seed
+// run.
+func TestChaosPartitionedRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node fleet run")
 	}
-	ref, err := Run(context.Background(), shardedChaosConfig(t, 0, faults.Config{Seed: 11}, nil))
+	ref, err := Run(context.Background(), partitionedChaosConfig(t, faults.Config{Seed: 11}, nil))
 	if err != nil {
-		t.Fatalf("serial reference run: %v", err)
+		t.Fatalf("reference run: %v", err)
 	}
-	got, err := Run(context.Background(), shardedChaosConfig(t, 4,
+	got, err := Run(context.Background(), partitionedChaosConfig(t,
 		faults.Config{Seed: 11, NodeCrashRate: 0.35},
 		&RecoverySpec{MaxRetries: 12, CheckpointEvery: 2, Backoff: time.Microsecond}))
 	if err != nil {
-		t.Fatalf("sharded chaos run: %v", err)
+		t.Fatalf("chaos run: %v", err)
 	}
 	if got.Recoveries == 0 {
-		t.Fatal("sharded chaos run performed no recoveries; the test exercised nothing")
+		t.Fatal("chaos run performed no recoveries; the test exercised nothing")
 	}
 	if got.DeadNodes != 0 {
-		t.Fatalf("sharded chaos run lost %d nodes with a generous retry budget", got.DeadNodes)
+		t.Fatalf("chaos run lost %d nodes with a generous retry budget", got.DeadNodes)
 	}
 	sameSurvivorMetrics(t, ref, got)
 }

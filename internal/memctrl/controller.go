@@ -110,27 +110,12 @@ type Controller struct {
 	q      *event.Queue
 	mapper *config.AddressMapper
 
-	// qs[chIdx] is the event queue that owns channel chIdx. Serially
-	// every entry aliases q; under the sharded engine each channel
-	// schedules on its shard's queue, so all controller event traffic —
-	// per-channel by construction — stays shard-local.
-	qs       []*event.Queue
-	parallel bool
-
 	channels []*channel
 	ranks    [][]*dram.Rank // [channel][rank]
 
 	// MC clock: double the fastest channel's bus frequency.
 	mcBusFreq config.FreqMHz
 	mcTime    config.Time
-
-	// mcTimes[chIdx] replicates mcTime per channel for the sharded
-	// engine: a relock completing inside a window may not scan the
-	// other channels' operating points (their shards own them), so each
-	// shard refreshes its own copy. The engine only runs under the
-	// uniform governor, where every channel's frequency — and hence
-	// every copy — is the global value.
-	mcTimes []config.Time
 
 	ranksPerCh int // cached cfg.RanksPerChannel(), for the defGate/defMask index
 
@@ -160,10 +145,9 @@ type Controller struct {
 	// tel, when non-nil, receives latency/queue-depth samples and
 	// powerdown/refresh/relock events. Purely observational: no
 	// scheduling decision reads it. All per-channel emissions route
-	// through telCh — one staging cell per channel, each written only
-	// by the channel's owning shard — so recording is lock-free under
-	// the sharded engine; the recorder folds the cells back at window
-	// edges (telemetry.Recorder.MergeChannels).
+	// through telCh — one staging cell per channel — which the recorder
+	// folds back at window edges (telemetry.Recorder.MergeChannels) in
+	// the export's canonical order.
 	tel   *telemetry.Recorder
 	telCh []*telemetry.ChannelCell
 
@@ -177,8 +161,7 @@ type Controller struct {
 
 	// reqFree recycles Request objects per channel: every transaction
 	// that clears the bus returns its Request to its channel's pool, so
-	// the steady state allocates none and concurrent shards never share
-	// a pool.
+	// the steady state allocates none.
 	reqFree [][]*Request
 
 	// Pre-bound event callbacks, created once so the hot path schedules
@@ -205,14 +188,6 @@ func New(cfg *config.Config, q *event.Queue) *Controller {
 		mcBusFreq: config.MaxBusFreq,
 	}
 	c.mcTime = cfg.Timing.MCTime(config.MaxBusFreq)
-	c.mcTimes = make([]config.Time, cfg.Channels)
-	for i := range c.mcTimes {
-		c.mcTimes[i] = c.mcTime
-	}
-	c.qs = make([]*event.Queue, cfg.Channels)
-	for i := range c.qs {
-		c.qs[i] = q
-	}
 	c.reqFree = make([][]*Request, cfg.Channels)
 	c.ranksPerCh = cfg.RanksPerChannel()
 	c.onStartBank = c.startBankServiceEvent
@@ -279,14 +254,13 @@ func (c *Controller) Start() {
 	n := config.Time(c.cfg.TotalRanks())
 	i := config.Time(0)
 	for ch := range c.ranks {
-		q := c.qs[ch]
 		for r := range c.ranks[ch] {
-			first := q.Now() + interval*(i+1)/n
+			first := c.q.Now() + interval*(i+1)/n
 			i++
-			q.ScheduleBound(first, c.onRefreshTick, nil, int32(ch), int32(r))
+			c.q.ScheduleBound(first, c.onRefreshTick, nil, int32(ch), int32(r))
 			// Ranks that never see traffic still power down under the
 			// powerdown policies.
-			c.maybePowerdown(q.Now(), ch, r)
+			c.maybePowerdown(c.q.Now(), ch, r)
 		}
 	}
 }
@@ -321,34 +295,10 @@ func (c *Controller) SetTelemetry(tel *telemetry.Recorder) {
 // on the fully event-driven path.
 func (c *Controller) SetQuiesceHorizon(t config.Time) { c.quiesce = t }
 
-// SetShardQueues hands each channel to the event queue of its owning
-// shard: qs[chIdx] receives all of channel chIdx's event traffic. The
-// caller (the sharded engine) guarantees the channels of one queue are
-// advanced by one goroutine at a time and that the controller runs
-// under the uniform governor.
-func (c *Controller) SetShardQueues(qs []*event.Queue) {
-	if len(qs) != len(c.channels) {
-		panic(fmt.Sprintf("memctrl: %d shard queues for %d channels", len(qs), len(c.channels)))
-	}
-	copy(c.qs, qs)
-	c.parallel = true
-}
-
-// mcTimeAt returns the MC pipeline time as seen by a channel: the
-// shared clock serially, the shard-local replica under the sharded
-// engine.
-func (c *Controller) mcTimeAt(chIdx int) config.Time {
-	if c.parallel {
-		return c.mcTimes[chIdx]
-	}
-	return c.mcTime
-}
-
 // Counters returns a snapshot of the performance counters. The hot
-// paths accumulate only the per-channel replicas (shard-local under
-// the sharded engine); the aggregate set is derived here by summation,
-// which is exact — integer sums are order-independent — so serial and
-// sharded runs read identical values.
+// paths accumulate only the per-channel replicas; the aggregate set is
+// derived here by summation, which is exact — integer sums are
+// order-independent.
 func (c *Controller) Counters() Counters {
 	out := Counters{
 		TLM:        make([]uint64, len(c.counters.TLM)),
@@ -408,7 +358,7 @@ func (c *Controller) Enqueue(now config.Time, line uint64, write bool, core int,
 	ch := c.channels[loc.Channel]
 	b := c.bankID(loc.Rank, loc.Bank)
 	if bk := &ch.banks[b]; bk.defDispatch &&
-		(write || (bk.prechAt == now && uint64(bk.prechSeq) > c.qs[loc.Channel].FiringSeq())) {
+		(write || (bk.prechAt == now && uint64(bk.prechSeq) > c.q.FiringSeq())) {
 		// Two ways an arrival can invalidate the bank's deferred
 		// dispatch: a competing writeback un-forces the choice, and an
 		// arrival at the close instant — ahead of the elided event's
@@ -422,9 +372,8 @@ func (c *Controller) Enqueue(now config.Time, line uint64, write bool, core int,
 	pc := &c.counters.PerChannel[loc.Channel]
 
 	// Section 3.1 accumulators: outstanding work seen by the arrival.
-	// Only the per-channel replicas are written on the hot path — they
-	// are shard-local under the sharded engine — and the aggregate set
-	// is derived by summation when read (Counters).
+	// Only the per-channel replicas are written on the hot path; the
+	// aggregate set is derived by summation when read (Counters).
 	pc.BTC++
 	pc.BTO += uint64(ch.outstanding[b])
 	pc.CTC++
@@ -439,8 +388,7 @@ func (c *Controller) Enqueue(now config.Time, line uint64, write bool, core int,
 
 	if c.tel != nil {
 		// Channel-local depth: the count an arrival sees on its own
-		// channel's queues. Reading only this channel's bookkeeping
-		// keeps the observation shard-local under the sharded engine.
+		// channel's queues.
 		depth := 0
 		for _, p := range c.pending[loc.Channel] {
 			depth += p
@@ -509,7 +457,7 @@ func (c *Controller) tryDispatch(now config.Time, chIdx int, b bankID) {
 			if bk.queue.Len() > 0 && bk.wb.Len() == 0 {
 				bk.defDispatch = true
 				bk.defReq = bk.queue.Peek()
-				c.qs[chIdx].ScheduleViaSeq(bk.prechAt, bk.prechSeq, bk.prechAt+c.mcTimeAt(chIdx),
+				c.q.ScheduleViaSeq(bk.prechAt, bk.prechSeq, bk.prechAt+c.mcTime,
 					c.onStartBank, bk.defReq, int32(chIdx), int32(b))
 			} else {
 				c.materializePrecharge(bk, chIdx, b)
@@ -526,7 +474,7 @@ func (c *Controller) tryDispatch(now config.Time, chIdx int, b bankID) {
 	c.dispatched[chIdx][rankIdx]++
 	// The MC pipeline spends mcTime per request before the device
 	// sees it (five MC cycles, Section 3.3).
-	c.qs[chIdx].ScheduleBound(now+c.mcTimeAt(chIdx), c.onStartBank, req, int32(chIdx), int32(b))
+	c.q.ScheduleBound(now+c.mcTime, c.onStartBank, req, int32(chIdx), int32(b))
 }
 
 func (c *Controller) startBankServiceEvent(now config.Time, env any, a, b int32) {
@@ -538,7 +486,7 @@ func (c *Controller) startBankService(now config.Time, chIdx int, b bankID, req 
 	ch := c.channels[chIdx]
 	if ch.relocking {
 		// The relock began after dispatch; resume when it ends.
-		c.qs[chIdx].ScheduleBound(ch.relockUntil, c.onStartBank, req, int32(chIdx), int32(b))
+		c.q.ScheduleBound(ch.relockUntil, c.onStartBank, req, int32(chIdx), int32(b))
 		return
 	}
 	rankIdx := int(b) / c.cfg.BanksPerRank
@@ -572,7 +520,7 @@ func (c *Controller) startBankService(now config.Time, chIdx int, b bankID, req 
 		ready += extra
 	}
 	req.ready = ready
-	c.qs[chIdx].ScheduleBound(ready, c.onBusReady, req, int32(chIdx), 0)
+	c.q.ScheduleBound(ready, c.onBusReady, req, int32(chIdx), 0)
 }
 
 // busReadyEvent queues a bank-service-complete request for the channel
@@ -598,7 +546,7 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 		// unconditional grant event would have fired.
 		if !ch.grantArmed {
 			ch.grantArmed = true
-			c.qs[chIdx].ScheduleBoundSeq(ch.busFreeAt, ch.grantSeq, c.onGrantBus, nil, int32(chIdx), 0)
+			c.q.ScheduleBoundSeq(ch.busFreeAt, ch.grantSeq, c.onGrantBus, nil, int32(chIdx), 0)
 		}
 		return
 	}
@@ -646,7 +594,7 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 	}
 
 	if keepOpen {
-		c.qs[chIdx].ScheduleBound(busEnd, c.onBankKick, nil, int32(chIdx), int32(b))
+		c.q.ScheduleBound(busEnd, c.onBankKick, nil, int32(chIdx), int32(b))
 	} else if c.tel == nil && prechargeDone <= c.quiesce && ch.outstanding[b] == 0 {
 		// Deferred precharge close: the bank has no queued work, so the
 		// event's only effects would be the row close (a pure state
@@ -659,7 +607,7 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 		bk := &ch.banks[b]
 		bk.prechDeferred = true
 		bk.prechAt = prechargeDone
-		bk.prechSeq = c.qs[chIdx].ReserveSeq()
+		bk.prechSeq = c.q.ReserveSeq()
 		ch.defAts[b] = prechargeDone
 		ch.defSeqs[b] = uint64(bk.prechSeq)
 		c.deferAdded(chIdx, b, prechargeDone)
@@ -676,21 +624,21 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 		bk.prechDeferred = true
 		bk.defDispatch = true
 		bk.prechAt = prechargeDone
-		bk.prechSeq = c.qs[chIdx].ReserveSeq()
+		bk.prechSeq = c.q.ReserveSeq()
 		bk.defReq = bk.queue.Peek()
 		ch.defAts[b] = prechargeDone
 		ch.defSeqs[b] = uint64(bk.prechSeq)
 		c.deferAdded(chIdx, b, prechargeDone)
-		c.qs[chIdx].ScheduleViaSeq(prechargeDone, bk.prechSeq, prechargeDone+c.mcTimeAt(chIdx),
+		c.q.ScheduleViaSeq(prechargeDone, bk.prechSeq, prechargeDone+c.mcTime,
 			c.onStartBank, bk.defReq, int32(chIdx), int32(b))
 	} else {
-		c.qs[chIdx].ScheduleBound(prechargeDone, c.onPrecharge, nil, int32(chIdx), int32(b))
+		c.q.ScheduleBound(prechargeDone, c.onPrecharge, nil, int32(chIdx), int32(b))
 	}
 
 	if req.Done != nil && !req.Write && busEnd > c.quiesce {
 		// The completion event carries the Request itself so a
 		// checkpoint can name it; onDone recycles it after delivering.
-		c.qs[chIdx].ScheduleBound(busEnd, c.onDone, req, 0, 0)
+		c.q.ScheduleBound(busEnd, c.onDone, req, 0, 0)
 	} else {
 		if req.Done != nil && !req.Write {
 			// Closed-form completion: the transfer's end time is already
@@ -723,9 +671,9 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 	// formulation.
 	if ch.busQueue.Len() > 0 && !ch.grantArmed {
 		ch.grantArmed = true
-		c.qs[chIdx].ScheduleBound(busEnd, c.onGrantBus, nil, int32(chIdx), 0)
+		c.q.ScheduleBound(busEnd, c.onGrantBus, nil, int32(chIdx), 0)
 	} else {
-		ch.grantSeq = c.qs[chIdx].ReserveSeq()
+		ch.grantSeq = c.q.ReserveSeq()
 	}
 }
 
@@ -806,7 +754,7 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 			c.defGate[g] = bk.prechAt // exact again
 			return                    // still in the future; revival on arrival handles it
 		}
-		if !boundary && bk.prechAt == now && uint64(bk.prechSeq) > c.qs[chIdx].FiringSeq() {
+		if !boundary && bk.prechAt == now && uint64(bk.prechSeq) > c.q.FiringSeq() {
 			if bk.defDispatch {
 				// The dispatching close fires later this instant; its
 				// start-bank activation is still queued in the deferred
@@ -852,7 +800,7 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 func (c *Controller) materializePrecharge(bk *bank, chIdx int, b bankID) {
 	bk.prechDeferred = false
 	c.deferCleared(chIdx, b)
-	c.qs[chIdx].ScheduleBoundSeq(bk.prechAt, bk.prechSeq, c.onPrecharge, nil, int32(chIdx), int32(b))
+	c.q.ScheduleBoundSeq(bk.prechAt, bk.prechSeq, c.onPrecharge, nil, int32(chIdx), int32(b))
 }
 
 // reviveDispatch converts a deferred dispatching close back into a real
@@ -864,14 +812,14 @@ func (c *Controller) materializePrecharge(bk *bank, chIdx int, b bankID) {
 func (c *Controller) reviveDispatch(chIdx int, b bankID) {
 	ch := c.channels[chIdx]
 	bk := &ch.banks[b]
-	if !c.qs[chIdx].CancelDeferred(bk.prechSeq) {
+	if !c.q.CancelDeferred(bk.prechSeq) {
 		panic("memctrl: deferred dispatch activation already materialized")
 	}
 	bk.prechDeferred = false
 	bk.defDispatch = false
 	bk.defReq = nil
 	c.deferCleared(chIdx, b)
-	c.qs[chIdx].ScheduleBoundSeq(bk.prechAt, bk.prechSeq, c.onPrecharge, nil, int32(chIdx), int32(b))
+	c.q.ScheduleBoundSeq(bk.prechAt, bk.prechSeq, c.onPrecharge, nil, int32(chIdx), int32(b))
 }
 
 // reviveRankDispatches revives every deferred dispatching close of a
@@ -919,7 +867,7 @@ func (c *Controller) refreshTickEvent(now config.Time, _ any, a, b int32) {
 func (c *Controller) refreshTimer(now config.Time, chIdx, rankIdx int) {
 	c.settleRank(now, chIdx, rankIdx, false)
 	c.reviveRankDispatches(chIdx, rankIdx)
-	c.qs[chIdx].ScheduleBound(now+c.cfg.Timing.RefreshInterval(), c.onRefreshTick, nil, int32(chIdx), int32(rankIdx))
+	c.q.ScheduleBound(now+c.cfg.Timing.RefreshInterval(), c.onRefreshTick, nil, int32(chIdx), int32(rankIdx))
 	c.ranks[chIdx][rankIdx].SetRefreshPending()
 	c.refreshKick(now, chIdx, rankIdx)
 }
@@ -938,7 +886,7 @@ func (c *Controller) refreshKick(now config.Time, chIdx, rankIdx int) {
 	if c.tel != nil {
 		c.telCh[chIdx].Refresh(now, rankIdx, until-now)
 	}
-	c.qs[chIdx].ScheduleBound(until, c.onRefreshDone, nil, int32(chIdx), int32(rankIdx))
+	c.q.ScheduleBound(until, c.onRefreshDone, nil, int32(chIdx), int32(rankIdx))
 }
 
 // refreshDoneEvent completes a running refresh: a round that became
@@ -966,12 +914,6 @@ func (c *Controller) kickRank(now config.Time, chIdx, rankIdx int) {
 // operating points, plus the MC reference frequency. Call before every
 // frequency change and at reporting boundaries.
 func (c *Controller) FlushInterval(now config.Time) power.Interval {
-	if c.parallel {
-		// Relocks completing inside a window refresh only their shard's
-		// clock replica; settle the shared MC clock now that every shard
-		// sits at the window edge.
-		c.updateMCClock()
-	}
 	iv := power.Interval{
 		Duration:  now - c.flushedAt,
 		MCBusFreq: c.mcBusFreq,
@@ -1055,7 +997,7 @@ func (c *Controller) setChannelFrequency(now config.Time, chIdx int, f config.Fr
 	if c.tel != nil {
 		c.telCh[chIdx].FreqTransition(now, ch.timing.BusFreq, f, halt)
 	}
-	c.qs[chIdx].ScheduleBound(ch.relockUntil, c.onRelockDone, nil, int32(chIdx), int32(f))
+	c.q.ScheduleBound(ch.relockUntil, c.onRelockDone, nil, int32(chIdx), int32(f))
 	return ch.relockUntil
 }
 
@@ -1076,7 +1018,7 @@ func (c *Controller) StallChannels(now config.Time, stall config.Time) {
 		ch.relockUntil = now + stall
 		// b == 0 marks a pure stall: the operating point is unchanged,
 		// so onRelockDone skips the timing/MC-clock update.
-		c.qs[chIdx].ScheduleBound(ch.relockUntil, c.onRelockDone, nil, int32(chIdx), 0)
+		c.q.ScheduleBound(ch.relockUntil, c.onRelockDone, nil, int32(chIdx), 0)
 	}
 }
 
@@ -1092,21 +1034,11 @@ func (c *Controller) onRelockDoneEvent(now config.Time, _ any, a, b int32) {
 		f := config.FreqMHz(b)
 		ch.timing = dram.Resolve(c.cfg.Timing, f, c.devFreqFor(f))
 		ch.relocking = false
-		if c.parallel {
-			// Other channels belong to other shards mid-window, so only
-			// the shard-local clock replica is refreshed here. Parallel
-			// runs use the uniform governor: every channel relocks to the
-			// same frequency, so the local value is the global one; the
-			// shared clock is re-derived at the next window edge
-			// (FlushInterval).
-			c.mcTimes[a] = c.cfg.Timing.MCTime(f)
-		} else {
-			c.updateMCClock()
-		}
+		c.updateMCClock()
 	} else {
 		ch.relocking = false
 	}
-	c.qs[a].AfterBound(0, c.onRelockKick, nil, a, 0)
+	c.q.AfterBound(0, c.onRelockKick, nil, a, 0)
 }
 
 // onRelockKickEvent re-kicks every rank and the bus of a channel whose
@@ -1155,9 +1087,6 @@ func (c *Controller) updateMCClock() {
 	}
 	c.mcBusFreq = max
 	c.mcTime = c.cfg.Timing.MCTime(max)
-	for i := range c.mcTimes {
-		c.mcTimes[i] = c.mcTime
-	}
 }
 
 // Relocking reports whether any channel's frequency switch is in

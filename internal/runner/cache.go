@@ -63,12 +63,10 @@ func baselineKey(cfg config.Config, mixName string, epochs int) string {
 // computation is discarded so a later caller can retry. A panicking
 // baseline fails every caller waiting on it with a *PanicError.
 //
-// shards requests the sharded event engine for the simulation. It is
-// deliberately absent from the cache key: the sharded engine is
-// bit-identical to the serial one at any shard count, so a baseline
-// computed at one count is the baseline at every count.
-func (c *BaselineCache) Baseline(ctx context.Context, cfg config.Config, mix workload.Mix, epochs, shards int) (sim.Result, float64, error) {
-	cl := c.claim(cfg, mix, epochs, shards)
+// The trailing int argument is ignored; it is kept only so existing
+// callers still compile.
+func (c *BaselineCache) Baseline(ctx context.Context, cfg config.Config, mix workload.Mix, epochs, _ int) (sim.Result, float64, error) {
+	cl := c.claim(cfg, mix, epochs)
 	defer cl.release()
 	if err := cl.wait(ctx); err != nil {
 		return sim.Result{}, 0, err
@@ -95,7 +93,7 @@ type baselineClaim struct {
 
 // claim registers interest in a baseline, starting its simulation on a
 // cache-owned goroutine when no entry exists yet.
-func (c *BaselineCache) claim(cfg config.Config, mix workload.Mix, epochs, shards int) *baselineClaim {
+func (c *BaselineCache) claim(cfg config.Config, mix workload.Mix, epochs int) *baselineClaim {
 	key := baselineKey(cfg, mix.Name, epochs)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -107,7 +105,7 @@ func (c *BaselineCache) claim(cfg config.Config, mix workload.Mix, epochs, shard
 		ctx, cancel := context.WithCancel(context.Background())
 		e = &baselineEntry{ready: make(chan struct{}), cancel: cancel}
 		c.entries[key] = e
-		go c.simulate(ctx, key, e, cfg, mix, epochs, shards)
+		go c.simulate(ctx, key, e, cfg, mix, epochs)
 	}
 	e.claims++
 	return &baselineClaim{c: c, key: key, e: e}
@@ -116,7 +114,7 @@ func (c *BaselineCache) claim(cfg config.Config, mix workload.Mix, epochs, shard
 // simulate runs one baseline and publishes it to the entry's waiters.
 // A panic is recovered here, where it happens: it would otherwise kill
 // the process, and the waiters would block on ready forever.
-func (c *BaselineCache) simulate(ctx context.Context, key string, e *baselineEntry, cfg config.Config, mix workload.Mix, epochs, shards int) {
+func (c *BaselineCache) simulate(ctx context.Context, key string, e *baselineEntry, cfg config.Config, mix workload.Mix, epochs int) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.res, e.nonMem, e.err = sim.Result{}, 0, &PanicError{Value: r, Stack: debug.Stack()}
@@ -127,7 +125,7 @@ func (c *BaselineCache) simulate(ctx context.Context, key string, e *baselineEnt
 		e.cancel()
 		close(e.ready)
 	}()
-	e.res, e.nonMem, e.err = runBaseline(ctx, cfg, mix, epochs, shards)
+	e.res, e.nonMem, e.err = runBaseline(ctx, cfg, mix, epochs)
 }
 
 // forget drops e from the cache unless a newer entry replaced it.
@@ -186,12 +184,12 @@ func (cl *baselineClaim) release() {
 
 // runBaseline executes one unmanaged run and calibrates the
 // rest-of-system power from it.
-func runBaseline(ctx context.Context, cfg config.Config, mix workload.Mix, epochs, shards int) (sim.Result, float64, error) {
+func runBaseline(ctx context.Context, cfg config.Config, mix workload.Mix, epochs int) (sim.Result, float64, error) {
 	streams, err := mix.Streams(&cfg)
 	if err != nil {
 		return sim.Result{}, 0, err
 	}
-	s, err := sim.New(cfg, streams, sim.Options{Shards: shards})
+	s, err := sim.New(cfg, streams, sim.Options{})
 	if err != nil {
 		return sim.Result{}, 0, err
 	}

@@ -58,12 +58,7 @@ func jobConfig(job Job) (cfg, base config.Config) {
 // snapshot at the epoch boundary. The snapshot may be forked into any
 // number of variant runs: sim.Restore copies every slice and map, so
 // parallel forks from one shared snapshot never race.
-//
-// shards requests the sharded event engine for the prefix simulation;
-// the snapshot is the canonical serial image regardless of the count,
-// so forks taken from a sharded prefix are bit-identical to forks
-// taken from a serial one.
-func (e *Engine) WarmPrefix(ctx context.Context, cfg config.Config, mix workload.Mix, prefixEpochs, shards int) (st *sim.SystemState, err error) {
+func (e *Engine) WarmPrefix(ctx context.Context, cfg config.Config, mix workload.Mix, prefixEpochs int) (st *sim.SystemState, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			st, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
@@ -77,7 +72,7 @@ func (e *Engine) WarmPrefix(ctx context.Context, cfg config.Config, mix workload
 	if err != nil {
 		return nil, err
 	}
-	s, err := sim.New(cfg, streams, sim.Options{Shards: shards})
+	s, err := sim.New(cfg, streams, sim.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +143,7 @@ func (e *Engine) RunEachWarm(ctx context.Context, jobs []Job, prefixEpochs int) 
 	snapErrs := ForEach(ctx, e.workers, len(order), func(ctx context.Context, gi int) error {
 		g := groups[order[gi]]
 		cfg, _ := jobConfig(g.job)
-		snap, err := e.WarmPrefix(ctx, cfg, g.job.Mix, prefixEpochs, g.job.Shards)
+		snap, err := e.WarmPrefix(ctx, cfg, g.job.Mix, prefixEpochs)
 		snaps[gi] = snap
 		return err
 	}, nil)
@@ -219,7 +214,7 @@ func (e *Engine) RunWithCheckpoint(ctx context.Context, job Job, ckEpoch int) (o
 		return Outcome{}, nil, err
 	}
 	cfg, baseCfg := jobConfig(job)
-	p := &pairing{job: job, cfg: cfg, base: e.cache.claim(baseCfg, job.Mix, job.Epochs, job.Shards), ckEpoch: ckEpoch}
+	p := &pairing{job: job, cfg: cfg, base: e.cache.claim(baseCfg, job.Mix, job.Epochs), ckEpoch: ckEpoch}
 	defer p.base.release()
 	r, err := e.pair(ctx, p, 0)
 	if err != nil && !errors.Is(err, ErrInterrupted) {
@@ -299,11 +294,6 @@ type ResumeJob struct {
 	Timeline  bool
 	Telemetry *telemetry.Options
 	Timeout   time.Duration
-
-	// Shards mirrors Job.Shards for the resumed portion. A checkpoint
-	// written under any shard count restores under any other: the saved
-	// event state is the canonical serial image either way.
-	Shards int
 }
 
 // Resume continues a checkpointed run to rj.Epochs total epochs and
@@ -362,12 +352,12 @@ func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err err
 	// already post-Configure; the spec's Configure hook must not run
 	// again.
 	job := Job{
-		Mix: mix, Spec: spec, Epochs: rj.Epochs, Shards: rj.Shards,
+		Mix: mix, Spec: spec, Epochs: rj.Epochs,
 		Timeline: rj.Timeline, Telemetry: rj.Telemetry, Timeout: rj.Timeout,
 		Faults: ck.Meta.Faults, Warm: ck.State,
 	}
 	p := &pairing{
-		job: job, cfg: ck.Config, base: e.cache.claim(ck.Base, mix, rj.Epochs, rj.Shards),
+		job: job, cfg: ck.Config, base: e.cache.claim(ck.Base, mix, rj.Epochs),
 		nonMem: ck.Meta.NonMem, known: true,
 	}
 	defer p.base.release()

@@ -13,7 +13,7 @@ import (
 // submission order regardless of completion order.
 //
 // It is the shared fan-out primitive under Engine.RunEach and the
-// fleet layer's node sharding, with the pool invariants both need:
+// fleet layer's per-node fan-out, with the pool invariants both need:
 //
 //   - Panic isolation: a panicking fn surfaces as a *PanicError at its
 //     index instead of unwinding the pool; the other indices keep

@@ -77,18 +77,6 @@ type Job struct {
 	// Cores and Channels, when positive, override the machine shape.
 	Cores, Channels int
 
-	// Shards, when > 1, requests the sharded parallel event engine for
-	// both the managed run and its memoized baseline
-	// (sim.Options.Shards). Every run is bit-identical to the serial
-	// engine at any shard count — telemetry included — and the engine
-	// falls back to serial when the workload or governor is ineligible.
-	Shards int
-
-	// ShardGranularity selects the engine's confinement analysis
-	// (sim.Options.ShardGranularity): "" or "bank" for confinement
-	// groups, "channel" for PR 9's strict per-channel rule.
-	ShardGranularity string
-
 	// Mutate, when non-nil, edits the configuration after the fields
 	// above are applied and before the policy's own Configure hook;
 	// both the baseline and the managed run see the mutation.
@@ -150,10 +138,10 @@ type Outcome struct {
 	// retries consumed by injected transient faults.
 	Attempts int
 
-	// Shards is the shard count the managed run's event engine actually
-	// used (sim.System.ParallelShards): 1 for the serial engine —
-	// whether by request or by eligibility fallback — and the resolved
-	// count under the sharded engine.
+	// Shards is unused.
+	//
+	// Deprecated: nothing sets or reads it; it remains only so existing
+	// composite literals still compile.
 	Shards int
 }
 
@@ -314,7 +302,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (out Outcome, err error) {
 		return Outcome{}, err
 	}
 	cfg, baseCfg := jobConfig(job)
-	p := &pairing{job: job, cfg: cfg, base: e.cache.claim(baseCfg, job.Mix, job.Epochs, job.Shards)}
+	p := &pairing{job: job, cfg: cfg, base: e.cache.claim(baseCfg, job.Mix, job.Epochs)}
 	defer p.base.release()
 	r, err := e.pair(ctx, p, 0)
 	return r.out, err
@@ -503,11 +491,9 @@ func (e *Engine) simulate(ctx context.Context, p *pairing, attempt int, gov func
 		return r, err
 	}
 	opts := sim.Options{
-		Governor:         gov(&cfg),
-		KeepTimeline:     job.Timeline,
-		Faults:           inj,
-		Shards:           job.Shards,
-		ShardGranularity: job.ShardGranularity,
+		Governor:     gov(&cfg),
+		KeepTimeline: job.Timeline,
+		Faults:       inj,
 	}
 	if job.Telemetry != nil {
 		r.rec = telemetry.NewRecorder(*job.Telemetry)
@@ -539,7 +525,7 @@ func (e *Engine) simulate(ctx context.Context, p *pairing, attempt int, gov func
 		}
 		return r, err
 	}
-	r.out = Outcome{Res: res, Shards: s.ParallelShards()}
+	r.out = Outcome{Res: res}
 	return r, nil
 }
 

@@ -89,82 +89,14 @@ func (s *System) registry(reqEnv func(env any) (int32, error), reqs []*memctrl.R
 	return reg
 }
 
-// hasPendingForceRefresh reports whether a saved event state still
-// carries a refresh-storm burst.
-func hasPendingForceRefresh(st *event.State) bool {
-	for i := range st.Nodes {
-		if st.Nodes[i].Kind == "sim.force_refresh" {
-			return true
-		}
-	}
-	for i := range st.Defers {
-		if st.Defers[i].Kind == "sim.force_refresh" {
-			return true
-		}
-	}
-	return false
-}
-
-// shardOf builds the pending-event classifier that re-partitions a
-// canonical checkpoint across the shard set. Every controller and core
-// event names its owning channel — directly in its payload, or through
-// its request or core — and the channel names the shard.
-func (s *System) shardOf(mc *memctrl.ControllerState) event.ShardOf {
-	return func(kind string, owner, a, b int32) (int, error) {
-		var ch int
-		switch kind {
-		case "mc.done":
-			if owner < 0 || int(owner) >= len(mc.Requests) {
-				return 0, fmt.Errorf("sim: %s event names request %d outside [0,%d)", kind, owner, len(mc.Requests))
-			}
-			ch = mc.Requests[owner].Loc.Channel
-		case "mc.start_bank", "mc.bus_ready",
-			"mc.bank_kick", "mc.precharge", "mc.grant_bus",
-			"mc.refresh_tick", "mc.refresh_done",
-			"mc.relock_done", "mc.relock_kick":
-			ch = int(a)
-		case "cpu.issue":
-			if owner < 0 || int(owner) >= len(s.Cores) {
-				return 0, fmt.Errorf("sim: cpu.issue event names core %d outside [0,%d)", owner, len(s.Cores))
-			}
-			// The shard plan bound the core to its confinement group's
-			// shard; reuse the binding directly rather than re-deriving
-			// it from the stream's placement.
-			return s.coreShard[owner], nil
-		default:
-			return 0, fmt.Errorf("sim: event kind %q has no shard assignment", kind)
-		}
-		if ch < 0 || ch >= len(s.chShard) {
-			return 0, fmt.Errorf("sim: event kind %q names channel %d outside [0,%d)", kind, ch, len(s.chShard))
-		}
-		return s.chShard[ch], nil
-	}
-}
-
 // Save captures the system's full simulation state. Call it at an
 // epoch boundary — after stepEpoch/StepEpoch returns — so the capture
 // is on the quiescent instant every layer's bookkeeping agrees on.
 func (s *System) Save() (*SystemState, error) {
-	if len(s.pendingStorms) > 0 {
-		// A pending burst's per-shard tickets are positions in this
-		// run's sequence numbering; they mean nothing to a restored
-		// engine. Bursts drain within their epoch, so the next boundary
-		// is clean.
-		return nil, fmt.Errorf("sim: checkpoint with %d refresh-storm bursts pending; save at a later epoch boundary", len(s.pendingStorms))
-	}
 	tbl := memctrl.NewRequestTable()
 	mcState := s.MC.Save(tbl)
 	codec := s.registry(tbl.EncodeEnv, nil)
-	var evState *event.State
-	var err error
-	if s.shards != nil {
-		// The canonical merged image: the same serial-queue state a
-		// one-shard run would save, so the checkpoint restores under
-		// any shard count.
-		evState, err = s.shards.Save(codec)
-	} else {
-		evState, err = s.Q.Save(codec)
-	}
+	evState, err := s.Q.Save(codec)
 	if err != nil {
 		return nil, err
 	}
@@ -222,13 +154,6 @@ func (s *System) Save() (*SystemState, error) {
 // from an unmanaged run (warm-start forking), otherwise it must carry
 // the same name and, for stateful governors, accepts the saved state.
 func Restore(cfg config.Config, streams []*trace.Stream, opts Options, st *SystemState) (*System, error) {
-	if st != nil && st.Events != nil && hasPendingForceRefresh(st.Events) {
-		// A checkpointed refresh-storm burst is a cross-shard event
-		// with no reserved tickets (it was saved by an engine predating
-		// the sharded one, or a serial run mid-storm); resume it on the
-		// serial engine, which replays it exactly as saved.
-		opts.DisableParallel = true
-	}
 	s, err := New(cfg, streams, opts)
 	if err != nil {
 		return nil, err
@@ -282,11 +207,7 @@ func (s *System) load(st *SystemState) error {
 		return err
 	}
 	codec := s.registry(nil, reqs)
-	if s.shards != nil {
-		if err := s.shards.Load(st.Events, codec, s.shardOf(st.MC)); err != nil {
-			return err
-		}
-	} else if err := s.Q.Load(st.Events, codec); err != nil {
+	if err := s.Q.Load(st.Events, codec); err != nil {
 		return err
 	}
 

@@ -195,135 +195,6 @@ type Options struct {
 	// conservation property tests check exactly that), so the switch
 	// exists for differential testing and debugging, not correctness.
 	DisableCoalescing bool
-
-	// Shards requests the sharded parallel event engine (DESIGN.md
-	// §4k/§4l): the memory channels — and the cores bound to them —
-	// split across up to Shards event queues that advance concurrently
-	// inside each conservative window. 0 or 1 runs the serial engine.
-	// Sharding engages only when it is provably bit-identical to the
-	// serial engine: the streams' channel-affinity sets must split into
-	// at least two confinement groups (connected components), and the
-	// governor must be uniform (not per-channel); otherwise the run
-	// silently falls back to serial. Telemetry is fully supported: the
-	// recorder's per-channel cells record lock-free inside windows and
-	// merge deterministically at window edges, so instrumented sharded
-	// runs export byte-identical streams to instrumented serial runs.
-	// The effective shard count is capped at the confinement-group
-	// count.
-	Shards int
-
-	// ShardGranularity selects the confinement analysis the engine
-	// uses to partition channels into shards. "" (auto) and
-	// ShardByBank run the confinement-group analysis: streams'
-	// channel-affinity sets union into connected components — the
-	// finest sound partition, since banks of one channel share its bus
-	// and can never split (DESIGN.md §4l). ShardByChannel restricts to
-	// PR 9's strict per-channel sharding: every stream must be
-	// confined to a single channel, or the run falls back to serial.
-	ShardGranularity string
-
-	// DisableParallel forces the serial engine regardless of Shards —
-	// the differential switch mirroring DisableCoalescing.
-	DisableParallel bool
-}
-
-// ShardGranularity values for Options.ShardGranularity and the public
-// RunConfig knob.
-const (
-	// ShardByChannel requires every stream channel-confined (a
-	// partitioned mix) and shards channel-by-channel, exactly as PR 9.
-	ShardByChannel = "channel"
-
-	// ShardByBank is the finest sound granularity: confinement groups
-	// of channels (banks within a channel share the bus and collapse
-	// into its group). Interleaved placements that stripe applications
-	// across channel groups shard at group boundaries.
-	ShardByBank = "bank"
-)
-
-// planShards resolves the run's shard plan: the effective shard count
-// plus the channel→shard and core→shard bindings, or (1, nil, nil)
-// for the serial engine. The plan's proof obligations are DESIGN.md
-// §4k extended by §4l's confinement-group analysis: streams'
-// channel-affinity sets union into connected components, every
-// component's channels and cores bind to one shard (so every event is
-// shard-local), and a uniform governor keeps the MC clock replicas
-// coherent. Telemetry no longer blocks eligibility — the recorder's
-// per-channel cells are shard-local and merge at window edges. Under
-// ShardByChannel the analysis restricts to PR 9's strict rule: every
-// stream must be confined to a single channel. A fully interleaved
-// placement (one component) falls back to serial: with zero lookahead
-// and global same-instant tie-breaks there is no sound split.
-func planShards(cfg *config.Config, streams []*trace.Stream, opts Options) (int, []int, []int) {
-	if opts.Shards <= 1 || opts.DisableParallel {
-		return 1, nil, nil
-	}
-	if _, perChannel := opts.Governor.(PerChannelGovernor); perChannel {
-		return 1, nil, nil
-	}
-	if opts.ShardGranularity == ShardByChannel {
-		for _, st := range streams {
-			if _, ok := st.HomeChannel(); !ok {
-				return 1, nil, nil
-			}
-		}
-	}
-	// Union-find over channels: two channels shared by one stream's
-	// affinity set must land in the same shard. A stream with no
-	// affinity set roams every channel, collapsing all into one
-	// component.
-	parent := make([]int, cfg.Channels)
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, st := range streams {
-		chs := st.Channels()
-		if len(chs) == 0 {
-			return 1, nil, nil
-		}
-		for _, ch := range chs[1:] {
-			ra, rb := find(chs[0]), find(ch)
-			if ra != rb {
-				if rb < ra {
-					ra, rb = rb, ra
-				}
-				parent[rb] = ra
-			}
-		}
-	}
-	// Number components by their smallest channel (ascending scan), so
-	// the all-singleton case reduces exactly to PR 9's ch % n map.
-	comp := make([]int, cfg.Channels)
-	ncomp := 0
-	for ch := 0; ch < cfg.Channels; ch++ {
-		if find(ch) == ch {
-			comp[ch] = ncomp
-			ncomp++
-		}
-	}
-	if ncomp < 2 {
-		return 1, nil, nil
-	}
-	n := opts.Shards
-	if n > ncomp {
-		n = ncomp
-	}
-	chShard := make([]int, cfg.Channels)
-	for ch := range chShard {
-		chShard[ch] = comp[find(ch)] % n
-	}
-	coreShard := make([]int, len(streams))
-	for i, st := range streams {
-		coreShard[i] = chShard[st.Channels()[0]]
-	}
-	return n, chShard, coreShard
 }
 
 // System is one fully wired simulated server.
@@ -354,22 +225,6 @@ type System struct {
 	// name the pending bursts.
 	onForceRefresh event.Bound
 
-	// shards is the sharded parallel event engine (nil when the serial
-	// engine is in force); chShard maps each memory channel to its
-	// owning shard and coreShard each core to the shard of its
-	// confinement group. Under the sharded engine s.Q aliases shard 0,
-	// whose clock equals every other shard's at window edges.
-	shards    *event.ShardSet
-	chShard   []int
-	coreShard []int
-
-	// pendingStorms holds refresh-storm bursts registered at an epoch
-	// edge but not yet fired. Under the sharded engine a burst touches
-	// every channel, so it lives outside any one shard's queue: its
-	// per-shard ordering tickets are reserved at registration and the
-	// burst fires at a cross-shard exchange point in stepShards.
-	pendingStorms []pendingStorm
-
 	// invEnergyJ is the invariant plane's energy witness: the running
 	// sum of per-epoch memory energy, accumulated with a different
 	// float association than the meter's per-interval total so the two
@@ -395,14 +250,6 @@ type stepState struct {
 	idx       int
 }
 
-// pendingStorm is one registered-but-unfired refresh-storm burst under
-// the sharded engine: its fire time and the per-shard ordering tickets
-// reserved when it was registered.
-type pendingStorm struct {
-	at      config.Time
-	tickets []event.Seq
-}
-
 // New builds a system running the given per-core streams under cfg.
 func New(cfg config.Config, streams []*trace.Stream, opts Options) (*System, error) {
 	if err := cfg.Validate(); err != nil {
@@ -411,24 +258,9 @@ func New(cfg config.Config, streams []*trace.Stream, opts Options) (*System, err
 	if len(streams) != cfg.Cores {
 		return nil, fmt.Errorf("sim: %d streams for %d cores", len(streams), cfg.Cores)
 	}
-	s := &System{Cfg: cfg, opts: opts}
-	if n, chShard, coreShard := planShards(&s.Cfg, streams, opts); n > 1 {
-		s.shards = event.NewShardSet(n)
-		s.chShard = chShard
-		s.coreShard = coreShard
-		s.Q = s.shards.Shard(0)
-	} else {
-		s.Q = &event.Queue{}
-	}
+	s := &System{Cfg: cfg, opts: opts, Q: &event.Queue{}}
 	s.onForceRefresh = s.forceRefreshEvent
 	s.MC = memctrl.New(&s.Cfg, s.Q)
-	if s.shards != nil {
-		qs := make([]*event.Queue, s.Cfg.Channels)
-		for ch := range qs {
-			qs[ch] = s.shards.Shard(s.chShard[ch])
-		}
-		s.MC.SetShardQueues(qs)
-	}
 	s.Model = power.NewModel(&s.Cfg)
 	s.Meter = power.NewMeter(s.Model)
 	if opts.Telemetry != nil {
@@ -436,14 +268,7 @@ func New(cfg config.Config, streams []*trace.Stream, opts Options) (*System, err
 		s.Meter.SetTelemetry(opts.Telemetry)
 	}
 	for i, st := range streams {
-		q := s.Q
-		if s.shards != nil {
-			// The plan proved the stream confined to one confinement
-			// group; the core schedules on — and its data returns arrive
-			// via — that group's shard.
-			q = s.shards.Shard(s.coreShard[i])
-		}
-		s.Cores = append(s.Cores, cpu.New(i, &s.Cfg, q, s.MC, st))
+		s.Cores = append(s.Cores, cpu.New(i, &s.Cfg, s.Q, s.MC, st))
 	}
 	s.result.FreqTime = map[config.FreqMHz]config.Time{}
 	if s.opts.MaxDuration <= 0 {
@@ -508,17 +333,6 @@ func (s *System) SetFrequencyCap(f config.FreqMHz) error {
 // uncapped).
 func (s *System) FrequencyCap() config.FreqMHz { return s.capFreq }
 
-// ParallelShards reports how many shards the event engine actually
-// runs: the resolved count under the sharded engine, 1 when the serial
-// engine is in force — whether by request (Shards <= 1,
-// DisableParallel) or by eligibility fallback.
-func (s *System) ParallelShards() int {
-	if s.shards == nil {
-		return 1
-	}
-	return s.shards.Shards()
-}
-
 // flush closes the power interval at now, meters it, and returns it
 // alongside its energy breakdown.
 func (s *System) flush(now config.Time) (power.Interval, power.Breakdown) {
@@ -531,9 +345,9 @@ func (s *System) flush(now config.Time) (power.Interval, power.Breakdown) {
 // window snapshots counter/instruction deltas since the last call and
 // pairs them with the flushed power interval.
 func (s *System) window(start, now config.Time, freq config.FreqMHz) Profile {
-	// Every window call sits at a window edge — the shards (or the
-	// serial queue) are quiescent — so fold the per-channel telemetry
-	// cells into the run-wide collectors before anything else pushes.
+	// Every window call sits at a window edge with the queue
+	// quiescent, so fold the per-channel telemetry cells into the
+	// run-wide collectors before anything else pushes.
 	s.opts.Telemetry.MergeChannels()
 	cur := s.MC.Counters()
 	instr := make([]float64, len(s.Cores))
@@ -606,9 +420,6 @@ func (s *System) stepUntil(ctx context.Context, deadline config.Time) error {
 		// result, so mid-chunk state is never observed either.
 		s.MC.SetQuiesceHorizon(deadline)
 	}
-	if s.shards != nil {
-		return s.stepShards(ctx, deadline)
-	}
 	if ctx.Done() == nil {
 		// No cancellation possible (context.Background()): skip the
 		// chunking entirely.
@@ -621,44 +432,6 @@ func (s *System) stepUntil(ctx context.Context, deadline config.Time) error {
 			next = deadline
 		}
 		s.Q.RunUntil(next)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if next >= deadline {
-			return nil
-		}
-	}
-}
-
-// stepShards is the sharded engine's window loop. Each pending storm
-// burst splits the drain at a cross-shard exchange point; the
-// stretches between are conservative windows the shards advance
-// concurrently. The quiesce horizon stepUntil just declared — nothing
-// samples counters, power, or instruction state strictly before the
-// deadline — is exactly the no-cross-shard-interaction guarantee the
-// windows need, since every event inside a window is per-channel by
-// construction.
-func (s *System) stepShards(ctx context.Context, deadline config.Time) error {
-	for len(s.pendingStorms) > 0 && s.pendingStorms[0].at <= deadline {
-		ps := s.pendingStorms[0]
-		s.pendingStorms = s.pendingStorms[1:]
-		s.shards.RunCross(ps.at, ps.tickets, func(now config.Time) { s.MC.ForceRefresh(now) })
-		if ctx.Done() != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	if ctx.Done() == nil {
-		s.shards.RunUntil(deadline)
-		return nil
-	}
-	for {
-		next := s.shards.Now() + cancelCheckStep
-		if next > deadline {
-			next = deadline
-		}
-		s.shards.RunUntil(next)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -814,17 +587,7 @@ func (s *System) stepEpoch(ctx context.Context, wantRec bool) (EpochRecord, erro
 			spacing := 2 * s.MC.Timing().TRFC
 			for b := 0; b < plan.StormBursts; b++ {
 				at := decisionAt + config.Time(b)*spacing
-				if s.shards != nil {
-					// A burst refreshes every channel, so it is a
-					// cross-shard event: reserve its per-shard ordering
-					// tickets now, while the queues sit quiescent at the
-					// edge, and fire it at the exchange point in
-					// stepShards.
-					s.pendingStorms = append(s.pendingStorms,
-						pendingStorm{at: at, tickets: s.shards.ReserveTickets()})
-				} else {
-					s.Q.ScheduleBound(at, s.onForceRefresh, nil, 0, 0)
-				}
+				s.Q.ScheduleBound(at, s.onForceRefresh, nil, 0, 0)
 			}
 		}
 
@@ -1110,8 +873,5 @@ func (s *System) finalize() Result {
 	r.DIMMAvgWatts = s.Meter.AverageDIMMPower()
 	r.MemAvgWatts = s.Meter.AveragePower()
 	r.Events = s.Q.Fired()
-	if s.shards != nil {
-		r.Events = s.shards.Fired()
-	}
 	return *r
 }

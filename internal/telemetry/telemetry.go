@@ -16,12 +16,11 @@
 //   - One recorder per run, merged at window edges. The recorder's
 //     run-wide collectors are single-goroutine (the sweep engine gives
 //     every job its own recorder, aggregating exports only after the
-//     jobs finish). Per-channel telemetry is staged in ChannelCells —
-//     one per memory channel, each written by exactly one goroutine at
-//     a time even under the sharded engine — and folded back into the
-//     run-wide collectors deterministically at window edges
-//     (MergeChannels), so sharded and serial runs export byte-identical
-//     streams.
+//     jobs finish). Per-channel telemetry — relocks, powerdowns,
+//     refreshes, read latency, queue depth — is recorded only through
+//     ChannelCells, one per memory channel, and folded back into the
+//     run-wide collectors at window edges (MergeChannels). The fold
+//     fixes the export's canonical event order and histogram sums.
 //
 // The package sits below power/memctrl/sim in the import graph
 // (it imports only config and dram), so every layer can emit into it.
@@ -171,47 +170,6 @@ func (r *Recorder) SinkErr() error {
 	return r.sinkErr
 }
 
-// FreqTransition records a channel relock.
-func (r *Recorder) FreqTransition(t config.Time, ch int, from, to config.FreqMHz, penalty config.Time) {
-	if r == nil {
-		return
-	}
-	r.FreqTransitions.Add(1)
-	r.push(Event{Kind: EvFreqTransition, Time: t, Channel: ch, Rank: -1, Core: -1,
-		A: int64(from), B: int64(to), C: int64(penalty)})
-}
-
-// PowerdownEnter records a rank dropping CKE.
-func (r *Recorder) PowerdownEnter(t config.Time, ch, rank int, slow bool) {
-	if r == nil {
-		return
-	}
-	r.PowerdownEnters.Add(1)
-	var a int64
-	if slow {
-		a = 1
-	}
-	r.push(Event{Kind: EvPowerdownEnter, Time: t, Channel: ch, Rank: rank, Core: -1, A: a})
-}
-
-// PowerdownExit records a rank waking to serve a request.
-func (r *Recorder) PowerdownExit(t config.Time, ch, rank int) {
-	if r == nil {
-		return
-	}
-	r.PowerdownExits.Add(1)
-	r.push(Event{Kind: EvPowerdownExit, Time: t, Channel: ch, Rank: rank, Core: -1})
-}
-
-// Refresh records a rank refresh spanning dur.
-func (r *Recorder) Refresh(t config.Time, ch, rank int, dur config.Time) {
-	if r == nil {
-		return
-	}
-	r.Refreshes.Add(1)
-	r.push(Event{Kind: EvRefresh, Time: t, Channel: ch, Rank: rank, Core: -1, C: int64(dur)})
-}
-
 // Slack records one core's slack credit (delta > 0) or debit at an
 // epoch boundary, plus the new accumulated slack, both in seconds.
 func (r *Recorder) Slack(t config.Time, core int, delta, total float64) {
@@ -291,24 +249,6 @@ func (r *Recorder) NodeRecovered(t config.Time, node int, rejoin bool, attempt i
 	}
 	r.push(Event{Kind: EvRecovered, Time: t, Channel: -1, Rank: -1, Core: node,
 		A: a, B: int64(attempt)})
-}
-
-// ObserveReadLatency records one read's arrival-to-data latency.
-func (r *Recorder) ObserveReadLatency(d config.Time) {
-	if r == nil {
-		return
-	}
-	r.ReadLatencyNs.Observe(d.Nanoseconds())
-}
-
-// ObserveQueueDepth records an outstanding-request count seen by an
-// arriving request. The controller feeds the per-channel depth through
-// its ChannelCells; this run-wide entry point remains for direct use.
-func (r *Recorder) ObserveQueueDepth(depth int) {
-	if r == nil {
-		return
-	}
-	r.QueueDepth.Observe(float64(depth))
 }
 
 // ObserveEpochHost records the host wall-clock nanoseconds one epoch

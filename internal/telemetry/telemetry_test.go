@@ -12,14 +12,19 @@ import (
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.SetEpoch(3)
-	r.FreqTransition(0, 0, 800, 400, 100)
-	r.PowerdownEnter(0, 0, 0, true)
-	r.PowerdownExit(0, 0, 0)
-	r.Refresh(0, 0, 0, 10)
+	if cells := r.ChannelCells(4); cells != nil {
+		t.Errorf("nil recorder ChannelCells = %v, want nil", cells)
+	}
+	var c *ChannelCell
+	c.FreqTransition(0, 800, 400, 100)
+	c.PowerdownEnter(0, 0, true)
+	c.PowerdownExit(0, 0)
+	c.Refresh(0, 0, 10)
+	c.ObserveReadLatency(100)
+	c.ObserveQueueDepth(4)
+	r.MergeChannels()
 	r.Slack(0, 0, 0.1, 0.2)
 	r.Decision(0, 800, 400, 1.2, 1.3)
-	r.ObserveReadLatency(100)
-	r.ObserveQueueDepth(4)
 	r.ObserveEpochHost(1000)
 	r.PowerInterval(5, dram.Account{}, Energy{})
 	r.AddEpoch(EpochSnapshot{})
@@ -82,9 +87,11 @@ func TestHistogramMerge(t *testing.T) {
 
 func TestEventRingDropOldest(t *testing.T) {
 	r := NewRecorder(Options{Events: true, RingSize: 3})
+	c := r.ChannelCells(1)[0]
 	for i := 0; i < 5; i++ {
-		r.Refresh(config.Time(i), 0, i, 1)
+		c.Refresh(config.Time(i), i, 1)
 	}
+	r.MergeChannels()
 	out := r.Export(RunMeta{}, nil)
 	if len(out.Events) != 3 {
 		t.Fatalf("retained %d events, want 3", len(out.Events))
@@ -103,9 +110,11 @@ func TestEventRingDropOldest(t *testing.T) {
 func TestSinkReceivesEveryEvent(t *testing.T) {
 	sink := &MemorySink{}
 	r := NewRecorder(Options{Events: true, RingSize: 2, Sink: sink})
+	c := r.ChannelCells(1)[0]
 	for i := 0; i < 5; i++ {
-		r.Refresh(config.Time(i), 0, i, 1)
+		c.Refresh(config.Time(i), i, 1)
 	}
+	r.MergeChannels()
 	out := r.Export(RunMeta{}, nil)
 	if len(sink.Events) != 5 {
 		t.Fatalf("sink saw %d events, want all 5", len(sink.Events))
@@ -125,7 +134,8 @@ func TestCSVSinkFormat(t *testing.T) {
 	sink := &CSVSink{W: &buf}
 	r := NewRecorder(Options{Events: true, Sink: sink})
 	r.SetEpoch(7)
-	r.FreqTransition(1000, 1, 800, 400, 42)
+	r.ChannelCells(2)[1].FreqTransition(1000, 800, 400, 42)
+	r.MergeChannels()
 	r.Export(RunMeta{}, nil)
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 || lines[0] != EventCSVHeader {
@@ -139,8 +149,10 @@ func TestCSVSinkFormat(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	r := NewRecorder(Options{Events: true})
 	r.SetEpoch(0)
-	r.ObserveReadLatency(60 * config.Nanosecond)
-	r.ObserveQueueDepth(3)
+	c := r.ChannelCells(1)[0]
+	c.ObserveReadLatency(60 * config.Nanosecond)
+	c.ObserveQueueDepth(3)
+	r.MergeChannels()
 	r.Decision(100, 800, 400, 1.5, 1.6)
 	r.PowerInterval(5*config.Millisecond,
 		dram.Account{PrechargeStandby: 5 * config.Millisecond},
@@ -197,7 +209,8 @@ func TestReadJSONLRejectsOrphans(t *testing.T) {
 func TestRollupMerges(t *testing.T) {
 	mk := func(mix string, reads float64) *RunExport {
 		r := NewRecorder(Options{})
-		r.ObserveReadLatency(config.Time(reads))
+		r.ChannelCells(1)[0].ObserveReadLatency(config.Time(reads))
+		r.MergeChannels()
 		r.FreqTransitions.Add(2)
 		r.PowerInterval(5*config.Millisecond,
 			dram.Account{ActiveStandby: 2 * config.Millisecond},
@@ -261,7 +274,8 @@ func TestReportViews(t *testing.T) {
 		CoreCPI: []float64{1.6}, ChannelUtil: []float64{0.2},
 		Residency: dram.Account{PrechargeStandby: 5 * config.Millisecond},
 	})
-	r.ObserveReadLatency(60 * config.Nanosecond)
+	r.ChannelCells(1)[0].ObserveReadLatency(60 * config.Nanosecond)
+	r.MergeChannels()
 	exp := r.Export(RunMeta{Mix: "MID3", Policy: "MemScale"}, map[int]float64{400: 0.005})
 	exp.DurationSeconds = 0.005
 	exports := []*RunExport{exp}

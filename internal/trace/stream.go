@@ -153,28 +153,6 @@ func NewStreamOnChannels(p Profile, mapper *config.AddressMapper, seed uint64, c
 // Name returns the profile name.
 func (s *Stream) Name() string { return s.profile.Name }
 
-// HomeChannel reports whether every access of the stream — reads and
-// writeback victims alike — is confined to a single memory channel,
-// and which one. randomLoc folds all locations into the channel
-// affinity set, and advance preserves the channel, so a one-channel
-// affinity confines the stream completely; the sharded event engine
-// relies on this to bind a core to its channel's shard.
-func (s *Stream) HomeChannel() (int, bool) {
-	if len(s.channels) != 1 {
-		return 0, false
-	}
-	return s.channels[0], true
-}
-
-// Channels returns the stream's channel-affinity set in ascending
-// placement order, or nil when the stream roams all channels. The
-// sharded engine's confinement-group analysis (DESIGN.md §4l) unions
-// these sets into connected components to find the finest sound shard
-// partition for interleaved placements.
-func (s *Stream) Channels() []int {
-	return append([]int(nil), s.channels...)
-}
-
 // SetIntensity scales the stream's effective memory pressure: the
 // active phase's MPKI is multiplied by m from the next access on, so
 // m > 1 packs misses closer together (heavier offered load) and m < 1

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"memscale/internal/config"
@@ -65,25 +64,11 @@ type Mix struct {
 	// resolvable through ByName, so the name alone round-trips the
 	// placement through caches and checkpoints.
 	Partitioned bool
-
-	// Interleave, when K > 1, selects OS page placement that stripes
-	// each application across a K-channel group (InterleavedStreams):
-	// application i owns channels [g*K, g*K+K) with g = i mod
-	// (Channels/K). The accesses interleave freely inside the group —
-	// no stream is channel-confined — yet the groups never share a
-	// channel, so the sharded engine's confinement-group analysis
-	// (DESIGN.md §4l) still parallelizes the mix. Variants are named
-	// "<base>/ilv<K>" and resolvable through ByName.
-	Interleave int
 }
 
 // PartitionedSuffix distinguishes the channel-partitioned variant of a
 // mix in its name.
 const PartitionedSuffix = "/part"
-
-// InterleavePrefix introduces the group width in an interleaved
-// variant's name: "<base>/ilv<K>".
-const InterleavePrefix = "/ilv"
 
 // Partition returns the channel-partitioned variant of the mix: same
 // applications and traces, page placement confining application i to
@@ -98,44 +83,24 @@ func (m Mix) Partition() Mix {
 	return m
 }
 
-// Interleaved returns the K-channel group-interleaved variant of the
-// mix: same applications and traces, page placement striping each
-// application across its own K-wide channel group. K must be at least
-// 2 (K = 1 is Partition). Interleaving an already placed mix is
-// rejected at stream instantiation.
-func (m Mix) Interleaved(k int) Mix {
-	if m.Interleave == k {
-		return m
-	}
-	m.Name = strings.TrimSuffix(m.Name, PartitionedSuffix)
-	if m.Interleave > 1 {
-		m.Name = strings.TrimSuffix(m.Name, fmt.Sprintf("%s%d", InterleavePrefix, m.Interleave))
-	}
-	m.Partitioned = false
-	m.Interleave = k
-	m.Name += fmt.Sprintf("%s%d", InterleavePrefix, k)
-	return m
-}
-
 // Mixes is Table 1 in program form.
 var Mixes = []Mix{
-	{"ILP1", ClassILP, [4]string{"vortex", "gcc", "sixtrack", "mesa"}, 0.37, 0.06, false, 0},
-	{"ILP2", ClassILP, [4]string{"perlbmk", "crafty", "gzip", "eon"}, 0.16, 0.01, false, 0},
-	{"ILP3", ClassILP, [4]string{"sixtrack", "mesa", "perlbmk", "crafty"}, 0.27, 0.01, false, 0},
-	{"ILP4", ClassILP, [4]string{"vortex", "mesa", "perlbmk", "crafty"}, 0.24, 0.06, false, 0},
-	{"MID1", ClassMID, [4]string{"ammp", "gap", "wupwise", "vpr"}, 1.72, 0.01, false, 0},
-	{"MID2", ClassMID, [4]string{"astar", "parser", "twolf", "facerec"}, 2.61, 0.09, false, 0},
-	{"MID3", ClassMID, [4]string{"apsi", "bzip2", "ammp", "gap"}, 2.41, 0.16, false, 0},
-	{"MID4", ClassMID, [4]string{"wupwise", "vpr", "astar", "parser"}, 2.11, 0.07, false, 0},
-	{"MEM1", ClassMEM, [4]string{"swim", "applu", "art", "lucas"}, 17.03, 3.03, false, 0},
-	{"MEM2", ClassMEM, [4]string{"fma3d", "mgrid", "galgel", "equake"}, 8.62, 0.25, false, 0},
-	{"MEM3", ClassMEM, [4]string{"swim", "applu", "galgel", "equake"}, 15.6, 3.71, false, 0},
-	{"MEM4", ClassMEM, [4]string{"art", "lucas", "mgrid", "fma3d"}, 8.96, 0.33, false, 0},
+	{"ILP1", ClassILP, [4]string{"vortex", "gcc", "sixtrack", "mesa"}, 0.37, 0.06, false},
+	{"ILP2", ClassILP, [4]string{"perlbmk", "crafty", "gzip", "eon"}, 0.16, 0.01, false},
+	{"ILP3", ClassILP, [4]string{"sixtrack", "mesa", "perlbmk", "crafty"}, 0.27, 0.01, false},
+	{"ILP4", ClassILP, [4]string{"vortex", "mesa", "perlbmk", "crafty"}, 0.24, 0.06, false},
+	{"MID1", ClassMID, [4]string{"ammp", "gap", "wupwise", "vpr"}, 1.72, 0.01, false},
+	{"MID2", ClassMID, [4]string{"astar", "parser", "twolf", "facerec"}, 2.61, 0.09, false},
+	{"MID3", ClassMID, [4]string{"apsi", "bzip2", "ammp", "gap"}, 2.41, 0.16, false},
+	{"MID4", ClassMID, [4]string{"wupwise", "vpr", "astar", "parser"}, 2.11, 0.07, false},
+	{"MEM1", ClassMEM, [4]string{"swim", "applu", "art", "lucas"}, 17.03, 3.03, false},
+	{"MEM2", ClassMEM, [4]string{"fma3d", "mgrid", "galgel", "equake"}, 8.62, 0.25, false},
+	{"MEM3", ClassMEM, [4]string{"swim", "applu", "galgel", "equake"}, 15.6, 3.71, false},
+	{"MEM4", ClassMEM, [4]string{"art", "lucas", "mgrid", "fma3d"}, 8.96, 0.33, false},
 }
 
 // ByName returns the named mix. A "<base>/part" name resolves to the
-// channel-partitioned variant of the base mix, a "<base>/ilv<K>" name
-// to the K-channel group-interleaved variant.
+// channel-partitioned variant of the base mix.
 func ByName(name string) (Mix, error) {
 	if base, ok := strings.CutSuffix(name, PartitionedSuffix); ok {
 		m, err := ByName(base)
@@ -143,17 +108,6 @@ func ByName(name string) (Mix, error) {
 			return Mix{}, err
 		}
 		return m.Partition(), nil
-	}
-	if i := strings.LastIndex(name, InterleavePrefix); i >= 0 {
-		k, err := strconv.Atoi(name[i+len(InterleavePrefix):])
-		if err != nil || k < 2 {
-			return Mix{}, fmt.Errorf("workload: %w %q (interleave width must be an integer >= 2)", ErrUnknownMix, name)
-		}
-		m, err := ByName(name[:i])
-		if err != nil {
-			return Mix{}, err
-		}
-		return m.Interleaved(k), nil
 	}
 	for _, m := range Mixes {
 		if m.Name == name {
@@ -196,9 +150,6 @@ func (m Mix) Assignment(core int) string { return m.Apps[core%len(m.Apps)] }
 func (m Mix) Streams(cfg *config.Config) ([]*trace.Stream, error) {
 	if m.Partitioned {
 		return m.PartitionedStreams(cfg)
-	}
-	if m.Interleave > 1 {
-		return m.InterleavedStreams(cfg)
 	}
 	mapper := config.NewAddressMapper(cfg)
 	streams := make([]*trace.Stream, cfg.Cores)
@@ -262,49 +213,6 @@ func (m Mix) PartitionedStreams(cfg *config.Config) ([]*trace.Stream, error) {
 		}
 		channels := []int{appIdx % cfg.Channels}
 		s, err := trace.NewStreamOnChannels(p, mapper, trace.Seed(base, "part", name, core), channels)
-		if err != nil {
-			return nil, fmt.Errorf("mix %s core %d: %w", m.Name, core, err)
-		}
-		streams[core] = s
-	}
-	return streams, nil
-}
-
-// InterleavedStreams instantiates the mix with OS page placement that
-// stripes each application across its own K-wide channel group:
-// application i of the mix owns channels [g*K, g*K+K) with
-// g = i mod (Channels/K), and its accesses interleave freely across
-// all K. No stream is channel-confined (the /part precondition), yet
-// the groups partition the channels, so the confinement-group shard
-// analysis still splits the run into Channels/K parallel shards. The
-// channel count must be a multiple of K.
-func (m Mix) InterleavedStreams(cfg *config.Config) ([]*trace.Stream, error) {
-	k := m.Interleave
-	if k < 2 {
-		return nil, fmt.Errorf("mix %s: interleave width %d must be >= 2", m.Name, k)
-	}
-	if cfg.Channels%k != 0 {
-		return nil, fmt.Errorf("mix %s: %d channels not divisible by interleave width %d", m.Name, cfg.Channels, k)
-	}
-	groups := cfg.Channels / k
-	mapper := config.NewAddressMapper(cfg)
-	// Seed from the base name with an "ilv"/K namespace so the variant
-	// draws its own trace realization, distinct from /part's.
-	base := strings.TrimSuffix(m.Name, fmt.Sprintf("%s%d", InterleavePrefix, k))
-	streams := make([]*trace.Stream, cfg.Cores)
-	for core := 0; core < cfg.Cores; core++ {
-		appIdx := core % len(m.Apps)
-		name := m.Apps[appIdx]
-		p, err := App(name)
-		if err != nil {
-			return nil, fmt.Errorf("mix %s: %w", m.Name, err)
-		}
-		g := appIdx % groups
-		channels := make([]int, k)
-		for j := range channels {
-			channels[j] = g*k + j
-		}
-		s, err := trace.NewStreamOnChannels(p, mapper, trace.Seed(base, "ilv", k, name, core), channels)
 		if err != nil {
 			return nil, fmt.Errorf("mix %s core %d: %w", m.Name, core, err)
 		}

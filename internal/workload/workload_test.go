@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -56,8 +57,17 @@ func TestByName(t *testing.T) {
 	if m.Apps != [4]string{"apsi", "bzip2", "ammp", "gap"} {
 		t.Errorf("MID3 apps = %v", m.Apps)
 	}
-	if _, err := ByName("MEM9"); err == nil {
-		t.Error("unknown mix must error")
+	for _, name := range []string{"MEM9", "MEM1/ilv2"} {
+		if _, err := ByName(name); !errors.Is(err, ErrUnknownMix) {
+			t.Errorf("ByName(%q) err = %v, want ErrUnknownMix", name, err)
+		}
+	}
+	part, err := ByName("MEM1" + PartitionedSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !part.Partitioned || part.Name != "MEM1/part" {
+		t.Errorf("MEM1/part resolved to %+v", part)
 	}
 }
 

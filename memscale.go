@@ -128,32 +128,11 @@ type RunConfig struct {
 	// Partitioned confines each application of the mix to its own
 	// memory channel (OS page placement; application i maps to channel
 	// i mod Channels). Partitioned runs draw the same per-core traces
-	// as the unpartitioned mix — placement, not content, differs — and
-	// give the sharded parallel engine its finest partition (one shard
-	// per channel). Sharding no longer requires it: any workload whose
-	// channel-affinity sets split into more than one confinement group
-	// parallelizes (see Shards).
+	// as the unpartitioned mix — placement, not content, differs. This
+	// is the workload shape of the paper's Section 6 future work: with
+	// heterogeneous per-channel load, per-channel frequency selection
+	// has room that uniform scaling does not.
 	Partitioned bool
-
-	// Shards, when > 1, runs the simulation (managed run and baseline
-	// alike) on the sharded parallel event engine: up to Shards event
-	// queues advance concurrently inside conservative time windows,
-	// producing results — telemetry included — bit-identical to the
-	// serial engine. The engine partitions channels into confinement
-	// groups from the mix's placement (per-channel for partitioned
-	// mixes, per channel group for interleaved "<mix>/ilvK" variants)
-	// and falls back to serial when fewer than two groups exist or the
-	// governor is per-channel. 0 or 1 selects the serial engine. Must
-	// not exceed the channel count.
-	Shards int
-
-	// ShardGranularity selects how the engine partitions the workload
-	// when Shards > 1: "" and "bank" run the confinement-group analysis
-	// (the finest sound granularity — banks of one channel share the
-	// bus, so a channel is never split), "channel" restricts sharding
-	// to fully channel-confined workloads (every stream pinned to one
-	// channel), the pre-1.3 rule.
-	ShardGranularity string
 
 	// Timeline retains per-epoch frequency/CPI records.
 	Timeline bool
@@ -321,24 +300,6 @@ func (rc RunConfig) Validate() error {
 	case rc.Channels < 0:
 		return fmt.Errorf("%w: channels: must be >= 0 (0 selects the default), got %d",
 			ErrInvalidConfig, rc.Channels)
-	case rc.Shards < 0:
-		return fmt.Errorf("%w: shards: must be >= 0 (0 selects the serial engine), got %d",
-			ErrInvalidConfig, rc.Shards)
-	}
-	if ch := rc.Channels; rc.Shards > 1 {
-		if ch == 0 {
-			ch = config.Default().Channels
-		}
-		if rc.Shards > ch {
-			return fmt.Errorf("%w: shards: must not exceed the channel count %d, got %d",
-				ErrInvalidConfig, ch, rc.Shards)
-		}
-	}
-	switch rc.ShardGranularity {
-	case "", "channel", "bank":
-	default:
-		return fmt.Errorf("%w: shard_granularity: must be \"\", %q, or %q, got %q",
-			ErrInvalidConfig, "channel", "bank", rc.ShardGranularity)
 	}
 	if err := rc.Faults.validate("faults"); err != nil {
 		return err
@@ -452,17 +413,15 @@ func (rc RunConfig) job() (runner.Job, error) {
 		return runner.Job{}, err
 	}
 	return runner.Job{
-		Mix:              mix,
-		Spec:             spec,
-		Epochs:           rc.Epochs,
-		Gamma:            rc.Gamma,
-		Cores:            rc.Cores,
-		Channels:         rc.Channels,
-		Shards:           rc.Shards,
-		ShardGranularity: rc.ShardGranularity,
-		Timeline:         rc.Timeline,
-		Telemetry:        rc.Telemetry.options(),
-		Faults:           rc.Faults.internal(),
+		Mix:       mix,
+		Spec:      spec,
+		Epochs:    rc.Epochs,
+		Gamma:     rc.Gamma,
+		Cores:     rc.Cores,
+		Channels:  rc.Channels,
+		Timeline:  rc.Timeline,
+		Telemetry: rc.Telemetry.options(),
+		Faults:    rc.Faults.internal(),
 	}, nil
 }
 
@@ -532,12 +491,6 @@ type RunSummary struct {
 	// accounting, slack ledger bounds); a violated invariant fails the
 	// run with an error matching ErrInvariant instead.
 	InvariantChecks uint64
-
-	// EngineShards is the shard count the managed run's event engine
-	// actually used: 1 for the serial engine (requested or fallen back
-	// to), the resolved confinement-group count under the sharded
-	// engine. Always 1 when RunConfig.Shards <= 1.
-	EngineShards int
 }
 
 // Mixes returns the Table 1 workload names.
@@ -548,14 +501,6 @@ func Mixes() []string { return workload.Names() }
 // equivalent to setting RunConfig.Partitioned on the base mix. This is
 // how fleet node groups request partitioned workloads (NodeGroup.Mix).
 const PartitionedSuffix = workload.PartitionedSuffix
-
-// InterleavePrefix introduces a mix's interleaved placement variant:
-// "MEM1" + InterleavePrefix + "2" = "MEM1/ilv2" spreads each
-// application across a private group of 2 channels (K must divide the
-// channel count). Interleaved mixes are genuinely unpartitioned — each
-// stream roams its whole group — yet still parallelize on the sharded
-// engine, one shard per channel group.
-const InterleavePrefix = workload.InterleavePrefix
 
 // Policies returns the scheme names accepted by RunConfig.Policy.
 func Policies() []string { return policies.Names() }
@@ -623,7 +568,6 @@ func summarize(out runner.Outcome) RunSummary {
 	sum.Attempts = out.Attempts
 	sum.Events = res.Events
 	sum.InvariantChecks = res.InvariantChecks
-	sum.EngineShards = out.Shards
 	return sum
 }
 

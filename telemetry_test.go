@@ -3,6 +3,8 @@ package memscale
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"runtime"
@@ -211,5 +213,61 @@ func TestTelemetrySchemaVersion(t *testing.T) {
 		`"schema_version":"1.999"`, 1)
 	if _, err := ReadTelemetry(strings.NewReader(minor)); err != nil {
 		t.Errorf("minor-skewed stream rejected: %v", err)
+	}
+}
+
+// canonicalTelemetry renders a summary's telemetry export as JSONL
+// with the host-clock observations zeroed: HostNs on every epoch
+// snapshot and the epoch_host histogram record host wall time, which
+// differs between any two runs by nature. Everything else in the
+// stream is simulated state.
+func canonicalTelemetry(t *testing.T, sum RunSummary) string {
+	t.Helper()
+	if sum.Telemetry == nil {
+		t.Fatal("run carries no telemetry export")
+	}
+	for i := range sum.Telemetry.Epochs {
+		sum.Telemetry.Epochs[i].HostNs = 0
+	}
+	if h := sum.Telemetry.Histogram("epoch_host"); h != nil {
+		h.Reset()
+	}
+	var buf bytes.Buffer
+	if err := WriteTelemetry(&buf, sum); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestTelemetryExportPinned pins the SHA-256 of the canonical JSONL
+// export for every golden config with the event stream on. The export
+// order and the histogram sums follow from how the per-channel
+// telemetry cells fold into the run-wide collectors (internal/telemetry
+// cells.go); any change to that fold, to event emission, or to the
+// simulated sequence itself moves these digests and must re-pin them
+// deliberately.
+func TestTelemetryExportPinned(t *testing.T) {
+	pins := map[string]string{
+		"MEM1/MemScale":           "4efeab1a20c19759c67eb9adc6dcb4ab8473399440b0a8ad073aa09347608a7c",
+		"ILP1/Static":             "9e2750cc98580a4cd547c2ee4781f45c34acaa8185a0e3fb862c6c37611a306b",
+		"MID2/MemScale + Fast-PD": "0b1f6445d20405388a89839126a26fbea543138dad6bb54f33560d33712e0b36",
+		"MID3/Slow-PD":            "fcf867f81537bd6084e5a05b35c492bc1beceec6ce1fd47e074b4c92a3f08c2c",
+		"MID1/MemScale":           "d675726e3d6fbdae396815c67859812d02bbc65e103742998dec41459cd5fb06",
+	}
+	ctx := context.Background()
+	for _, rc := range goldenConfigs() {
+		rc.Telemetry = &TelemetryConfig{Events: true}
+		name := rc.Mix + "/" + rc.Policy
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sum, err := RunContext(ctx, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest := sha256.Sum256([]byte(canonicalTelemetry(t, sum)))
+			if got := hex.EncodeToString(digest[:]); got != pins[name] {
+				t.Errorf("canonical telemetry SHA-256 = %s, want %s", got, pins[name])
+			}
+		})
 	}
 }

@@ -46,7 +46,7 @@ func main() {
 			dumpAccesses(s, mapper, *dump)
 			return
 		}
-		describe(*appName, []*trace.Stream{s}, *instructions, mapper)
+		describe(*appName, []*trace.Stream{s}, *instructions)
 	case *mixName != "":
 		mix, err := workload.ByName(*mixName)
 		if err != nil {
@@ -60,7 +60,7 @@ func main() {
 			dumpAccesses(streams[0], mapper, *dump)
 			return
 		}
-		describe(mix.Name, streams, *instructions, mapper)
+		describe(mix.Name, streams, *instructions)
 		fmt.Printf("paper reference: RPKI %.2f, WPKI %.2f\n", mix.PaperRPKI, mix.PaperWPKI)
 	default:
 		fmt.Fprintln(os.Stderr, "memscale-trace: pass -mix or -app (see -help)")
@@ -72,25 +72,24 @@ func dumpAccesses(s *trace.Stream, mapper *config.AddressMapper, n int) {
 	fmt.Println("gap_instr  line            ch rank bank row    col  writeback")
 	for i := 0; i < n; i++ {
 		a := s.Next()
-		loc := mapper.Map(a.Line)
+		loc := a.Loc
 		wb := ""
 		if a.Writeback {
-			wb = fmt.Sprintf("-> wb line %d", a.WBLine)
+			wb = fmt.Sprintf("-> wb line %d", mapper.Unmap(a.WBLoc))
 		}
 		fmt.Printf("%9d  %-14d  %2d %4d %4d %6d %4d  %s\n",
-			a.Gap, a.Line, loc.Channel, loc.Rank, loc.Bank, loc.Row, loc.Col, wb)
+			a.Gap, mapper.Unmap(loc), loc.Channel, loc.Rank, loc.Bank, loc.Row, loc.Col, wb)
 	}
 }
 
-func describe(name string, streams []*trace.Stream, target uint64, mapper *config.AddressMapper) {
+func describe(name string, streams []*trace.Stream, target uint64) {
 	var instr, reads, wbs, sameRow uint64
 	channels := map[int]uint64{}
 	var prev config.Location
 	havePrev := false
 	for _, s := range streams {
 		for {
-			a := s.Next()
-			loc := mapper.Map(a.Line)
+			loc := s.Next().Loc
 			channels[loc.Channel]++
 			if havePrev && loc.Channel == prev.Channel && loc.Rank == prev.Rank &&
 				loc.Bank == prev.Bank && loc.Row == prev.Row {

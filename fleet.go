@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"memscale/internal/config"
 	"memscale/internal/fleet"
 	"memscale/internal/policies"
 	"memscale/internal/workload"
@@ -180,7 +181,9 @@ type FleetConfig struct {
 	// Groups partitions the fleet. At least one group is required.
 	Groups []NodeGroup
 
-	// Epochs is the horizon in 5 ms OS epochs per node (default 10).
+	// Epochs is the horizon in 5 ms OS epochs per node (default 10),
+	// at most sim.MaxEpochs for each group's channel count (22,906 on
+	// the default four channels); Validate rejects longer horizons.
 	Epochs int
 
 	// PowerBudgetW is the global memory-power budget in watts shared
@@ -255,6 +258,13 @@ func (fc FleetConfig) Validate() error {
 		case g.Channels < 0:
 			return fmt.Errorf("%w: groups[%d].channels: must be >= 0, got %d",
 				ErrInvalidConfig, gi, g.Channels)
+		}
+		cfg := config.Default()
+		if g.Channels > 0 {
+			cfg.Channels = g.Channels
+		}
+		if err := checkRunLength("epochs", fc.Epochs, &cfg); err != nil {
+			return err
 		}
 		if err := g.Arrival.Validate(); err != nil {
 			return fmt.Errorf("%w: groups[%d].arrival: %v", ErrInvalidConfig, gi, err)

@@ -141,16 +141,15 @@ func TestPartitionedStreamsConfineChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapper := config.NewAddressMapper(&cfg)
 	for core, s := range streams {
 		want := core % len(mix.Apps) % cfg.Channels
 		for i := 0; i < 200; i++ {
 			a := s.Next()
-			if got := mapper.Map(a.Line).Channel; got != want {
+			if got := a.Loc.Channel; got != want {
 				t.Fatalf("core %d access on channel %d, want %d", core, got, want)
 			}
 			if a.Writeback {
-				if got := mapper.Map(a.WBLine).Channel; got != want {
+				if got := a.WBLoc.Channel; got != want {
 					t.Fatalf("core %d writeback on channel %d, want %d", core, got, want)
 				}
 			}

@@ -38,8 +38,12 @@ type Core struct {
 	writebacks uint64
 	started    bool
 
-	// pending is the access drawn for the current compute segment; the
-	// issue event reads it back instead of capturing it in a closure.
+	// cpuPeriod is the CPU clock period in picoseconds, as a float.
+	cpuPeriod float64
+
+	// pending is the access drawn for the current compute segment,
+	// written in place by the stream; the issue event reads it back
+	// instead of capturing it in a closure.
 	pending trace.Access
 
 	// Pre-bound callbacks, created once per core so the per-access hot
@@ -50,7 +54,8 @@ type Core struct {
 
 // New builds a core that replays stream through mc.
 func New(id int, cfg *config.Config, q *event.Queue, mc *memctrl.Controller, stream *trace.Stream) *Core {
-	c := &Core{id: id, cfg: cfg, q: q, mc: mc, stream: stream}
+	c := &Core{id: id, cfg: cfg, q: q, mc: mc, stream: stream,
+		cpuPeriod: float64(cfg.CPUFreqMHz.Period())}
 	c.onIssue = c.issueEvent
 	c.onData = c.dataReturned
 	return c
@@ -74,9 +79,9 @@ func (c *Core) Start(now config.Time) {
 // beginSegment draws the next access and schedules its issue after the
 // compute gap.
 func (c *Core) beginSegment(now config.Time) {
-	acc := c.stream.Next()
-	cpuPeriod := float64(c.cfg.CPUFreqMHz.Period())
-	dur := config.Time(float64(acc.Gap)*acc.BaseCPI*cpuPeriod + 0.5)
+	acc := &c.pending
+	c.stream.NextInto(acc)
+	dur := config.Time(float64(acc.Gap)*acc.BaseCPI*c.cpuPeriod + 0.5)
 
 	c.computing = true
 	c.computeStart = now
@@ -87,7 +92,6 @@ func (c *Core) beginSegment(now config.Time) {
 		c.retiredBase += float64(acc.Gap)
 	}
 
-	c.pending = acc
 	credit := int32(0)
 	if dur > 0 {
 		credit = 1
@@ -110,12 +114,12 @@ func (c *Core) beginSegment(now config.Time) {
 // issueEvent is the bound form of issue: the access is read back from
 // the core (one issue event is outstanding per core at a time).
 func (c *Core) issueEvent(now config.Time, _ any, credit, _ int32) {
-	c.issue(now, c.pending, credit != 0)
+	c.issue(now, &c.pending, credit != 0)
 }
 
 // issue sends the segment's miss (and any writeback) to memory and
 // blocks the core.
-func (c *Core) issue(now config.Time, acc trace.Access, credit bool) {
+func (c *Core) issue(now config.Time, acc *trace.Access, credit bool) {
 	if credit {
 		c.retiredBase += float64(now-c.computeStart) * c.rate
 	}
@@ -125,10 +129,10 @@ func (c *Core) issue(now config.Time, acc trace.Access, credit bool) {
 
 	if acc.Writeback {
 		c.writebacks++
-		c.mc.Enqueue(now, acc.WBLine, true, c.id, nil)
+		c.mc.EnqueueLoc(now, acc.WBLoc, true, c.id, nil)
 	}
 	c.reads++
-	c.mc.Enqueue(now, acc.Line, false, c.id, c.onData)
+	c.mc.EnqueueLoc(now, acc.Loc, false, c.id, c.onData)
 }
 
 // dataReturned unblocks the core when the memory controller delivers

@@ -27,7 +27,20 @@ type CoreState struct {
 	Writebacks uint64 `json:"writebacks"`
 	Started    bool   `json:"started"`
 
-	Pending trace.Access `json:"pending"`
+	Pending PendingAccess `json:"pending"`
+}
+
+// PendingAccess is the checkpoint image of the core's pending access.
+// It keeps the line-address form (and the JSON keys) that containers
+// have always carried: Save encodes the decoded locations with
+// AddressMapper.Unmap and Load decodes them with Map, which is exact
+// for the in-range locations a stream draws.
+type PendingAccess struct {
+	Gap       uint64
+	BaseCPI   float64
+	Line      uint64
+	Writeback bool
+	WBLine    uint64
 }
 
 // Save captures the core's full mutable state.
@@ -43,8 +56,22 @@ func (c *Core) Save() CoreState {
 		Reads:        c.reads,
 		Writebacks:   c.writebacks,
 		Started:      c.started,
-		Pending:      c.pending,
+		Pending:      c.savePending(),
 	}
+}
+
+func (c *Core) savePending() PendingAccess {
+	m := c.stream.Mapper()
+	p := PendingAccess{
+		Gap:       c.pending.Gap,
+		BaseCPI:   c.pending.BaseCPI,
+		Line:      m.Unmap(c.pending.Loc),
+		Writeback: c.pending.Writeback,
+	}
+	if p.Writeback {
+		p.WBLine = m.Unmap(c.pending.WBLoc)
+	}
+	return p
 }
 
 // Load replaces the core's mutable state with st.
@@ -59,7 +86,12 @@ func (c *Core) Load(st CoreState) {
 	c.reads = st.Reads
 	c.writebacks = st.Writebacks
 	c.started = st.Started
-	c.pending = st.Pending
+	m := c.stream.Mapper()
+	p := st.Pending
+	c.pending = trace.Access{Gap: p.Gap, BaseCPI: p.BaseCPI, Loc: m.Map(p.Line), Writeback: p.Writeback}
+	if p.Writeback {
+		c.pending.WBLoc = m.Map(p.WBLine)
+	}
 }
 
 // OnData returns the core's pre-bound read-completion handler, for

@@ -22,7 +22,7 @@ type Account struct {
 	PDExits     uint64      // powerdown exits (EPDC)
 	ReadBurst   config.Time // time this rank drove the bus for reads
 	WriteBurst  config.Time // time this rank drove the bus for writes
-	TermBurst   config.Time // time other ranks on the channel drove the bus
+	TermBurst   config.Time // time other ranks on the channel drove the bus (set by the controller at flush)
 }
 
 // Total returns the accounted wall-clock duration.

@@ -299,10 +299,6 @@ func (r *Rank) PrechargeDone(now config.Time, bank int) {
 	r.activeBanks--
 }
 
-// AccountTermination charges this rank for terminating a burst driven
-// by another rank on the same channel.
-func (r *Rank) AccountTermination(dur config.Time) { r.acct.TermBurst += dur }
-
 // SetRefreshPending marks that a refresh is due; the controller stops
 // dispatching to the rank until the refresh completes. It reports
 // whether the call newly marked the rank — false means an earlier

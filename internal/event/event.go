@@ -13,7 +13,8 @@
 // never captures a closure. Handles carry a generation counter, so a
 // stale handle can never cancel an event that recycled its slot.
 //
-// Pending (time, seq) keys are kept in a short array sorted latest
+// Pending keys are 16 bytes, the fire time and the schedule sequence
+// packed with the node index, kept in a short array sorted latest
 // first, so the next event is popped from its tail in O(1) and a new
 // near-future event is inserted a few slots from the tail. The array
 // is bounded; when it is full the later of the new key and its head
@@ -49,20 +50,57 @@ type Handle struct {
 	gen uint32
 }
 
-// entry is one pending key: the ordering key (time, then schedule
-// sequence for same-instant FIFO) plus the index of the pooled node
-// carrying the callback.
+// entry is one pending key, 16 bytes: the fire time, and a word that
+// packs the schedule sequence (the same-instant FIFO tie-break) above
+// the index of the pooled node carrying the callback. Sequence numbers
+// are unique, so comparing the packed words orders by sequence alone.
 type entry struct {
 	at  config.Time
+	key uint64 // seq<<idxBits | idx
+}
+
+// idxBits is the width of the node index in an entry key; the sequence
+// takes the remaining 40 bits. A queue holds at most 1<<idxBits node
+// slots (16.7M pending events) and hands out at most maxSeq sequence
+// numbers over its lifetime (1.1e12; the counter advances about six
+// times per simulated memory request, see sim.MaxEpochs).
+const (
+	idxBits = 24
+	maxIdx  = 1<<idxBits - 1
+	maxSeq  = 1<<(64-idxBits) - 1
+)
+
+// MaxTickets is the number of sequence numbers (one per schedule or
+// reserved ticket) a queue can hand out over its lifetime, checkpoint
+// resumes included; the next one panics.
+const MaxTickets = maxSeq
+
+// makeEntry packs a pending key. It panics when seq or idx overflows
+// its field: a wrapped key would silently reorder events.
+func makeEntry(at config.Time, seq uint64, idx int32) entry {
+	if seq > maxSeq || uint32(idx) > maxIdx {
+		panic(keyOverflow{seq, idx})
+	}
+	return entry{at: at, key: seq<<idxBits | uint64(idx)}
+}
+
+// keyOverflow is makeEntry's panic value; it formats only when printed,
+// which keeps makeEntry cheap enough to inline.
+type keyOverflow struct {
 	seq uint64
 	idx int32
 }
 
+func (k keyOverflow) Error() string {
+	return fmt.Sprintf("event: key overflow: seq %d (max %d), node index %d (max %d)",
+		k.seq, uint64(maxSeq), k.idx, maxIdx)
+}
+
+func (e entry) seq() uint64 { return e.key >> idxBits }
+func (e entry) idx() int32  { return int32(e.key & maxIdx) }
+
 func entryLess(a, b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+	return a.at < b.at || (a.at == b.at && a.key < b.key)
 }
 
 // node is one pooled event. pos records only whether the node is
@@ -98,7 +136,7 @@ func deferredBefore(d *deferred, e entry) bool {
 	if d.activateAt != e.at {
 		return d.activateAt < e.at
 	}
-	return d.seq < e.seq
+	return d.seq < e.seq()
 }
 
 // nearCap bounds the sorted near array. The simulator's queue peaks at
@@ -203,7 +241,7 @@ func (q *Queue) add(at config.Time, fn Handler, bfn Bound, env any, a, b int32) 
 	n.fn, n.bfn, n.env, n.a, n.b = fn, bfn, env, a, b
 	n.pos = 0
 	h := Handle{idx: idx, gen: n.gen}
-	q.push(entry{at: at, seq: seq, idx: idx})
+	q.push(makeEntry(at, seq, idx))
 	return h
 }
 
@@ -266,7 +304,7 @@ func (q *Queue) ScheduleBoundSeq(at config.Time, seq Seq, fn Bound, env any, a, 
 	n.fn, n.bfn, n.env, n.a, n.b = nil, fn, env, a, b
 	n.pos = 0
 	h := Handle{idx: idx, gen: n.gen}
-	q.push(entry{at: at, seq: uint64(seq), idx: idx})
+	q.push(makeEntry(at, uint64(seq), idx))
 	return h
 }
 
@@ -343,16 +381,17 @@ func (q *Queue) CancelDeferred(seq Seq) bool {
 // processing order.
 func (q *Queue) materializeDeferred() {
 	last := len(q.defers) - 1
-	d := q.defers[last]
-	q.defers[last] = deferred{} // drop the callback/env references
-	q.defers = q.defers[:last]
+	d := &q.defers[last]
 	seq := q.bump()
 	q.scheduled++
 	idx := q.alloc()
 	n := &q.nodes[idx]
 	n.fn, n.bfn, n.env, n.a, n.b = nil, d.bfn, d.env, d.a, d.b
 	n.pos = 0
-	q.push(entry{at: d.fireAt, seq: seq, idx: idx})
+	e := makeEntry(d.fireAt, seq, idx)
+	*d = deferred{} // drop the callback/env references
+	q.defers = q.defers[:last]
+	q.push(e)
 }
 
 // After queues fn to run d after the current time.
@@ -423,51 +462,68 @@ func (q *Queue) Cancel(h Handle) bool {
 // event may reuse the slot; the generation bump keeps old handles
 // inert.
 func (q *Queue) Step() bool {
-	for len(q.defers) > 0 {
-		if e, ok := q.top(); ok && !deferredBefore(&q.defers[len(q.defers)-1], e) {
-			break
+	for {
+		e, fromHeap, ok := q.peek()
+		if n := len(q.defers); n > 0 && (!ok || deferredBefore(&q.defers[n-1], e)) {
+			q.materializeDeferred()
+			continue
 		}
-		q.materializeDeferred()
+		if !ok {
+			return false
+		}
+		q.fire(e, fromHeap)
+		return true
 	}
-	e, ok := q.pop()
-	if !ok {
-		return false
+}
+
+// fire removes e, the entry peek just returned, and runs its callback.
+func (q *Queue) fire(e entry, fromHeap bool) {
+	if fromHeap {
+		q.popRoot()
+	} else {
+		q.near = q.near[:len(q.near)-1]
 	}
-	n := &q.nodes[e.idx]
+	idx := e.idx()
+	n := &q.nodes[idx]
 	fn, bfn, env, a, b := n.fn, n.bfn, n.env, n.a, n.b
-	q.release(e.idx)
+	q.release(idx)
 	q.now = e.at
-	q.firing = e.seq
+	q.firing = e.seq()
 	q.fired++
 	if bfn != nil {
 		bfn(e.at, env, a, b)
 	} else {
 		fn(e.at)
 	}
-	return true
 }
 
 // RunUntil executes events in order until the next event would fire
 // after the deadline (or no events remain), then advances the clock to
-// exactly the deadline. Events at the deadline itself do fire.
+// exactly the deadline. Events at the deadline itself do fire. One peek
+// per iteration serves the deferral check, the deadline check and the
+// pop.
 func (q *Queue) RunUntil(deadline config.Time) {
 	if deadline < q.now {
 		panic(fmt.Sprintf("event: RunUntil(%v) before now %v", deadline, q.now))
 	}
 	for {
-		if e, ok := q.top(); ok && e.at <= deadline {
-			q.Step()
-			continue
+		e, fromHeap, ok := q.peek()
+		// A deferred schedule ahead of the next event migrates first.
+		// With no fireable event left, one activating within the
+		// deadline still migrates: its trampoline would have fired by
+		// now, and the target it produces may itself fire before the
+		// deadline. (A deferral ahead of an event due by the deadline
+		// activates by the deadline too.)
+		if n := len(q.defers); n > 0 {
+			if d := &q.defers[n-1]; d.activateAt <= deadline && (!ok || deferredBefore(d, e)) {
+				q.materializeDeferred()
+				continue
+			}
 		}
-		// With no fireable event left, deferred schedules activating
-		// within the deadline still migrate: their trampolines would
-		// have fired by now, and the targets they produce may
-		// themselves fire before the deadline.
-		if n := len(q.defers); n > 0 && q.defers[n-1].activateAt <= deadline {
-			q.materializeDeferred()
-			continue
+		if !ok || e.at > deadline {
+			break
 		}
-		break
+		q.fire(e, fromHeap)
 	}
 	q.now = deadline
 }
@@ -490,7 +546,7 @@ func (q *Queue) Run(limit uint64) uint64 {
 // one exists. A deferred schedule counts at its fire time (its
 // activation alone executes nothing observable).
 func (q *Queue) NextAt() (config.Time, bool) {
-	e, ok := q.top()
+	e, _, ok := q.peek()
 	at := e.at
 	for i := range q.defers {
 		if f := q.defers[i].fireAt; !ok || f < at {
@@ -500,36 +556,17 @@ func (q *Queue) NextAt() (config.Time, bool) {
 	return at, ok
 }
 
-// heapFirst reports whether the earliest pending entry is the heap
+// peek returns the earliest pending entry, and whether it is the heap
 // root rather than near's tail.
-func (q *Queue) heapFirst() bool {
+func (q *Queue) peek() (e entry, fromHeap, ok bool) {
 	n := len(q.near)
-	return len(q.heap) > 0 && (n == 0 || entryLess(q.heap[0], q.near[n-1]))
-}
-
-// top returns the earliest pending entry.
-func (q *Queue) top() (entry, bool) {
-	if q.heapFirst() {
-		return q.heap[0], true
+	if len(q.heap) > 0 && (n == 0 || entryLess(q.heap[0], q.near[n-1])) {
+		return q.heap[0], true, true
 	}
-	if n := len(q.near); n > 0 {
-		return q.near[n-1], true
+	if n > 0 {
+		return q.near[n-1], false, true
 	}
-	return entry{}, false
-}
-
-// pop removes and returns the earliest pending entry.
-func (q *Queue) pop() (entry, bool) {
-	if q.heapFirst() {
-		return q.popRoot(), true
-	}
-	n := len(q.near)
-	if n == 0 {
-		return entry{}, false
-	}
-	e := q.near[n-1]
-	q.near = q.near[:n-1]
-	return e, true
+	return entry{}, false, false
 }
 
 // push inserts a pending entry. Into a near array with room, the entry
@@ -570,7 +607,7 @@ func (q *Queue) push(e entry) {
 // maintaining per-node positions on every move of the hot path.
 func find(es []entry, idx int32) int {
 	for i := range es {
-		if es[i].idx == idx {
+		if es[i].idx() == idx {
 			return i
 		}
 	}
@@ -606,9 +643,8 @@ func (q *Queue) heapPush(e entry) {
 	q.siftUp(len(q.heap) - 1)
 }
 
-// popRoot removes and returns the minimum heap entry.
-func (q *Queue) popRoot() entry {
-	root := q.heap[0]
+// popRoot removes the minimum heap entry.
+func (q *Queue) popRoot() {
 	n := len(q.heap) - 1
 	last := q.heap[n]
 	q.heap = q.heap[:n] // entries hold no pointers; no need to zero
@@ -616,7 +652,6 @@ func (q *Queue) popRoot() entry {
 		q.heap[0] = last
 		q.siftDown(0)
 	}
-	return root
 }
 
 // heapRemove deletes the entry at heap position i (eager cancellation).
@@ -629,7 +664,7 @@ func (q *Queue) heapRemove(i int) {
 	}
 	q.heap[i] = last
 	q.siftDown(i)
-	if q.heap[i].idx == last.idx {
+	if q.heap[i].key == last.key {
 		q.siftUp(i)
 	}
 }

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -379,6 +380,88 @@ func TestRandomizedOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEntryKeyPacking checks the 16-byte pending key: the packed
+// fields unpack exactly, (at, seq) order holds at the fields' boundary
+// values whatever the node indices, and a sequence number or node index
+// too wide for its field panics instead of wrapping.
+func TestEntryKeyPacking(t *testing.T) {
+	const maxAt = config.Time(math.MaxInt64)
+	// Ascending (at, seq); the node indices run against the order.
+	keys := []struct {
+		at  config.Time
+		seq uint64
+		idx int32
+	}{
+		{0, 0, maxIdx},
+		{0, 1, maxIdx},
+		{0, maxSeq, 0},
+		{1, 0, maxIdx},
+		{maxAt - 1, maxSeq, 0},
+		{maxAt, 0, maxIdx},
+		{maxAt, 1, maxIdx - 1},
+		{maxAt, maxSeq - 1, maxIdx},
+		{maxAt, maxSeq, 0},
+	}
+	es := make([]entry, len(keys))
+	for i, k := range keys {
+		es[i] = makeEntry(k.at, k.seq, k.idx)
+		if es[i].at != k.at || es[i].seq() != k.seq || es[i].idx() != k.idx {
+			t.Errorf("key %+v unpacked as (%v, %d, %d)", k, es[i].at, es[i].seq(), es[i].idx())
+		}
+	}
+	for i := range es {
+		for j := range es {
+			if got, want := entryLess(es[i], es[j]), i < j; got != want {
+				t.Errorf("entryLess(%+v, %+v) = %v, want %v", keys[i], keys[j], got, want)
+			}
+		}
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("seq past the field", func() { makeEntry(0, maxSeq+1, 0) })
+	mustPanic("index past the field", func() { makeEntry(0, 0, maxIdx+1) })
+	mustPanic("negative index", func() { makeEntry(0, 0, -1) })
+
+	// Through the queue: the last representable sequence number still
+	// orders behind an earlier ticket at the same instant, and the next
+	// schedule panics.
+	var q Queue
+	var order []int32
+	fn := Bound(func(_ config.Time, _ any, a, _ int32) { order = append(order, a) })
+	q.seq = maxSeq - 2
+	early := q.ReserveSeq()               // maxSeq - 1 ...
+	q.ScheduleBound(maxAt, fn, nil, 2, 0) // ... and maxSeq
+	q.ScheduleBoundSeq(maxAt, early, fn, nil, 1, 0)
+	q.RunUntil(maxAt)
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Errorf("fire order %v, want [1 2]", order)
+	}
+	mustPanic("schedule past the last sequence number", func() { q.ScheduleBound(maxAt, fn, nil, 3, 0) })
+	mustPanic("reserved ticket past the field", func() { q.ScheduleBoundSeq(maxAt, Seq(maxSeq+1), fn, nil, 3, 0) })
+
+	// A checkpoint whose keys would not pack is rejected, not loaded.
+	codec := idCodec{log: new([]fuzzFire)}
+	bad := []*State{
+		{Seq: maxSeq + 1},
+		{Seq: maxSeq, Nodes: []NodeState{{Gen: 1, Pos: 0, Kind: "id"}},
+			Heap: []EntryState{{At: 0, Seq: maxSeq + 1, Idx: 0}}},
+	}
+	for i, st := range bad {
+		var l Queue
+		if err := l.Load(st, codec); err == nil {
+			t.Errorf("bad state %d: Load accepted an unpackable key", i)
+		}
 	}
 }
 

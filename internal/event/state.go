@@ -118,7 +118,7 @@ func (q *Queue) Save(codec Codec) (*State, error) {
 		st.Nodes[i] = ns
 	}
 	for _, e := range q.entries() {
-		st.Heap = append(st.Heap, EntryState{At: e.at, Seq: e.seq, Idx: e.idx})
+		st.Heap = append(st.Heap, EntryState{At: e.at, Seq: e.seq(), Idx: e.idx()})
 	}
 	for i := len(q.defers) - 1; i >= 0; i-- {
 		d := &q.defers[i]
@@ -143,6 +143,12 @@ func (q *Queue) Save(codec Codec) (*State, error) {
 // any order.
 func (q *Queue) Load(st *State, codec Codec) error {
 	n := len(st.Nodes)
+	if n > maxIdx+1 {
+		return fmt.Errorf("event: load: %d nodes overflow the key's index field (max %d)", n, maxIdx+1)
+	}
+	if st.Seq > maxSeq {
+		return fmt.Errorf("event: load: seq %d overflows the key (max %d)", st.Seq, uint64(maxSeq))
+	}
 	nodes := make([]node, n)
 	for i, ns := range st.Nodes {
 		nd := node{gen: ns.Gen, pos: ns.Pos}
@@ -173,6 +179,9 @@ func (q *Queue) Load(st *State, codec Codec) error {
 		}
 		if e.At < st.Now {
 			return fmt.Errorf("event: load: heap[%d] fires at %v before now %v", i, e.At, st.Now)
+		}
+		if e.Seq > maxSeq {
+			return fmt.Errorf("event: load: heap[%d].seq=%d overflows the key (max %d)", i, e.Seq, uint64(maxSeq))
 		}
 		refs[e.Idx]++
 	}
@@ -208,7 +217,7 @@ func (q *Queue) Load(st *State, codec Codec) error {
 	q.free = append(q.free[:0], st.Free...)
 	q.near, q.heap = q.near[:0], q.heap[:0]
 	for _, e := range st.Heap {
-		q.push(entry{at: e.At, seq: e.Seq, idx: e.Idx})
+		q.push(makeEntry(e.At, e.Seq, e.Idx))
 	}
 	q.defers = defers
 	q.now = st.Now
@@ -225,7 +234,7 @@ func (q *Queue) Load(st *State, codec Codec) error {
 func (q *Queue) entries() []entry {
 	es := make([]entry, 0, len(q.near)+len(q.heap))
 	es = append(append(es, q.near...), q.heap...)
-	slices.SortFunc(es, func(a, b entry) int { return cmpKey(a.at, a.seq, b.at, b.seq) })
+	slices.SortFunc(es, func(a, b entry) int { return cmpKey(a.at, a.key, b.at, b.key) })
 	return es
 }
 

@@ -6,7 +6,6 @@ import (
 	"memscale/internal/power"
 	"memscale/internal/sim"
 	"memscale/internal/stats"
-	"memscale/internal/trace"
 	"memscale/internal/workload"
 )
 
@@ -96,7 +95,6 @@ func VerifyPartitioning(cfg *config.Config, mix workload.Mix, draws int) (map[st
 	if err != nil {
 		return nil, err
 	}
-	mapper := config.NewAddressMapper(cfg)
 	spread := map[string]map[int]int{}
 	for core, s := range streams {
 		app := mix.Assignment(core)
@@ -104,11 +102,10 @@ func VerifyPartitioning(cfg *config.Config, mix workload.Mix, draws int) (map[st
 			spread[app] = map[int]int{}
 		}
 		for i := 0; i < draws; i++ {
-			var a trace.Access
-			a = s.Next()
-			spread[app][mapper.Map(a.Line).Channel]++
+			a := s.Next()
+			spread[app][a.Loc.Channel]++
 			if a.Writeback {
-				spread[app][mapper.Map(a.WBLine).Channel]++
+				spread[app][a.WBLoc.Channel]++
 			}
 		}
 	}

@@ -48,6 +48,11 @@ func (c *Controller) bankID(rank, bank int) bankID {
 	return bankID(rank*c.cfg.BanksPerRank + bank)
 }
 
+// split inverts bankID: the rank, and the bank within the rank.
+func (c *Controller) split(b bankID) (rank, bank int) {
+	return int(b) / c.cfg.BanksPerRank, int(b) % c.cfg.BanksPerRank
+}
+
 type bank struct {
 	queue      reqRing // FIFO of reads waiting for this bank
 	wb         reqRing // FIFO of writebacks targeting this bank
@@ -341,19 +346,25 @@ func (c *Controller) getRequest(chIdx int) *Request {
 	return &Request{}
 }
 
-// putRequest recycles a completed Request into its channel's pool. The
-// struct is zeroed so the pool retains no callback or location from
-// the previous transaction.
+// putRequest recycles a completed Request into its channel's pool. Only
+// the callback is cleared, so the pool retains no reference; every
+// other field is overwritten by the next EnqueueLoc.
 func (c *Controller) putRequest(req *Request) {
 	chIdx := req.Loc.Channel
-	*req = Request{}
+	req.Done = nil
 	c.reqFree[chIdx] = append(c.reqFree[chIdx], req)
 }
 
-// Enqueue submits a memory transaction. Reads invoke done when their
-// data transfer completes; writebacks ignore done.
+// Enqueue submits a memory transaction by line address: it decodes the
+// line and calls EnqueueLoc.
 func (c *Controller) Enqueue(now config.Time, line uint64, write bool, core int, done func(config.Time)) {
-	loc := c.mapper.Map(line)
+	c.EnqueueLoc(now, c.mapper.Map(line), write, core, done)
+}
+
+// EnqueueLoc submits a memory transaction at a decoded location, which
+// must lie inside the configured address space. Reads invoke done when
+// their data transfer completes; writebacks ignore done.
+func (c *Controller) EnqueueLoc(now config.Time, loc config.Location, write bool, core int, done func(config.Time)) {
 	c.settleRank(now, loc.Channel, loc.Rank, false)
 	ch := c.channels[loc.Channel]
 	b := c.bankID(loc.Rank, loc.Bank)
@@ -368,7 +379,12 @@ func (c *Controller) Enqueue(now config.Time, line uint64, write bool, core int,
 		c.reviveDispatch(loc.Channel, b)
 	}
 	req := c.getRequest(loc.Channel)
-	*req = Request{Loc: loc, Write: write, Core: core, Done: done, Arrived: now}
+	req.Loc = loc
+	req.Write = write
+	req.Core = core
+	req.Done = done
+	req.Arrived = now
+	req.ready = 0
 	pc := &c.counters.PerChannel[loc.Channel]
 
 	// Section 3.1 accumulators: outstanding work seen by the arrival.
@@ -437,12 +453,12 @@ func (c *Controller) tryDispatch(now config.Time, chIdx int, b bankID) {
 	if ch.relocking || ch.banks[b].dispatched {
 		return
 	}
-	rankIdx := int(b) / c.cfg.BanksPerRank
+	rankIdx, bankIdx := c.split(b)
 	rank := c.ranks[chIdx][rankIdx]
 	if rank.RefreshBlocked() {
 		return
 	}
-	free, ok := rank.BankFreeAt(int(b) % c.cfg.BanksPerRank)
+	free, ok := rank.BankFreeAt(bankIdx)
 	if !ok {
 		return // in service; FinishAccess will re-kick
 	}
@@ -489,10 +505,10 @@ func (c *Controller) startBankService(now config.Time, chIdx int, b bankID, req 
 		c.q.ScheduleBound(ch.relockUntil, c.onStartBank, req, int32(chIdx), int32(b))
 		return
 	}
-	rankIdx := int(b) / c.cfg.BanksPerRank
+	rankIdx := req.Loc.Rank
 	c.settleRank(now, chIdx, rankIdx, false)
 	rank := c.ranks[chIdx][rankIdx]
-	ready, kind, pdExit := rank.StartAccess(now, int(b)%c.cfg.BanksPerRank, req.Loc.Row)
+	ready, kind, pdExit := rank.StartAccess(now, req.Loc.Bank, req.Loc.Row)
 
 	pc := &c.counters.PerChannel[chIdx]
 	switch kind {
@@ -570,14 +586,7 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 		keepOpen = true
 	}
 
-	prechargeDone := rank.FinishAccess(int(b)%c.cfg.BanksPerRank, busStart, busEnd, req.Write, keepOpen)
-
-	// Termination on the channel's other ranks (Section 2.1).
-	for r, other := range c.ranks[chIdx] {
-		if r != rankIdx {
-			other.AccountTermination(busEnd - busStart)
-		}
-	}
+	prechargeDone := rank.FinishAccess(req.Loc.Bank, busStart, busEnd, req.Write, keepOpen)
 
 	ch.banks[b].dispatched = false
 	c.dispatched[chIdx][rankIdx]--
@@ -680,7 +689,8 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 // bankKickEvent re-attempts dispatch on one bank (after a kept-open row
 // finished its burst).
 func (c *Controller) bankKickEvent(now config.Time, _ any, a, b int32) {
-	c.settleRank(now, int(a), int(b)/c.cfg.BanksPerRank, false)
+	rankIdx, _ := c.split(bankID(b))
+	c.settleRank(now, int(a), rankIdx, false)
 	c.tryDispatch(now, int(a), bankID(b))
 }
 
@@ -688,9 +698,9 @@ func (c *Controller) bankKickEvent(now config.Time, _ any, a, b int32) {
 // and reconsiders powerdown.
 func (c *Controller) prechargeEvent(now config.Time, _ any, a, b int32) {
 	chIdx, bk := int(a), bankID(b)
-	rankIdx := int(bk) / c.cfg.BanksPerRank
+	rankIdx, bankIdx := c.split(bk)
 	c.settleRank(now, chIdx, rankIdx, false)
-	c.ranks[chIdx][rankIdx].PrechargeDone(now, int(bk)%c.cfg.BanksPerRank)
+	c.ranks[chIdx][rankIdx].PrechargeDone(now, bankIdx)
 	c.tryDispatch(now, chIdx, bk)
 	c.maybePowerdown(now, chIdx, rankIdx)
 }
@@ -698,18 +708,20 @@ func (c *Controller) prechargeEvent(now config.Time, _ any, a, b int32) {
 // deferAdded records a new deferred close of bank b for its rank,
 // tightening the earliest-instant bound.
 func (c *Controller) deferAdded(chIdx int, b bankID, at config.Time) {
-	g := chIdx*c.ranksPerCh + int(b)/c.cfg.BanksPerRank
+	rankIdx, bankIdx := c.split(b)
+	g := chIdx*c.ranksPerCh + rankIdx
 	if at < c.defGate[g] {
 		c.defGate[g] = at
 	}
-	c.defMask[g] |= 1 << (int(b) % c.cfg.BanksPerRank)
+	c.defMask[g] |= 1 << bankIdx
 }
 
 // deferCleared drops bank b's deferred close from the rank's
 // bookkeeping.
 func (c *Controller) deferCleared(chIdx int, b bankID) {
 	c.channels[chIdx].defAts[b] = noDeferral
-	c.defMask[chIdx*c.ranksPerCh+int(b)/c.cfg.BanksPerRank] &^= 1 << (int(b) % c.cfg.BanksPerRank)
+	rankIdx, bankIdx := c.split(b)
+	c.defMask[chIdx*c.ranksPerCh+rankIdx] &^= 1 << bankIdx
 }
 
 // settleRank applies any deferred precharge closes for a rank whose
@@ -773,7 +785,7 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 		at := bk.prechAt
 		bk.prechDeferred = false
 		c.deferCleared(chIdx, b)
-		c.ranks[chIdx][rankIdx].PrechargeDone(at, int(b)%c.cfg.BanksPerRank)
+		c.ranks[chIdx][rankIdx].PrechargeDone(at, best-base)
 		if bk.defDispatch {
 			// Replay the forced dispatch: the head is popped and the
 			// bank marked busy; the start-bank event itself already
@@ -926,14 +938,27 @@ func (c *Controller) FlushInterval(now config.Time) power.Interval {
 			Busy:    ch.busBusy,
 		}
 		ch.busBusy = 0
-		for rankIdx, rank := range c.ranks[chIdx] {
-			c.settleRank(now, chIdx, rankIdx, true)
-			slice.DRAM.Add(rank.Flush(now))
+		for rankIdx := range c.ranks[chIdx] {
+			slice.DRAM.Add(c.flushRank(now, chIdx, rankIdx, slice.Busy))
 		}
 		iv.Channels[chIdx] = slice
 	}
 	c.flushedAt = now
 	return iv
+}
+
+// flushRank closes one rank's accounting interval at now. busy is the
+// channel's bus occupancy over the same interval. Termination (Section
+// 2.1) is charged here, once per interval: a rank terminates every
+// burst the channel's other ranks drive, and each burst adds its length
+// both to the channel's occupancy and to the driving rank's own read or
+// write time, so over the interval the other ranks' bursts total the
+// occupancy less this rank's own.
+func (c *Controller) flushRank(now config.Time, chIdx, rankIdx int, busy config.Time) dram.Account {
+	c.settleRank(now, chIdx, rankIdx, true)
+	acct := c.ranks[chIdx][rankIdx].Flush(now)
+	acct.TermBurst = busy - acct.ReadBurst - acct.WriteBurst
+	return acct
 }
 
 // RelockPenalty returns the halt duration of a switch to bus frequency

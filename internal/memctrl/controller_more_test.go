@@ -275,3 +275,128 @@ func TestLoadRebuildsDeferralMask(t *testing.T) {
 		t.Fatal("Load accepted a DefPrech count that disagrees with DefAts")
 	}
 }
+
+// TestTerminationChargedAtFlush checks the flush-time termination
+// charge on a 4-rank channel: over two FlushInterval windows, with the
+// controller saved and restored mid-way through the second, each
+// rank's TermBurst equals the burst time the channel's other ranks
+// drove, counted here from the requests the test issued.
+func TestTerminationChargedAtFlush(t *testing.T) {
+	r := newRig(nil)
+	if r.cfg.RanksPerChannel() != 4 {
+		t.Fatalf("default machine has %d ranks per channel, want 4", r.cfg.RanksPerChannel())
+	}
+	burst := r.c.Timing().Burst
+	const window = 400 * config.Microsecond
+
+	// issue enqueues one window's traffic at start on channels 0 and 1
+	// (rank weights 1:2:3:4, every third request a writeback) and
+	// returns the requests per (channel, rank).
+	issue := func(c *Controller, start config.Time, seed int) (n [2][4]config.Time) {
+		i := 0
+		for rank := 0; rank < 4; rank++ {
+			for k := 0; k <= rank; k++ {
+				for ch := 0; ch < 2; ch++ {
+					line := r.line(ch, rank, (i+seed)%8, 10+i%5, i%4)
+					c.Enqueue(start, line, i%3 == 0, i%16, nil)
+					n[ch][rank]++
+					i++
+				}
+			}
+		}
+		return n
+	}
+	// perRank reads each rank's flushed account at now from a restored
+	// copy, leaving c itself untouched.
+	perRank := func(c *Controller, now config.Time) [2][4]dram.Account {
+		tbl := NewRequestTable()
+		st := c.Save(tbl)
+		st.Requests = tbl.States()
+		cp := New(&r.cfg, &event.Queue{})
+		if _, err := cp.Load(st, func(int) func(config.Time) { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		var out [2][4]dram.Account
+		for ch := range out {
+			for rank := range out[ch] {
+				out[ch][rank] = cp.flushRank(now, ch, rank, cp.channels[ch].busBusy)
+			}
+		}
+		return out
+	}
+	check := func(w int, c *Controller, now config.Time, n [2][4]config.Time) {
+		accts := perRank(c, now)
+		iv := c.FlushInterval(now)
+		for ch := range n {
+			var total config.Time
+			for _, k := range n[ch] {
+				total += k
+			}
+			var sum config.Time
+			for rank, k := range n[ch] {
+				a := accts[ch][rank]
+				if own := a.ReadBurst + a.WriteBurst; own != k*burst {
+					t.Errorf("window %d ch %d rank %d: drove the bus %v, want %v", w, ch, rank, own, k*burst)
+				}
+				if want := (total - k) * burst; a.TermBurst != want {
+					t.Errorf("window %d ch %d rank %d: TermBurst %v, want %v (others' bursts)", w, ch, rank, a.TermBurst, want)
+				}
+				sum += (total - k) * burst
+			}
+			if got := iv.Channels[ch].DRAM.TermBurst; got != sum {
+				t.Errorf("window %d ch %d: flushed TermBurst %v, want %v", w, ch, got, sum)
+			}
+			if iv.Channels[ch].Busy != total*burst {
+				t.Errorf("window %d ch %d: busy %v, want %v", w, ch, iv.Channels[ch].Busy, total*burst)
+			}
+		}
+		if got := iv.Channels[2].DRAM.TermBurst + iv.Channels[3].DRAM.TermBurst; got != 0 {
+			t.Errorf("window %d: idle channels charged %v of termination", w, got)
+		}
+	}
+
+	n1 := issue(r.c, 0, 0)
+	r.q.RunUntil(window)
+	check(1, r.c, window, n1)
+
+	// Second window: save and restore the controller and its queue
+	// while the window's requests are in flight, and inflate every
+	// saved rank's TermBurst (containers written when termination was
+	// charged per burst carry a partial sum there); the flush must
+	// derive the charge afresh.
+	n2 := issue(r.c, window, 3)
+	r.q.RunUntil(window + 40*config.Nanosecond)
+	if r.c.QueuedRequests() == 0 {
+		t.Fatal("no request in flight at the save point")
+	}
+	tbl := NewRequestTable()
+	st := r.c.Save(tbl)
+	reg := event.NewRegistry()
+	r.c.RegisterEvents(reg, tbl.EncodeEnv, nil)
+	qs, err := r.q.Save(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Requests = tbl.States()
+	for ch := range st.Ranks {
+		for rank := range st.Ranks[ch] {
+			st.Ranks[ch][rank].Acct.TermBurst += 12345
+		}
+	}
+	q := &event.Queue{}
+	c := New(&r.cfg, q)
+	reqs, err := c.Load(st, func(int) func(config.Time) { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg = event.NewRegistry()
+	c.RegisterEvents(reg, nil, reqs)
+	if err := q.Load(qs, reg); err != nil {
+		t.Fatal(err)
+	}
+	q.RunUntil(2 * window)
+	if c.QueuedRequests() != 0 {
+		t.Fatalf("%d requests still queued at the second flush", c.QueuedRequests())
+	}
+	check(2, c, 2*window, n2)
+}

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"context"
 	"os"
 	"testing"
 
 	"memscale/internal/config"
+	"memscale/internal/event"
 	"memscale/internal/workload"
 )
 
@@ -68,5 +70,45 @@ func TestGoldenEventCounts(t *testing.T) {
 				t.Errorf("Result.Events = %d, want Fired() = %d", res.Events, g.fired)
 			}
 		})
+	}
+}
+
+// TestMaxEpochsCoversTicketRate checks the run-length bound against the
+// ticket rate it assumes. MEM1's sixteen cores on one channel keep the
+// bus near its peak burst rate, the densest ticket stream a Table 1 mix
+// produces; one epoch of it must spend at most half the per-epoch
+// ticket budget that MaxEpochs allots, the bound's stated 2x margin.
+func TestMaxEpochsCoversTicketRate(t *testing.T) {
+	cfg := config.Default()
+	if got := MaxEpochs(&cfg); got != 22906 {
+		t.Errorf("MaxEpochs on %d channels = %d, want 22906", cfg.Channels, got)
+	}
+	cfg.Channels = 1
+	if got := MaxEpochs(&cfg); got != 91625 {
+		t.Errorf("MaxEpochs on 1 channel = %d, want 91625", got)
+	}
+	mix, err := workload.ByName("MEM1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := mix.Streams(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(cfg, streams, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StepEpoch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := uint64(event.MaxTickets) / uint64(MaxEpochs(&cfg))
+	if spent := st.Events.Seq; 2*spent > budget {
+		t.Errorf("one saturated epoch spent %d tickets; MaxEpochs allots %d per epoch, want at least twice the spend",
+			spent, budget)
 	}
 }

@@ -250,6 +250,26 @@ type stepState struct {
 	idx       int
 }
 
+// ticketsPerBurst bounds the event-queue tickets a run spends per bus
+// burst slot. Memory requests drive nearly every event, and the MEM and
+// MID mixes of Table 1 spend 5.8–6.0 tickets per served burst at 1, 2
+// and 4 channels, including single-channel MEM runs that keep the bus
+// within 5% of its peak burst rate; the bound doubles that.
+const ticketsPerBurst = 12
+
+// MaxEpochs returns the longest run, in OS epochs from a cold start,
+// whose event tickets are sure to fit the queue's sequence field
+// (event.MaxTickets). A channel serves at most one burst per burst time
+// at the fastest bus frequency, so the bound scales inversely with the
+// channel count: 22,906 epochs (about 115 simulated seconds) on the
+// paper's four channels, 91,625 on one. An invalid cfg (no channels, a
+// zero burst time) gets a finite bound instead of a division by zero;
+// config.Validate rejects it elsewhere.
+func MaxEpochs(cfg *config.Config) int {
+	slots := uint64(cfg.Policy.EpochLength / max(cfg.Timing.BurstTime(config.MaxBusFreq), 1))
+	return int(event.MaxTickets / max(uint64(cfg.Channels)*slots*ticketsPerBurst, 1))
+}
+
 // New builds a system running the given per-core streams under cfg.
 func New(cfg config.Config, streams []*trace.Stream, opts Options) (*System, error) {
 	if err := cfg.Validate(); err != nil {

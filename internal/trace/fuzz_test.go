@@ -44,15 +44,15 @@ func FuzzProfileStream(f *testing.F) {
 			if a.BaseCPI <= 0 || math.IsInf(a.BaseCPI, 0) {
 				t.Fatalf("access BaseCPI = %g", a.BaseCPI)
 			}
-			if a.Line >= lines {
-				t.Fatalf("line %d outside the %d-line space", a.Line, lines)
+			if line := m.Unmap(a.Loc); line >= lines || m.Map(line) != a.Loc {
+				t.Fatalf("location %+v outside the %d-line space", a.Loc, lines)
 			}
 			if a.Writeback {
 				if wpki == 0 && s.PhaseIndex() == 0 {
 					t.Fatal("writeback generated with WPKI = 0")
 				}
-				if a.WBLine >= lines {
-					t.Fatalf("writeback line %d outside the space", a.WBLine)
+				if line := m.Unmap(a.WBLoc); line >= lines || m.Map(line) != a.WBLoc {
+					t.Fatalf("writeback location %+v outside the space", a.WBLoc)
 				}
 			}
 		}

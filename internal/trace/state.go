@@ -62,5 +62,6 @@ func (s *Stream) Load(st StreamState) error {
 	s.intensity = st.Intensity
 	s.reads = st.Reads
 	s.writebacks = st.Writebacks
+	s.cachePhase()
 	return nil
 }

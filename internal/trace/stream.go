@@ -91,13 +91,16 @@ type Access struct {
 	// BaseCPI is the compute CPI in force during the gap.
 	BaseCPI float64
 
-	// Line is the cache-line address read from memory.
-	Line uint64
+	// Loc is the decoded location of the cache line read from memory.
+	// The stream draws locations, not addresses, so the controller
+	// queues them without a decode; AddressMapper.Unmap recovers the
+	// line address when one is needed.
+	Loc config.Location
 
-	// Writeback, when true, means WBLine is written back to memory
-	// concurrently with the read.
+	// Writeback, when true, means the line at WBLoc is written back to
+	// memory concurrently with the read. WBLoc is zero otherwise.
 	Writeback bool
-	WBLine    uint64
+	WBLoc     config.Location
 }
 
 // Stream generates the access sequence of one core running one
@@ -120,6 +123,14 @@ type Stream struct {
 	// intensity scales the effective miss rate (see SetIntensity);
 	// zero means the default 1.0.
 	intensity float64
+
+	// Per-phase constants of the access draw, recomputed by cachePhase
+	// whenever the phase or the intensity changes: the mean gap
+	// (1000/MPKI, intensity-scaled) and the writeback probability
+	// (WPKI/MPKI). lines caches mapper.Lines().
+	meanGap float64
+	wbRatio float64
+	lines   uint64
 
 	reads, writebacks uint64
 }
@@ -145,10 +156,14 @@ func NewStreamOnChannels(p Profile, mapper *config.AddressMapper, seed uint64, c
 		mapper:   mapper,
 		channels: append([]int(nil), channels...),
 		rowLines: mapper.Map(mapper.Lines()-1).Col + 1,
+		lines:    mapper.Lines(),
 	}
 	s.enterPhase(0)
 	return s, nil
 }
+
+// Mapper returns the address mapper the stream draws locations from.
+func (s *Stream) Mapper() *config.AddressMapper { return s.mapper }
 
 // Name returns the profile name.
 func (s *Stream) Name() string { return s.profile.Name }
@@ -166,6 +181,7 @@ func (s *Stream) SetIntensity(m float64) error {
 		return fmt.Errorf("trace: intensity must be positive and finite, got %g", m)
 	}
 	s.intensity = m
+	s.cachePhase()
 	return nil
 }
 
@@ -184,9 +200,23 @@ func (s *Stream) enterPhase(i int) {
 	s.rows = ph.HotRows
 	if s.rows <= 0 {
 		// Whole bank: recover row count from the mapper by probing.
-		s.rows = s.mapper.Map(s.mapper.Lines()-1).Row + 1
+		s.rows = s.mapper.Map(s.lines-1).Row + 1
 	}
+	s.cachePhase()
 	s.jump()
+}
+
+// cachePhase recomputes the per-phase draw constants from the active
+// phase and the intensity, with the same float operations the draw
+// would otherwise repeat per access.
+func (s *Stream) cachePhase() {
+	ph := &s.profile.Phases[s.phaseIdx]
+	mpki := ph.MPKI
+	if s.intensity != 0 && s.intensity != 1 {
+		mpki *= s.intensity
+	}
+	s.meanGap = 1000.0 / mpki
+	s.wbRatio = ph.WPKI / ph.MPKI
 }
 
 // jump moves the streaming position to a random location in the
@@ -198,7 +228,7 @@ func (s *Stream) jump() {
 // randomLoc draws a uniform location within the footprint and channel
 // affinity.
 func (s *Stream) randomLoc() config.Location {
-	loc := s.mapper.Map(uint64(s.rng.Uint64()) % s.mapper.Lines())
+	loc := s.mapper.Map(s.rng.Uint64() % s.lines)
 	loc.Row %= s.rows
 	if len(s.channels) > 0 {
 		loc.Channel = s.channels[loc.Channel%len(s.channels)]
@@ -229,14 +259,17 @@ func (s *Stream) phase() *Phase {
 
 // Next produces the next access of the stream.
 func (s *Stream) Next() Access {
+	var acc Access
+	s.NextInto(&acc)
+	return acc
+}
+
+// NextInto writes the next access of the stream into *acc, overwriting
+// every field; it is Next without the copy of the result.
+func (s *Stream) NextInto(acc *Access) {
 	ph := s.phase()
 
-	mpki := ph.MPKI
-	if s.intensity != 0 && s.intensity != 1 {
-		mpki *= s.intensity
-	}
-	meanGap := 1000.0 / mpki
-	gap := uint64(s.rng.Exp(meanGap) + 0.5)
+	gap := uint64(s.rng.Exp(s.meanGap) + 0.5)
 	if gap == 0 {
 		gap = 1
 	}
@@ -255,21 +288,20 @@ func (s *Stream) Next() Access {
 	} else {
 		s.jump()
 	}
-	acc := Access{
-		Gap:     gap,
-		BaseCPI: ph.BaseCPI,
-		Line:    s.mapper.Unmap(s.cur),
-	}
+	acc.Gap = gap
+	acc.BaseCPI = ph.BaseCPI
+	acc.Loc = s.cur
 	s.reads++
 
-	if ph.WPKI > 0 && s.rng.Float64() < ph.WPKI/ph.MPKI {
+	if ph.WPKI > 0 && s.rng.Float64() < s.wbRatio {
 		// The victim line: a random location in the same footprint.
-		victim := s.randomLoc()
 		acc.Writeback = true
-		acc.WBLine = s.mapper.Unmap(victim)
+		acc.WBLoc = s.randomLoc()
 		s.writebacks++
+	} else {
+		acc.Writeback = false
+		acc.WBLoc = config.Location{}
 	}
-	return acc
 }
 
 // Stats reports the totals generated so far.

@@ -28,7 +28,7 @@ func TestHotRowsZeroUsesWholeBank(t *testing.T) {
 	s := mustStream(t, p, m, 6)
 	maxRow := 0
 	for i := 0; i < 20000; i++ {
-		if row := m.Map(s.Next().Line).Row; row > maxRow {
+		if row := s.Next().Loc.Row; row > maxRow {
 			maxRow = row
 		}
 	}

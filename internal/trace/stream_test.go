@@ -229,12 +229,11 @@ func TestStreamAddressesInRange(t *testing.T) {
 	s := mustStream(t, p, m, 77)
 	f := func(_ uint8) bool {
 		a := s.Next()
-		loc := m.Map(a.Line)
-		if loc.Row >= 16 {
+		if a.Loc.Row >= 16 {
 			return false
 		}
 		if a.Writeback {
-			if wl := m.Map(a.WBLine); wl.Row >= 16 {
+			if a.WBLoc.Row >= 16 {
 				return false
 			}
 		}
@@ -252,10 +251,10 @@ func TestStreamRowLocality(t *testing.T) {
 	}}
 	s := mustStream(t, p, m, 3)
 	sameRow := 0
-	prev := m.Map(s.Next().Line)
+	prev := s.Next().Loc
 	const n = 5000
 	for i := 0; i < n; i++ {
-		cur := m.Map(s.Next().Line)
+		cur := s.Next().Loc
 		if cur.Channel == prev.Channel && cur.Rank == prev.Rank &&
 			cur.Bank == prev.Bank && cur.Row == prev.Row {
 			sameRow++
@@ -277,7 +276,7 @@ func TestStreamZeroLocalityJumps(t *testing.T) {
 	s := mustStream(t, p, m, 8)
 	channels := map[int]int{}
 	for i := 0; i < 2000; i++ {
-		channels[m.Map(s.Next().Line).Channel]++
+		channels[s.Next().Loc.Channel]++
 	}
 	if len(channels) != 4 {
 		t.Errorf("random jumps hit %d channels, want 4", len(channels))

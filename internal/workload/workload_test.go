@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memscale/internal/config"
+	"memscale/internal/trace"
 )
 
 func TestAllAppsValid(t *testing.T) {
@@ -210,7 +211,7 @@ func TestStreamsDeterministicAcrossCalls(t *testing.T) {
 	}
 	same := 0
 	for i := 0; i < 50; i++ {
-		if a.Next().Line == b.Next().Line {
+		if a.Next().Loc == b.Next().Loc {
 			same++
 		}
 	}
@@ -237,5 +238,71 @@ func TestUniqueApps(t *testing.T) {
 	got := m.UniqueApps()
 	if len(got) != 4 {
 		t.Errorf("ILP1 unique apps = %v", got)
+	}
+}
+
+// TestAccessLocations draws every Table 1 profile on the paper's
+// mapper, on a non-power-of-two mapper (3 channels), and confined to
+// one channel as /part streams are. Every read and writeback location
+// must lie inside the machine and survive Map(Unmap(loc)) unchanged:
+// the controller queues the stream's location as drawn, which must be
+// the location its line address decodes to.
+func TestAccessLocations(t *testing.T) {
+	paper := config.Default()
+	odd := config.Default()
+	odd.Channels = 3
+	if err := odd.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		cfg      config.Config
+		confined bool
+	}{
+		{"paper", paper, false},
+		{"3ch", odd, false},
+		{"paper/part", paper, true},
+		{"3ch/part", odd, true},
+	} {
+		cfg := tc.cfg
+		m := config.NewAddressMapper(&cfg)
+		for i, name := range AppNames() {
+			p, err := App(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var channels []int
+			if tc.confined {
+				channels = []int{i % cfg.Channels}
+			}
+			s, err := trace.NewStreamOnChannels(p, m, trace.Seed("locations", name, i), channels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, loc config.Location) {
+				t.Helper()
+				inside := loc.Channel >= 0 && loc.Channel < cfg.Channels &&
+					loc.Rank >= 0 && loc.Rank < cfg.RanksPerChannel() &&
+					loc.Bank >= 0 && loc.Bank < cfg.BanksPerRank &&
+					loc.Row >= 0 && loc.Row < cfg.RowsPerBank &&
+					loc.Col >= 0 && loc.Col < cfg.LinesPerRow()
+				if !inside {
+					t.Fatalf("%s %s: %s location %+v outside the machine", tc.name, name, what, loc)
+				}
+				if channels != nil && loc.Channel != channels[0] {
+					t.Fatalf("%s %s: %s on channel %d, confined to %d", tc.name, name, what, loc.Channel, channels[0])
+				}
+				if back := m.Map(m.Unmap(loc)); back != loc {
+					t.Fatalf("%s %s: %s location %+v decodes back as %+v", tc.name, name, what, loc, back)
+				}
+			}
+			for k := 0; k < 2000; k++ {
+				a := s.Next()
+				check("read", a.Loc)
+				if a.Writeback {
+					check("writeback", a.WBLoc)
+				}
+			}
+		}
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"memscale/internal/invariant"
 	"memscale/internal/policies"
 	"memscale/internal/runner"
+	"memscale/internal/sim"
 	"memscale/internal/telemetry"
 	"memscale/internal/workload"
 )
@@ -113,7 +114,10 @@ type RunConfig struct {
 	// "MemScale (MemEnergy)", "MemScale + Fast-PD".
 	Policy string
 
-	// Epochs is the run length in 5 ms OS quanta (default 10).
+	// Epochs is the run length in 5 ms OS quanta (default 10). A run
+	// may last at most sim.MaxEpochs quanta: 22,906 (about 115
+	// simulated seconds) on the default four channels, proportionally
+	// more on fewer; Validate rejects longer runs.
 	Epochs int
 
 	// Gamma is the maximum allowed performance degradation
@@ -316,6 +320,17 @@ func (rc RunConfig) Validate() error {
 	}
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+	}
+	return checkRunLength("epochs", rc.Epochs, &cfg)
+}
+
+// checkRunLength rejects a run of epochs OS quanta that could use up
+// the event queue's sequence numbers on cfg's machine (sim.MaxEpochs),
+// so a too-long run fails before it starts rather than partway through.
+func checkRunLength(field string, epochs int, cfg *config.Config) error {
+	if limit := sim.MaxEpochs(cfg); epochs > limit {
+		return fmt.Errorf("%w: %s: must be at most %d on %d channels (the event queue's sequence numbers would run out), got %d",
+			ErrInvalidConfig, field, limit, cfg.Channels, epochs)
 	}
 	return nil
 }

@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"memscale/internal/config"
+	"memscale/internal/sim"
 )
 
 // TestRunConfigValidateFieldPaths checks that every rejection names
@@ -86,6 +90,46 @@ func TestRunConfigValidateAccepts(t *testing.T) {
 			t.Errorf("case %d rejected: %v", i, err)
 		}
 	}
+}
+
+// TestRunLengthBound: a run, a fleet horizon or a resume target longer
+// than sim.MaxEpochs is rejected before it starts and names its epochs
+// field; the bound itself is accepted.
+func TestRunLengthBound(t *testing.T) {
+	wantEpochsErr := func(what string, err error, path string) {
+		t.Helper()
+		if !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("%s: err = %v, want ErrInvalidConfig", what, err)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name %q", what, err, path)
+		}
+	}
+	for _, channels := range []int{0, 1} {
+		cfg := config.Default()
+		if channels > 0 {
+			cfg.Channels = channels
+		}
+		limit := sim.MaxEpochs(&cfg)
+		if err := (RunConfig{Epochs: limit, Channels: channels}).Validate(); err != nil {
+			t.Errorf("%d channels: run of %d epochs rejected: %v", cfg.Channels, limit, err)
+		}
+		wantEpochsErr("run", RunConfig{Epochs: limit + 1, Channels: channels}.Validate(), "epochs")
+
+		group := []NodeGroup{{Nodes: 1, Mix: "MID1", Channels: channels}}
+		if err := (FleetConfig{Groups: group, Epochs: limit}).Validate(); err != nil {
+			t.Errorf("%d channels: fleet horizon of %d epochs rejected: %v", cfg.Channels, limit, err)
+		}
+		wantEpochsErr("fleet", FleetConfig{Groups: group, Epochs: limit + 1}.Validate(), "epochs")
+	}
+
+	f, err := os.Open("testdata/ckpt-mem1part-shards4.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, err = ResumeRun(context.Background(), f, 1<<30)
+	wantEpochsErr("resume", err, "resume.epochs")
 }
 
 // TestValidateMatchesRunContext: a config Validate rejects must be

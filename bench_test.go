@@ -152,6 +152,10 @@ func BenchmarkFutureWorkPerChannel(b *testing.B) {
 	benchSensitivity(b, func(p exp.Params) (exp.Report, error) { return p.FutureWork() })
 }
 
+// singleRunConfig is the memory-bound epoch pair behind
+// BenchmarkSingleRun and TestRunBudgets.
+var singleRunConfig = RunConfig{Mix: "MEM1", Policy: "MemScale", Epochs: 1}
+
 // BenchmarkSingleRun measures the simulator's raw throughput on one
 // memory-bound epoch pair — the unit of work every figure above is
 // built from. events/op (fired simulation events per run) normalizes
@@ -162,7 +166,7 @@ func BenchmarkSingleRun(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		sum, err := Run(RunConfig{Mix: "MEM1", Policy: "MemScale", Epochs: 1})
+		sum, err := Run(singleRunConfig)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,10 +186,9 @@ func benchSweepGrid(tc *TelemetryConfig) []RunConfig {
 	)
 }
 
-// BenchmarkSweep is the telemetry-off reference sweep; the CI
-// benchmark guard runs it once per push. With telemetry disabled every
-// instrumented hot path reduces to one nil check, so this benchmark
-// must stay within noise of its pre-telemetry cost.
+// BenchmarkSweep is the telemetry-off reference sweep. With telemetry
+// disabled every instrumented hot path reduces to one nil check, so
+// this benchmark must stay within noise of its pre-telemetry cost.
 func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -239,24 +242,21 @@ func BenchmarkSweepSpeedup(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 }
 
-// BenchmarkForkedSweep times a 16-variant gamma sweep (one mix, one
-// policy, 4 epochs each) cold and warm-started from a shared 3-epoch
-// prefix, and reports the wall-clock ratio as "warm-speedup-x". With
-// the baseline pre-warmed outside the timed region, the cold sweep
-// simulates 16x4 managed epochs while the warm sweep simulates 3
-// shared prefix epochs plus 16x1 variant epochs — a 64/19 = 3.4x
-// ideal ratio. The CI benchmark guard enforces a 1.8x floor, leaving
-// ample headroom for scheduling noise and steady-state epochs costing
-// more than boot epochs while still catching any loss of prefix
-// sharing (which would drag the ratio to 1).
-func BenchmarkForkedSweep(b *testing.B) {
+// forkedSweepPrefix is the warm-up prefix, in epochs, that
+// BenchmarkForkedSweep's variants share.
+const forkedSweepPrefix = 3
+
+// forkedSweepJobs is BenchmarkForkedSweep's grid: 16 gamma variants of
+// one mix and policy, 4 epochs each.
+func forkedSweepJobs(tb testing.TB) []runner.Job {
+	tb.Helper()
 	mix, err := workload.ByName("MID1")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	spec, err := policies.ByName("MemScale")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	jobs := make([]runner.Job, 16)
 	for i := range jobs {
@@ -265,6 +265,19 @@ func BenchmarkForkedSweep(b *testing.B) {
 			Gamma: 0.02 + 0.01*float64(i),
 		}
 	}
+	return jobs
+}
+
+// BenchmarkForkedSweep times a 16-variant gamma sweep (one mix, one
+// policy, 4 epochs each) cold and warm-started from a shared 3-epoch
+// prefix, and reports the wall-clock ratio as "warm-speedup-x". With
+// the baseline pre-warmed outside the timed region, the cold sweep
+// simulates 16x4 managed epochs while the warm sweep simulates 3
+// shared prefix epochs plus 16x1 variant epochs — a 64/19 = 3.4x
+// ideal ratio. TestForkedSweepEvents checks the same saving as a
+// deterministic count of simulated events.
+func BenchmarkForkedSweep(b *testing.B) {
+	jobs := forkedSweepJobs(b)
 	// One shared cache, pre-warmed: all 16 variants pair against the
 	// same gamma-independent baseline, so neither timed phase simulates
 	// it and the ratio isolates the managed runs.
@@ -282,13 +295,13 @@ func BenchmarkForkedSweep(b *testing.B) {
 		}
 		cold += time.Since(start)
 		start = time.Now()
-		if _, errs := eng.RunEachWarm(ctx, jobs, 3); firstErr(errs) != nil {
+		if _, errs := eng.RunEachWarm(ctx, jobs, forkedSweepPrefix); firstErr(errs) != nil {
 			b.Fatal(firstErr(errs))
 		}
 		warm += time.Since(start)
 	}
 	b.ReportMetric(cold.Seconds()/warm.Seconds(), "warm-speedup-x")
-	b.ReportMetric(float64(runner.WarmGroups(jobs, 3)), "warm-groups")
+	b.ReportMetric(float64(runner.WarmGroups(jobs, forkedSweepPrefix)), "warm-groups")
 }
 
 func firstErr(errs []error) error {
@@ -352,16 +365,10 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkFleet measures cluster-scale throughput: 64 nodes (each a
-// full paired simulation) under a tight global power budget with the
-// coordinator reassigning caps every epoch. events/op counts the
-// simulation events fired across the whole fleet (managed runs plus
-// baselines), so the guard catches both per-node engine regressions
-// and fleet-orchestration overhead that would show up as lost
-// parallel efficiency.
-func BenchmarkFleet(b *testing.B) {
-	b.ReportAllocs()
-	fc := FleetConfig{
+// benchFleetConfig is BenchmarkFleet's cluster: 64 nodes under a
+// tight global power budget.
+func benchFleetConfig() FleetConfig {
+	return FleetConfig{
 		Groups: []NodeGroup{
 			{Name: "web", Nodes: 48, Mix: "MID1", Cores: 2, Channels: 1,
 				Arrival: ArrivalConfig{Kind: ArrivalPoisson}},
@@ -372,6 +379,18 @@ func BenchmarkFleet(b *testing.B) {
 		PowerBudgetW: 320,
 		Seed:         1,
 	}
+}
+
+// BenchmarkFleet measures cluster-scale throughput: 64 nodes (each a
+// full paired simulation) under a tight global power budget with the
+// coordinator reassigning caps every epoch. events/op counts the
+// simulation events fired across the whole fleet (managed runs plus
+// baselines), so per-node engine regressions show apart from
+// fleet-orchestration overhead, which shows as lost parallel
+// efficiency.
+func BenchmarkFleet(b *testing.B) {
+	b.ReportAllocs()
+	fc := benchFleetConfig()
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		sum, err := RunFleet(context.Background(), fc)

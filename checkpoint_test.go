@@ -208,6 +208,35 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	})
 }
 
+// TestRunPastTwoSeconds: a run longer than 2 s of simulated time
+// covers every epoch it asks for, run cold, checkpointed, and resumed
+// from the checkpoint.
+func TestRunPastTwoSeconds(t *testing.T) {
+	ctx := context.Background()
+	rc := RunConfig{Mix: "ILP1", Policy: "Static", Epochs: 401, Cores: 1, Channels: 1}
+	cold, err := RunContext(ctx, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	ck, err := CheckpointRun(ctx, rc, 200, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ResumeRun(ctx, &buf, rc.Epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		sum  RunSummary
+	}{{"cold", cold}, {"checkpointed", ck}, {"resumed", resumed}} {
+		if c.sum.DurationSeconds != 2.005 {
+			t.Errorf("%s run: %v s simulated, want 2.005", c.name, c.sum.DurationSeconds)
+		}
+	}
+}
+
 // TestWarmStartSweep exercises the forked warm-start path end to end:
 // a gamma sweep over one mix forks every variant from one shared
 // unmanaged prefix, produces valid summaries, and is itself

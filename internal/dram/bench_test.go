@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"memscale/internal/config"
+	"memscale/internal/racebuild"
 )
 
 // BenchmarkRankAccess pins the rank state machine's cost per access:
@@ -41,5 +42,16 @@ func BenchmarkRankRefresh(b *testing.B) {
 		}
 		r.RefreshDone(until)
 		now = until
+	}
+}
+
+// TestZeroAllocs requires BenchmarkRankAccess to step the rank state
+// machine with 0 allocs/op.
+func TestZeroAllocs(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation allocates and slows the benchmark")
+	}
+	if got := testing.Benchmark(BenchmarkRankAccess).AllocsPerOp(); got != 0 {
+		t.Errorf("BenchmarkRankAccess: %d allocs/op, want 0", got)
 	}
 }

@@ -75,9 +75,6 @@ func NewRank(banks int, t *Resolved) *Rank {
 	return r
 }
 
-// SetTiming swaps the resolved timing (after a frequency relock).
-func (r *Rank) SetTiming(t *Resolved) { r.timing = t }
-
 // tick attributes the interval since the last accounting point to the
 // rank's current background state.
 func (r *Rank) tick(now config.Time) {

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"memscale/internal/config"
+	"memscale/internal/racebuild"
 )
 
 func TestFIFOAtSameInstant(t *testing.T) {
@@ -553,4 +554,24 @@ func BenchmarkEventQueueCancel(b *testing.B) {
 	}
 	b.StopTimer()
 	q.Run(0)
+}
+
+// TestZeroAllocs requires the bound-form benchmarks to schedule, fire
+// and cancel with 0 allocs/op in steady state.
+func TestZeroAllocs(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation allocates and slows the benchmarks")
+	}
+	for _, bm := range []struct {
+		name string
+		fn   func(*testing.B)
+	}{
+		{"BenchmarkEventQueue", BenchmarkEventQueue},
+		{"BenchmarkEventQueuePaperShape", BenchmarkEventQueuePaperShape},
+		{"BenchmarkEventQueueCancel", BenchmarkEventQueueCancel},
+	} {
+		if got := testing.Benchmark(bm.fn).AllocsPerOp(); got != 0 {
+			t.Errorf("%s: %d allocs/op, want 0", bm.name, got)
+		}
+	}
 }

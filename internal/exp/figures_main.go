@@ -140,7 +140,6 @@ func (p Params) timeline(mixName string, cores int) (*sim.Result, workload.Mix, 
 		Governor:     spec.Governor(&cfg, nonMem),
 		NonMemPower:  nonMem,
 		KeepTimeline: true,
-		MaxDuration:  config.Time(p.TimelineEpochs+1) * cfg.Policy.EpochLength,
 	})
 	if err != nil {
 		return nil, mix, err

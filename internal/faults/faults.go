@@ -342,13 +342,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Enabled reports whether any fault class can fire.
-func (c Config) Enabled() bool {
-	return c.RefreshStormRate > 0 || c.RelockFailRate > 0 ||
-		c.CounterCorruptRate > 0 || c.ThermalRate > 0 ||
-		c.TransientAbortRate > 0 || c.PanicEnabled
-}
-
 // Plan is the disturbance schedule of one epoch, fully determined by
 // (seed, epoch) — querying it twice, in any order, yields identical
 // plans. Fields describe what the fault plane wants to inject; the

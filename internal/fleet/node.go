@@ -146,7 +146,7 @@ func (n *node) runBaseline(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	s, err := sim.New(cfg, streams, sim.Options{MaxDuration: n.horizon(cfg)})
+	s, err := sim.New(cfg, streams, sim.Options{})
 	if err != nil {
 		return fmt.Errorf("fleet: node %d baseline: %w", n.global, err)
 	}
@@ -163,12 +163,6 @@ func (n *node) runBaseline(ctx context.Context) error {
 	// the unmanaged baseline's average DIMM power.
 	n.nonMem = power.NewModel(&cfg).RestOfSystemPower(n.baseRes.DIMMAvgWatts)
 	return nil
-}
-
-func (n *node) horizon(cfg config.Config) config.Time {
-	// One extra epoch of headroom so MaxDuration never truncates the
-	// stepped run.
-	return config.Time(len(n.schedule)+1) * cfg.Policy.EpochLength
 }
 
 // buildManaged constructs the governed system and the node's chaos
@@ -222,7 +216,6 @@ func (n *node) buildSystem(st *sim.SystemState) error {
 		Governor:    gov,
 		NonMemPower: n.nonMem,
 		Faults:      inj,
-		MaxDuration: n.horizon(cfg),
 	}
 	var s *sim.System
 	if st == nil {

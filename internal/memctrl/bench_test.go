@@ -5,6 +5,7 @@ import (
 
 	"memscale/internal/config"
 	"memscale/internal/event"
+	"memscale/internal/racebuild"
 )
 
 // BenchmarkControllerEpoch drives a closed loop of four cores through
@@ -52,4 +53,15 @@ func BenchmarkControllerEpoch(b *testing.B) {
 		fired += q.Fired() - start
 	}
 	b.ReportMetric(float64(fired)/float64(b.N), "events/op")
+}
+
+// TestZeroAllocs requires BenchmarkControllerEpoch to serve its closed
+// loop of reads with 0 allocs/op in steady state.
+func TestZeroAllocs(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation allocates and slows the benchmark")
+	}
+	if got := testing.Benchmark(BenchmarkControllerEpoch).AllocsPerOp(); got != 0 {
+		t.Errorf("BenchmarkControllerEpoch: %d allocs/op, want 0", got)
+	}
 }

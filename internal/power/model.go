@@ -115,15 +115,6 @@ func (iv Interval) DRAMTotal() dram.Account {
 	return total
 }
 
-// ChannelBusy returns the per-channel bus occupancies.
-func (iv Interval) ChannelBusy() []config.Time {
-	out := make([]config.Time, len(iv.Channels))
-	for i := range iv.Channels {
-		out[i] = iv.Channels[i].Busy
-	}
-	return out
-}
-
 // Model evaluates the power equations for one system configuration.
 type Model struct {
 	cfg *config.Config

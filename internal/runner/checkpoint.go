@@ -244,10 +244,6 @@ func (e *Engine) RunWithCheckpoint(ctx context.Context, job Job, ckEpoch int) (o
 // the state at that boundary, with the epochs it covers, and
 // ErrInterrupted.
 func stepRun(ctx context.Context, s *sim.System, interrupt <-chan struct{}, target config.Time, ckEpoch int) (sim.Result, *sim.SystemState, int, error) {
-	// Mirror the sim's MaxDuration safety net (Options.MaxDuration
-	// defaults to 2 s in sim.New) so the epoch loop stops exactly where
-	// RunForContext would.
-	maxDur := 2 * config.Second
 	var snap *sim.SystemState
 	for {
 		rec, err := s.StepEpoch(ctx)
@@ -259,7 +255,7 @@ func stepRun(ctx context.Context, s *sim.System, interrupt <-chan struct{}, targ
 				return sim.Result{}, nil, 0, fmt.Errorf("runner: checkpoint save: %w", err)
 			}
 		}
-		if rec.End >= target || rec.End >= maxDur {
+		if rec.End >= target {
 			break
 		}
 		select {

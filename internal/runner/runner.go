@@ -357,12 +357,10 @@ func (p *pairing) resolve(ctx context.Context) error {
 }
 
 // mayGuess reports whether a managed attempt may run on an estimate. A
-// rejected guess re-runs the attempt, so a run that streams telemetry
-// to a sink or can be interrupted mid-way must not guess: the re-run
-// would repeat the streamed events, or the interrupt would fire again.
+// rejected guess re-runs the attempt, so a run that can be interrupted
+// mid-way must not guess: the interrupt would fire again.
 func (p *pairing) mayGuess() bool {
-	return p.job.Spec.Speculative != nil && p.job.Interrupt == nil &&
-		(p.job.Telemetry == nil || p.job.Telemetry.Sink == nil)
+	return p.job.Spec.Speculative != nil && p.job.Interrupt == nil
 }
 
 // attemptResult is what one managed attempt produced.
@@ -393,9 +391,7 @@ func (e *Engine) pair(ctx context.Context, p *pairing, first int) (attemptResult
 				// stopped on; there is no finished outcome to pair.
 				return attemptResult{snap: r.snap, snapEpochs: r.snapEpochs, attempt: attempt}, err
 			}
-			if err := p.finish(&r); err != nil {
-				return attemptResult{}, err
-			}
+			p.finish(&r)
 			r.out.Mix, r.out.Policy = p.job.Mix, p.job.Spec.Name
 			r.out.NonMem, r.out.Base = p.base.e.nonMem, p.base.e.res
 			r.out.Attempts = attempt - first + 1
@@ -532,11 +528,11 @@ func (e *Engine) simulate(ctx context.Context, p *pairing, attempt int, gov func
 // finish accounts the finished attempt's rest-of-system energy at the
 // run's nonMem, as sim's finalize would have, and builds its telemetry
 // export.
-func (p *pairing) finish(r *attemptResult) error {
+func (p *pairing) finish(r *attemptResult) {
 	res := &r.out.Res
 	res.SetNonMemPower(p.nonMem)
 	if r.rec == nil {
-		return nil
+		return
 	}
 	r.rec.NonMemPowerW.Set(p.nonMem)
 	apps := make([]string, p.cfg.Cores)
@@ -556,10 +552,6 @@ func (p *pairing) finish(r *attemptResult) error {
 		CoreApps:     apps,
 		NonMemPowerW: p.nonMem,
 	}, freqSeconds)
-	if err := r.rec.SinkErr(); err != nil {
-		return fmt.Errorf("runner: telemetry sink: %w", err)
-	}
-	return nil
 }
 
 // RunEach executes every job on the worker pool and returns outcomes

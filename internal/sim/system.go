@@ -174,9 +174,6 @@ type Options struct {
 	// KeepTimeline retains per-epoch records in the Result.
 	KeepTimeline bool
 
-	// MaxDuration caps the run length as a safety net (default 2 s).
-	MaxDuration config.Time
-
 	// Telemetry, when non-nil, receives samples, events, and epoch
 	// snapshots from every layer of the system. Purely observational:
 	// the simulated event sequence is identical with or without it.
@@ -233,8 +230,8 @@ type System struct {
 }
 
 // stepState is the loop-carried state of the epoch loop, hoisted out of
-// run() so StepEpoch can execute one iteration at a time with identical
-// behaviour.
+// RunForContext so StepEpoch can execute one iteration at a time with
+// identical behaviour.
 type stepState struct {
 	predictor interface {
 		PredictedMeanCPI(config.FreqMHz) float64
@@ -291,9 +288,6 @@ func New(cfg config.Config, streams []*trace.Stream, opts Options) (*System, err
 		s.Cores = append(s.Cores, cpu.New(i, &s.Cfg, s.Q, s.MC, st))
 	}
 	s.result.FreqTime = map[config.FreqMHz]config.Time{}
-	if s.opts.MaxDuration <= 0 {
-		s.opts.MaxDuration = 2 * config.Second
-	}
 	return s, nil
 }
 
@@ -390,21 +384,6 @@ func (s *System) window(start, now config.Time, freq config.FreqMHz) Profile {
 	return p
 }
 
-// RunForInstructions runs whole epochs until every core has retired at
-// least target instructions (the paper's "slowest application reaches
-// 100M" criterion), or MaxDuration elapses.
-func (s *System) RunForInstructions(target float64) Result {
-	r, _ := s.run(context.Background(), func(now config.Time) bool {
-		for _, c := range s.Cores {
-			if c.Instructions(now) < target {
-				return false
-			}
-		}
-		return true
-	})
-	return r
-}
-
 // RunFor runs whole epochs until at least d has elapsed.
 func (s *System) RunFor(d config.Time) Result {
 	r, _ := s.RunForContext(context.Background(), d)
@@ -418,7 +397,18 @@ func (s *System) RunFor(d config.Time) Result {
 // result. Cancellation never alters a completed run: the event
 // sequence of an uncancelled simulation is bit-identical to RunFor.
 func (s *System) RunForContext(ctx context.Context, d config.Time) (Result, error) {
-	return s.run(ctx, func(now config.Time) bool { return now >= d })
+	if !s.started {
+		s.start()
+	}
+	for {
+		rec, err := s.stepEpoch(ctx, false)
+		if err != nil {
+			return Result{}, err
+		}
+		if rec.End >= d {
+			return s.finalize(), nil
+		}
+	}
 }
 
 // cancelCheckStep is the simulated-time granularity at which the epoch
@@ -459,22 +449,6 @@ func (s *System) stepUntil(ctx context.Context, deadline config.Time) error {
 			return nil
 		}
 	}
-}
-
-func (s *System) run(ctx context.Context, done func(config.Time) bool) (Result, error) {
-	if !s.started {
-		s.start()
-	}
-	for {
-		rec, err := s.stepEpoch(ctx, false)
-		if err != nil {
-			return Result{}, err
-		}
-		if done(rec.End) || rec.End >= s.opts.MaxDuration {
-			break
-		}
-	}
-	return s.finalize(), nil
 }
 
 // StepEpoch advances the simulation by exactly one OS epoch and returns

@@ -52,7 +52,7 @@ func newSystem(t *testing.T, mixName string, opts Options, mutate func(*config.C
 
 func TestBaselineRunCompletes(t *testing.T) {
 	s := newSystem(t, "MID1", Options{}, nil)
-	res := s.RunForInstructions(500_000)
+	res := s.RunFor(s.Cfg.Policy.EpochLength / 2)
 	for i, n := range res.Instructions {
 		if n < 500_000 {
 			t.Errorf("core %d retired only %.0f instructions", i, n)
@@ -207,14 +207,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 	if a.Memory != b.Memory {
 		t.Error("energy breakdowns differ across identical runs")
-	}
-}
-
-func TestMaxDurationCap(t *testing.T) {
-	s := newSystem(t, "ILP2", Options{MaxDuration: 10 * config.Millisecond}, nil)
-	res := s.RunForInstructions(1e15) // unreachable target
-	if res.Duration > 10*config.Millisecond {
-		t.Errorf("run exceeded MaxDuration: %v", res.Duration)
 	}
 }
 

@@ -141,19 +141,16 @@ func newEventRing(capacity int) *eventRing {
 	return &eventRing{buf: make([]Event, capacity)}
 }
 
-// push appends ev, evicting the oldest event when full. It reports
-// whether the ring is full after the push (the cue to drain to a
-// sink).
-func (r *eventRing) push(ev Event) (full bool) {
+// push appends ev, evicting the oldest event when full.
+func (r *eventRing) push(ev Event) {
 	if r.n == len(r.buf) {
 		r.buf[r.head] = ev
 		r.head = (r.head + 1) % len(r.buf)
 		r.dropped++
-		return true
+		return
 	}
 	r.buf[(r.head+r.n)%len(r.buf)] = ev
 	r.n++
-	return r.n == len(r.buf)
 }
 
 // drain returns the buffered events in arrival order and empties the

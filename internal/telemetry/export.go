@@ -146,12 +146,8 @@ func (r *Recorder) Export(meta RunMeta, freqSeconds map[int]float64) *RunExport 
 		}
 	}
 	if r.ring != nil {
-		if r.opts.Sink != nil {
-			r.flushToSink()
-		} else {
-			out.Events = r.ring.drain()
-			out.DroppedEvents = r.ring.dropped
-		}
+		out.Events = r.ring.drain()
+		out.DroppedEvents = r.ring.dropped
 	}
 	return out
 }

@@ -123,18 +123,25 @@ func WriteFreqCSV(w io.Writer, exports []*RunExport) error {
 	return nil
 }
 
+// EventCSVHeader is the column layout of WriteEventsCSV rows.
+const EventCSVHeader = "kind,t_ps,epoch,channel,rank,core,a,b,c,f1,f2"
+
 // WriteEventsCSV renders every retained event of every run.
 func WriteEventsCSV(w io.Writer, exports []*RunExport) error {
-	sink := &CSVSink{W: w}
-	if err := sink.Emit(nil); err != nil {
+	if _, err := fmt.Fprintln(w, EventCSVHeader); err != nil {
 		return err
 	}
 	for _, e := range exports {
 		if e == nil {
 			continue
 		}
-		if err := sink.Emit(e.Events); err != nil {
-			return err
+		for _, ev := range e.Events {
+			_, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%g,%g\n",
+				ev.Kind, int64(ev.Time), ev.Epoch, ev.Channel, ev.Rank, ev.Core,
+				ev.A, ev.B, ev.C, ev.F1, ev.F2)
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's metrics-and-tracing subsystem:
 // typed collectors (counters, gauges, fixed-bucket histograms), a
-// structured event stream behind a drop-oldest ring buffer with
-// pluggable sinks, per-epoch snapshots, and per-run exports that
-// aggregate into cross-run rollups.
+// structured event stream behind a drop-oldest ring buffer, per-epoch
+// snapshots, and per-run exports that aggregate into cross-run
+// rollups.
 //
 // Design constraints, in order:
 //
@@ -39,13 +39,9 @@ type Options struct {
 	// part and opts in separately.
 	Events bool
 
-	// RingSize bounds the in-memory event buffer (default 4096).
-	// Without a sink the ring keeps the newest events, counting
-	// drops; with a sink it drains wholesale whenever it fills.
+	// RingSize bounds the in-memory event buffer (default 4096). The
+	// ring keeps the newest events and counts the ones it drops.
 	RingSize int
-
-	// Sink, when non-nil, receives every drained event batch.
-	Sink Sink
 }
 
 // DefaultRingSize is the event-ring capacity when Options.RingSize is
@@ -59,8 +55,7 @@ type Recorder struct {
 	opts  Options
 	epoch int
 
-	ring    *eventRing
-	sinkErr error
+	ring *eventRing
 
 	// Histograms (always on).
 	ReadLatencyNs *Histogram
@@ -139,35 +134,13 @@ func (r *Recorder) SetEpoch(i int) {
 	r.epoch = i
 }
 
-// push buffers one event, draining to the sink when the ring fills.
+// push buffers one event.
 func (r *Recorder) push(ev Event) {
 	if r == nil || r.ring == nil {
 		return
 	}
 	ev.Epoch = r.epoch
-	full := r.ring.push(ev)
-	if full && r.opts.Sink != nil {
-		r.flushToSink()
-	}
-}
-
-func (r *Recorder) flushToSink() {
-	batch := r.ring.drain()
-	if len(batch) == 0 {
-		return
-	}
-	if err := r.opts.Sink.Emit(batch); err != nil && r.sinkErr == nil {
-		r.sinkErr = err
-	}
-}
-
-// SinkErr returns the first error a sink reported, if any. Safe on
-// nil.
-func (r *Recorder) SinkErr() error {
-	if r == nil {
-		return nil
-	}
-	return r.sinkErr
+	r.ring.push(ev)
 }
 
 // Slack records one core's slack credit (delta > 0) or debit at an
@@ -298,12 +271,4 @@ func (r *Recorder) Residency() dram.Account {
 		return dram.Account{}
 	}
 	return r.residency
-}
-
-// EnergyTotal returns the accumulated energy breakdown. Safe on nil.
-func (r *Recorder) EnergyTotal() Energy {
-	if r == nil {
-		return Energy{}
-	}
-	return r.energy
 }

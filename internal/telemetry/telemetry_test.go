@@ -31,7 +31,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.EventsEnabled() {
 		t.Error("nil recorder reports events enabled")
 	}
-	if r.Epochs() != nil || r.SinkErr() != nil {
+	if r.Epochs() != nil {
 		t.Error("nil recorder getters must return zero values")
 	}
 	if r.Export(RunMeta{}, nil) != nil {
@@ -107,36 +107,16 @@ func TestEventRingDropOldest(t *testing.T) {
 	}
 }
 
-func TestSinkReceivesEveryEvent(t *testing.T) {
-	sink := &MemorySink{}
-	r := NewRecorder(Options{Events: true, RingSize: 2, Sink: sink})
-	c := r.ChannelCells(1)[0]
-	for i := 0; i < 5; i++ {
-		c.Refresh(config.Time(i), i, 1)
-	}
-	r.MergeChannels()
-	out := r.Export(RunMeta{}, nil)
-	if len(sink.Events) != 5 {
-		t.Fatalf("sink saw %d events, want all 5", len(sink.Events))
-	}
-	for i, ev := range sink.Events {
-		if ev.Rank != i {
-			t.Errorf("sink event %d has rank %d: order not preserved", i, ev.Rank)
-		}
-	}
-	if len(out.Events) != 0 || out.DroppedEvents != 0 {
-		t.Error("with a sink the export must not duplicate or drop events")
-	}
-}
-
+// TestCSVSinkFormat pins WriteEventsCSV's header and row layout.
 func TestCSVSinkFormat(t *testing.T) {
-	var buf bytes.Buffer
-	sink := &CSVSink{W: &buf}
-	r := NewRecorder(Options{Events: true, Sink: sink})
+	r := NewRecorder(Options{Events: true})
 	r.SetEpoch(7)
 	r.ChannelCells(2)[1].FreqTransition(1000, 800, 400, 42)
 	r.MergeChannels()
-	r.Export(RunMeta{}, nil)
+	var buf bytes.Buffer
+	if err := WriteEventsCSV(&buf, []*RunExport{r.Export(RunMeta{}, nil)}); err != nil {
+		t.Fatal(err)
+	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 || lines[0] != EventCSVHeader {
 		t.Fatalf("csv = %q", buf.String())

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"memscale/internal/config"
+	"memscale/internal/racebuild"
 )
 
 func testMapper() *config.AddressMapper {
@@ -307,5 +308,16 @@ func BenchmarkStreamNext(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Next()
+	}
+}
+
+// TestZeroAllocs requires BenchmarkStreamNext to draw records with 0
+// allocs/op.
+func TestZeroAllocs(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation allocates and slows the benchmark")
+	}
+	if got := testing.Benchmark(BenchmarkStreamNext).AllocsPerOp(); got != 0 {
+		t.Errorf("BenchmarkStreamNext: %d allocs/op, want 0", got)
 	}
 }

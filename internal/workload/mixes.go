@@ -236,16 +236,6 @@ func (m Mix) ExpectedRPKIOver(instructions uint64) float64 {
 	return sum / float64(len(m.Apps))
 }
 
-// ExpectedWPKI returns the corresponding writeback rate over the
-// Table 1 window.
-func (m Mix) ExpectedWPKI() float64 {
-	var sum float64
-	for _, name := range m.Apps {
-		sum += appRateOver(apps[name], Table1Instructions, func(ph trace.Phase) float64 { return ph.WPKI })
-	}
-	return sum / float64(len(m.Apps))
-}
-
 // UniqueApps returns the distinct application names of the mix, sorted.
 func (m Mix) UniqueApps() []string {
 	set := map[string]bool{}

@@ -41,29 +41,7 @@ type CheckpointSchemaVersionError = checkpoint.SchemaVersionError
 // container a pure resume point for extending the run). The returned
 // summary is bit-identical to RunContext with the same rc.
 func CheckpointRun(ctx context.Context, rc RunConfig, atEpoch int, w io.Writer) (RunSummary, error) {
-	if err := rc.Validate(); err != nil {
-		return RunSummary{}, err
-	}
-	rc = rc.withDefaults()
-	if atEpoch == 0 {
-		atEpoch = rc.Epochs
-	}
-	if atEpoch < 0 || atEpoch > rc.Epochs {
-		return RunSummary{}, fmt.Errorf("%w: checkpoint.at_epoch: must be in [1, %d] (0 selects the final epoch), got %d",
-			ErrInvalidConfig, rc.Epochs, atEpoch)
-	}
-	job, err := rc.job()
-	if err != nil {
-		return RunSummary{}, err
-	}
-	out, ck, err := runner.New(runner.Options{Workers: 1}).RunWithCheckpoint(ctx, job, atEpoch)
-	if err != nil {
-		return RunSummary{}, err
-	}
-	if err := checkpoint.Encode(w, ck); err != nil {
-		return RunSummary{}, fmt.Errorf("write checkpoint: %w", err)
-	}
-	return summarize(out), nil
+	return CheckpointRunInterruptible(ctx, rc, atEpoch, nil, w)
 }
 
 // CheckpointRunInterruptible is CheckpointRun with a soft-stop signal:

@@ -6,110 +6,40 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"memscale/internal/bitdiff"
 )
 
-// goldenConfigs are the five pinned determinism cases from
-// TestGoldenDeterminism — including the fault-injected one, which
-// exercises relock stalls, refresh storms, thermal caps, and degraded
-// bookkeeping across the checkpoint boundary.
-func goldenConfigs() []RunConfig {
-	return []RunConfig{
-		{Mix: "MEM1", Policy: "MemScale", Epochs: 2},
-		{Mix: "ILP1", Policy: "Static", Epochs: 2},
-		{Mix: "MID2", Policy: "MemScale + Fast-PD", Epochs: 2},
-		{Mix: "MID3", Policy: "Slow-PD", Epochs: 2},
-		{Mix: "MID1", Policy: "MemScale", Epochs: 4, Faults: &FaultConfig{
-			Seed:               42,
-			RefreshStormRate:   0.5,
-			RelockFailRate:     0.5,
-			CounterCorruptRate: 0.3,
-			ThermalRate:        0.3,
-		}},
-	}
-}
-
-// sameBits asserts two summaries are Float64bits-identical in every
-// numeric field a paired run reports.
-func sameBits(t *testing.T, label string, cold, got RunSummary) {
-	t.Helper()
-	check := func(name string, a, b float64) {
-		t.Helper()
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Errorf("%s: %s = %v (%#x), cold run had %v (%#x)",
-				label, name, b, math.Float64bits(b), a, math.Float64bits(a))
-		}
-	}
-	check("DurationSeconds", cold.DurationSeconds, got.DurationSeconds)
-	check("MemoryEnergyJ", cold.MemoryEnergyJ, got.MemoryEnergyJ)
-	check("SystemEnergyJ", cold.SystemEnergyJ, got.SystemEnergyJ)
-	check("MemorySavings", cold.MemorySavings, got.MemorySavings)
-	check("SystemSavings", cold.SystemSavings, got.SystemSavings)
-	check("AvgCPIIncrease", cold.AvgCPIIncrease, got.AvgCPIIncrease)
-	check("WorstCPIIncrease", cold.WorstCPIIncrease, got.WorstCPIIncrease)
-	if len(got.FreqSeconds) != len(cold.FreqSeconds) {
-		t.Errorf("%s: FreqSeconds has %d entries, cold run had %d",
-			label, len(got.FreqSeconds), len(cold.FreqSeconds))
-	}
-	for f, v := range cold.FreqSeconds {
-		check(fmt.Sprintf("FreqSeconds[%d]", f), v, got.FreqSeconds[f])
-	}
-	if len(got.FaultCounts) != len(cold.FaultCounts) {
-		t.Errorf("%s: FaultCounts = %v, cold run had %v", label, got.FaultCounts, cold.FaultCounts)
-	}
-	for k, v := range cold.FaultCounts {
-		if got.FaultCounts[k] != v {
-			t.Errorf("%s: FaultCounts[%s] = %d, cold run had %d", label, k, got.FaultCounts[k], v)
-		}
-	}
-	if got.DegradedEpochs != cold.DegradedEpochs {
-		t.Errorf("%s: DegradedEpochs = %d, cold run had %d", label, got.DegradedEpochs, cold.DegradedEpochs)
-	}
-	if got.Attempts != cold.Attempts {
-		t.Errorf("%s: Attempts = %d, cold run had %d", label, got.Attempts, cold.Attempts)
-	}
-	if got.Events != cold.Events {
-		t.Errorf("%s: Events = %d, cold run had %d", label, got.Events, cold.Events)
-	}
-}
-
-// TestForkEquivalence is the checkpoint subsystem's core property: for
-// every golden config, snapshotting mid-run and resuming through the
-// serialized container reproduces the cold run bit for bit — energies,
-// CPI increases, residencies, fault counts, and the fired-event total.
+// TestForkEquivalence forks every golden config through the public
+// container: CheckpointRun at the midpoint, then ResumeRun from the
+// written bytes to the full length. Neither the Save at the midpoint
+// nor the resume may perturb the run: both summaries must equal the
+// plain run's bit for bit, fired-event count included.
 func TestForkEquivalence(t *testing.T) {
 	ctx := context.Background()
-	for _, rc := range goldenConfigs() {
-		rc := rc
+	for i, rc := range goldenConfigs() {
 		t.Run(rc.Mix+"/"+rc.Policy, func(t *testing.T) {
 			t.Parallel()
-			cold, err := RunContext(ctx, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Snapshot at the midpoint; the checkpointed run itself must
-			// already match the cold run (StepEpoch driving and the Save
-			// call must not perturb the event sequence).
-			at := rc.Epochs / 2
 			var buf bytes.Buffer
-			ckSum, err := CheckpointRun(ctx, rc, at, &buf)
+			ckSum, err := CheckpointRun(ctx, rc, rc.Epochs/2, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, "checkpointed run", cold, ckSum)
-
-			// Resume from the serialized container to the full length.
-			resumed, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), rc.Epochs)
+			resumed, err := ResumeRun(ctx, &buf, rc.Epochs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, "resumed run", cold, resumed)
+			plain, err := goldenRuns[i]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bitdiff.Same(t, "checkpointed run", plain, ckSum)
+			bitdiff.Same(t, "resumed run", plain, resumed)
 		})
 	}
 }
@@ -138,7 +68,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, "extended run", cold, resumed)
+	bitdiff.Same(t, "extended run", cold, resumed)
 
 	t.Run("cross-shard restore", func(t *testing.T) {
 		// testdata/ckpt-mem1part-shards4.bin was written by the retired
@@ -160,7 +90,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBits(t, "four-shard container resumed serially", cold, res)
+		bitdiff.Same(t, "four-shard container resumed serially", cold, res)
 	})
 	t.Run("epochs not beyond snapshot", func(t *testing.T) {
 		_, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), 2)
@@ -263,7 +193,7 @@ func TestWarmStartSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range sums {
-		sameBits(t, fmt.Sprintf("warm sweep run %d re-run", i), sums[i], again[i])
+		bitdiff.Same(t, fmt.Sprintf("warm sweep run %d re-run", i), sums[i], again[i])
 	}
 
 	t.Run("prefix must fit", func(t *testing.T) {
@@ -377,7 +307,7 @@ func TestCheckpointRunInterruptible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, "interrupt-resumed run", cold, resumed)
+	bitdiff.Same(t, "interrupt-resumed run", cold, resumed)
 
 	// A nil stop channel must behave exactly like CheckpointRun.
 	var full bytes.Buffer
@@ -385,5 +315,5 @@ func TestCheckpointRunInterruptible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, "uninterrupted run", cold, sum)
+	bitdiff.Same(t, "uninterrupted run", cold, sum)
 }

@@ -3,9 +3,10 @@ package memscale
 import (
 	"context"
 	"errors"
-	"reflect"
+	"fmt"
 	"testing"
 
+	"memscale/internal/bitdiff"
 	"memscale/internal/faults"
 	"memscale/internal/runner"
 	"memscale/internal/telemetry"
@@ -115,7 +116,7 @@ func TestFaultClassesDegradeGracefully(t *testing.T) {
 }
 
 // TestFaultDeterminism: the same seed must reproduce the same fault
-// schedule bit for bit — identical counts and identical energy.
+// schedule bit for bit: the whole summary, telemetry export included.
 func TestFaultDeterminism(t *testing.T) {
 	fc := FaultConfig{
 		Seed:               11,
@@ -125,7 +126,6 @@ func TestFaultDeterminism(t *testing.T) {
 		ThermalRate:        0.4,
 	}
 	rc := faultedConfig(&fc)
-	rc.Telemetry = nil // host-clock observations are not deterministic
 
 	a, err := Run(rc)
 	if err != nil {
@@ -135,23 +135,7 @@ func TestFaultDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.FaultCounts, b.FaultCounts) {
-		t.Errorf("fault counts diverge: %v vs %v", a.FaultCounts, b.FaultCounts)
-	}
-	if a.DegradedEpochs != b.DegradedEpochs || a.Attempts != b.Attempts {
-		t.Errorf("degraded/attempts diverge: %d/%d vs %d/%d",
-			a.DegradedEpochs, a.Attempts, b.DegradedEpochs, b.Attempts)
-	}
-	if a.MemoryEnergyJ != b.MemoryEnergyJ || a.SystemEnergyJ != b.SystemEnergyJ {
-		t.Errorf("energy diverges: %g/%g vs %g/%g J",
-			a.MemoryEnergyJ, a.SystemEnergyJ, b.MemoryEnergyJ, b.SystemEnergyJ)
-	}
-	if a.DurationSeconds != b.DurationSeconds {
-		t.Errorf("duration diverges: %g vs %g s", a.DurationSeconds, b.DurationSeconds)
-	}
-	if !reflect.DeepEqual(a.FreqSeconds, b.FreqSeconds) {
-		t.Errorf("residency diverges: %v vs %v", a.FreqSeconds, b.FreqSeconds)
-	}
+	bitdiff.Same(t, "same fault seed", a, b)
 
 	// A different seed must be allowed to disturb differently: at these
 	// rates the schedules are overwhelmingly unlikely to coincide.
@@ -163,7 +147,7 @@ func TestFaultDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(a.FaultCounts, c.FaultCounts) && a.MemoryEnergyJ == c.MemoryEnergyJ {
+	if bitdiff.Diff(a.FaultCounts, c.FaultCounts) == "" && a.MemoryEnergyJ == c.MemoryEnergyJ {
 		t.Error("different fault seeds produced identical runs")
 	}
 }
@@ -223,15 +207,6 @@ func TestSweepSurvivesFaultsAndPanic(t *testing.T) {
 		t.Fatalf("rerun error = %v", err)
 	}
 	for i := 0; i < panicIdx; i++ {
-		if !reflect.DeepEqual(sums[i].FaultCounts, again[i].FaultCounts) {
-			t.Errorf("job %d fault counts not reproduced: %v vs %v",
-				i, sums[i].FaultCounts, again[i].FaultCounts)
-		}
-		if sums[i].MemoryEnergyJ != again[i].MemoryEnergyJ ||
-			sums[i].SystemEnergyJ != again[i].SystemEnergyJ {
-			t.Errorf("job %d energy not reproduced: %g/%g vs %g/%g J", i,
-				sums[i].MemoryEnergyJ, sums[i].SystemEnergyJ,
-				again[i].MemoryEnergyJ, again[i].SystemEnergyJ)
-		}
+		bitdiff.Same(t, fmt.Sprintf("job %d rerun", i), sums[i], again[i])
 	}
 }

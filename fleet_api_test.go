@@ -3,11 +3,12 @@ package memscale
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"memscale/internal/bitdiff"
 )
 
 // TestFleetSummarySchemaVersion pins the interchange versioning
@@ -74,14 +75,7 @@ func TestRunFleetDeterministicAcrossWorkers(t *testing.T) {
 	if errA != nil || errB != nil {
 		t.Fatalf("errs: %v / %v", errA, errB)
 	}
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if !bytes.Equal(ja, jb) {
-		t.Fatalf("summaries differ across worker counts:\n%s\nvs\n%s", ja, jb)
-	}
-	if math.Float64bits(a.SER) != math.Float64bits(b.SER) {
-		t.Errorf("SER bits differ: %v vs %v", a.SER, b.SER)
-	}
+	bitdiff.Same(t, "1 vs 3 workers", a, b)
 }
 
 // TestFleetSummaryInterchange: the JSON and CSV views survive a full
@@ -155,5 +149,37 @@ func TestRunFleetScaleValidates(t *testing.T) {
 	}
 	if total != 1000 {
 		t.Errorf("resolved fleet has %d nodes, want 1000", total)
+	}
+}
+
+// TestPartitionedFleetPinned holds a capped fleet of channel-partitioned
+// nodes to the fleet summary the retired channel-sharded engine
+// produced for it with four shards per node.
+func TestPartitionedFleetPinned(t *testing.T) {
+	fc := FleetConfig{
+		Epochs:       3,
+		Seed:         11,
+		PowerBudgetW: 400,
+		Groups: []NodeGroup{
+			{Name: "mem", Nodes: 2, Mix: "MEM1/part", Cores: 4},
+			{Name: "mid", Nodes: 2, Mix: "MID1/part", Cores: 4},
+		},
+	}
+	got, err := RunFleet(context.Background(), fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		v    float64
+		want uint64
+	}{
+		{"SER", got.SER, 0x3fe94dce62714f89},
+		{"AvgCPIIncrease", got.AvgCPIIncrease, 0x3fc05095179e6954},
+		{"MemAvgPowerW", got.MemAvgPowerW, 0x4053b8e766290cfb},
+	} {
+		if b := math.Float64bits(c.v); b != c.want {
+			t.Errorf("%s = %v (%#x), want %#x", c.name, c.v, b, c.want)
+		}
 	}
 }

@@ -1,10 +1,47 @@
 package memscale
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
+
+	"memscale/internal/bitdiff"
 )
+
+// goldenConfigs are the five pinned determinism cases from
+// TestGoldenDeterminism — including the fault-injected one, which
+// exercises relock stalls, refresh storms, thermal caps, and degraded
+// bookkeeping.
+func goldenConfigs() []RunConfig {
+	return []RunConfig{
+		{Mix: "MEM1", Policy: "MemScale", Epochs: 2},
+		{Mix: "ILP1", Policy: "Static", Epochs: 2},
+		{Mix: "MID2", Policy: "MemScale + Fast-PD", Epochs: 2},
+		{Mix: "MID3", Policy: "Slow-PD", Epochs: 2},
+		{Mix: "MID1", Policy: "MemScale", Epochs: 4, Faults: &FaultConfig{
+			Seed:               42,
+			RefreshStormRate:   0.5,
+			RelockFailRate:     0.5,
+			CounterCorruptRate: 0.3,
+			ThermalRate:        0.3,
+		}},
+	}
+}
+
+// goldenRuns are the plain runs of goldenConfigs, each simulated once
+// and shared by TestGoldenDeterminism and TestForkEquivalence.
+var goldenRuns = func() (runs []func() (RunSummary, error)) {
+	for _, rc := range goldenConfigs() {
+		runs = append(runs, sync.OnceValues(func() (RunSummary, error) { return Run(rc) }))
+	}
+	return runs
+}()
 
 // TestGoldenDeterminism pins bit-exact RunSummary values captured on
 // the pre-rewrite event core (container/heap queue, closure handlers,
@@ -19,7 +56,6 @@ import (
 // top of the hot path.
 func TestGoldenDeterminism(t *testing.T) {
 	type golden struct {
-		rc       RunConfig
 		mem      uint64 // Float64bits of MemoryEnergyJ
 		sys      uint64 // Float64bits of SystemEnergyJ
 		avg      uint64 // Float64bits of AvgCPIIncrease
@@ -29,9 +65,8 @@ func TestGoldenDeterminism(t *testing.T) {
 		faults   map[string]uint64
 		degraded uint64
 	}
-	cases := []golden{
+	cases := []golden{ // cases[i] pins goldenConfigs()[i]
 		{
-			rc:  RunConfig{Mix: "MEM1", Policy: "MemScale", Epochs: 2},
 			mem: 0x3fe2a56c39969cb4, sys: 0x3ff64100fc8c0392,
 			avg: 0x3fadac19239699a0, worst: 0x3faf515354537280,
 			dur: 0x3f847ae147ae147b,
@@ -42,7 +77,6 @@ func TestGoldenDeterminism(t *testing.T) {
 			},
 		},
 		{
-			rc:  RunConfig{Mix: "ILP1", Policy: "Static", Epochs: 2},
 			mem: 0x3fc97dabc0462ab5, sys: 0x3fe29eae20c06da2,
 			avg: 0x3f8eb9c1ef33df40, worst: 0x3f9b937cab60ee80,
 			dur: 0x3f847ae147ae147b,
@@ -52,7 +86,6 @@ func TestGoldenDeterminism(t *testing.T) {
 			},
 		},
 		{
-			rc:  RunConfig{Mix: "MID2", Policy: "MemScale + Fast-PD", Epochs: 2},
 			mem: 0x3fd36b4cbfdefaf5, sys: 0x3fea7f689761af20,
 			avg: 0x3fbb5a283b7c7124, worst: 0x3fc1dee22f885048,
 			dur: 0x3f847ae147ae147b,
@@ -62,7 +95,6 @@ func TestGoldenDeterminism(t *testing.T) {
 			},
 		},
 		{
-			rc:  RunConfig{Mix: "MID3", Policy: "Slow-PD", Epochs: 2},
 			mem: 0x3fd68e65693298a3, sys: 0x3fea7ac6c33d3b5a,
 			avg: 0x3fb75d475b99c25c, worst: 0x3fb97b1e317bee60,
 			dur: 0x3f847ae147ae147b,
@@ -71,13 +103,6 @@ func TestGoldenDeterminism(t *testing.T) {
 			},
 		},
 		{
-			rc: RunConfig{Mix: "MID1", Policy: "MemScale", Epochs: 4, Faults: &FaultConfig{
-				Seed:               42,
-				RefreshStormRate:   0.5,
-				RelockFailRate:     0.5,
-				CounterCorruptRate: 0.3,
-				ThermalRate:        0.3,
-			}},
 			mem: 0x3fe1bbd88c31fea6, sys: 0x3ff811fab435f0a0,
 			avg: 0x3fa6ffe2fc200b48, worst: 0x3fade661d21bc720,
 			dur: 0x3f947ae147ae147b,
@@ -95,11 +120,11 @@ func TestGoldenDeterminism(t *testing.T) {
 			degraded: 3,
 		},
 	}
-	for _, g := range cases {
-		g := g
-		t.Run(g.rc.Mix+"/"+g.rc.Policy, func(t *testing.T) {
+	for i, g := range cases {
+		rc := goldenConfigs()[i]
+		t.Run(rc.Mix+"/"+rc.Policy, func(t *testing.T) {
 			t.Parallel()
-			sum, err := Run(g.rc)
+			sum, err := goldenRuns[i]()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,6 +162,123 @@ func TestGoldenDeterminism(t *testing.T) {
 			}
 			if sum.InvariantChecks == 0 {
 				t.Error("InvariantChecks = 0; the runtime invariant plane must be active on golden configs")
+			}
+		})
+	}
+}
+
+// summaryDigest is the SHA-256 of a summary's numeric results
+// (energies, savings, CPI increases, frequency residency, fault
+// tallies, attempts and event count), floats rendered as Float64bits
+// and map entries in key order.
+func summaryDigest(sum RunSummary) string {
+	var b strings.Builder
+	put := func(name string, v float64) { fmt.Fprintf(&b, "%s=%#x\n", name, math.Float64bits(v)) }
+	put("DurationSeconds", sum.DurationSeconds)
+	put("MemoryEnergyJ", sum.MemoryEnergyJ)
+	put("SystemEnergyJ", sum.SystemEnergyJ)
+	put("MemorySavings", sum.MemorySavings)
+	put("SystemSavings", sum.SystemSavings)
+	put("AvgCPIIncrease", sum.AvgCPIIncrease)
+	put("WorstCPIIncrease", sum.WorstCPIIncrease)
+	freqs := make([]int, 0, len(sum.FreqSeconds))
+	for f := range sum.FreqSeconds {
+		freqs = append(freqs, f)
+	}
+	sort.Ints(freqs)
+	for _, f := range freqs {
+		put(fmt.Sprintf("FreqSeconds[%d]", f), sum.FreqSeconds[f])
+	}
+	kinds := make([]string, 0, len(sum.FaultCounts))
+	for k := range sum.FaultCounts {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		fmt.Fprintf(&b, "FaultCounts[%s]=%d\n", k, sum.FaultCounts[k])
+	}
+	fmt.Fprintf(&b, "DegradedEpochs=%d\nAttempts=%d\nEvents=%d\n", sum.DegradedEpochs, sum.Attempts, sum.Events)
+	d := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(d[:])
+}
+
+// exportDigest is the SHA-256 of an export's canonical JSONL.
+func exportDigest(t *testing.T, e *TelemetryExport) string {
+	t.Helper()
+	jsonl, err := bitdiff.CanonicalJSONL(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sha256.Sum256(jsonl)
+	return hex.EncodeToString(d[:])
+}
+
+// partitionedPins hold every golden config on channel-partitioned
+// ("/part") placement: the summary digest of the plain run, and the
+// summary digest and canonical-JSONL SHA-256 of the run with the
+// telemetry event stream on. The pins come from the retired
+// channel-sharded engine on four shards, which matched the serial
+// engine bit for bit; they hold the serial engine to those bits, and
+// the two tests below keep the names of that engine's parity suite.
+var partitionedPins = map[string]struct{ plain, sum, tel string }{
+	"MEM1/MemScale": {
+		"2341409cf26d913dcde2045b42e687bfd5e56fef9aaf084b8a8e96abb06ae0c1",
+		"3e6bb5ecab9e8badf21fed41aa33656067be141e88acb68e54b7583937574436",
+		"39f32802ab8b241213b11f16a41ecfd81d9c5e3ef3517aedbbcd667194317c2e"},
+	"ILP1/Static": {
+		"ce97c5c0f44848f625db001b90f220db57b2c29a21d1d58471d9d41a8d16e682",
+		"930e5bf6c295672ae9ffc66955e1f1f492eb59545d312e20ffad4d8376b509ea",
+		"86e6fc5e03ad6c11c0d27d72ac064ad0da8f99012cc38e35350a381ac7f5a77f"},
+	"MID2/MemScale + Fast-PD": {
+		"a9c0050b83c154c46c24838845e74678ee2604542edb9ea049b2dd8e76049ccc",
+		"b465a03e2f804d70d54f55aa56d1e1208c698cf1a8c8222659f6db3e8e96f4f5",
+		"88db409953b33fe0bac652a2d371e62364bc0edcb29fba7f83435abd909b48b8"},
+	"MID3/Slow-PD": {
+		"54df28f87b2a1a556011bff64219ce3bf11713939ed19494cec585205d505139",
+		"779064f337d4d3025bdca8812aa3bd0d2c55ad19f09495232e9a60172af8d87f",
+		"ce84c2078dfabf9fdafb6f37dc86c29149a90040df84d8e14c6897786c17a5a3"},
+	"MID1/MemScale": {
+		"280d3eabafb7b9781772e6a9842da6b4b01bdcf5f378d15b3c3272012b4c916a",
+		"ae88cfb348c6d938128810cb1d54d02448878a89503e85d88d363b7581aca611",
+		"b83649d31ecfa17887d2935100545e32fae2cf0e00644c38308344b551a6f7bd"},
+}
+
+// TestShardParity runs every golden config on partitioned placement
+// and requires the pinned summary digest.
+func TestShardParity(t *testing.T) { checkPartitioned(t, nil) }
+
+// TestShardTelemetryParity is TestShardParity with the telemetry event
+// stream on: the summary digest and the SHA-256 of the canonical JSONL
+// export must both match their pins.
+func TestShardTelemetryParity(t *testing.T) {
+	checkPartitioned(t, &TelemetryConfig{Events: true})
+}
+
+func checkPartitioned(t *testing.T, tc *TelemetryConfig) {
+	ctx := context.Background()
+	for _, rc := range goldenConfigs() {
+		rc.Partitioned = true
+		rc.Telemetry = tc
+		name := rc.Mix + "/" + rc.Policy
+		want := partitionedPins[name]
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sum, err := RunContext(ctx, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSum := want.plain
+			if tc != nil {
+				wantSum = want.sum
+			}
+			if got := summaryDigest(sum); got != wantSum {
+				t.Errorf("summary digest = %s, want %s", got, wantSum)
+			}
+			if tc == nil {
+				return
+			}
+			if got := exportDigest(t, sum.Telemetry); got != want.tel {
+				t.Errorf("canonical telemetry SHA-256 = %s, want %s", got, want.tel)
 			}
 		})
 	}

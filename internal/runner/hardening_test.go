@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"memscale/internal/bitdiff"
 	"memscale/internal/config"
 	"memscale/internal/faults"
 	"memscale/internal/policies"
@@ -178,15 +179,5 @@ func TestRetriedRunMatchesUnabortedSchedule(t *testing.T) {
 	if got.Attempts != 2 || want.Attempts != 1 {
 		t.Fatalf("attempts = %d/%d, want 2/1", got.Attempts, want.Attempts)
 	}
-	gf, wf := got.Res.Faults, want.Res.Faults
-	gf.TransientAborts = 0
-	if gf != wf {
-		t.Errorf("fault counts diverge: retried %+v vs clean %+v", gf, wf)
-	}
-	if got.Res.Memory != want.Res.Memory {
-		t.Errorf("memory energy diverges: %+v vs %+v", got.Res.Memory, want.Res.Memory)
-	}
-	if got.Res.Duration != want.Res.Duration {
-		t.Errorf("duration diverges: %v vs %v", got.Res.Duration, want.Res.Duration)
-	}
+	bitdiff.Same(t, "retried vs clean", got, want, "Attempts", "Res.Faults.TransientAborts")
 }

@@ -1,128 +1,22 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
-	"memscale/internal/checkpoint"
+	"memscale/internal/bitdiff"
 	"memscale/internal/config"
 	"memscale/internal/core"
-	"memscale/internal/faults"
 	"memscale/internal/policies"
 	"memscale/internal/sim"
 	"memscale/internal/telemetry"
 	"memscale/internal/workload"
 )
-
-// diffBits returns the path of the first value where a and b differ, or
-// "". Floats compare by Float64bits, so -0 differs from 0 and the test
-// demands exact reproduction, not tolerance.
-func diffBits(a, b reflect.Value, path string) string {
-	switch a.Kind() {
-	case reflect.Float32, reflect.Float64:
-		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
-			return fmt.Sprintf("%s: %v vs %v", path, a.Float(), b.Float())
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if a.Int() != b.Int() {
-			return fmt.Sprintf("%s: %d vs %d", path, a.Int(), b.Int())
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		if a.Uint() != b.Uint() {
-			return fmt.Sprintf("%s: %d vs %d", path, a.Uint(), b.Uint())
-		}
-	case reflect.Bool:
-		if a.Bool() != b.Bool() {
-			return path
-		}
-	case reflect.String:
-		if a.String() != b.String() {
-			return fmt.Sprintf("%s: %q vs %q", path, a.String(), b.String())
-		}
-	case reflect.Struct:
-		for i := 0; i < a.NumField(); i++ {
-			if d := diffBits(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); d != "" {
-				return d
-			}
-		}
-	case reflect.Slice, reflect.Array:
-		if a.Len() != b.Len() {
-			return fmt.Sprintf("%s: length %d vs %d", path, a.Len(), b.Len())
-		}
-		for i := 0; i < a.Len(); i++ {
-			if d := diffBits(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); d != "" {
-				return d
-			}
-		}
-	case reflect.Map:
-		if a.Len() != b.Len() {
-			return fmt.Sprintf("%s: %d vs %d entries", path, a.Len(), b.Len())
-		}
-		it := a.MapRange()
-		for it.Next() {
-			bv := b.MapIndex(it.Key())
-			if !bv.IsValid() {
-				return fmt.Sprintf("%s[%v]: missing", path, it.Key())
-			}
-			if d := diffBits(it.Value(), bv, fmt.Sprintf("%s[%v]", path, it.Key())); d != "" {
-				return d
-			}
-		}
-	case reflect.Pointer, reflect.Interface:
-		if a.IsNil() != b.IsNil() {
-			return path + ": nil vs non-nil"
-		}
-		if !a.IsNil() {
-			return diffBits(a.Elem(), b.Elem(), path)
-		}
-	}
-	return ""
-}
-
-// sameOutcome fails t unless the two outcomes are Float64bits-identical
-// and their telemetry exports render to identical JSONL bytes.
-func sameOutcome(t *testing.T, what string, a, b Outcome) {
-	t.Helper()
-	ta, tb := canonicalJSONL(t, a.Telemetry), canonicalJSONL(t, b.Telemetry)
-	a.Telemetry, b.Telemetry = nil, nil
-	if d := diffBits(reflect.ValueOf(a), reflect.ValueOf(b), "Outcome"); d != "" {
-		t.Errorf("%s: outcomes differ at %s", what, d)
-	}
-	if math.Float64bits(a.Res.NonMemEnergy) != math.Float64bits(b.Res.NonMemEnergy) {
-		t.Errorf("%s: NonMemEnergy %v vs %v", what, a.Res.NonMemEnergy, b.Res.NonMemEnergy)
-	}
-	if !bytes.Equal(ta, tb) {
-		t.Errorf("%s: telemetry JSONL differs:\n%s\nvs\n%s", what, ta, tb)
-	}
-}
-
-// canonicalJSONL renders an export with its host-clock observations
-// zeroed: they record host wall time, which differs between any two
-// runs; everything else is simulated state.
-func canonicalJSONL(t *testing.T, e *telemetry.RunExport) []byte {
-	t.Helper()
-	if e == nil {
-		return nil
-	}
-	for i := range e.Epochs {
-		e.Epochs[i].HostNs = 0
-	}
-	if h := e.Histogram("epoch_host"); h != nil {
-		h.Reset()
-	}
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, e); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // heldBack makes every speculative attempt of eng decide as if the
 // baseline were still running, whatever the host's scheduling: the
@@ -131,92 +25,6 @@ func canonicalJSONL(t *testing.T, e *telemetry.RunExport) []byte {
 func heldBack(eng *Engine, estimate func(sim.Profile) float64) {
 	eng.speculation = func(func() (float64, bool)) *core.Speculation {
 		return core.NewSpeculation(func() (float64, bool) { return 0, false }, estimate)
-	}
-}
-
-// goldenJobs are the five golden_test.go configurations at engine level.
-func goldenJobs(t *testing.T) []Job {
-	t.Helper()
-	job := func(mixName string, spec policies.Spec, epochs int) Job {
-		mix, err := workload.ByName(mixName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Job{Mix: mix, Spec: spec, Epochs: epochs, Gamma: 0.10, Telemetry: &telemetry.Options{Events: true}}
-	}
-	faulted := job("MID1", policies.MemScale, 4)
-	faulted.Faults = &faults.Config{
-		Seed:               42,
-		RefreshStormRate:   0.5,
-		RelockFailRate:     0.5,
-		CounterCorruptRate: 0.3,
-		ThermalRate:        0.3,
-	}
-	return []Job{
-		job("MEM1", policies.MemScale, 2),
-		job("ILP1", policies.StaticBest, 2),
-		job("MID2", policies.MemScaleFastPD, 2),
-		job("MID3", policies.SlowPD, 2),
-		faulted,
-	}
-}
-
-// TestOverlapMatchesWarmCache is the overlap's acceptance gate: for
-// every golden configuration, a cold-cache checkpointed run whose
-// managed run decides on estimates throughout, and the resume of its
-// checkpoint, must be bit-identical to the same calls made once the
-// baseline is cached (the calibrated power known up front). Guesses the
-// replay rejects are allowed here; their re-runs must match too.
-func TestOverlapMatchesWarmCache(t *testing.T) {
-	for _, job := range goldenJobs(t) {
-		job := job
-		t.Run(job.Mix.Name+"/"+job.Spec.Name, func(t *testing.T) {
-			t.Parallel()
-			ctx := context.Background()
-			ck := job.Epochs / 2
-			cold := New(Options{Workers: 1})
-			heldBack(cold, nil)
-			coldOut, coldCk, err := cold.RunWithCheckpoint(ctx, job, ck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The cold engine's cache now holds the baseline: the same
-			// call again knows the calibrated power before it starts.
-			warmOut, warmCk, err := cold.RunWithCheckpoint(ctx, job, ck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hits, misses := cold.Cache().Stats(); hits != 1 || misses != 1 {
-				t.Fatalf("cache hits/misses = %d/%d, want 1/1", hits, misses)
-			}
-			sameOutcome(t, "checkpointed run", coldOut, warmOut)
-			if d := diffBits(reflect.ValueOf(coldCk.Meta), reflect.ValueOf(warmCk.Meta), "Meta"); d != "" {
-				t.Errorf("checkpoint meta differs at %s", d)
-			}
-			if math.Float64bits(coldCk.Meta.NonMem) != math.Float64bits(coldOut.NonMem) {
-				t.Errorf("Meta.NonMem = %v, outcome NonMem = %v", coldCk.Meta.NonMem, coldOut.NonMem)
-			}
-			guessed := cold.confirmed.Load() + cold.reruns.Load()
-			if reads := job.Spec.Speculative != nil && job.Spec.Name != policies.StaticBest.Name; reads != (guessed > 0) {
-				t.Errorf("%d attempts decided on an estimate; want some exactly when the governor reads nonMem (%v)", guessed, reads)
-			}
-			t.Logf("confirmed %d, re-ran %d", cold.confirmed.Load(), cold.reruns.Load())
-
-			// Resume the checkpoints to the same horizon: cold with the
-			// baseline simulating alongside, warm with it cached.
-			rj := func(ck *checkpoint.Checkpoint) ResumeJob {
-				return ResumeJob{Checkpoint: ck, Epochs: job.Epochs, Telemetry: &telemetry.Options{Events: true}}
-			}
-			coldRes, err := New(Options{Workers: 1}).Resume(ctx, rj(coldCk))
-			if err != nil {
-				t.Fatal(err)
-			}
-			warmRes, err := cold.Resume(ctx, rj(warmCk))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameOutcome(t, "resumed run", coldRes, warmRes)
-		})
 	}
 }
 
@@ -246,7 +54,7 @@ func TestWrongGuessReruns(t *testing.T) {
 	if n := eng.reruns.Load(); n != 1 {
 		t.Fatalf("the warm-cache run re-ran (re-runs = %d)", n)
 	}
-	sameOutcome(t, "re-run", got, want)
+	bitdiff.Same(t, "re-run", got, want)
 }
 
 // TestGuessesConfirmAcrossMixes: cold-cache runs, overlapped the way
@@ -290,6 +98,26 @@ func TestGuessesConfirmAcrossMixes(t *testing.T) {
 	}
 	if reruns != 0 {
 		t.Errorf("%d runs re-ran after a rejected guess, want 0", reruns)
+	}
+}
+
+// TestOverlapMatchesWarmCache: on every golden job the reference, run
+// on a cold cache with its managed run deciding on estimates throughout,
+// must be bit-identical to the warmCells run once the baseline is
+// cached. The attempts decided on an estimate must be exactly those
+// whose governor reads nonMem.
+func TestOverlapMatchesWarmCache(t *testing.T) {
+	for _, job := range goldenJobs(t) {
+		if strings.HasSuffix(job.Mix.Name, workload.PartitionedSuffix) {
+			continue
+		}
+		t.Run(job.Mix.Name+"/"+job.Spec.Name, func(t *testing.T) {
+			t.Parallel()
+			ref := matrix(t, job, warmCells)
+			if reads := job.Spec.Speculative != nil && job.Spec.Name != policies.StaticBest.Name; reads != (ref.guessed > 0) {
+				t.Errorf("%d attempts decided on an estimate; want some exactly when the governor reads nonMem (%v)", ref.guessed, reads)
+			}
+		})
 	}
 }
 

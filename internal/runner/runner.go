@@ -251,6 +251,10 @@ type Engine struct {
 	// back or to force a wrong guess.
 	speculation func(resolved func() (float64, bool)) *core.Speculation
 
+	// disableCoalescing puts managed runs on sim's event-driven path
+	// (sim.Options.DisableCoalescing); tests set it to compare the two.
+	disableCoalescing bool
+
 	// confirmed and reruns count the managed attempts whose speculated
 	// decisions a replay confirmed or rejected.
 	confirmed, reruns atomic.Int64
@@ -487,9 +491,10 @@ func (e *Engine) simulate(ctx context.Context, p *pairing, attempt int, gov func
 		return r, err
 	}
 	opts := sim.Options{
-		Governor:     gov(&cfg),
-		KeepTimeline: job.Timeline,
-		Faults:       inj,
+		Governor:          gov(&cfg),
+		KeepTimeline:      job.Timeline,
+		Faults:            inj,
+		DisableCoalescing: e.disableCoalescing,
 	}
 	if job.Telemetry != nil {
 		r.rec = telemetry.NewRecorder(*job.Telemetry)

@@ -2,9 +2,9 @@ package sim_test
 
 import (
 	"context"
-	"math"
 	"testing"
 
+	"memscale/internal/bitdiff"
 	"memscale/internal/config"
 	"memscale/internal/core"
 	"memscale/internal/sim"
@@ -52,20 +52,7 @@ func TestStepEpochMatchesRunFor(t *testing.T) {
 			break
 		}
 	}
-	got := s.Finalize()
-
-	if got.Duration != want.Duration {
-		t.Fatalf("duration %v != %v", got.Duration, want.Duration)
-	}
-	if math.Float64bits(got.Memory.Memory()) != math.Float64bits(want.Memory.Memory()) {
-		t.Errorf("memory energy %v != %v", got.Memory.Memory(), want.Memory.Memory())
-	}
-	if math.Float64bits(got.MeanCPI()) != math.Float64bits(want.MeanCPI()) {
-		t.Errorf("mean CPI %v != %v", got.MeanCPI(), want.MeanCPI())
-	}
-	if got.Events != want.Events {
-		t.Errorf("events %d != %d", got.Events, want.Events)
-	}
+	bitdiff.Same(t, "StepEpoch vs RunFor", want, s.Finalize())
 }
 
 // TestFrequencyCapCeilsGovernor runs a memory-bound mix (where
@@ -134,11 +121,5 @@ func TestCapZeroIsBitIdentical(t *testing.T) {
 		}
 		return s.RunFor(15 * config.Millisecond)
 	}
-	a, b := run(0), run(config.MaxBusFreq)
-	if a.Events != b.Events {
-		t.Errorf("cap at nominal changed event count: %d != %d", a.Events, b.Events)
-	}
-	if math.Float64bits(a.Memory.Memory()) != math.Float64bits(b.Memory.Memory()) {
-		t.Errorf("cap at nominal changed energy: %v != %v", a.Memory.Memory(), b.Memory.Memory())
-	}
+	bitdiff.Same(t, "cap at nominal", run(0), run(config.MaxBusFreq))
 }

@@ -189,8 +189,9 @@ type Options struct {
 	// transition onto the fully event-driven slow path, firing one event
 	// per micro-step as the original formulation did. The coalesced fast
 	// paths are constructed to be bit-identical to this mode (the
-	// conservation property tests check exactly that), so the switch
-	// exists for differential testing and debugging, not correctness.
+	// conservation property in this package and the runner's
+	// TestEquivalence check exactly that), so the switch exists for
+	// differential testing and debugging, not correctness.
 	DisableCoalescing bool
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"memscale/internal/bitdiff"
 	"memscale/internal/config"
 	"memscale/internal/trace"
 	"memscale/internal/workload"
@@ -196,18 +197,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		s := newSystem(t, "MID2", Options{}, nil)
 		return s.RunFor(10 * config.Millisecond)
 	}
-	a, b := run(), run()
-	if a.Duration != b.Duration {
-		t.Fatal("durations differ")
-	}
-	for i := range a.Instructions {
-		if a.Instructions[i] != b.Instructions[i] {
-			t.Fatalf("core %d instructions differ: %f vs %f", i, a.Instructions[i], b.Instructions[i])
-		}
-	}
-	if a.Memory != b.Memory {
-		t.Error("energy breakdowns differ across identical runs")
-	}
+	bitdiff.Same(t, "identical runs", run(), run())
 }
 
 func TestNewValidation(t *testing.T) {

@@ -3,6 +3,8 @@ package memscale
 import (
 	"strings"
 	"testing"
+
+	"memscale/internal/bitdiff"
 )
 
 func TestMixesAndPolicies(t *testing.T) {
@@ -94,9 +96,7 @@ func TestRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.SystemEnergyJ != b.SystemEnergyJ || a.AvgCPIIncrease != b.AvgCPIIncrease {
-		t.Error("identical RunConfigs produced different results")
-	}
+	bitdiff.Same(t, "identical RunConfigs", a, b)
 }
 
 func TestExperimentsRegistry(t *testing.T) {

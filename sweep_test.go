@@ -3,10 +3,11 @@ package memscale
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
+
+	"memscale/internal/bitdiff"
 )
 
 // smallGrid is a reduced-scale mix x policy grid that keeps sweep
@@ -30,25 +31,13 @@ func TestSweepDeterminismParallelVsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("8-worker sweep differs from serial sweep")
-	}
-	// Byte-identical, not merely approximately equal: the formatted
-	// values (Go prints maps in sorted key order) must match exactly.
-	for i := range serial {
-		s, p := fmt.Sprintf("%#v", serial[i]), fmt.Sprintf("%#v", parallel[i])
-		if s != p {
-			t.Fatalf("run %d not byte-identical:\nserial:   %s\nparallel: %s", i, s, p)
-		}
-	}
+	bitdiff.Same(t, "8-worker vs serial sweep", serial, parallel)
 	// And both must match a bare RunContext of the same config.
 	one, err := RunContext(context.Background(), grid[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprintf("%#v", one) != fmt.Sprintf("%#v", serial[0]) {
-		t.Fatal("Sweep result differs from RunContext of the same RunConfig")
-	}
+	bitdiff.Same(t, "RunContext vs Sweep", one, serial[0])
 }
 
 func TestRunContextCancellationMidSimulation(t *testing.T) {
@@ -184,9 +173,7 @@ func TestRunIsRunContextWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("Run and RunContext disagree on the same RunConfig")
-	}
+	bitdiff.Same(t, "Run vs RunContext", a, b)
 }
 
 // TestSweepEmptyGridIsError: an empty grid (e.g. Grid over empty mix

@@ -3,13 +3,13 @@ package memscale
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
+
+	"memscale/internal/bitdiff"
 )
 
 // telemetryRC is the small machine shape the telemetry tests run on.
@@ -82,18 +82,14 @@ func TestTelemetryReconciliation(t *testing.T) {
 	if len(back) != 1 {
 		t.Fatalf("round trip returned %d runs, want 1", len(back))
 	}
-	if back[0].Energy != exp.Energy || back[0].Residency != exp.Residency {
-		t.Error("energy/residency totals changed across the JSONL round trip")
-	}
-	if len(back[0].Epochs) != len(exp.Epochs) || len(back[0].Events) != len(exp.Events) {
-		t.Errorf("round trip kept %d epochs/%d events, want %d/%d",
-			len(back[0].Epochs), len(back[0].Events), len(exp.Epochs), len(exp.Events))
-	}
+	bitdiff.Same(t, "JSONL round trip", exp, back[0])
 }
 
-// TestTelemetryZeroInterference asserts that instrumenting a run does
-// not perturb it: the simulated outcome is bit-identical with
-// telemetry on and off.
+// TestTelemetryZeroInterference: requesting telemetry must not perturb
+// the simulation. Every summary field but the fired-event count (the
+// recorder keeps the controller off its deferred-precharge paths) and
+// the export itself must match the plain run bit for bit, and the plain
+// run must export nothing.
 func TestTelemetryZeroInterference(t *testing.T) {
 	plain, err := Run(telemetryRC(nil))
 	if err != nil {
@@ -106,12 +102,7 @@ func TestTelemetryZeroInterference(t *testing.T) {
 	if plain.Telemetry != nil {
 		t.Error("telemetry exported without being requested")
 	}
-	if plain.MemoryEnergyJ != instrumented.MemoryEnergyJ ||
-		plain.SystemEnergyJ != instrumented.SystemEnergyJ ||
-		plain.AvgCPIIncrease != instrumented.AvgCPIIncrease ||
-		plain.DurationSeconds != instrumented.DurationSeconds {
-		t.Errorf("telemetry perturbed the simulation: %+v vs %+v", plain, instrumented)
-	}
+	bitdiff.Same(t, "instrumented run", plain, instrumented, "Events", "Telemetry")
 }
 
 // TestTelemetrySweepAggregation runs a telemetry-enabled grid on a
@@ -216,29 +207,6 @@ func TestTelemetrySchemaVersion(t *testing.T) {
 	}
 }
 
-// canonicalTelemetry renders a summary's telemetry export as JSONL
-// with the host-clock observations zeroed: HostNs on every epoch
-// snapshot and the epoch_host histogram record host wall time, which
-// differs between any two runs by nature. Everything else in the
-// stream is simulated state.
-func canonicalTelemetry(t *testing.T, sum RunSummary) string {
-	t.Helper()
-	if sum.Telemetry == nil {
-		t.Fatal("run carries no telemetry export")
-	}
-	for i := range sum.Telemetry.Epochs {
-		sum.Telemetry.Epochs[i].HostNs = 0
-	}
-	if h := sum.Telemetry.Histogram("epoch_host"); h != nil {
-		h.Reset()
-	}
-	var buf bytes.Buffer
-	if err := WriteTelemetry(&buf, sum); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
 // TestTelemetryExportPinned pins the SHA-256 of the canonical JSONL
 // export for every golden config with the event stream on. The export
 // order and the histogram sums follow from how the per-channel
@@ -264,8 +232,7 @@ func TestTelemetryExportPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			digest := sha256.Sum256([]byte(canonicalTelemetry(t, sum)))
-			if got := hex.EncodeToString(digest[:]); got != pins[name] {
+			if got := exportDigest(t, sum.Telemetry); got != pins[name] {
 				t.Errorf("canonical telemetry SHA-256 = %s, want %s", got, pins[name])
 			}
 		})

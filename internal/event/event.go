@@ -7,11 +7,12 @@
 // exactly reproducible.
 //
 // The queue is built for a zero-allocation steady state: event nodes
-// live in a pooled arena and are recycled through a free list after
-// they fire or are cancelled, and the ScheduleBound form lets callers
-// attach a pre-bound callback plus inline arguments so that scheduling
-// never captures a closure. Handles carry a generation counter, so a
-// stale handle can never cancel an event that recycled its slot.
+// live in a pooled arena and are recycled through a free list when
+// they fire, and the ScheduleBound form lets callers attach a
+// pre-bound callback plus inline arguments so that scheduling never
+// captures a closure. Scheduling returns nothing: a pending event is
+// never addressed again, so fire order is the total (time, seq) order
+// of the pending keys and node indices never break a tie.
 //
 // Pending keys are 16 bytes, the fire time and the schedule sequence
 // packed with the node index, kept in a short array sorted latest
@@ -41,14 +42,6 @@ type Handler func(now config.Time)
 // a method value once at construction time and passes per-event state
 // through env/a/b.
 type Bound func(now config.Time, env any, a, b int32)
-
-// Handle identifies a scheduled event. It is a small value (no heap
-// pointer): the index of the pooled node plus the generation the node
-// had when the event was scheduled. The zero Handle is never valid.
-type Handle struct {
-	idx int32
-	gen uint32
-}
 
 // entry is one pending key, 16 bytes: the fire time, and a word that
 // packs the schedule sequence (the same-instant FIFO tie-break) above
@@ -103,19 +96,13 @@ func entryLess(a, b entry) bool {
 	return a.at < b.at || (a.at == b.at && a.key < b.key)
 }
 
-// node is one pooled event. pos records only whether the node is
-// pending (>= 0) or free/fired (-1) — the exact position of its entry
-// is not maintained, so shifts and sift moves are pure entry copies;
-// the rare operations that need a position (Cancel, EventAt) scan the
-// pending entries for the node index instead. gen increments every
-// time the slot is recycled, invalidating old handles.
+// node is one pooled event: the callback a pending entry names by
+// index. Exactly one of fn/bfn is set while the node is pending.
 type node struct {
 	fn   Handler
 	bfn  Bound
 	env  any
 	a, b int32
-	gen  uint32
-	pos  int32
 }
 
 // deferred is one lazily materialized schedule (see ScheduleVia): at
@@ -201,10 +188,6 @@ func (q *Queue) Coalesced() uint64 { return q.coalesced }
 // high-water mark of concurrently pending events.
 func (q *Queue) PoolSize() int { return len(q.nodes) }
 
-// FreeNodes returns the number of pooled slots currently on the free
-// list, available for recycling.
-func (q *Queue) FreeNodes() int { return len(q.free) }
-
 // alloc takes a node slot from the free list, growing the arena only
 // when no recycled slot is available.
 func (q *Queue) alloc() int32 {
@@ -213,56 +196,46 @@ func (q *Queue) alloc() int32 {
 		q.free = q.free[:n-1]
 		return idx
 	}
-	q.nodes = append(q.nodes, node{gen: 1, pos: -1})
+	q.nodes = append(q.nodes, node{})
 	return int32(len(q.nodes) - 1)
 }
 
-// release recycles a node slot: callback references are dropped so the
-// pool retains nothing, and the generation bump invalidates every
-// handle issued for the previous occupant.
+// release recycles a node slot, dropping its callback references so the
+// pool retains nothing.
 func (q *Queue) release(idx int32) {
-	n := &q.nodes[idx]
-	n.fn = nil
-	n.bfn = nil
-	n.env = nil
-	n.gen++
-	n.pos = -1
+	q.nodes[idx] = node{}
 	q.free = append(q.free, idx)
 }
 
-func (q *Queue) add(at config.Time, fn Handler, bfn Bound, env any, a, b int32) Handle {
+// add queues a real event with sequence number seq.
+func (q *Queue) add(at config.Time, seq uint64, fn Handler, bfn Bound, env any, a, b int32) {
 	if at < q.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", at, q.now))
 	}
-	seq := q.bump()
 	q.scheduled++
 	idx := q.alloc()
-	n := &q.nodes[idx]
-	n.fn, n.bfn, n.env, n.a, n.b = fn, bfn, env, a, b
-	n.pos = 0
-	h := Handle{idx: idx, gen: n.gen}
+	q.nodes[idx] = node{fn: fn, bfn: bfn, env: env, a: a, b: b}
 	q.push(makeEntry(at, seq, idx))
-	return h
 }
 
 // Schedule queues fn to run at time at. Scheduling in the past (before
 // Now) panics: that is always a simulator bug, and silently clamping
 // would corrupt causality.
-func (q *Queue) Schedule(at config.Time, fn Handler) Handle {
+func (q *Queue) Schedule(at config.Time, fn Handler) {
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	return q.add(at, fn, nil, nil, 0, 0)
+	q.add(at, q.bump(), fn, nil, nil, 0, 0)
 }
 
 // ScheduleBound queues a pre-bound callback: fn(at, env, a, b) runs at
 // time at. env and the integer arguments are stored inline in the
 // pooled node, so the call allocates nothing once the pool is warm.
-func (q *Queue) ScheduleBound(at config.Time, fn Bound, env any, a, b int32) Handle {
+func (q *Queue) ScheduleBound(at config.Time, fn Bound, env any, a, b int32) {
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	return q.add(at, nil, fn, env, a, b)
+	q.add(at, q.bump(), nil, fn, env, a, b)
 }
 
 // Seq is a same-instant ordering ticket. ReserveSeq allocates the next
@@ -291,21 +264,11 @@ func (q *Queue) FiringSeq() uint64 { return q.firing }
 // allowed only when the ticket's position has not yet been passed
 // (seq greater than FiringSeq); the caller owns that guarantee — a
 // ticket whose position already fired would be silently late.
-func (q *Queue) ScheduleBoundSeq(at config.Time, seq Seq, fn Bound, env any, a, b int32) Handle {
+func (q *Queue) ScheduleBoundSeq(at config.Time, seq Seq, fn Bound, env any, a, b int32) {
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	if at < q.now {
-		panic(fmt.Sprintf("event: reserved-seq scheduling at %v before now %v", at, q.now))
-	}
-	q.scheduled++
-	idx := q.alloc()
-	n := &q.nodes[idx]
-	n.fn, n.bfn, n.env, n.a, n.b = nil, fn, env, a, b
-	n.pos = 0
-	h := Handle{idx: idx, gen: n.gen}
-	q.push(makeEntry(at, uint64(seq), idx))
-	return h
+	q.add(at, uint64(seq), nil, fn, env, a, b)
 }
 
 // ScheduleVia is the deferred-schedule fast path: it is semantically
@@ -320,8 +283,8 @@ func (q *Queue) ScheduleBoundSeq(at config.Time, seq Seq, fn Bound, env any, a, 
 // FIFO order is therefore preserved bit-exactly while the trampoline's
 // heap traffic, node, and callback dispatch disappear.
 //
-// The activation must not lie in the past. Deferred schedules cannot
-// be cancelled; use a real event when cancellation is needed.
+// The activation must not lie in the past. A deferred schedule can be
+// withdrawn with CancelDeferred until it materializes.
 func (q *Queue) ScheduleVia(activateAt, fireAt config.Time, fn Bound, env any, a, b int32) {
 	if fn == nil {
 		panic("event: nil handler")
@@ -381,86 +344,16 @@ func (q *Queue) CancelDeferred(seq Seq) bool {
 // processing order.
 func (q *Queue) materializeDeferred() {
 	last := len(q.defers) - 1
-	d := &q.defers[last]
-	seq := q.bump()
-	q.scheduled++
-	idx := q.alloc()
-	n := &q.nodes[idx]
-	n.fn, n.bfn, n.env, n.a, n.b = nil, d.bfn, d.env, d.a, d.b
-	n.pos = 0
-	e := makeEntry(d.fireAt, seq, idx)
-	*d = deferred{} // drop the callback/env references
+	d := q.defers[last]
+	q.defers[last] = deferred{} // drop the callback/env references
 	q.defers = q.defers[:last]
-	q.push(e)
-}
-
-// After queues fn to run d after the current time.
-func (q *Queue) After(d config.Time, fn Handler) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("event: negative delay %v", d))
-	}
-	return q.Schedule(q.now+d, fn)
-}
-
-// AfterBound queues a pre-bound callback d after the current time.
-func (q *Queue) AfterBound(d config.Time, fn Bound, env any, a, b int32) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("event: negative delay %v", d))
-	}
-	return q.ScheduleBound(q.now+d, fn, env, a, b)
-}
-
-// live returns the node for h if h still names a pending event.
-func (q *Queue) live(h Handle) *node {
-	if h.idx < 0 || int(h.idx) >= len(q.nodes) {
-		return nil
-	}
-	n := &q.nodes[h.idx]
-	if n.gen != h.gen || n.pos < 0 {
-		return nil
-	}
-	return n
-}
-
-// Pending reports whether the event named by h is still queued.
-func (q *Queue) Pending(h Handle) bool { return q.live(h) != nil }
-
-// EventAt returns the fire time of the pending event named by h, and
-// whether h still names a pending event.
-func (q *Queue) EventAt(h Handle) (config.Time, bool) {
-	if q.live(h) == nil {
-		return 0, false
-	}
-	if i := find(q.near, h.idx); i >= 0 {
-		return q.near[i].at, true
-	}
-	return q.heap[find(q.heap, h.idx)].at, true
-}
-
-// Cancel removes a pending event eagerly: the node leaves the queue and
-// returns to the pool immediately, so long-lived cancellations (relock
-// or refresh reschedules) cannot bloat the queue. Cancelling a fired,
-// already cancelled, or recycled handle is a no-op; the generation
-// check guarantees a stale handle can never cancel the slot's next
-// occupant. It reports whether an event was actually cancelled.
-func (q *Queue) Cancel(h Handle) bool {
-	if q.live(h) == nil {
-		return false
-	}
-	if i := find(q.near, h.idx); i >= 0 {
-		q.near = q.near[:i+copy(q.near[i:], q.near[i+1:])]
-	} else {
-		q.heapRemove(find(q.heap, h.idx))
-	}
-	q.release(h.idx)
-	return true
+	q.add(d.fireAt, q.bump(), nil, d.bfn, d.env, d.a, d.b)
 }
 
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It returns false when no events remain. The node is
 // recycled before the callback runs, so a callback scheduling a new
-// event may reuse the slot; the generation bump keeps old handles
-// inert.
+// event may reuse the slot.
 func (q *Queue) Step() bool {
 	for {
 		e, fromHeap, ok := q.peek()
@@ -528,34 +421,6 @@ func (q *Queue) RunUntil(deadline config.Time) {
 	q.now = deadline
 }
 
-// Run executes events until the queue is empty or limit events have
-// fired; limit <= 0 means no limit. It returns the number of events
-// executed.
-func (q *Queue) Run(limit uint64) uint64 {
-	var n uint64
-	for limit <= 0 || n < limit {
-		if !q.Step() {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// NextAt returns the timestamp of the next event to fire and whether
-// one exists. A deferred schedule counts at its fire time (its
-// activation alone executes nothing observable).
-func (q *Queue) NextAt() (config.Time, bool) {
-	e, _, ok := q.peek()
-	at := e.at
-	for i := range q.defers {
-		if f := q.defers[i].fireAt; !ok || f < at {
-			at, ok = f, true
-		}
-	}
-	return at, ok
-}
-
 // peek returns the earliest pending entry, and whether it is the heap
 // root rather than near's tail.
 func (q *Queue) peek() (e entry, fromHeap, ok bool) {
@@ -601,19 +466,6 @@ func (q *Queue) push(e entry) {
 	q.near = near
 }
 
-// find scans es for the entry of the given node index, returning its
-// position or -1. The queue is small (tens of entries), and only the
-// cold paths — Cancel and EventAt — need a position, so a scan beats
-// maintaining per-node positions on every move of the hot path.
-func find(es []entry, idx int32) int {
-	for i := range es {
-		if es[i].idx() == idx {
-			return i
-		}
-	}
-	return -1
-}
-
 // deferPush inserts a deferred schedule into the latest-first defers
 // array, walking in from the tail as push does.
 func (q *Queue) deferPush(d deferred) {
@@ -651,21 +503,6 @@ func (q *Queue) popRoot() {
 	if n > 0 {
 		q.heap[0] = last
 		q.siftDown(0)
-	}
-}
-
-// heapRemove deletes the entry at heap position i (eager cancellation).
-func (q *Queue) heapRemove(i int) {
-	n := len(q.heap) - 1
-	last := q.heap[n]
-	q.heap = q.heap[:n]
-	if i == n {
-		return
-	}
-	q.heap[i] = last
-	q.siftDown(i)
-	if q.heap[i].key == last.key {
-		q.siftUp(i)
 	}
 }
 

@@ -11,6 +11,12 @@ import (
 	"memscale/internal/racebuild"
 )
 
+// drain fires every pending event.
+func drain(q *Queue) {
+	for q.Step() {
+	}
+}
+
 func TestFIFOAtSameInstant(t *testing.T) {
 	var q Queue
 	var order []int
@@ -18,7 +24,7 @@ func TestFIFOAtSameInstant(t *testing.T) {
 		i := i
 		q.Schedule(100, func(config.Time) { order = append(order, i) })
 	}
-	q.Run(0)
+	drain(&q)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-instant events out of order: %v", order)
@@ -36,20 +42,23 @@ func TestFIFOAtSameInstantAfterRecycling(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		q.Schedule(config.Time(i), func(config.Time) {})
 	}
-	q.Run(0)
-	if q.FreeNodes() == 0 {
-		t.Fatal("pool should hold recycled slots")
+	drain(&q)
+	if q.PoolSize() != 32 {
+		t.Fatalf("PoolSize = %d after 32 events, want 32", q.PoolSize())
 	}
 	var order []int
 	for i := 0; i < 16; i++ {
 		i := i
 		q.Schedule(1000, func(config.Time) { order = append(order, i) })
 	}
-	q.Run(0)
+	drain(&q)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("recycled same-instant events out of order: %v", order)
 		}
+	}
+	if q.PoolSize() != 32 {
+		t.Errorf("PoolSize = %d, want 32 (recycled slots reused)", q.PoolSize())
 	}
 }
 
@@ -60,102 +69,12 @@ func TestTimeOrdering(t *testing.T) {
 	for _, at := range times {
 		q.Schedule(at, func(now config.Time) { fired = append(fired, now) })
 	}
-	q.Run(0)
+	drain(&q)
 	if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
 		t.Fatalf("events fired out of time order: %v", fired)
 	}
 	if len(fired) != len(times) {
 		t.Fatalf("fired %d events, want %d", len(fired), len(times))
-	}
-}
-
-func TestCancel(t *testing.T) {
-	var q Queue
-	ran := false
-	h := q.Schedule(10, func(config.Time) { ran = true })
-	if !q.Pending(h) {
-		t.Error("event should report pending")
-	}
-	if at, ok := q.EventAt(h); !ok || at != 10 {
-		t.Errorf("EventAt = %v, %v", at, ok)
-	}
-	if !q.Cancel(h) {
-		t.Error("Cancel of a pending event must report true")
-	}
-	if q.Pending(h) {
-		t.Error("cancelled event still reports pending")
-	}
-	q.Run(0)
-	if ran {
-		t.Error("cancelled event ran")
-	}
-	if q.Cancel(h) {
-		t.Error("double cancel must report false")
-	}
-	if q.Cancel(Handle{}) {
-		t.Error("zero handle cancel must report false")
-	}
-}
-
-func TestCancelRemovesEagerly(t *testing.T) {
-	// A cancelled event must leave the heap immediately, not linger
-	// until its fire time (the old lazy-deletion leak).
-	var q Queue
-	handles := make([]Handle, 100)
-	for i := range handles {
-		handles[i] = q.Schedule(config.Time(1000+i), func(config.Time) {})
-	}
-	for _, h := range handles {
-		q.Cancel(h)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after cancelling everything, want 0 (eager removal)", q.Len())
-	}
-	if q.FreeNodes() != 100 {
-		t.Errorf("FreeNodes = %d, want 100 (cancelled nodes recycled)", q.FreeNodes())
-	}
-}
-
-func TestCancelledHandleCannotHitRecycledSlot(t *testing.T) {
-	// Generation safety: after a slot is recycled, a stale handle to
-	// its previous occupant must be inert.
-	var q Queue
-	h1 := q.Schedule(10, func(config.Time) { t.Error("cancelled event fired") })
-	q.Cancel(h1)
-
-	ran := false
-	h2 := q.Schedule(20, func(config.Time) { ran = true })
-	if h2.idx != h1.idx {
-		t.Fatalf("expected slot reuse: h1.idx=%d h2.idx=%d", h1.idx, h2.idx)
-	}
-	if q.Cancel(h1) {
-		t.Error("stale handle cancelled the slot's new occupant")
-	}
-	q.Run(0)
-	if !ran {
-		t.Error("event killed by a stale handle to a recycled slot")
-	}
-}
-
-func TestFiredHandleCannotHitRecycledSlot(t *testing.T) {
-	// Same generation check for handles to already-fired events.
-	var q Queue
-	h1 := q.Schedule(10, func(config.Time) {})
-	q.Run(0)
-	ran := false
-	h2 := q.Schedule(20, func(config.Time) { ran = true })
-	if h2.idx != h1.idx {
-		t.Fatalf("expected slot reuse: h1.idx=%d h2.idx=%d", h1.idx, h2.idx)
-	}
-	if q.Pending(h1) {
-		t.Error("fired handle reports pending after slot reuse")
-	}
-	if q.Cancel(h1) {
-		t.Error("fired handle cancelled the slot's new occupant")
-	}
-	q.Run(0)
-	if !ran {
-		t.Error("event killed by a stale fired handle")
 	}
 }
 
@@ -172,7 +91,7 @@ func TestPoolReuse(t *testing.T) {
 		}
 	}
 	q.Schedule(0, tick)
-	q.Run(0)
+	drain(&q)
 	if n != 10000 {
 		t.Fatalf("fired %d, want 10000", n)
 	}
@@ -193,8 +112,8 @@ func TestScheduleBound(t *testing.T) {
 		got = append(got, a, b)
 	})
 	q.ScheduleBound(5, fn, e, 7, -3)
-	q.AfterBound(10, fn, e, 1, 2)
-	q.Run(0)
+	q.ScheduleBound(q.Now()+10, fn, e, 1, 2)
+	drain(&q)
 	if e.hits != 2 {
 		t.Fatalf("bound handler hits = %d, want 2", e.hits)
 	}
@@ -213,20 +132,9 @@ func TestBoundAndClosureInterleave(t *testing.T) {
 	q.Schedule(10, func(config.Time) { order = append(order, 0) })
 	q.ScheduleBound(10, func(config.Time, any, int32, int32) { order = append(order, 1) }, nil, 0, 0)
 	q.Schedule(10, func(config.Time) { order = append(order, 2) })
-	q.Run(0)
+	drain(&q)
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("interleaved order = %v", order)
-	}
-}
-
-func TestCancelFromHandler(t *testing.T) {
-	var q Queue
-	ran := false
-	victim := q.Schedule(20, func(config.Time) { ran = true })
-	q.Schedule(10, func(config.Time) { q.Cancel(victim) })
-	q.Run(0)
-	if ran {
-		t.Error("event cancelled from an earlier handler still ran")
 	}
 }
 
@@ -235,9 +143,9 @@ func TestScheduleFromHandler(t *testing.T) {
 	var seen []config.Time
 	q.Schedule(10, func(now config.Time) {
 		seen = append(seen, now)
-		q.After(5, func(now config.Time) { seen = append(seen, now) })
+		q.Schedule(now+5, func(now config.Time) { seen = append(seen, now) })
 	})
-	q.Run(0)
+	drain(&q)
 	if len(seen) != 2 || seen[0] != 10 || seen[1] != 15 {
 		t.Fatalf("nested scheduling: %v", seen)
 	}
@@ -268,23 +176,13 @@ func TestRunUntil(t *testing.T) {
 func TestSchedulePastPanics(t *testing.T) {
 	var q Queue
 	q.Schedule(10, func(config.Time) {})
-	q.Run(0)
+	drain(&q)
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past must panic")
 		}
 	}()
 	q.Schedule(5, func(config.Time) {})
-}
-
-func TestNegativeAfterPanics(t *testing.T) {
-	var q Queue
-	defer func() {
-		if recover() == nil {
-			t.Error("negative After delay must panic")
-		}
-	}()
-	q.After(-1, func(config.Time) {})
 }
 
 func TestNilHandlerPanics(t *testing.T) {
@@ -307,73 +205,77 @@ func TestNilBoundHandlerPanics(t *testing.T) {
 	q.ScheduleBound(1, nil, nil, 0, 0)
 }
 
+// TestCounters checks the accounting: a deferral counts as coalesced
+// when scheduled and as scheduled only once it materializes, so a
+// withdrawn one never reaches ScheduledTotal.
 func TestCounters(t *testing.T) {
 	var q Queue
 	for i := 0; i < 5; i++ {
 		q.Schedule(config.Time(i), func(config.Time) {})
 	}
-	h := q.Schedule(99, func(config.Time) {})
-	q.Cancel(h)
-	q.Run(0)
+	fn := Bound(func(config.Time, any, int32, int32) {})
+	q.ScheduleVia(2, 3, fn, nil, 0, 0)
+	q.ScheduleVia(99, 99, fn, nil, 0, 0)
+	if !q.CancelDeferred(Seq(q.seq)) {
+		t.Fatal("CancelDeferred found no pending deferral")
+	}
+	drain(&q)
 	if q.ScheduledTotal() != 6 {
 		t.Errorf("ScheduledTotal = %d, want 6", q.ScheduledTotal())
 	}
-	if q.Fired() != 5 {
-		t.Errorf("Fired = %d, want 5", q.Fired())
+	if q.Fired() != 6 {
+		t.Errorf("Fired = %d, want 6", q.Fired())
+	}
+	if q.Coalesced() != 2 {
+		t.Errorf("Coalesced = %d, want 2", q.Coalesced())
 	}
 	if q.Len() != 0 {
 		t.Errorf("Len = %d, want 0", q.Len())
 	}
 }
 
-func TestNextAt(t *testing.T) {
-	var q Queue
-	if _, ok := q.NextAt(); ok {
-		t.Error("empty queue should have no next event")
-	}
-	q.Schedule(42, func(config.Time) {})
-	if at, ok := q.NextAt(); !ok || at != 42 {
-		t.Errorf("NextAt = %v, %v", at, ok)
-	}
-}
-
 // TestRandomizedOrdering is a property test: for any batch of events
-// with random times and random cancellations, the survivors fire in
-// nondecreasing time order and cancelled events never fire.
+// with random times, some scheduled directly and some deferred, with
+// random deferrals withdrawn, the survivors fire in nondecreasing time
+// order and withdrawn deferrals never fire.
 func TestRandomizedOrdering(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var q Queue
 		count := int(n%64) + 1
-		type rec struct {
-			h         Handle
-			cancelled bool
-		}
-		recs := make([]*rec, count)
+		cancelled := make([]bool, count)
 		firedAt := make([]config.Time, 0, count)
+		fn := Bound(func(now config.Time, _ any, id, _ int32) {
+			if cancelled[id] {
+				t.Errorf("withdrawn deferral %d fired at %v", id, now)
+			}
+			firedAt = append(firedAt, now)
+		})
+		type deferral struct {
+			tk Seq
+			id int32
+		}
+		var deferrals []deferral
 		for i := 0; i < count; i++ {
-			r := &rec{}
-			recs[i] = r
 			at := config.Time(rng.Intn(1000))
-			r.h = q.Schedule(at, func(now config.Time) {
-				if r.cancelled {
-					t.Errorf("cancelled event fired at %v", now)
-				}
-				firedAt = append(firedAt, now)
-			})
+			if rng.Intn(2) == 0 {
+				q.ScheduleBound(at, fn, nil, int32(i), 0)
+				continue
+			}
+			q.ScheduleVia(config.Time(rng.Int63n(int64(at)+1)), at, fn, nil, int32(i), 0)
+			deferrals = append(deferrals, deferral{Seq(q.seq), int32(i)})
 		}
 		survivors := count
-		for _, r := range recs {
+		for _, d := range deferrals {
 			if rng.Intn(3) == 0 {
-				r.cancelled = true
-				q.Cancel(r.h)
+				cancelled[d.id] = q.CancelDeferred(d.tk)
 				survivors--
 			}
 		}
 		if q.Len() != survivors {
-			return false // eager removal must shrink the heap
+			return false
 		}
-		q.Run(0)
+		drain(&q)
 		if len(firedAt) != survivors {
 			return false
 		}
@@ -451,17 +353,33 @@ func TestEntryKeyPacking(t *testing.T) {
 	mustPanic("schedule past the last sequence number", func() { q.ScheduleBound(maxAt, fn, nil, 3, 0) })
 	mustPanic("reserved ticket past the field", func() { q.ScheduleBoundSeq(maxAt, Seq(maxSeq+1), fn, nil, 3, 0) })
 
-	// A checkpoint whose keys would not pack is rejected, not loaded.
+	// A checkpoint whose keys would not pack, or that no queue could
+	// have saved, is rejected, not loaded.
 	codec := idCodec{log: new([]fuzzFire)}
-	bad := []*State{
-		{Seq: maxSeq + 1},
-		{Seq: maxSeq, Nodes: []NodeState{{Gen: 1, Pos: 0, Kind: "id"}},
-			Heap: []EntryState{{At: 0, Seq: maxSeq + 1, Idx: 0}}},
+	id := []NodeState{{Kind: "id"}}
+	bad := []struct {
+		why string
+		st  State
+	}{
+		{"a queue seq past the field", State{Seq: maxSeq + 1}},
+		{"an entry seq past the field", State{Seq: maxSeq, Nodes: id,
+			Heap: []EntryState{{At: 0, Seq: maxSeq + 1, Idx: 0}}}},
+		{"an entry seq past the queue's", State{Seq: 5, Nodes: id,
+			Heap: []EntryState{{At: 0, Seq: 6, Idx: 0}}}},
+		{"a deferral seq past the queue's", State{Seq: 5,
+			Defers: []DeferredState{{Seq: 6, Kind: "id"}}}},
+		{"a deferral seq past the field", State{Seq: maxSeq,
+			Defers: []DeferredState{{Seq: 1 << 45, Kind: "id"}}}},
+		{"a deferral activating before now", State{Now: 100, Seq: 5,
+			Defers: []DeferredState{{ActivateAt: 50, Seq: 1, FireAt: 60, Kind: "id"}}}},
+		{"a node named twice", State{Seq: 5, Nodes: id,
+			Heap: []EntryState{{At: 0, Seq: 1, Idx: 0}, {At: 0, Seq: 2, Idx: 0}}}},
+		{"a payload on an unreferenced node", State{Seq: 5, Nodes: id}},
 	}
-	for i, st := range bad {
+	for _, c := range bad {
 		var l Queue
-		if err := l.Load(st, codec); err == nil {
-			t.Errorf("bad state %d: Load accepted an unpackable key", i)
+		if err := l.Load(&c.st, codec); err == nil {
+			t.Errorf("Load accepted a state with %s", c.why)
 		}
 	}
 }
@@ -477,7 +395,7 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 			}
 		}
 	}
-	q.Run(0)
+	drain(&q)
 }
 
 // BenchmarkEventQueue is the zero-allocation reference: a warmed pool
@@ -504,7 +422,7 @@ func BenchmarkEventQueue(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	q.Run(0)
+	drain(&q)
 }
 
 // BenchmarkEventQueuePaperShape drives the queue with the shape the
@@ -536,28 +454,8 @@ func BenchmarkEventQueuePaperShape(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueueCancel measures the eager-removal path.
-func BenchmarkEventQueueCancel(b *testing.B) {
-	var q Queue
-	fn := Bound(func(config.Time, any, int32, int32) {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := q.ScheduleBound(q.Now()+config.Time(64+i%128), fn, nil, 0, 0)
-		q.ScheduleBound(q.Now()+config.Time(i%64), fn, nil, 0, 0)
-		q.Cancel(h)
-		if q.Len() > 1024 {
-			for q.Len() > 512 {
-				q.Step()
-			}
-		}
-	}
-	b.StopTimer()
-	q.Run(0)
-}
-
-// TestZeroAllocs requires the bound-form benchmarks to schedule, fire
-// and cancel with 0 allocs/op in steady state.
+// TestZeroAllocs requires the bound-form benchmarks to schedule and
+// fire with 0 allocs/op in steady state.
 func TestZeroAllocs(t *testing.T) {
 	if racebuild.Enabled {
 		t.Skip("race instrumentation allocates and slows the benchmarks")
@@ -568,7 +466,6 @@ func TestZeroAllocs(t *testing.T) {
 	}{
 		{"BenchmarkEventQueue", BenchmarkEventQueue},
 		{"BenchmarkEventQueuePaperShape", BenchmarkEventQueuePaperShape},
-		{"BenchmarkEventQueueCancel", BenchmarkEventQueueCancel},
 	} {
 		if got := testing.Benchmark(bm.fn).AllocsPerOp(); got != 0 {
 			t.Errorf("%s: %d allocs/op, want 0", bm.name, got)

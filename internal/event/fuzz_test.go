@@ -7,15 +7,15 @@ import (
 	"memscale/internal/config"
 )
 
-// fuzzSide is one queue driven by FuzzScheduleCancelStep, with the log
-// of what fired on it. Every event carries an id: bound callbacks in
-// their a argument, plain handlers through the sequence number they
-// were scheduled with.
+// fuzzSide is one queue driven by FuzzScheduleStep, with the log of
+// what fired on it. Every event carries an id: bound callbacks in their
+// a argument, plain handlers through the sequence number they were
+// scheduled with.
 type fuzzSide struct {
 	t       *testing.T
 	q       *Queue
 	handler Handler
-	seqID   map[uint64]int32 // plain-handler schedule seq -> id
+	seqID   map[uint64]int32 // pending plain handler's schedule seq -> id
 	log     []fuzzFire
 	fires   map[int32]int // id -> times fired
 }
@@ -33,6 +33,7 @@ func newFuzzSide(t *testing.T) *fuzzSide {
 		if !ok {
 			t.Fatalf("plain handler fired at unknown seq %d", s.q.FiringSeq())
 		}
+		delete(s.seqID, s.q.FiringSeq())
 		s.record(now, id)
 	}
 	return s
@@ -55,30 +56,31 @@ func (s *fuzzSide) record(now config.Time, id int32) {
 }
 
 // Encode and Decode make fuzzSide the Codec of its own queue.
-func (s *fuzzSide) Encode(fn Handler, bfn Bound, env any) (string, int32, error) {
-	switch {
-	case bfn != nil && env == any(s):
-		return "bound", 0, nil
-	case fn != nil && bfn == nil:
-		return "handler", 0, nil
+func (s *fuzzSide) Encode(_ Bound, env any) (string, int32, error) {
+	if env != any(s) {
+		return "", 0, fmt.Errorf("foreign callback")
 	}
-	return "", 0, fmt.Errorf("foreign callback")
+	return "bound", 0, nil
 }
 
-func (s *fuzzSide) Decode(kind string, _ int32) (Handler, Bound, any, error) {
-	switch kind {
-	case "bound":
-		return nil, fuzzBound, s, nil
-	case "handler":
-		return s.handler, nil, nil, nil
+func (s *fuzzSide) Decode(kind string, _ int32) (Bound, any, error) {
+	if kind != "bound" {
+		return nil, nil, fmt.Errorf("unknown kind %q", kind)
 	}
-	return nil, nil, nil, fmt.Errorf("unknown kind %q", kind)
+	return fuzzBound, s, nil
 }
 
 // roundTrip replaces the queue with a fresh one loaded from its saved
-// state.
+// state. A queue with a plain handler pending cannot be saved; it is
+// kept as it is.
 func (s *fuzzSide) roundTrip() {
 	st, err := s.q.Save(s)
+	if n := len(s.seqID); n > 0 {
+		if err == nil {
+			s.t.Fatalf("Save accepted a queue with %d plain handlers pending", n)
+		}
+		return
+	}
 	if err != nil {
 		s.t.Fatal(err)
 	}
@@ -94,40 +96,35 @@ func (s *fuzzSide) roundTrip() {
 	s.q = &q
 }
 
-// FuzzScheduleCancelStep drives two queues with the same arbitrary
+// FuzzScheduleStep drives two queues with the same arbitrary
 // interleaving of every scheduling form (Schedule, ScheduleBound,
 // ScheduleBoundSeq on a reserved ticket, ScheduleVia, ScheduleViaSeq),
-// Cancel, CancelDeferred, Step, RunUntil, and bursts that push the
-// pending count past the near array's bound, decoded from the fuzz
-// input. One queue is also saved and reloaded whenever the input says
-// so. It asserts that fires follow strictly increasing (Now, FiringSeq)
-// order, that every live event fires exactly once and no cancelled one
-// fires, that Len matches the live count, that every real event —
-// scheduled directly or materialized from a deferral — is counted once
-// in ScheduledTotal and ends up fired or cancelled, that the pool holds
-// no leaked slot once drained, and that the round-tripped queue fires exactly as
-// the untouched one does.
-func FuzzScheduleCancelStep(f *testing.F) {
-	f.Add([]byte{0, 10, 1, 20, 2, 0, 3, 3})
-	f.Add([]byte{0, 5, 0, 5, 0, 5, 2, 1, 3, 3, 3})
-	f.Add([]byte{1, 0, 2, 0, 1, 1, 3, 0, 0, 7, 2, 0})
-	f.Add([]byte{4, 17, 5, 0, 6, 0, 5, 0, 7, 9, 3, 0, 8, 0, 3, 0})
-	f.Add([]byte{9, 40, 10, 0, 3, 0, 2, 7, 9, 3, 11, 60, 4, 0, 10, 0, 3, 0})
-	f.Add([]byte{5, 0, 7, 0, 5, 0, 6, 0, 10, 0, 8, 1, 11, 0, 3, 0})
+// CancelDeferred, Step, RunUntil, and bursts that push the pending
+// count past the near array's bound, decoded from the fuzz input. One
+// queue is also saved and reloaded whenever the input says so, and its
+// Save must fail while a plain handler is pending. It asserts that
+// fires follow strictly increasing (Now, FiringSeq) order, that every
+// live event fires exactly once and no withdrawn deferral fires, that
+// Len matches the live count, that every real event — scheduled
+// directly or materialized from a deferral — is counted once in
+// ScheduledTotal and fires, and that the round-tripped queue fires
+// exactly as the untouched one does.
+func FuzzScheduleStep(f *testing.F) {
+	f.Add([]byte{0, 10, 1, 20, 9, 0, 2, 3, 9, 0})
+	f.Add([]byte{0, 5, 0, 5, 0, 5, 2, 3, 2})
+	f.Add([]byte{1, 0, 1, 1, 2, 0, 0, 7})
+	f.Add([]byte{3, 17, 4, 0, 5, 0, 4, 0, 6, 9, 2, 0, 7, 0, 2, 0})
+	f.Add([]byte{8, 40, 9, 0, 2, 0, 8, 3, 10, 60, 3, 0, 9, 0, 2, 0})
+	f.Add([]byte{4, 0, 6, 0, 4, 0, 5, 0, 9, 0, 7, 1, 10, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := newFuzzSide(t), newFuzzSide(t)
 		sides := []*fuzzSide{a, b}
 		var (
 			nextID    int32
-			handles   []Handle
-			handleID  []int32
 			tickets   []Seq // reserved, not yet used
 			deferSeqs []Seq // activation tickets of deferred schedules
 			deferID   = map[Seq]int32{}
 			cancelled = map[int32]bool{}
-			// realCancelled counts Cancel calls that removed a real
-			// event; a cancelled deferral never became one.
-			realCancelled uint64
 		)
 		// each applies op to both queues and checks they agree.
 		each := func(op func(s *fuzzSide) any) {
@@ -146,54 +143,28 @@ func FuzzScheduleCancelStep(f *testing.F) {
 		}
 
 		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%12, config.Time(data[i+1])
+			op, arg := data[i]%11, config.Time(data[i+1])
 			switch op {
-			case 0, 1, 9: // Schedule, ScheduleBound, burst of ScheduleBound
+			case 0, 1, 8: // Schedule, ScheduleBound, burst of ScheduleBound
 				n := 1
-				if op == 9 {
+				if op == 8 {
 					n = nearCap + int(arg)%16
 				}
 				for k := 0; k < n; k++ {
 					id, d := nextID, arg+config.Time(k*7%23)
 					nextID++
-					var hs []Handle
 					for _, s := range sides {
 						if op == 0 {
-							hs = append(hs, s.q.Schedule(s.q.Now()+d, s.handler))
+							s.q.Schedule(s.q.Now()+d, s.handler)
 							s.seqID[s.q.seq] = id
 						} else {
-							hs = append(hs, s.q.ScheduleBound(s.q.Now()+d, fuzzBound, s, id, 0))
+							s.q.ScheduleBound(s.q.Now()+d, fuzzBound, s, id, 0)
 						}
 					}
-					if hs[0] != hs[1] {
-						t.Fatalf("handles diverged: %v vs %v", hs[0], hs[1])
-					}
-					handles, handleID = append(handles, hs[0]), append(handleID, id)
 				}
-			case 2: // Cancel
-				if len(handles) == 0 {
-					break
-				}
-				k := int(arg) % len(handles)
-				h := handles[k]
-				var ok bool
-				each(func(s *fuzzSide) any {
-					pending := s.q.Pending(h)
-					if ok = s.q.Cancel(h); ok != pending {
-						t.Fatalf("Cancel = %v for pending = %v", ok, pending)
-					}
-					if s.q.Pending(h) {
-						t.Fatal("cancelled handle reports pending")
-					}
-					return ok
-				})
-				if ok {
-					cancelled[handleID[k]] = true
-					realCancelled++
-				}
-			case 3: // Step
+			case 2: // Step
 				each(func(s *fuzzSide) any { return s.q.Step() })
-			case 4: // ScheduleVia
+			case 3: // ScheduleVia
 				id := nextID
 				nextID++
 				act := arg % 8
@@ -203,10 +174,10 @@ func FuzzScheduleCancelStep(f *testing.F) {
 				})
 				deferSeqs = append(deferSeqs, Seq(a.q.seq))
 				deferID[Seq(a.q.seq)] = id
-			case 5: // ReserveSeq
+			case 4: // ReserveSeq
 				each(func(s *fuzzSide) any { return s.q.ReserveSeq() })
 				tickets = append(tickets, Seq(a.q.seq))
-			case 6, 7: // ScheduleBoundSeq, ScheduleViaSeq on a reserved ticket
+			case 5, 6: // ScheduleBoundSeq, ScheduleViaSeq on a reserved ticket
 				if len(tickets) == 0 {
 					break
 				}
@@ -215,15 +186,10 @@ func FuzzScheduleCancelStep(f *testing.F) {
 				tickets = append(tickets[:k], tickets[k+1:]...)
 				id := nextID
 				nextID++
-				if op == 6 {
-					var hs []Handle
+				if op == 5 {
 					for _, s := range sides {
-						hs = append(hs, s.q.ScheduleBoundSeq(at(s, arg%16, tk), tk, fuzzBound, s, id, 0))
+						s.q.ScheduleBoundSeq(at(s, arg%16, tk), tk, fuzzBound, s, id, 0)
 					}
-					if hs[0] != hs[1] {
-						t.Fatalf("handles diverged: %v vs %v", hs[0], hs[1])
-					}
-					handles, handleID = append(handles, hs[0]), append(handleID, id)
 				} else {
 					for _, s := range sides {
 						act := at(s, arg%8, tk)
@@ -232,7 +198,7 @@ func FuzzScheduleCancelStep(f *testing.F) {
 					deferSeqs = append(deferSeqs, tk)
 					deferID[tk] = id
 				}
-			case 8: // CancelDeferred
+			case 7: // CancelDeferred
 				if len(deferSeqs) == 0 {
 					break
 				}
@@ -245,9 +211,9 @@ func FuzzScheduleCancelStep(f *testing.F) {
 					}
 					cancelled[deferID[tk]] = true
 				}
-			case 10: // Save -> Load round trip of one queue
+			case 9: // Save -> Load round trip of one queue
 				a.roundTrip()
-			case 11: // RunUntil
+			case 10: // RunUntil
 				each(func(s *fuzzSide) any { s.q.RunUntil(s.q.Now() + arg); return s.q.Now() })
 			}
 			live := int(nextID) - len(b.log) - len(cancelled)
@@ -258,21 +224,17 @@ func FuzzScheduleCancelStep(f *testing.F) {
 			}
 		}
 		for _, s := range sides {
-			s.q.Run(0)
+			drain(s.q)
 			if s.q.Len() != 0 {
 				t.Fatalf("drained queue has Len %d", s.q.Len())
-			}
-			if s.q.FreeNodes() != s.q.PoolSize() {
-				t.Fatalf("pool leak: %d slots, %d free", s.q.PoolSize(), s.q.FreeNodes())
 			}
 			if s.q.Fired() != uint64(len(s.log)) {
 				t.Fatalf("Fired = %d, %d callbacks ran", s.q.Fired(), len(s.log))
 			}
 			// Every real event — scheduled directly or materialized
-			// from a deferral — either fired or was cancelled.
-			if s.q.Fired()+realCancelled != s.q.ScheduledTotal() {
-				t.Fatalf("Fired %d + cancelled %d != ScheduledTotal %d",
-					s.q.Fired(), realCancelled, s.q.ScheduledTotal())
+			// from a deferral — fired.
+			if s.q.Fired() != s.q.ScheduledTotal() {
+				t.Fatalf("Fired %d != ScheduledTotal %d", s.q.Fired(), s.q.ScheduledTotal())
 			}
 		}
 		counts := b.fires
@@ -282,7 +244,7 @@ func FuzzScheduleCancelStep(f *testing.F) {
 				want = 0
 			}
 			if counts[id] != want {
-				t.Fatalf("event %d fired %d times, want %d (cancelled %v)", id, counts[id], want, cancelled[id])
+				t.Fatalf("event %d fired %d times, want %d (withdrawn %v)", id, counts[id], want, cancelled[id])
 			}
 		}
 		if len(a.log) != len(b.log) {

@@ -21,25 +21,12 @@ type regEntry struct {
 	// enc maps a pending event's env to an owner index; nil means the
 	// kind carries no env (env must be nil at encode).
 	enc func(env any) (int32, error)
-	// Exactly one of decB/decH is set, matching the callback form.
-	decB func(owner int32) (Bound, any, error)
-	decH func(owner int32) (Handler, error)
+	dec func(owner int32) (Bound, any, error)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{byPtr: map[uintptr]*regEntry{}, byKind: map[string]*regEntry{}}
-}
-
-func (r *Registry) register(kind string, ptr uintptr, e *regEntry) {
-	if _, dup := r.byKind[kind]; dup {
-		panic(fmt.Sprintf("event: kind %q registered twice", kind))
-	}
-	if _, dup := r.byPtr[ptr]; dup {
-		panic(fmt.Sprintf("event: callback for kind %q already registered under another kind", kind))
-	}
-	r.byKind[kind] = e
-	r.byPtr[ptr] = e
 }
 
 // RegisterBound registers a bound-callback kind. sample supplies the
@@ -50,29 +37,24 @@ func (r *Registry) RegisterBound(kind string, sample Bound, enc func(env any) (i
 	if sample == nil || dec == nil {
 		panic("event: RegisterBound needs a sample callback and a decoder")
 	}
-	r.register(kind, reflect.ValueOf(sample).Pointer(), &regEntry{kind: kind, enc: enc, decB: dec})
-}
-
-// RegisterHandler registers a plain-handler kind (events scheduled via
-// Schedule/After carry no env or arguments).
-func (r *Registry) RegisterHandler(kind string, sample Handler, dec func(owner int32) (Handler, error)) {
-	if sample == nil || dec == nil {
-		panic("event: RegisterHandler needs a sample callback and a decoder")
+	ptr := reflect.ValueOf(sample).Pointer()
+	if _, dup := r.byKind[kind]; dup {
+		panic(fmt.Sprintf("event: kind %q registered twice", kind))
 	}
-	r.register(kind, reflect.ValueOf(sample).Pointer(), &regEntry{kind: kind, decH: dec})
+	if _, dup := r.byPtr[ptr]; dup {
+		panic(fmt.Sprintf("event: callback for kind %q already registered under another kind", kind))
+	}
+	e := &regEntry{kind: kind, enc: enc, dec: dec}
+	r.byKind[kind] = e
+	r.byPtr[ptr] = e
 }
 
 // Encode implements Codec.
-func (r *Registry) Encode(fn Handler, bfn Bound, env any) (string, int32, error) {
-	var ptr uintptr
-	switch {
-	case bfn != nil:
-		ptr = reflect.ValueOf(bfn).Pointer()
-	case fn != nil:
-		ptr = reflect.ValueOf(fn).Pointer()
-	default:
+func (r *Registry) Encode(fn Bound, env any) (string, int32, error) {
+	if fn == nil {
 		return "", 0, fmt.Errorf("event: encode of event with no callback")
 	}
+	ptr := reflect.ValueOf(fn).Pointer()
 	e, ok := r.byPtr[ptr]
 	if !ok {
 		return "", 0, fmt.Errorf("event: callback %v not registered for checkpointing", ptr)
@@ -91,18 +73,14 @@ func (r *Registry) Encode(fn Handler, bfn Bound, env any) (string, int32, error)
 }
 
 // Decode implements Codec.
-func (r *Registry) Decode(kind string, owner int32) (Handler, Bound, any, error) {
+func (r *Registry) Decode(kind string, owner int32) (Bound, any, error) {
 	e, ok := r.byKind[kind]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("event: unknown event kind %q", kind)
+		return nil, nil, fmt.Errorf("event: unknown event kind %q", kind)
 	}
-	if e.decH != nil {
-		fn, err := e.decH(owner)
-		return fn, nil, nil, err
-	}
-	bfn, env, err := e.decB(owner)
+	fn, env, err := e.dec(owner)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("event: kind %q: %w", kind, err)
+		return nil, nil, fmt.Errorf("event: kind %q: %w", kind, err)
 	}
-	return nil, bfn, env, nil
+	return fn, env, nil
 }

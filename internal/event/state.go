@@ -8,48 +8,46 @@ import (
 	"memscale/internal/config"
 )
 
-// This file is the checkpoint plane of the event engine. The queue's
-// pooled arena, free list, pending entries, and deferred-schedule plane
-// are captured — the arena verbatim, including free slots and
-// generation counters — so a restored queue reproduces not just the
-// pending events but the engine's future behaviour bit-identically:
-// slot allocation order, sequence numbering, and same-instant FIFO
-// order all continue exactly as they would have in the original run.
-// Pending entries and deferred schedules are written in ascending
-// (time, seq) order. Fire order is the total (time, seq) order whatever
-// container holds the keys, so their layout carries no behaviour; a
-// sorted array is also a valid 4-ary min-heap image, the layout earlier
-// versions of the engine wrote and read back verbatim.
+// This file is the checkpoint plane of the event engine. The image
+// holds what decides the engine's future: the clock, the counters, the
+// pending entries and the deferred-schedule plane, each key written in
+// ascending (time, seq) order, plus the size of the node arena and the
+// payload of every node a pending entry references. Fire order is the
+// total (time, seq) order whatever container or node holds a key, so
+// Load rebuilds the containers and the free list from the entries
+// alone; a restored queue fires, numbers its sequence and grows its
+// pool exactly as the original would have. A sorted array is also a
+// valid 4-ary min-heap image, the layout earlier versions wrote, and
+// Load accepts entries in any order. Earlier versions also wrote each
+// node's generation and position and the free list (keys gen, pos and
+// free); JSON decoding ignores them, so their images still load.
 //
 // Callbacks cannot be serialized directly (they are function values
 // bound to live simulator components), so Save translates each pending
 // callback through a Codec into a (kind, owner) payload, and Load asks
 // the same Codec — built over the freshly reconstructed components —
-// to rebind them.
+// to rebind them. Only pre-bound callbacks checkpoint: Save fails when
+// a plain Handler is pending.
 
-// Codec translates between live callback bindings and serializable
-// (kind, owner) payloads. Kind names the registered callback family
-// (e.g. a pre-bound controller method); owner identifies which
-// component or in-flight object the binding refers to. The inline
-// integer arguments a/b are captured separately and pass through
-// unchanged.
+// Codec translates between live pre-bound callback bindings and
+// serializable (kind, owner) payloads. Kind names the registered
+// callback family (e.g. a pre-bound controller method); owner
+// identifies which component or in-flight object the binding refers
+// to. The inline integer arguments a/b are captured separately and
+// pass through unchanged.
 type Codec interface {
 	// Encode maps a pending event's callback binding to a payload.
-	// Exactly one of fn/bfn is non-nil, matching how the event was
-	// scheduled.
-	Encode(fn Handler, bfn Bound, env any) (kind string, owner int32, err error)
+	Encode(fn Bound, env any) (kind string, owner int32, err error)
 
 	// Decode rebuilds the live callback binding for a payload produced
 	// by Encode.
-	Decode(kind string, owner int32) (fn Handler, bfn Bound, env any, err error)
+	Decode(kind string, owner int32) (fn Bound, env any, err error)
 }
 
-// NodeState is the serializable image of one pooled event node. Free
-// slots carry only their generation counter (Pos < 0); pending slots
-// add the encoded callback payload and inline arguments.
+// NodeState is the serializable image of one pooled event node: the
+// encoded callback payload and inline arguments of a pending node, and
+// the zero value for a free slot.
 type NodeState struct {
-	Gen   uint32 `json:"gen"`
-	Pos   int32  `json:"pos"`
 	Kind  string `json:"kind,omitempty"`
 	Owner int32  `json:"owner,omitempty"`
 	A     int32  `json:"a,omitempty"`
@@ -77,8 +75,9 @@ type DeferredState struct {
 	B          int32       `json:"b,omitempty"`
 }
 
-// State is the complete serializable image of a Queue. Heap and Defers
-// keep the field names of the heap images earlier versions wrote.
+// State is the complete serializable image of a Queue. Nodes has one
+// element per slot of the arena; Heap and Defers keep the field names
+// of the heap images earlier versions wrote.
 type State struct {
 	Now       config.Time     `json:"now"`
 	Seq       uint64          `json:"seq"`
@@ -87,7 +86,6 @@ type State struct {
 	Coalesced uint64          `json:"coalesced"`
 	Firing    uint64          `json:"firing"`
 	Nodes     []NodeState     `json:"nodes"`
-	Free      []int32         `json:"free"`
 	Heap      []EntryState    `json:"heap"`
 	Defers    []DeferredState `json:"defers,omitempty"`
 }
@@ -103,26 +101,23 @@ func (q *Queue) Save(codec Codec) (*State, error) {
 		Coalesced: q.coalesced,
 		Firing:    q.firing,
 		Nodes:     make([]NodeState, len(q.nodes)),
-		Free:      append([]int32(nil), q.free...),
-	}
-	for i := range q.nodes {
-		n := &q.nodes[i]
-		ns := NodeState{Gen: n.gen, Pos: n.pos}
-		if n.pos >= 0 {
-			kind, owner, err := codec.Encode(n.fn, n.bfn, n.env)
-			if err != nil {
-				return nil, fmt.Errorf("event: save node %d: %w", i, err)
-			}
-			ns.Kind, ns.Owner, ns.A, ns.B = kind, owner, n.a, n.b
-		}
-		st.Nodes[i] = ns
 	}
 	for _, e := range q.entries() {
-		st.Heap = append(st.Heap, EntryState{At: e.at, Seq: e.seq(), Idx: e.idx()})
+		idx := e.idx()
+		n := &q.nodes[idx]
+		if n.bfn == nil {
+			return nil, fmt.Errorf("event: save node %d: a plain handler cannot be checkpointed", idx)
+		}
+		kind, owner, err := codec.Encode(n.bfn, n.env)
+		if err != nil {
+			return nil, fmt.Errorf("event: save node %d: %w", idx, err)
+		}
+		st.Nodes[idx] = NodeState{Kind: kind, Owner: owner, A: n.a, B: n.b}
+		st.Heap = append(st.Heap, EntryState{At: e.at, Seq: e.seq(), Idx: idx})
 	}
 	for i := len(q.defers) - 1; i >= 0; i-- {
 		d := &q.defers[i]
-		kind, owner, err := codec.Encode(nil, d.bfn, d.env)
+		kind, owner, err := codec.Encode(d.bfn, d.env)
 		if err != nil {
 			return nil, fmt.Errorf("event: save deferred %d: %w", i, err)
 		}
@@ -135,12 +130,13 @@ func (q *Queue) Save(codec Codec) (*State, error) {
 }
 
 // Load replaces the queue's entire state with st, rebinding every
-// pending callback through codec. Structural invariants are validated
-// so a corrupted state yields an error, never a panic in later queue
-// operations: indices must be in range, free slots must not be
-// referenced by an entry, and every pending node must appear exactly
-// once among the entries. Entries and deferred schedules may come in
-// any order.
+// pending callback through codec. A corrupted or impossible state
+// yields an error, never a panic or a clock running backwards in later
+// queue operations: every entry must name a distinct node in range, no
+// unreferenced node may carry a payload, no entry may fire and no
+// deferral activate before Now, and no key may hold a sequence number
+// the queue has not yet handed out. Entries and deferred schedules may
+// come in any order.
 func (q *Queue) Load(st *State, codec Codec) error {
 	n := len(st.Nodes)
 	if n > maxIdx+1 {
@@ -150,57 +146,53 @@ func (q *Queue) Load(st *State, codec Codec) error {
 		return fmt.Errorf("event: load: seq %d overflows the key (max %d)", st.Seq, uint64(maxSeq))
 	}
 	nodes := make([]node, n)
-	for i, ns := range st.Nodes {
-		nd := node{gen: ns.Gen, pos: ns.Pos}
-		if ns.Pos >= 0 {
-			fn, bfn, env, err := codec.Decode(ns.Kind, ns.Owner)
-			if err != nil {
-				return fmt.Errorf("event: load node %d: %w", i, err)
-			}
-			nd.fn, nd.bfn, nd.env, nd.a, nd.b = fn, bfn, env, ns.A, ns.B
-		}
-		nodes[i] = nd
-	}
-	for i, idx := range st.Free {
-		if idx < 0 || int(idx) >= n {
-			return fmt.Errorf("event: load: free[%d]=%d out of range [0,%d)", i, idx, n)
-		}
-		if nodes[idx].pos >= 0 {
-			return fmt.Errorf("event: load: free[%d]=%d names a pending node", i, idx)
-		}
-	}
-	refs := make([]int, n)
+	pending := make([]bool, n)
 	for i, e := range st.Heap {
 		if e.Idx < 0 || int(e.Idx) >= n {
 			return fmt.Errorf("event: load: heap[%d].idx=%d out of range [0,%d)", i, e.Idx, n)
 		}
-		if nodes[e.Idx].pos < 0 {
-			return fmt.Errorf("event: load: heap[%d] references free node %d", i, e.Idx)
+		if pending[e.Idx] {
+			return fmt.Errorf("event: load: heap[%d] names node %d a second time", i, e.Idx)
 		}
 		if e.At < st.Now {
 			return fmt.Errorf("event: load: heap[%d] fires at %v before now %v", i, e.At, st.Now)
 		}
-		if e.Seq > maxSeq {
-			return fmt.Errorf("event: load: heap[%d].seq=%d overflows the key (max %d)", i, e.Seq, uint64(maxSeq))
+		if e.Seq > st.Seq {
+			return fmt.Errorf("event: load: heap[%d].seq=%d is past the queue's seq %d", i, e.Seq, st.Seq)
 		}
-		refs[e.Idx]++
+		ns := st.Nodes[e.Idx]
+		bfn, env, err := codec.Decode(ns.Kind, ns.Owner)
+		if err != nil {
+			return fmt.Errorf("event: load node %d: %w", e.Idx, err)
+		}
+		nodes[e.Idx] = node{bfn: bfn, env: env, a: ns.A, b: ns.B}
+		pending[e.Idx] = true
 	}
-	for i := range nodes {
-		if nodes[i].pos >= 0 && refs[i] != 1 {
-			return fmt.Errorf("event: load: pending node %d appears %d times in heap", i, refs[i])
+	// The lowest free slot is reused first.
+	var free []int32
+	for i := n - 1; i >= 0; i-- {
+		if pending[i] {
+			continue
 		}
+		if st.Nodes[i] != (NodeState{}) {
+			return fmt.Errorf("event: load: node %d carries a payload but no entry references it", i)
+		}
+		free = append(free, int32(i))
 	}
 	defers := make([]deferred, 0, len(st.Defers))
 	for i, ds := range st.Defers {
+		if ds.ActivateAt < st.Now {
+			return fmt.Errorf("event: load: deferred %d activates at %v before now %v", i, ds.ActivateAt, st.Now)
+		}
 		if ds.FireAt < ds.ActivateAt {
 			return fmt.Errorf("event: load: deferred %d fires at %v before activation %v", i, ds.FireAt, ds.ActivateAt)
 		}
-		_, bfn, env, err := codec.Decode(ds.Kind, ds.Owner)
+		if ds.Seq > st.Seq {
+			return fmt.Errorf("event: load: deferred %d seq %d is past the queue's seq %d", i, ds.Seq, st.Seq)
+		}
+		bfn, env, err := codec.Decode(ds.Kind, ds.Owner)
 		if err != nil {
 			return fmt.Errorf("event: load deferred %d: %w", i, err)
-		}
-		if bfn == nil {
-			return fmt.Errorf("event: load deferred %d: kind %q decodes to a plain handler", i, ds.Kind)
 		}
 		defers = append(defers, deferred{
 			activateAt: ds.ActivateAt, seq: ds.Seq, fireAt: ds.FireAt,
@@ -214,7 +206,7 @@ func (q *Queue) Load(st *State, codec Codec) error {
 	})
 
 	q.nodes = nodes
-	q.free = append(q.free[:0], st.Free...)
+	q.free = free
 	q.near, q.heap = q.near[:0], q.heap[:0]
 	for _, e := range st.Heap {
 		q.push(makeEntry(e.At, e.Seq, e.Idx))

@@ -1063,7 +1063,7 @@ func (c *Controller) onRelockDoneEvent(now config.Time, _ any, a, b int32) {
 	} else {
 		ch.relocking = false
 	}
-	c.q.AfterBound(0, c.onRelockKick, nil, a, 0)
+	c.q.ScheduleBound(c.q.Now(), c.onRelockKick, nil, a, 0)
 }
 
 // onRelockKickEvent re-kicks every rank and the bus of a channel whose

@@ -223,9 +223,7 @@ func TestInvalidFrequencyPanics(t *testing.T) {
 }
 
 func BenchmarkControllerThroughput(b *testing.B) {
-	cfg := config.Default()
 	rig := newRig(nil)
-	_ = cfg
 	rng := trace.NewRNG(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -234,8 +232,7 @@ func BenchmarkControllerThroughput(b *testing.B) {
 		at := rig.q.Now()
 		rig.c.Enqueue(at, rng.Uint64()%rig.mapper.Lines(), false, i%16, func(config.Time) { completed++ })
 		if rig.c.QueuedRequests() > 64 {
-			next, _ := rig.q.NextAt()
-			rig.q.RunUntil(next + config.Microsecond)
+			rig.q.RunUntil(rig.q.Now() + config.Microsecond)
 		}
 	}
 	rig.drain()

@@ -16,18 +16,11 @@
 // shortcut. A -json/-nodes-csv/-caps-csv path of "-" writes stdout.
 // The run is deterministic for a fixed -seed on any -workers count.
 //
-// Chaos and self-healing: the -crash-rate/-straggler-rate/
-// -ckpt-corrupt-rate/-loss-rate flags inject fleet-scope faults into
-// every node; -recover arms the checkpoint-restart supervisor
-// (-max-retries restarts per window, snapshots every -ckpt-every
-// epochs) that recovers them transparently — surviving-node metrics
-// are bit-identical to the undisturbed same-seed run.
-//
-// SIGINT/SIGTERM handling: with -checkpoint-out set, the first signal
-// stops the fleet at its next window boundary, writes every live
-// node's state to the bundle file, and exits with code 3; a second
-// signal cancels hard. Without -checkpoint-out the first signal
-// cancels promptly.
+// SIGINT/SIGTERM handling: the first signal stops the fleet at its
+// next window boundary; the partial summary, which pairs every node's
+// completed epochs with the same epochs of its baseline, goes through
+// the usual digest and -json/-nodes-csv/-caps-csv writers, and the
+// process exits with code 3. A second signal cancels hard.
 package main
 
 import (
@@ -46,8 +39,8 @@ import (
 )
 
 // exitInterrupted is the exit code of a fleet stopped by
-// SIGINT/SIGTERM after writing its checkpoint bundle — distinct from 1
-// (failure) so supervisors can tell "resume me" from "fix me".
+// SIGINT/SIGTERM after writing its partial summary — distinct from 1
+// (failure) so a caller can tell "stopped early" from "fix me".
 const exitInterrupted = 3
 
 // groupFlags collects repeated -group specs.
@@ -74,18 +67,6 @@ func main() {
 	nodesCSV := flag.String("nodes-csv", "", "write the per-node outcome CSV to this path")
 	capsCSV := flag.String("caps-csv", "", "write the cap-convergence trace CSV to this path")
 	quiet := flag.Bool("q", false, "suppress the human-readable digest")
-
-	faultSeed := flag.Uint64("fault-seed", 0, "seed of the deterministic fleet fault schedule")
-	crashRate := flag.Float64("crash-rate", 0, "per-epoch probability a node crashes mid-window")
-	stragglerRate := flag.Float64("straggler-rate", 0, "per-epoch probability a node stalls in host time")
-	corruptRate := flag.Float64("ckpt-corrupt-rate", 0, "per-snapshot probability a checkpoint write is corrupted")
-	lossRate := flag.Float64("loss-rate", 0, "per-epoch probability a coordinator-visible loss window opens")
-	selfHeal := flag.Bool("recover", false, "arm the self-healing supervisor (checkpoint restarts)")
-	maxRetries := flag.Int("max-retries", 0, "restart budget per fleet window (0 = default 3)")
-	ckptEvery := flag.Int("ckpt-every", 0, "snapshot cadence in epochs (0 = default 1)")
-	stepTimeout := flag.Duration("step-timeout", 0, "per-window watchdog in host time (0 = disabled)")
-	checkpointOut := flag.String("checkpoint-out", "",
-		"on SIGINT/SIGTERM, write every live node's state to this bundle file and exit 3")
 	flag.Parse()
 
 	fc := memscale.FleetConfig{
@@ -94,23 +75,6 @@ func main() {
 		CapIntervalEpochs: *capEvery,
 		Seed:              *seed,
 		Workers:           *workers,
-	}
-	if *selfHeal || *maxRetries > 0 || *ckptEvery > 0 || *stepTimeout > 0 {
-		fc.Recovery = &memscale.FleetRecoveryConfig{
-			MaxRetries:      *maxRetries,
-			CheckpointEvery: *ckptEvery,
-			StepTimeout:     *stepTimeout,
-		}
-	}
-	var chaos *memscale.FaultConfig
-	if *crashRate > 0 || *stragglerRate > 0 || *corruptRate > 0 || *lossRate > 0 {
-		chaos = &memscale.FaultConfig{
-			Seed:                  *faultSeed,
-			NodeCrashRate:         *crashRate,
-			StragglerRate:         *stragglerRate,
-			CheckpointCorruptRate: *corruptRate,
-			NodeLossRate:          *lossRate,
-		}
 	}
 	if len(groups) == 0 {
 		groups = groupFlags{fmt.Sprintf("fleet:%d:%s:%s:%s", *nodes, *mix, *policy, *arrival)}
@@ -121,48 +85,27 @@ func main() {
 			fatal(err)
 		}
 		g.Gamma = *gamma
-		if chaos != nil {
-			f := *chaos
-			g.Faults = &f
-		}
 		fc.Groups = append(fc.Groups, g)
 	}
 	if err := fc.Validate(); err != nil {
 		fatal(err)
 	}
 
-	// Signal wiring: with a bundle target, the first SIGINT/SIGTERM
-	// soft-stops the fleet at its next window boundary; only a second
-	// one cancels hard. Otherwise the first signal cancels.
-	var sum memscale.FleetSummary
-	var err error
-	if *checkpointOut != "" {
-		sigs := make(chan os.Signal, 2)
-		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-		softStop := make(chan struct{})
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			<-sigs
-			close(softStop)
-			<-sigs
-			cancel()
-		}()
-		var bundle *memscale.FleetCheckpointBundle
-		sum, bundle, err = memscale.RunFleetInterruptible(ctx, fc, softStop)
+	// Signal wiring: the first SIGINT/SIGTERM soft-stops the fleet at
+	// its next window boundary; only a second one cancels hard.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	softStop := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-sigs
+		close(softStop)
+		<-sigs
 		cancel()
-		if errors.Is(err, memscale.ErrInterrupted) && bundle != nil {
-			if werr := writeBundle(*checkpointOut, bundle); werr != nil {
-				fatal(werr)
-			}
-			fmt.Fprintf(os.Stderr, "memscale-fleet: interrupted at epoch %d/%d; bundle written to %s\n",
-				sum.EpochsCompleted, fc.Epochs, *checkpointOut)
-			os.Exit(exitInterrupted)
-		}
-	} else {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		sum, err = memscale.RunFleet(ctx, fc)
-		stop()
-	}
+	}()
+	sum, err := memscale.RunFleetInterruptible(ctx, fc, softStop)
+	cancel()
+	interrupted := errors.Is(err, memscale.ErrInterrupted)
 	if err != nil && sum.Nodes == 0 {
 		fatal(err) // total failure: nothing to report
 	}
@@ -186,6 +129,11 @@ func main() {
 
 	if !*quiet {
 		digest(os.Stdout, fc, sum)
+	}
+	if interrupted {
+		fmt.Fprintf(os.Stderr, "memscale-fleet: interrupted at epoch %d/%d\n",
+			sum.EpochsCompleted, sum.Epochs)
+		os.Exit(exitInterrupted)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "memscale-fleet: partial failure:", err)
@@ -216,6 +164,10 @@ func parseGroup(spec string) (memscale.NodeGroup, error) {
 func digest(w io.Writer, fc memscale.FleetConfig, sum memscale.FleetSummary) {
 	fmt.Fprintf(w, "fleet: %d nodes, %d groups, %d epochs\n",
 		sum.Nodes, len(sum.Groups), sum.Epochs)
+	if sum.BaselineSysJ == 0 {
+		fmt.Fprintf(w, "  no live node completed an epoch (%d dead)\n", sum.DeadNodes)
+		return
+	}
 	fmt.Fprintf(w, "  system-energy ratio (SER): %.4f  (%.1f%% fleet energy savings)\n",
 		sum.SER, (1-sum.SER)*100)
 	fmt.Fprintf(w, "  CPI increase: avg %+.2f%%  p99 %+.2f%%  p999 %+.2f%%\n",
@@ -244,13 +196,6 @@ func digest(w io.Writer, fc memscale.FleetConfig, sum memscale.FleetSummary) {
 		fmt.Fprintf(w, "  group %-12s %4d nodes  SER %.4f  CPI avg %+.2f%% p99 %+.2f%%\n",
 			g.Name, g.Nodes, g.SER, g.AvgCPIIncrease*100, g.P99CPIIncrease*100)
 	}
-	if sum.Recoveries > 0 {
-		fmt.Fprintf(w, "  self-healing: %d checkpoint restarts across %d degraded nodes\n",
-			sum.Recoveries, len(sum.DegradedNodes))
-	}
-	if len(sum.LostNodes) > 0 {
-		fmt.Fprintf(w, "  lost nodes (restart budget exhausted): %v\n", sum.LostNodes)
-	}
 	if sum.DeadNodes > 0 {
 		fmt.Fprintf(w, "  dead nodes: %d\n", sum.DeadNodes)
 	}
@@ -266,18 +211,6 @@ func emit(path string, sum memscale.FleetSummary,
 		return err
 	}
 	if err := write(f, sum); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeBundle(path string, b *memscale.FleetCheckpointBundle) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := memscale.WriteFleetCheckpoint(f, b); err != nil {
 		f.Close()
 		return err
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"time"
 
 	"memscale/internal/config"
 	"memscale/internal/fleet"
@@ -97,83 +96,10 @@ type NodeGroup struct {
 	// offers a steady nominal load.
 	Arrival ArrivalConfig
 
-	// Faults, when non-nil, injects the disturbance plane into every
-	// node of the group, with per-node decorrelated schedules. The
-	// fleet-scope fields (NodeCrashRate, StragglerRate,
-	// CheckpointCorruptRate, NodeLossRate) arm the chaos plane the
-	// self-healing supervisor recovers from.
+	// Faults, when non-nil, injects the hardware fault plane into the
+	// managed run of every node of the group, with per-node
+	// decorrelated schedules. Baselines are never faulted.
 	Faults *FaultConfig
-
-	// Recovery, when non-nil, overrides the fleet-level
-	// FleetConfig.Recovery for this group's nodes.
-	Recovery *FleetRecoveryConfig
-}
-
-// FleetRecoveryConfig arms the self-healing supervisor every node runs
-// under: periodic state snapshots, bounded checkpoint restarts with
-// exponential backoff, and an optional per-window watchdog. Recovery
-// is transparent — a node that crashes and restarts inside a fleet
-// window replays to the window boundary before the coordinator looks,
-// so surviving-node metrics are bit-identical to an undisturbed run.
-// Nil disables recovery: an injected crash loses the node immediately.
-type FleetRecoveryConfig struct {
-	// MaxRetries bounds restarts per fleet window; past it the node is
-	// given up with ErrNodeLost (0 selects the default 3).
-	MaxRetries int
-
-	// CheckpointEvery is the snapshot cadence in epochs (0 selects the
-	// default 1).
-	CheckpointEvery int
-
-	// StepTimeout is the per-attempt watchdog over one fleet window of
-	// host wall-clock time; attempts exceeding it (stragglers, wedged
-	// nodes) are recovered exactly like crashes. 0 disables it.
-	StepTimeout time.Duration
-
-	// Backoff is the base host-time restart delay, doubling per retry
-	// (0 selects the default 1ms).
-	Backoff time.Duration
-}
-
-// validate mirrors RecoverySpec.Validate with public field paths.
-func (rc *FleetRecoveryConfig) validate(prefix string) error {
-	if rc == nil {
-		return nil
-	}
-	switch {
-	case rc.MaxRetries < 0:
-		return fmt.Errorf("%w: %s.max_retries: must be >= 0 (0 selects the default %d), got %d",
-			ErrInvalidConfig, prefix, fleet.DefaultMaxRetries, rc.MaxRetries)
-	case rc.CheckpointEvery < 0:
-		return fmt.Errorf("%w: %s.checkpoint_every: must be >= 0 epochs (0 selects the default %d), got %d",
-			ErrInvalidConfig, prefix, fleet.DefaultCheckpointEvery, rc.CheckpointEvery)
-	case rc.StepTimeout < 0:
-		return fmt.Errorf("%w: %s.step_timeout: must be >= 0 (0 disables the watchdog), got %v",
-			ErrInvalidConfig, prefix, rc.StepTimeout)
-	case rc.Backoff < 0:
-		return fmt.Errorf("%w: %s.backoff: must be >= 0 (0 selects the default %v), got %v",
-			ErrInvalidConfig, prefix, fleet.DefaultBackoff, rc.Backoff)
-	}
-	// Backstop: the engine's own validation guards any constraint added
-	// there before this mirror learns its field path.
-	if err := rc.internal().Validate(); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrInvalidConfig, prefix, err)
-	}
-	return nil
-}
-
-// internal maps the public recovery configuration onto the fleet
-// engine's spec. Nil-safe: a nil receiver disables recovery.
-func (rc *FleetRecoveryConfig) internal() *fleet.RecoverySpec {
-	if rc == nil {
-		return nil
-	}
-	return &fleet.RecoverySpec{
-		MaxRetries:      rc.MaxRetries,
-		CheckpointEvery: rc.CheckpointEvery,
-		StepTimeout:     rc.StepTimeout,
-		Backoff:         rc.Backoff,
-	}
 }
 
 // FleetConfig drives one fleet run.
@@ -205,10 +131,6 @@ type FleetConfig struct {
 
 	// Workers bounds node-level parallelism (0 = GOMAXPROCS).
 	Workers int
-
-	// Recovery arms the self-healing supervisor on every node (groups
-	// may override it per group). Nil disables recovery.
-	Recovery *FleetRecoveryConfig
 }
 
 // Validate rejects a degenerate fleet configuration up front. Like
@@ -229,9 +151,6 @@ func (fc FleetConfig) Validate() error {
 	case fc.CapIntervalEpochs < 0:
 		return fmt.Errorf("%w: cap_interval_epochs: must be >= 0 (0 selects the default 1), got %d",
 			ErrInvalidConfig, fc.CapIntervalEpochs)
-	}
-	if err := fc.Recovery.validate("recovery"); err != nil {
-		return err
 	}
 	for gi, g := range fc.Groups {
 		if g.Nodes <= 0 {
@@ -272,9 +191,6 @@ func (fc FleetConfig) Validate() error {
 		if err := g.Faults.validate(fmt.Sprintf("groups[%d].faults", gi)); err != nil {
 			return err
 		}
-		if err := g.Recovery.validate(fmt.Sprintf("groups[%d].recovery", gi)); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -288,7 +204,6 @@ func (fc FleetConfig) internal() (fleet.Config, error) {
 		CapEvery: fc.CapIntervalEpochs,
 		Seed:     fc.Seed,
 		Workers:  fc.Workers,
-		Recovery: fc.Recovery.internal(),
 	}
 	for gi, g := range fc.Groups {
 		mix, err := workload.ByName(g.Mix)
@@ -311,9 +226,8 @@ func (fc FleetConfig) internal() (fleet.Config, error) {
 			Name: name, Nodes: g.Nodes,
 			Mix: mix, Spec: spec,
 			Gamma: g.Gamma, Cores: g.Cores, Channels: g.Channels,
-			Arrival:  g.Arrival,
-			Faults:   g.Faults.internal(),
-			Recovery: g.Recovery.internal(),
+			Arrival: g.Arrival,
+			Faults:  g.Faults.internal(),
 		})
 	}
 	return c, nil
@@ -331,63 +245,39 @@ func (fc FleetConfig) internal() (fleet.Config, error) {
 // nodes' errors come back joined alongside the valid summary,
 // mirroring Sweep's partial-failure contract.
 func RunFleet(ctx context.Context, fc FleetConfig) (FleetSummary, error) {
-	if err := fc.Validate(); err != nil {
-		return FleetSummary{}, err
-	}
-	c, err := fc.internal()
-	if err != nil {
-		return FleetSummary{}, err
-	}
-	return fleet.Run(ctx, c)
+	return RunFleetInterruptible(ctx, fc, nil)
 }
-
-// FleetCheckpointBundle is the state an interrupted fleet run writes:
-// one full checkpoint per live node, captured at the window boundary
-// the run stopped on. FleetNodeCheckpoint is one node's entry.
-type (
-	FleetCheckpointBundle = fleet.CheckpointBundle
-	FleetNodeCheckpoint   = fleet.NodeCheckpoint
-)
 
 // RunFleetInterruptible is RunFleet with a soft-stop signal: when stop
 // fires (a closed or signaled channel — wire it to SIGINT/SIGTERM in a
-// CLI), the fleet finishes its current lockstep window, captures every
-// live node into the returned bundle, and reports ErrInterrupted
-// alongside the partial summary (Interrupted set, EpochsCompleted
-// counting the finished window boundary). A run that completes without
-// interruption returns a nil bundle and behaves exactly like RunFleet.
-func RunFleetInterruptible(ctx context.Context, fc FleetConfig, stop <-chan struct{}) (FleetSummary, *FleetCheckpointBundle, error) {
+// CLI), the fleet finishes its current lockstep window and reports
+// ErrInterrupted alongside the partial summary (Interrupted set,
+// EpochsCompleted counting the finished window boundary). The partial
+// summary pairs each node's completed epochs with the same epochs of
+// its baseline, so its SER and CPI figures describe those epochs. A
+// run that completes without interruption behaves exactly like
+// RunFleet.
+func RunFleetInterruptible(ctx context.Context, fc FleetConfig, stop <-chan struct{}) (FleetSummary, error) {
 	if err := fc.Validate(); err != nil {
-		return FleetSummary{}, nil, err
+		return FleetSummary{}, err
 	}
 	c, err := fc.internal()
 	if err != nil {
-		return FleetSummary{}, nil, err
+		return FleetSummary{}, err
 	}
 	c.Interrupt = stop
-	return fleet.RunWithCheckpoint(ctx, c)
-}
-
-// WriteFleetCheckpoint encodes an interrupt bundle as JSON with the
-// format magic and schema version stamped on it.
-func WriteFleetCheckpoint(w io.Writer, b *FleetCheckpointBundle) error {
-	return fleet.WriteBundle(w, b)
-}
-
-// ReadFleetCheckpoint decodes a bundle written by WriteFleetCheckpoint,
-// rejecting foreign files and incompatible schema majors (the latter
-// with a *FleetSchemaVersionError).
-func ReadFleetCheckpoint(r io.Reader) (*FleetCheckpointBundle, error) {
-	return fleet.ReadBundle(r)
+	return fleet.Run(ctx, c)
 }
 
 // FleetSchemaVersion is the fleet-summary interchange format version
 // ("MAJOR.MINOR") WriteFleetSummary stamps on every summary. Minor
-// bumps only add fields, which older readers ignore; a major bump
-// means the summary shape changed incompatibly. ReadFleetSummary
-// therefore accepts any summary whose major version matches its own
-// (including unversioned pre-1.1 summaries, which read as "1.0") and
-// rejects the rest with a *FleetSchemaVersionError.
+// bumps add fields, which older readers ignore, or drop omitempty
+// ones, which newer readers ignore (1.3 dropped the self-healing
+// fields); a major bump means the summary shape changed
+// incompatibly. ReadFleetSummary therefore accepts any summary whose
+// major version matches its own (including unversioned pre-1.1
+// summaries, which read as "1.0") and rejects the rest with a
+// *FleetSchemaVersionError.
 const FleetSchemaVersion = fleet.SchemaVersion
 
 // FleetSchemaVersionError is the typed error ReadFleetSummary returns
@@ -430,7 +320,6 @@ func WriteFleetNodesCSV(w io.Writer, sum FleetSummary) error {
 		"node", "group", "memory_energy_j", "system_energy_j",
 		"baseline_system_energy_j", "ser", "cpi_increase",
 		"mean_intensity", "capped_epochs", "final_cap_mhz", "dead",
-		"restarts", "crashes", "recovery_epochs", "loss_windows", "lost",
 	}); err != nil {
 		return err
 	}
@@ -441,9 +330,6 @@ func WriteFleetNodesCSV(w io.Writer, sum FleetSummary) error {
 			ftoa(n.SER), ftoa(n.CPIIncrease), ftoa(n.MeanIntensity),
 			strconv.Itoa(n.CappedEpochs), strconv.Itoa(n.FinalCapMHz),
 			strconv.FormatBool(n.Dead),
-			strconv.Itoa(n.Attempts), strconv.Itoa(n.Crashes),
-			strconv.Itoa(n.RecoveryEpochs), strconv.Itoa(n.LossWindows),
-			strconv.FormatBool(n.Lost),
 		}); err != nil {
 			return err
 		}

@@ -37,6 +37,17 @@ func TestFleetSummarySchemaVersion(t *testing.T) {
 	if _, err := ReadFleetSummary(strings.NewReader(`{"schema_version":"1.9","nodes":2}`)); err != nil {
 		t.Errorf("same-major newer minor rejected: %v", err)
 	}
+	// A 1.2 summary still carries the retired self-healing fields;
+	// they are ignored.
+	old, err := ReadFleetSummary(strings.NewReader(`{"schema_version":"1.2","nodes":2,` +
+		`"recoveries":3,"lost_nodes":[1],"degraded_nodes":[0],"dead_nodes":1,` +
+		`"per_node":[{"node":0,"attempts":3,"crashes":4},{"node":1,"dead":true,"lost":true}]}`))
+	if err != nil {
+		t.Errorf("1.2 summary with self-healing fields rejected: %v", err)
+	}
+	if old.Nodes != 2 || old.DeadNodes != 1 || len(old.PerNode) != 2 || !old.PerNode[1].Dead {
+		t.Errorf("1.2 summary read as %+v", old)
+	}
 
 	_, err = ReadFleetSummary(strings.NewReader(`{"schema_version":"2.0","nodes":2}`))
 	var sve *FleetSchemaVersionError
@@ -120,6 +131,44 @@ func TestFleetSummaryInterchange(t *testing.T) {
 	capLines := strings.Split(strings.TrimSpace(caps.String()), "\n")
 	if len(capLines) != 1+len(sum.CapTrace) {
 		t.Errorf("caps CSV has %d lines, want header + %d", len(capLines), len(sum.CapTrace))
+	}
+}
+
+// TestRunFleetSoftStop: a soft stop reports ErrInterrupted with a
+// partial summary marked interrupted, which the usual writers carry
+// through a full write/read cycle.
+func TestRunFleetSoftStop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node fleet run")
+	}
+	stop := make(chan struct{})
+	close(stop)
+	sum, err := RunFleetInterruptible(context.Background(), quickFleet(0), stop)
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if !sum.Interrupted || sum.EpochsCompleted != 0 || sum.Nodes != 5 || len(sum.PerNode) != 5 {
+		t.Fatalf("summary: interrupted %v at epoch %d, %d nodes, %d rows",
+			sum.Interrupted, sum.EpochsCompleted, sum.Nodes, len(sum.PerNode))
+	}
+
+	var buf bytes.Buffer
+	if err := WriteFleetSummary(&buf, sum); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadFleetSummary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum.SchemaVersion = FleetSchemaVersion
+	bitdiff.Same(t, "partial summary round trip", sum, back)
+
+	var nodes bytes.Buffer
+	if err := WriteFleetNodesCSV(&nodes, sum); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(nodes.String(), "\n"); lines != 1+sum.Nodes {
+		t.Errorf("nodes CSV has %d lines, want header + %d", lines, sum.Nodes)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"memscale/internal/config"
 	"memscale/internal/trace"
@@ -222,33 +221,6 @@ type Config struct {
 	// prove one job's death cannot take down a sweep.
 	PanicEnabled bool
 	PanicEpoch   int
-
-	// Fleet-scope classes (see fleet.go). These disturb node execution
-	// inside a fleet rather than the simulated hardware, and are only
-	// consumed through FleetInjector — the per-run Injector ignores
-	// them.
-
-	// NodeCrashRate is the per-(epoch, attempt) probability a node
-	// crashes mid-epoch and must be restarted from its last checkpoint.
-	NodeCrashRate float64
-
-	// StragglerRate is the per-(epoch, attempt) probability a node
-	// stalls in host time by StragglerDelay (default 20 ms); simulated
-	// results are unaffected, but a tight watchdog will fire.
-	StragglerRate  float64
-	StragglerDelay time.Duration
-
-	// CheckpointCorruptRate is the per-(epoch, attempt) probability a
-	// periodic recovery checkpoint is corrupted as it is written.
-	CheckpointCorruptRate float64
-
-	// NodeLossRate is the per-epoch probability a coordinator-visible
-	// loss window opens; while one is active (NodeLossEpochs epochs,
-	// default 3) the coordinator treats the node as gone and
-	// re-water-fills its budget share, even though the node itself
-	// keeps running.
-	NodeLossRate   float64
-	NodeLossEpochs int
 }
 
 // Default fallbacks for zero Config fields.
@@ -281,12 +253,6 @@ func (c Config) WithDefaults() Config {
 	if c.MaxRunRetries == 0 {
 		c.MaxRunRetries = DefaultMaxRunRetries
 	}
-	if c.StragglerDelay == 0 {
-		c.StragglerDelay = DefaultStragglerDelay
-	}
-	if c.NodeLossEpochs == 0 {
-		c.NodeLossEpochs = DefaultNodeLossEpochs
-	}
 	return c
 }
 
@@ -310,10 +276,6 @@ func (c Config) Validate() error {
 		{"CounterCorruptRate", c.CounterCorruptRate},
 		{"ThermalRate", c.ThermalRate},
 		{"TransientAbortRate", c.TransientAbortRate},
-		{"NodeCrashRate", c.NodeCrashRate},
-		{"StragglerRate", c.StragglerRate},
-		{"CheckpointCorruptRate", c.CheckpointCorruptRate},
-		{"NodeLossRate", c.NodeLossRate},
 	} {
 		if err := rate(r.name, r.v); err != nil {
 			return err
@@ -334,10 +296,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: MaxRunRetries must be >= 0, got %d", ErrInvalidConfig, c.MaxRunRetries)
 	case c.PanicEnabled && c.PanicEpoch < 0:
 		return fmt.Errorf("%w: PanicEpoch must be >= 0, got %d", ErrInvalidConfig, c.PanicEpoch)
-	case c.StragglerDelay < 0:
-		return fmt.Errorf("%w: StragglerDelay must be >= 0, got %v", ErrInvalidConfig, c.StragglerDelay)
-	case c.NodeLossEpochs < 0:
-		return fmt.Errorf("%w: NodeLossEpochs must be >= 0, got %d", ErrInvalidConfig, c.NodeLossEpochs)
 	}
 	return nil
 }

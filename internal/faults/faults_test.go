@@ -266,8 +266,6 @@ func TestWithDefaults(t *testing.T) {
 		ThermalCeiling:      DefaultThermalCeiling,
 		ThermalWindowEpochs: DefaultThermalWindowEpochs,
 		MaxRunRetries:       DefaultMaxRunRetries,
-		StragglerDelay:      DefaultStragglerDelay,
-		NodeLossEpochs:      DefaultNodeLossEpochs,
 	}
 	if got != want {
 		t.Fatalf("WithDefaults = %+v, want %+v", got, want)

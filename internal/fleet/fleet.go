@@ -9,11 +9,13 @@ import (
 	"sort"
 	"strings"
 
+	"memscale/internal/checkpoint"
 	"memscale/internal/config"
 	"memscale/internal/faults"
 	"memscale/internal/invariant"
 	"memscale/internal/policies"
 	"memscale/internal/runner"
+	"memscale/internal/sim"
 	"memscale/internal/telemetry"
 	"memscale/internal/workload"
 )
@@ -35,15 +37,10 @@ type GroupSpec struct {
 
 	Arrival ArrivalSpec
 
-	// Faults, when non-nil, injects the disturbance plane into every
-	// node of the group, with per-node decorrelated schedules. The
-	// fleet-scope rates (node crashes, stragglers, checkpoint
-	// corruption, loss windows) drive the self-healing plane.
+	// Faults, when non-nil, injects the hardware fault plane into the
+	// managed run of every node of the group, with per-node
+	// decorrelated schedules. Baselines are never faulted.
 	Faults *faults.Config
-
-	// Recovery overrides the fleet-level RecoverySpec for this group's
-	// nodes (nil inherits Config.Recovery).
-	Recovery *RecoverySpec
 }
 
 // Config drives one fleet run.
@@ -70,22 +67,9 @@ type Config struct {
 	// are bit-identical on any worker count.
 	Workers int
 
-	// Recovery, when non-nil, arms the self-healing supervisor on every
-	// node: periodic snapshots, watchdog-bounded window attempts, and
-	// bounded checkpoint restarts. Nil disables recovery (an injected
-	// crash loses the node immediately).
-	Recovery *RecoverySpec
-
-	// Telemetry, when non-nil, receives the fleet-level event stream
-	// (node losses, recoveries) and counters. The recorder is used only
-	// from the serial coordinator, in node order, so the stream is
-	// deterministic.
-	Telemetry *telemetry.Recorder
-
-	// Interrupt, when non-nil, requests a graceful stop: the run halts
-	// at the next window boundary, reports the completed epochs, and
-	// returns ErrInterrupted (plus a checkpoint bundle through
-	// RunWithCheckpoint). Nil means run to completion.
+	// Interrupt, when non-nil, requests a soft stop: the run halts at
+	// the next window boundary and returns ErrInterrupted with a
+	// summary of the completed epochs. Nil means run to completion.
 	Interrupt <-chan struct{}
 }
 
@@ -119,18 +103,6 @@ type NodeSummary struct {
 	FinalCapMHz   int     `json:"final_cap_mhz"`
 	Dead          bool    `json:"dead,omitempty"`
 	Err           string  `json:"error,omitempty"`
-
-	// Self-healing plane outcome: checkpoint restarts performed,
-	// crashes (injected plus watchdog timeouts) absorbed, epochs
-	// replayed during recovery, snapshots lost to write corruption,
-	// coordinator loss windows entered, and whether the node ended
-	// lost (restart budget exhausted — implies Dead).
-	Attempts           int  `json:"attempts,omitempty"`
-	Crashes            int  `json:"crashes,omitempty"`
-	RecoveryEpochs     int  `json:"recovery_epochs,omitempty"`
-	CorruptCheckpoints int  `json:"corrupt_checkpoints,omitempty"`
-	LossWindows        int  `json:"loss_windows,omitempty"`
-	Lost               bool `json:"lost,omitempty"`
 }
 
 // GroupSummary rolls one group up.
@@ -149,15 +121,20 @@ type GroupSummary struct {
 
 // SchemaVersion is the fleet-summary interchange format version
 // ("MAJOR.MINOR") stamped on every summary WriteFleetSummary encodes.
-// Minor bumps only add fields, which older readers ignore; a major
-// bump means the summary shape changed incompatibly. Readers accept
-// any summary whose major version matches their own (including
-// unversioned pre-1.1 summaries, which read as "1.0") and reject the
-// rest with a *SchemaVersionError.
+// Minor bumps add fields, which older readers ignore, or drop
+// omitempty ones, which newer readers ignore; a major bump means the
+// summary shape changed incompatibly. Readers accept any summary
+// whose major version matches their own (including unversioned
+// pre-1.1 summaries, which read as "1.0") and reject the rest with a
+// *SchemaVersionError.
 //
-// 1.2 added the self-healing plane fields (per-node recovery stats,
-// lost/degraded node sets, invariant check counts, interruption).
-const SchemaVersion = "1.2"
+// 1.2 added invariant check counts, interruption, and the
+// self-healing plane's fields. 1.3 removed those self-healing fields
+// (per-node attempts, crashes, recovery epochs, corrupt checkpoints,
+// loss windows and lost flag; the lost and degraded node sets). All
+// were omitempty, so a 1.2 summary still reads: its extra keys are
+// ignored. Recoveries stays in the shape and is always 0.
+const SchemaVersion = "1.3"
 
 // SchemaVersionError reports a fleet summary written by an
 // incompatible (different-major) schema version; match with errors.As.
@@ -239,17 +216,13 @@ type Summary struct {
 	Groups  []GroupSummary `json:"groups"`
 	PerNode []NodeSummary  `json:"per_node,omitempty"`
 
-	// DeadNodes counts nodes lost to panics, faults, or timeouts; the
-	// survivors' statistics are still reported.
+	// DeadNodes counts nodes lost to panics or faults; the survivors'
+	// statistics are still reported.
 	DeadNodes int `json:"dead_nodes,omitempty"`
 
-	// Self-healing plane rollups: total checkpoint restarts performed
-	// fleet-wide, the nodes that ended lost (restart budget exhausted,
-	// a subset of the dead set), and the nodes that crashed but
-	// recovered and survived to the end (degraded, not dead).
-	Recoveries    int   `json:"recoveries,omitempty"`
-	LostNodes     []int `json:"lost_nodes,omitempty"`
-	DegradedNodes []int `json:"degraded_nodes,omitempty"`
+	// Recoveries is always 0: nothing restarts a failed node. It stays
+	// so summaries keep their shape for readers of older files.
+	Recoveries int `json:"recoveries,omitempty"`
 
 	// InvariantChecks counts runtime invariant checks that passed
 	// across the fleet (per-node simulation checks, baselines included,
@@ -258,16 +231,22 @@ type Summary struct {
 	InvariantChecks uint64 `json:"invariant_checks,omitempty"`
 
 	// Interrupted marks a run stopped through Config.Interrupt;
-	// EpochsCompleted is the boundary it stopped at.
+	// EpochsCompleted is the boundary it stopped at. Every energy, SER
+	// and CPI figure of an interrupted summary pairs each node's
+	// completed managed epochs with the same epochs of its baseline.
 	Interrupted     bool `json:"interrupted,omitempty"`
 	EpochsCompleted int  `json:"epochs_completed,omitempty"`
 
-	// Events is the total simulation events fired across the fleet
-	// (managed runs plus baselines). Recovery replays re-fire events,
-	// so a run with crashes reports more of them than the same-seed
-	// undisturbed run even when every simulated metric is identical.
+	// Events is the total simulation events fired across the fleet's
+	// live nodes (managed runs plus the paired baseline epochs).
 	Events uint64 `json:"events"`
 }
+
+// ErrInterrupted reports a fleet run stopped early through
+// Config.Interrupt: the summary covers the epochs completed at the
+// stop boundary. Matched with errors.Is (it wraps the checkpoint
+// plane's shared checkpoint.ErrInterrupted sentinel).
+var ErrInterrupted = fmt.Errorf("fleet: %w", checkpoint.ErrInterrupted)
 
 // Run executes the fleet: per-node paired baselines (parallel), then
 // the managed runs stepped in lockstep fleet epochs with the FastCap
@@ -276,33 +255,20 @@ type Summary struct {
 // parallelism is across nodes only, every reduction runs in node
 // order on the caller's goroutine, and the coordinator is serial.
 //
-// Node failures (injected panics, transient faults, exhausted restart
-// budgets) kill only that node: it is excluded from subsequent epochs
-// and the tail statistics, and its error is joined into the returned
-// error alongside the valid Summary (mirroring Sweep's partial-failure
-// contract).
+// Node failures (injected panics, transient faults) kill only that
+// node: it is excluded from subsequent epochs and the tail statistics,
+// and its error is joined into the returned error alongside the valid
+// Summary (mirroring Sweep's partial-failure contract). When
+// c.Interrupt fires, the run stops at the next window boundary and the
+// error also matches ErrInterrupted.
 func Run(ctx context.Context, c Config) (Summary, error) {
-	sum, _, err := run(ctx, c, false)
-	return sum, err
-}
-
-// RunWithCheckpoint is Run with an interrupt-checkpoint contract: when
-// c.Interrupt fires, the fleet stops at the next window boundary and
-// the returned bundle carries every live node's full checkpoint at
-// that boundary, alongside the partial summary and ErrInterrupted.
-// The bundle is nil on an uninterrupted run.
-func RunWithCheckpoint(ctx context.Context, c Config) (Summary, *CheckpointBundle, error) {
-	return run(ctx, c, true)
-}
-
-func run(ctx context.Context, c Config, wantBundle bool) (Summary, *CheckpointBundle, error) {
 	c = c.withDefaults()
 	nodes, err := buildNodes(c)
 	if err != nil {
-		return Summary{}, nil, err
+		return Summary{}, err
 	}
 	if len(nodes) == 0 {
-		return Summary{}, nil, errors.New("fleet: no nodes configured")
+		return Summary{}, errors.New("fleet: no nodes configured")
 	}
 
 	procs := c.Workers
@@ -323,7 +289,7 @@ func run(ctx context.Context, c Config, wantBundle bool) (Summary, *CheckpointBu
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return Summary{}, nil, err
+		return Summary{}, err
 	}
 
 	// Phase 2: build the managed systems (cheap, serial).
@@ -337,12 +303,8 @@ func run(ctx context.Context, c Config, wantBundle bool) (Summary, *CheckpointBu
 	}
 
 	// Phase 3: lockstep fleet epochs. Every step advances all live
-	// nodes by CapEvery OS epochs in parallel — each node under its own
-	// self-healing supervisor — then the serial coordinator absorbs
-	// losses and recoveries and reassigns caps from the step's
-	// measurements.
-	tel := c.Telemetry
-	epochLen := config.Default().Policy.EpochLength
+	// nodes by CapEvery OS epochs in parallel, then the serial
+	// coordinator reassigns caps from the step's measurements.
 	var capTrace []CapStep
 	var caps []config.FreqMHz
 	var fleetChecks uint64
@@ -358,47 +320,20 @@ func run(ctx context.Context, c Config, wantBundle bool) (Summary, *CheckpointBu
 		if interrupted {
 			break
 		}
-		k := c.CapEvery
-		if done+k > c.Epochs {
-			k = c.Epochs - done
-		}
+		k := min(c.CapEvery, c.Epochs-done)
 		stepErrs := runner.ForEach(ctx, workers, len(nodes), func(ctx context.Context, i int) error {
 			if nodes[i].dead {
 				return nil
 			}
 			return nodes[i].stepWindow(ctx, k)
 		}, nil)
-		now := config.Time(done+k) * epochLen
 		for i, err := range stepErrs {
 			if err != nil && !nodes[i].dead {
 				nodes[i].dead, nodes[i].err = true, err
-				tel.NodeLost(now, nodes[i].global, false, nodes[i].restarts)
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return Summary{}, nil, err
-		}
-		// Serial recovery bookkeeping, in node order: crash recoveries
-		// that succeeded inside the window, then coordinator-visible
-		// loss windows opening and closing. A lost node keeps
-		// simulating — the coordinator just cannot see or steer it until
-		// the window closes and it is re-admitted.
-		for _, n := range nodes {
-			if n.dead {
-				continue
-			}
-			if n.windowRestarts > 0 {
-				tel.NodeRecovered(now, n.global, false, n.attempt)
-			}
-			wasLost := n.lost
-			n.lost = n.chaos.LostAt(done + k)
-			switch {
-			case n.lost && !wasLost:
-				n.lossWindows++
-				tel.NodeLost(now, n.global, true, n.restarts)
-			case !n.lost && wasLost:
-				tel.NodeRecovered(now, n.global, true, n.attempt)
-			}
+			return Summary{}, err
 		}
 		if capping && done+k < c.Epochs {
 			obs := make([]nodeObs, len(nodes))
@@ -412,15 +347,15 @@ func run(ctx context.Context, c Config, wantBundle bool) (Summary, *CheckpointBu
 				step.DeficitW > 0 || step.EstimatedW <= c.BudgetW*(1+1e-9),
 				"epoch %d: estimated fleet power %.6f W exceeds budget %.6f W with no declared deficit",
 				done+k, step.EstimatedW, c.BudgetW); err != nil {
-				return Summary{}, nil, err
+				return Summary{}, err
 			}
 			fleetChecks++
 			for i, n := range nodes {
 				if n.dead || newCaps[i] == 0 {
 					continue
 				}
-				if err := n.applyCap(newCaps[i]); err != nil {
-					return Summary{}, nil, err
+				if err := n.sys.SetFrequencyCap(newCaps[i]); err != nil {
+					return Summary{}, err
 				}
 			}
 			caps = newCaps
@@ -429,23 +364,20 @@ func run(ctx context.Context, c Config, wantBundle bool) (Summary, *CheckpointBu
 		done += k
 	}
 
-	// The interrupt bundle must be captured on the quiescent window
-	// boundary, before finalize.
-	var bundle *CheckpointBundle
-	if interrupted && wantBundle {
-		if bundle, err = bundleNodes(c, nodes, done); err != nil {
-			return Summary{}, nil, err
-		}
-	}
-
-	// Phase 4: finalize and reduce, strictly in node order. A node
-	// interrupted before its first epoch has nothing to finalize.
+	// Phase 4: finalize and reduce, strictly in node order. Each live
+	// node's managed epochs pair with the same epochs of its baseline;
+	// a node stopped before its first epoch has nothing to pair.
 	for _, n := range nodes {
-		if !n.dead && n.epochs > 0 {
+		if n.dead {
+			continue
+		}
+		n.baseRes = sim.Result{}
+		if n.epochs > 0 {
 			n.res = n.sys.Finalize()
+			n.baseRes = n.baseAt[n.epochs-1]
 		}
 	}
-	sum := summarize(c, nodes, caps, capTrace)
+	sum := summarize(c, nodes, done, caps, capTrace)
 	sum.InvariantChecks += fleetChecks
 	errOut := joinNodeErrors(nodes)
 	if interrupted {
@@ -453,7 +385,7 @@ func run(ctx context.Context, c Config, wantBundle bool) (Summary, *CheckpointBu
 		sum.EpochsCompleted = done
 		errOut = errors.Join(ErrInterrupted, errOut)
 	}
-	return sum, bundle, errOut
+	return sum, errOut
 }
 
 // buildNodes expands the group specs into the flat node list, with
@@ -481,28 +413,14 @@ func buildNodes(c Config) ([]*node, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("fleet: group %d (%s): %w", gi, g.Name, err)
 		}
-		rec := c.Recovery
-		if g.Recovery != nil {
-			rec = g.Recovery
-		}
-		var recEff *RecoverySpec
-		if rec != nil {
-			if err := rec.Validate(); err != nil {
-				return nil, fmt.Errorf("fleet: group %d (%s): recovery: %w", gi, g.Name, err)
-			}
-			r := rec.withDefaults()
-			recEff = &r
-		}
-		for ni := 0; ni < g.Nodes; ni++ {
+		for range g.Nodes {
 			n := &node{
 				group:     gi,
-				inGroup:   ni,
 				global:    len(nodes),
 				cfg:       cfg,
 				mix:       g.Mix,
 				spec:      g.Spec,
 				faultsCfg: g.Faults,
-				recovery:  recEff,
 				seed:      c.Seed,
 			}
 			n.schedule = arr.schedule(c.Seed, n.global, c.Epochs, epochSec)
@@ -512,8 +430,9 @@ func buildNodes(c Config) ([]*node, error) {
 	return nodes, nil
 }
 
-// summarize reduces the fleet, in node order, into the public summary.
-func summarize(c Config, nodes []*node, caps []config.FreqMHz, capTrace []CapStep) Summary {
+// summarize reduces the fleet, in node order, into the public summary
+// of the first done epochs.
+func summarize(c Config, nodes []*node, done int, caps []config.FreqMHz, capTrace []CapStep) Summary {
 	sum := Summary{
 		Nodes:    len(nodes),
 		Epochs:   c.Epochs,
@@ -537,35 +456,22 @@ func summarize(c Config, nodes []*node, caps []config.FreqMHz, capTrace []CapSte
 		if caps != nil && n.global < len(caps) {
 			ns.FinalCapMHz = int(caps[n.global])
 		}
-		var meanIntensity float64
-		for _, m := range n.schedule {
-			meanIntensity += m
-		}
-		if len(n.schedule) > 0 {
-			ns.MeanIntensity = meanIntensity / float64(len(n.schedule))
-		}
-		ns.Attempts = n.restarts
-		ns.Crashes = n.crashes
-		ns.RecoveryEpochs = n.recoveryEpochs
-		ns.CorruptCheckpoints = n.corruptCkpts
-		ns.LossWindows = n.lossWindows
-		sum.Recoveries += n.restarts
+		ns.MeanIntensity = mean(n.schedule[:done])
 		sum.InvariantChecks += n.res.InvariantChecks + n.baseRes.InvariantChecks
 		if n.dead {
 			ns.Dead = true
 			if n.err != nil {
 				ns.Err = n.err.Error()
 			}
-			if errors.Is(n.err, ErrNodeLost) {
-				ns.Lost = true
-				sum.LostNodes = append(sum.LostNodes, n.global)
-			}
 			sum.DeadNodes++
 			sum.PerNode = append(sum.PerNode, ns)
 			continue
 		}
-		if n.restarts > 0 {
-			sum.DegradedNodes = append(sum.DegradedNodes, n.global)
+		if n.epochs == 0 {
+			// Stopped before its first epoch: no energy or CPI to report,
+			// so the node stays out of SER and the CPI quantiles.
+			sum.PerNode = append(sum.PerNode, ns)
+			continue
 		}
 		sys := n.systemEnergy(n.res)
 		base := n.systemEnergy(n.baseRes)

@@ -3,12 +3,16 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"memscale/internal/config"
+	"memscale/internal/core"
 	"memscale/internal/faults"
 	"memscale/internal/policies"
+	"memscale/internal/sim"
 	"memscale/internal/workload"
 )
 
@@ -141,6 +145,127 @@ func TestFleetDeadNodeIsolated(t *testing.T) {
 	}
 	if sum.SER <= 0 {
 		t.Error("survivors produced no SER")
+	}
+}
+
+// stopAfter is the MemScale governor with a soft-stop trigger: the
+// first node to finish epoch n closes stop, so the fleet halts at the
+// window boundary after n epochs. Embedding the policy keeps every
+// optional governor interface, so the node runs exactly as under the
+// plain governor.
+type stopAfter struct {
+	*core.Policy
+	n, seen int
+	stop    func()
+}
+
+func (g *stopAfter) EpochEnd(p sim.Profile) {
+	g.Policy.EpochEnd(p)
+	if g.seen++; g.seen == g.n {
+		g.stop()
+	}
+}
+
+// interruptAfter arms c to soft-stop after done epochs.
+func interruptAfter(c *Config, done int) {
+	ch := make(chan struct{})
+	var once sync.Once
+	stop := func() { once.Do(func() { close(ch) }) }
+	c.Interrupt = ch
+	for gi := range c.Groups {
+		spec := c.Groups[gi].Spec
+		spec.Governor = func(cfg *config.Config, nonMem float64) sim.Governor {
+			return &stopAfter{Policy: core.NewPolicy(cfg, core.Options{NonMemPower: nonMem}), n: done, stop: stop}
+		}
+		c.Groups[gi].Spec = spec
+	}
+}
+
+// TestSoftStopPairsCompletedEpochs: a fleet soft-stopped after done
+// epochs reports the SER and CPI figures of an uninterrupted run of
+// done epochs, because each node's managed epochs pair with the same
+// epochs of its baseline. The managed runs, the baseline prefixes and
+// so the CPI figures match bit for bit. SER matches to within 2%, not
+// exactly: the stopped run keeps the rest-of-system power calibrated
+// over the full horizon's baseline (an unpaired baseline, as before
+// the pairing, is off by a third).
+func TestSoftStopPairsCompletedEpochs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node fleet run")
+	}
+	const done = 4
+	c := testConfig(t, 0)
+	interruptAfter(&c, done)
+	got, err := Run(context.Background(), c)
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if !got.Interrupted || got.EpochsCompleted != done {
+		t.Fatalf("interrupted %v at epoch %d, want a stop at %d", got.Interrupted, got.EpochsCompleted, done)
+	}
+
+	ref := testConfig(t, 0)
+	ref.Epochs = done
+	want, err := Run(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(name string, a, b float64) {
+		t.Helper()
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s = %v, want %v (the uninterrupted %d-epoch run)", name, a, b, done)
+		}
+	}
+	near := func(name string, a, b float64) {
+		t.Helper()
+		if math.Abs(a-b) > 0.02*math.Abs(b) {
+			t.Errorf("%s = %v, want %v within 2%% (the uninterrupted %d-epoch run)", name, a, b, done)
+		}
+	}
+	bits("AvgCPIIncrease", got.AvgCPIIncrease, want.AvgCPIIncrease)
+	bits("P99CPIIncrease", got.P99CPIIncrease, want.P99CPIIncrease)
+	bits("MemoryEnergyJ", got.MemoryEnergyJ, want.MemoryEnergyJ)
+	near("SER", got.SER, want.SER)
+	if got.Events != want.Events {
+		t.Errorf("events = %d, want %d", got.Events, want.Events)
+	}
+	for i, g := range got.PerNode {
+		w := want.PerNode[i]
+		bits("node CPIIncrease", g.CPIIncrease, w.CPIIncrease)
+		bits("node MeanIntensity", g.MeanIntensity, w.MeanIntensity)
+		near("node SER", g.SER, w.SER)
+		if g.CappedEpochs != w.CappedEpochs {
+			t.Errorf("node %d capped epochs = %d, want %d", g.Node, g.CappedEpochs, w.CappedEpochs)
+		}
+	}
+}
+
+// TestSoftStopBeforeFirstEpoch: a fleet stopped before its first
+// window has no epochs to pair, so it reports no SER and no CPI change
+// rather than a baseline with nothing to compare it to.
+func TestSoftStopBeforeFirstEpoch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node fleet run")
+	}
+	c := testConfig(t, 0)
+	stop := make(chan struct{})
+	close(stop)
+	c.Interrupt = stop
+	sum, err := Run(context.Background(), c)
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if !sum.Interrupted || sum.EpochsCompleted != 0 || sum.Nodes != 6 {
+		t.Fatalf("interrupted %v at epoch %d with %d nodes", sum.Interrupted, sum.EpochsCompleted, sum.Nodes)
+	}
+	if sum.SER != 0 || sum.AvgCPIIncrease != 0 || sum.P99CPIIncrease != 0 || sum.BaselineSysJ != 0 {
+		t.Errorf("SER %v, CPI avg %v p99 %v, baseline %v J: want all 0 with no epochs run",
+			sum.SER, sum.AvgCPIIncrease, sum.P99CPIIncrease, sum.BaselineSysJ)
+	}
+	for _, ns := range sum.PerNode {
+		if ns.SER != 0 || ns.CPIIncrease != 0 || ns.Dead {
+			t.Errorf("node %d: SER %v, CPI %v, dead %v", ns.Node, ns.SER, ns.CPIIncrease, ns.Dead)
+		}
 	}
 }
 

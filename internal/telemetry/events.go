@@ -50,20 +50,6 @@ const (
 	// class bits that disturbed it (faults.Kind mask), B = the
 	// frequency the epoch actually ran at (MHz).
 	EvDegraded
-
-	// EvNodeLost: the fleet supervisor gave a node up (retries
-	// exhausted) or the coordinator lost sight of it (loss window
-	// opened). Core carries the fleet-global node index; A = 1 for a
-	// coordinator-visible loss window, 0 for a dead node; B = the
-	// restart attempts spent.
-	EvNodeLost
-
-	// EvRecovered: a node came back — a checkpoint restart replayed it
-	// to the epoch boundary, or a loss window closed and the
-	// coordinator re-admitted it. Core carries the fleet-global node
-	// index; A = 1 for a loss-window rejoin, 0 for a crash recovery;
-	// B = the restart attempt that succeeded.
-	EvRecovered
 )
 
 var eventKindNames = map[EventKind]string{
@@ -75,8 +61,6 @@ var eventKindNames = map[EventKind]string{
 	EvDecision:       "decision",
 	EvFault:          "fault",
 	EvDegraded:       "degraded",
-	EvNodeLost:       "node_lost",
-	EvRecovered:      "node_recovered",
 }
 
 // String returns the kind's stable wire name.

@@ -72,8 +72,12 @@ type Recorder struct {
 	PowerIntervals  Counter
 	FaultsInjected  Counter
 	DegradedEpochs  Counter
-	NodesLost       Counter
-	NodesRecovered  Counter
+	// NodesLost and NodesRecovered are never incremented: the fleet
+	// supervisor that fed them is gone. They stay because every export
+	// carries each counter by name, and the pinned export digests hash
+	// those names.
+	NodesLost      Counter
+	NodesRecovered Counter
 
 	// Gauges (set by the run harness).
 	NonMemPowerW Gauge
@@ -189,39 +193,6 @@ func (r *Recorder) DegradedEpoch(t config.Time, mask uint8, freq config.FreqMHz)
 	r.DegradedEpochs.Add(1)
 	r.push(Event{Kind: EvDegraded, Time: t, Channel: -1, Rank: -1, Core: -1,
 		A: int64(mask), B: int64(freq)})
-}
-
-// NodeLost records the fleet supervisor giving node up (lossWindow
-// false, attempts = retries spent) or the coordinator losing sight of
-// it (lossWindow true).
-func (r *Recorder) NodeLost(t config.Time, node int, lossWindow bool, attempts int) {
-	if r == nil {
-		return
-	}
-	r.NodesLost.Add(1)
-	var a int64
-	if lossWindow {
-		a = 1
-	}
-	r.push(Event{Kind: EvNodeLost, Time: t, Channel: -1, Rank: -1, Core: node,
-		A: a, B: int64(attempts)})
-}
-
-// NodeRecovered records a node coming back: a checkpoint restart that
-// replayed it to the epoch boundary (rejoin false, attempt = the
-// restart ordinal that succeeded) or a loss window closing (rejoin
-// true).
-func (r *Recorder) NodeRecovered(t config.Time, node int, rejoin bool, attempt int) {
-	if r == nil {
-		return
-	}
-	r.NodesRecovered.Add(1)
-	var a int64
-	if rejoin {
-		a = 1
-	}
-	r.push(Event{Kind: EvRecovered, Time: t, Channel: -1, Rank: -1, Core: node,
-		A: a, B: int64(attempt)})
 }
 
 // ObserveEpochHost records the host wall-clock nanoseconds one epoch

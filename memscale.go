@@ -37,7 +37,6 @@ import (
 	"memscale/internal/checkpoint"
 	"memscale/internal/config"
 	"memscale/internal/faults"
-	"memscale/internal/fleet"
 	"memscale/internal/invariant"
 	"memscale/internal/policies"
 	"memscale/internal/runner"
@@ -87,14 +86,9 @@ var (
 	// *InvariantViolation naming the check.
 	ErrInvariant = invariant.ErrInvariant
 
-	// ErrNodeLost reports a fleet node whose self-healing restart
-	// budget ran out; the fleet keeps running and the summary lists the
-	// node in LostNodes (see RunFleet's partial-failure contract).
-	ErrNodeLost = fleet.ErrNodeLost
-
 	// ErrInterrupted reports a run or fleet stopped early by a
-	// soft-stop signal (SIGINT/SIGTERM in the CLIs) after writing its
-	// final checkpoint.
+	// soft-stop signal (SIGINT/SIGTERM in the CLIs): a single run after
+	// writing its final checkpoint, a fleet with its partial summary.
 	ErrInterrupted = checkpoint.ErrInterrupted
 )
 
@@ -199,35 +193,6 @@ type FaultConfig struct {
 	// hook for proving that one job's death cannot take down a sweep.
 	InjectPanic bool
 	PanicEpoch  int
-
-	// The fields below are fleet-scope faults: they only fire on nodes
-	// of a fleet run (RunFleet), where the self-healing supervisor can
-	// recover them, and are ignored by single runs.
-
-	// NodeCrashRate is the per-epoch probability a node crashes
-	// mid-window. With a FleetRecoveryConfig armed the node restarts
-	// from its last periodic snapshot and replays; without one the
-	// crash loses the node.
-	NodeCrashRate float64
-
-	// StragglerRate stalls a node in host wall-clock time by
-	// StragglerDelay (default 20ms) — simulated state is untouched.
-	// With a recovery StepTimeoutMS armed, a stalled attempt is caught
-	// by the watchdog and recovered exactly like a crash.
-	StragglerRate  float64
-	StragglerDelay time.Duration
-
-	// CheckpointCorruptRate flips a bit in a periodic snapshot as it is
-	// written; the corruption is caught by the container CRC at restore
-	// time and the restart falls back to a from-scratch replay.
-	CheckpointCorruptRate float64
-
-	// NodeLossRate opens coordinator-visible loss windows spanning
-	// NodeLossEpochs epochs (default 3): the node keeps simulating but
-	// the coordinator sees it as lost, freezes its cap, re-water-fills
-	// the freed budget across survivors, and re-admits it on rejoin.
-	NodeLossRate   float64
-	NodeLossEpochs int
 }
 
 // internal maps the public fault configuration onto the fault plane's
@@ -251,13 +216,6 @@ func (fc *FaultConfig) internal() *faults.Config {
 		MaxRunRetries:       fc.MaxRunRetries,
 		PanicEnabled:        fc.InjectPanic,
 		PanicEpoch:          fc.PanicEpoch,
-
-		NodeCrashRate:         fc.NodeCrashRate,
-		StragglerRate:         fc.StragglerRate,
-		StragglerDelay:        fc.StragglerDelay,
-		CheckpointCorruptRate: fc.CheckpointCorruptRate,
-		NodeLossRate:          fc.NodeLossRate,
-		NodeLossEpochs:        fc.NodeLossEpochs,
 	}
 }
 
@@ -351,10 +309,6 @@ func (fc *FaultConfig) validate(prefix string) error {
 		{"corrupt_rate", fc.CounterCorruptRate},
 		{"thermal_rate", fc.ThermalRate},
 		{"abort_rate", fc.TransientAbortRate},
-		{"node_crash_rate", fc.NodeCrashRate},
-		{"straggler_rate", fc.StragglerRate},
-		{"checkpoint_corrupt_rate", fc.CheckpointCorruptRate},
-		{"node_loss_rate", fc.NodeLossRate},
 	} {
 		if math.IsNaN(f.v) || f.v < 0 || f.v > 1 {
 			return fmt.Errorf("%w: %s.%s: rate must be in [0, 1], got %g",
@@ -369,7 +323,6 @@ func (fc *FaultConfig) validate(prefix string) error {
 		{"relock_max_retries", fc.RelockMaxRetries},
 		{"thermal_window_epochs", fc.ThermalWindowEpochs},
 		{"max_run_retries", fc.MaxRunRetries},
-		{"node_loss_epochs", fc.NodeLossEpochs},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("%w: %s.%s: must be >= 0 (0 selects the default), got %d",
@@ -379,10 +332,6 @@ func (fc *FaultConfig) validate(prefix string) error {
 	if fc.RelockBackoff < 0 {
 		return fmt.Errorf("%w: %s.relock_backoff: must be >= 0, got %v",
 			ErrInvalidConfig, prefix, fc.RelockBackoff)
-	}
-	if fc.StragglerDelay < 0 {
-		return fmt.Errorf("%w: %s.straggler_delay: must be >= 0 (0 selects the default 20ms), got %v",
-			ErrInvalidConfig, prefix, fc.StragglerDelay)
 	}
 	if c := fc.ThermalCeilingMHz; c != 0 && !config.ValidBusFrequency(config.FreqMHz(c)) {
 		return fmt.Errorf("%w: %s.thermal_ceiling_mhz: %d MHz is not on the DDR3 ladder %v",

@@ -13,10 +13,9 @@ import (
 
 // Checkpoint/restore: capture a run's complete simulation state at an
 // epoch boundary and continue it later — crash recovery for
-// long-horizon runs (pairing with the fault plane's panic isolation),
-// and the substrate warm-start sweeps fork from. A resumed run is
-// bit-identical to the uninterrupted one: every energy accumulator,
-// CPI ratio, frequency residency, and fault count restores to the
+// long-horizon runs, and the substrate warm-start sweeps fork from. A
+// resumed run is bit-identical to the uninterrupted one: every energy
+// accumulator, CPI ratio, and frequency residency restores to the
 // exact bit pattern (see DESIGN.md §4i).
 
 // CheckpointSchemaVersion is the checkpoint container format version
@@ -94,8 +93,17 @@ func CheckpointRunInterruptible(ctx context.Context, rc RunConfig, atEpoch int, 
 // Corrupted containers fail with ErrCorruptCheckpoint, incompatible
 // schema versions with a *CheckpointSchemaVersionError, and a
 // container whose state does not fit the run it describes (hand-edited
-// geometry, mismatched governor) with ErrInvalidConfig.
+// geometry, mismatched governor, or a fault schedule written by an
+// earlier release's fault-injection plane) with ErrInvalidConfig.
 func ResumeRun(ctx context.Context, r io.Reader, epochs int) (RunSummary, error) {
+	sum, err := resumeRun(ctx, r, epochs)
+	if errors.Is(err, sim.ErrStateMismatch) {
+		return RunSummary{}, fmt.Errorf("%w: checkpoint: %w", ErrInvalidConfig, err)
+	}
+	return sum, err
+}
+
+func resumeRun(ctx context.Context, r io.Reader, epochs int) (RunSummary, error) {
 	ck, err := checkpoint.Decode(r)
 	if err != nil {
 		return RunSummary{}, err
@@ -112,9 +120,6 @@ func ResumeRun(ctx context.Context, r io.Reader, epochs int) (RunSummary, error)
 		Epochs:     epochs,
 	})
 	if err != nil {
-		if errors.Is(err, sim.ErrStateMismatch) {
-			return RunSummary{}, fmt.Errorf("%w: checkpoint: %v", ErrInvalidConfig, err)
-		}
 		return RunSummary{}, err
 	}
 	return summarize(out), nil

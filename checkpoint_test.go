@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"memscale/internal/bitdiff"
+	"memscale/internal/sim"
 )
 
 // TestForkEquivalence forks every golden config through the public
@@ -113,29 +114,47 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	})
 	t.Run("mismatched state", func(t *testing.T) {
 		// Hand-edit the container's geometry: the state no longer fits
-		// the configuration it claims to pair with. The payload CRC is
-		// recomputed so the edit reaches state validation rather than
-		// tripping the integrity check.
-		tampered := bytes.Replace(buf.Bytes(), []byte(`"Cores":4`), []byte(`"Cores":8`), 1)
-		if bytes.Equal(tampered, buf.Bytes()) {
-			t.Fatal("tamper target not found in container")
-		}
-		nl := bytes.IndexByte(tampered, '\n')
-		if nl < 0 {
-			t.Fatal("container has no header line")
-		}
-		sum := crc32.ChecksumIEEE(bytes.TrimSpace(tampered[nl+1:]))
-		re := regexp.MustCompile(`"payload_crc32":\d+`)
-		header := re.ReplaceAll(tampered[:nl], []byte(fmt.Sprintf(`"payload_crc32":%d`, sum)))
-		if bytes.Equal(header, tampered[:nl]) {
-			t.Fatal("payload_crc32 field not found in header")
-		}
-		tampered = append(append(header, '\n'), tampered[nl+1:]...)
+		// the configuration it claims to pair with.
+		tampered := tamper(t, buf.Bytes(), `"Cores":4`, `"Cores":8`)
 		_, err := ResumeRun(ctx, bytes.NewReader(tampered), 4)
 		if !errors.Is(err, ErrInvalidConfig) {
 			t.Fatalf("err = %v, want ErrInvalidConfig for mismatched state", err)
 		}
 	})
+	t.Run("faulted run", func(t *testing.T) {
+		// Containers written by a fault-injected run of an earlier
+		// release name the disturbance schedule in meta.faults. The
+		// schedule cannot be replayed, so the resume must fail rather
+		// than silently continue without it.
+		faulted := tamper(t, buf.Bytes(), `"meta":{`,
+			`"meta":{"faults":{"Seed":42,"ThermalRate":0.5,"RefreshStormRate":0.5},`)
+		_, err := ResumeRun(ctx, bytes.NewReader(faulted), 4)
+		if !errors.Is(err, ErrInvalidConfig) || !errors.Is(err, sim.ErrStateMismatch) {
+			t.Fatalf("err = %v, want ErrInvalidConfig wrapping the state mismatch", err)
+		}
+	})
+}
+
+// tamper replaces the first old in a container's bytes with new and
+// recomputes the header's payload CRC, so the edit reaches the
+// container's consumers rather than tripping the integrity check.
+func tamper(t *testing.T, data []byte, old, new string) []byte {
+	t.Helper()
+	tampered := bytes.Replace(data, []byte(old), []byte(new), 1)
+	if bytes.Equal(tampered, data) {
+		t.Fatalf("tamper target %q not found in container", old)
+	}
+	nl := bytes.IndexByte(tampered, '\n')
+	if nl < 0 {
+		t.Fatal("container has no header line")
+	}
+	sum := crc32.ChecksumIEEE(bytes.TrimSpace(tampered[nl+1:]))
+	re := regexp.MustCompile(`"payload_crc32":\d+`)
+	header := re.ReplaceAll(tampered[:nl], []byte(fmt.Sprintf(`"payload_crc32":%d`, sum)))
+	if bytes.Equal(header, tampered[:nl]) {
+		t.Fatal("payload_crc32 field not found in header")
+	}
+	return append(append(header, '\n'), tampered[nl+1:]...)
 }
 
 // TestRunPastTwoSeconds: a run longer than 2 s of simulated time

@@ -17,10 +17,11 @@
 // The run is deterministic for a fixed -seed on any -workers count.
 //
 // SIGINT/SIGTERM handling: the first signal stops the fleet at its
-// next window boundary; the partial summary, which pairs every node's
-// completed epochs with the same epochs of its baseline, goes through
-// the usual digest and -json/-nodes-csv/-caps-csv writers, and the
-// process exits with code 3. A second signal cancels hard.
+// next window boundary, or cancels the baselines if they are still
+// running; the partial summary, which pairs every node's completed
+// epochs with the same epochs of its baseline, goes through the usual
+// digest and -json/-nodes-csv/-caps-csv writers, and the process exits
+// with code 3. A second signal cancels hard.
 package main
 
 import (

@@ -11,21 +11,16 @@
 //	             [-restore run.ckpt]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-blockprofile block.pprof]
-//	             [-fault-seed N -fault-storm-rate P -fault-relock-rate P
-//	              -fault-corrupt-rate P -fault-thermal-rate P
-//	              -fault-thermal-ceiling MHZ -fault-abort-rate P]
-//
-// The -fault-* flags enable the deterministic fault-injection plane;
-// the same seed and rates reproduce the same disturbance schedule,
-// fault counts, and energy totals.
 //
 // -checkpoint-out captures the run's full simulation state to a
 // container file (at the final epoch by default, or after
 // -checkpoint-epoch epochs); -restore continues a checkpointed run to
 // -epochs total quanta, bit-identical to the uninterrupted run. A long
 // run interrupted by a crash or Ctrl-C resumes from its last written
-// container instead of starting over; -restore ignores the workload,
-// policy, and fault flags (the container records them).
+// container instead of starting over; -restore ignores the workload
+// and policy flags (the container records them). Containers written by
+// a fault-injected run of an earlier release are rejected: this
+// simulator cannot replay their disturbance schedule.
 //
 // The -*profile flags write pprof profiles of the simulation for
 // `go tool pprof`: CPU samples over the whole run, the live heap at
@@ -82,13 +77,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (at exit) to this file")
 	blockProfile := flag.String("blockprofile", "", "write a blocking profile to this file")
 
-	faultSeed := flag.Uint64("fault-seed", 0, "seed of the deterministic fault-injection schedule")
-	stormRate := flag.Float64("fault-storm-rate", 0, "per-epoch probability of a refresh storm (retention emergency)")
-	relockRate := flag.Float64("fault-relock-rate", 0, "per-attempt probability a PLL/DLL relock fails and is retried")
-	corruptRate := flag.Float64("fault-corrupt-rate", 0, "per-epoch probability the profiled counters are corrupted")
-	thermalRate := flag.Float64("fault-thermal-rate", 0, "per-epoch probability a thermal-emergency window opens")
-	thermalCeil := flag.Int("fault-thermal-ceiling", 0, "frequency ceiling (MHz) during thermal emergencies (default 400)")
-	abortRate := flag.Float64("fault-abort-rate", 0, "per-attempt probability of a retryable transient run abort")
 	flag.Parse()
 
 	// Signal wiring: with a checkpoint target, the first SIGINT/SIGTERM
@@ -172,17 +160,6 @@ func main() {
 	if *telemetryOut != "" {
 		rc.Telemetry = &memscale.TelemetryConfig{Events: true}
 	}
-	if *stormRate > 0 || *relockRate > 0 || *corruptRate > 0 || *thermalRate > 0 || *abortRate > 0 {
-		rc.Faults = &memscale.FaultConfig{
-			Seed:               *faultSeed,
-			RefreshStormRate:   *stormRate,
-			RelockFailRate:     *relockRate,
-			CounterCorruptRate: *corruptRate,
-			ThermalRate:        *thermalRate,
-			ThermalCeilingMHz:  *thermalCeil,
-			TransientAbortRate: *abortRate,
-		}
-	}
 	var sum memscale.RunSummary
 	var err error
 	switch {
@@ -235,19 +212,6 @@ func main() {
 	fmt.Println(sum)
 	fmt.Printf("simulated %.0f ms; memory energy %.3f J; system energy %.3f J\n",
 		sum.DurationSeconds*1000, sum.MemoryEnergyJ, sum.SystemEnergyJ)
-
-	if rc.Faults != nil {
-		fmt.Printf("fault injection: %d degraded epochs, %d attempts\n",
-			sum.DegradedEpochs, sum.Attempts)
-		names := make([]string, 0, len(sum.FaultCounts))
-		for name := range sum.FaultCounts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Printf("  %-20s %d\n", name, sum.FaultCounts[name])
-		}
-	}
 
 	freqs := make([]int, 0, len(sum.FreqSeconds))
 	for f := range sum.FreqSeconds {

@@ -95,11 +95,6 @@ type NodeGroup struct {
 	// Arrival is the group's open-loop arrival process. The zero value
 	// offers a steady nominal load.
 	Arrival ArrivalConfig
-
-	// Faults, when non-nil, injects the hardware fault plane into the
-	// managed run of every node of the group, with per-node
-	// decorrelated schedules. Baselines are never faulted.
-	Faults *FaultConfig
 }
 
 // FleetConfig drives one fleet run.
@@ -123,8 +118,7 @@ type FleetConfig struct {
 	// (default 1: caps are reassigned at every epoch boundary).
 	CapIntervalEpochs int
 
-	// Seed decorrelates traces, arrivals, and fault schedules across
-	// nodes while keeping the whole fleet reproducible: the same
+	// Seed decorrelates traces and arrivals across nodes while keeping the whole fleet reproducible: the same
 	// FleetConfig yields a bit-identical FleetSummary on any worker
 	// count.
 	Seed uint64
@@ -188,9 +182,6 @@ func (fc FleetConfig) Validate() error {
 		if err := g.Arrival.Validate(); err != nil {
 			return fmt.Errorf("%w: groups[%d].arrival: %v", ErrInvalidConfig, gi, err)
 		}
-		if err := g.Faults.validate(fmt.Sprintf("groups[%d].faults", gi)); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -227,7 +218,6 @@ func (fc FleetConfig) internal() (fleet.Config, error) {
 			Mix: mix, Spec: spec,
 			Gamma: g.Gamma, Cores: g.Cores, Channels: g.Channels,
 			Arrival: g.Arrival,
-			Faults:  g.Faults.internal(),
 		})
 	}
 	return c, nil
@@ -240,8 +230,8 @@ func (fc FleetConfig) internal() (fleet.Config, error) {
 // Deterministic: the same FleetConfig yields a bit-identical
 // FleetSummary on any Workers count — parallelism is across nodes
 // only, every reduction runs in node order, and the coordinator is
-// serial. Node failures (injected panics, transient faults) kill only
-// that node: survivors' statistics are still reported and the dead
+// serial. Node failures (a panicking governor, a simulation error)
+// kill only that node: survivors' statistics are still reported and the dead
 // nodes' errors come back joined alongside the valid summary,
 // mirroring Sweep's partial-failure contract.
 func RunFleet(ctx context.Context, fc FleetConfig) (FleetSummary, error) {
@@ -252,7 +242,9 @@ func RunFleet(ctx context.Context, fc FleetConfig) (FleetSummary, error) {
 // fires (a closed or signaled channel — wire it to SIGINT/SIGTERM in a
 // CLI), the fleet finishes its current lockstep window and reports
 // ErrInterrupted alongside the partial summary (Interrupted set,
-// EpochsCompleted counting the finished window boundary). The partial
+// EpochsCompleted counting the finished window boundary). A stop
+// during the baselines cancels them; the summary then covers no
+// epochs. The partial
 // summary pairs each node's completed epochs with the same epochs of
 // its baseline, so its SER and CPI figures describe those epochs. A
 // run that completes without interruption behaves exactly like

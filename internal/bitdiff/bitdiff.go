@@ -21,7 +21,7 @@ import (
 
 // Diff returns the path and values of the first place a and b differ,
 // or "" when they are bit-identical. A path names fields from the top
-// value down ("Res.CPI[3]", "FaultCounts[relock_failure]"); a path in
+// value down ("Res.CPI[3]", "FreqSeconds[800]"); a path in
 // skip is not compared, and neither is anything under it. Functions and
 // channels are not compared.
 func Diff(a, b any, skip ...string) string {

@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"memscale/internal/config"
-	"memscale/internal/faults"
 	"memscale/internal/sim"
 )
 
@@ -91,8 +90,8 @@ func payloadCRC(body []byte) uint32 {
 }
 
 // Meta identifies the run a checkpoint was taken from: enough to
-// rebuild the trace streams, governor, and fault schedule around the
-// restored state without re-deriving them from flags.
+// rebuild the trace streams and governor around the restored state
+// without re-deriving them from flags.
 type Meta struct {
 	// Mix is the workload mix name the streams were built from.
 	Mix string `json:"mix"`
@@ -109,13 +108,6 @@ type Meta struct {
 
 	// Epochs is the number of OS epochs completed at the snapshot.
 	Epochs int `json:"epochs"`
-
-	// Faults is the fault plane's configuration when the run injected
-	// disturbances, and Attempt the retry ordinal the surviving attempt
-	// ran under; together they let a resume rebuild the identical
-	// disturbance schedule.
-	Faults  *faults.Config `json:"faults,omitempty"`
-	Attempt int            `json:"attempt,omitempty"`
 }
 
 // Checkpoint is one captured simulation: identity, the exact
@@ -157,8 +149,9 @@ func Encode(w io.Writer, ck *Checkpoint) error {
 
 // Decode parses a container written by Encode. Corrupted or truncated
 // bytes yield an error wrapping ErrCorruptCheckpoint; a container from
-// an incompatible schema major version yields a *SchemaVersionError.
-// Decode never panics, whatever the input.
+// an incompatible schema major version yields a *SchemaVersionError;
+// a container from a fault-injected run yields an error wrapping
+// sim.ErrStateMismatch. Decode never panics, whatever the input.
 func Decode(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
 	hdrLine, err := br.ReadBytes('\n')
@@ -188,10 +181,26 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 				ErrCorruptCheckpoint, got, hdr.PayloadCRC32)
 		}
 	}
-	ck := &Checkpoint{}
-	if err := json.Unmarshal(body, ck); err != nil {
+	// Containers written while the simulator had a fault-injection
+	// plane name the run's disturbance schedule in meta.faults. This
+	// simulator cannot replay that schedule, and resuming without it
+	// would silently continue a different run.
+	var payload struct {
+		Checkpoint
+		Meta struct {
+			Meta
+			Faults json.RawMessage `json:"faults"`
+		} `json:"meta"`
+	}
+	if err := json.Unmarshal(body, &payload); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrCorruptCheckpoint, err)
 	}
+	if f := payload.Meta.Faults; len(f) > 0 && string(f) != "null" {
+		return nil, fmt.Errorf("%w: container was written by a fault-injected run, which this simulator cannot replay",
+			sim.ErrStateMismatch)
+	}
+	ck := &payload.Checkpoint
+	ck.Meta = payload.Meta.Meta
 	if ck.State == nil {
 		return nil, fmt.Errorf("%w: payload carries no state", ErrCorruptCheckpoint)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"memscale/internal/config"
-	"memscale/internal/faults"
 	"memscale/internal/power"
 	"memscale/internal/sim"
 )
@@ -51,7 +50,6 @@ type Policy struct {
 
 	// Diagnostics.
 	decisions  int
-	degraded   int
 	timeAtFreq map[config.FreqMHz]int
 }
 
@@ -246,23 +244,6 @@ func (p *Policy) EpochEnd(prof sim.Profile) {
 	}
 }
 
-// EpochDegraded implements sim.DegradableGovernor. A fault plane
-// disturbance invalidated the epoch: its counters must not refit the
-// performance model, and the slack ledger — built from measurements
-// that can no longer be trusted — restarts from zero. Resetting rather
-// than carrying debt keeps the Equation 1 account non-negative at
-// every degraded boundary, so the policy re-earns headroom before it
-// dares slow memory down again.
-func (p *Policy) EpochDegraded(prof sim.Profile, mask faults.Kind) {
-	for i := range p.slack {
-		p.slack[i] = 0
-	}
-	p.degraded++
-}
-
-// Degraded returns how many epochs were reported degraded.
-func (p *Policy) Degraded() int { return p.degraded }
-
 // PredictedMeanCPI returns the fitted model's mean CPI across active
 // cores at bus frequency f — what the governor expected the epoch to
 // cost when it chose f. Zero when no core has observations. The
@@ -272,7 +253,7 @@ func (p *Policy) PredictedMeanCPI(f config.FreqMHz) float64 {
 	var sum float64
 	var n int
 	// Ranging over the model (not p.slack) keeps this safe when no
-	// epoch has been fitted yet — degraded epochs skip the fit.
+	// epoch has been fitted yet.
 	for i := range p.model.CPIObs {
 		if p.model.CPIObs[i] <= 0 {
 			continue

@@ -50,13 +50,12 @@ func (m *PerfModel) Load(st PerfModelState) {
 
 // PolicyState is the pure-data image of the MemScale governor.
 type PolicyState struct {
-	Gamma      float64                 `json:"gamma"`
-	Slack      []config.Time           `json:"slack"`
-	Chosen     config.FreqMHz          `json:"chosen"`
-	Decisions  int                     `json:"decisions"`
-	Degraded   int                     `json:"degraded"`
-	TimeAtFreq map[config.FreqMHz]int  `json:"time_at_freq,omitempty"`
-	Model      PerfModelState          `json:"model"`
+	Gamma      float64                `json:"gamma"`
+	Slack      []config.Time          `json:"slack"`
+	Chosen     config.FreqMHz         `json:"chosen"`
+	Decisions  int                    `json:"decisions"`
+	TimeAtFreq map[config.FreqMHz]int `json:"time_at_freq,omitempty"`
+	Model      PerfModelState         `json:"model"`
 }
 
 // SaveGovernorState implements sim.StatefulGovernor.
@@ -70,7 +69,6 @@ func (p *Policy) SaveGovernorState() (any, error) {
 		Slack:      append([]config.Time(nil), p.slack...),
 		Chosen:     p.chosen,
 		Decisions:  p.decisions,
-		Degraded:   p.degraded,
 		TimeAtFreq: tf,
 		Model:      p.model.Save(),
 	}, nil
@@ -93,7 +91,6 @@ func (p *Policy) loadState(st PolicyState) error {
 	copy(p.slack, st.Slack)
 	p.chosen = st.Chosen
 	p.decisions = st.Decisions
-	p.degraded = st.Degraded
 	p.timeAtFreq = make(map[config.FreqMHz]int, len(st.TimeAtFreq))
 	for f, n := range st.TimeAtFreq {
 		p.timeAtFreq[f] = n

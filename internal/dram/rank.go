@@ -297,15 +297,8 @@ func (r *Rank) PrechargeDone(now config.Time, bank int) {
 }
 
 // SetRefreshPending marks that a refresh is due; the controller stops
-// dispatching to the rank until the refresh completes. It reports
-// whether the call newly marked the rank — false means an earlier
-// obligation is still outstanding and this one is absorbed into it,
-// which is how back-to-back retention-emergency rounds coalesce.
-func (r *Rank) SetRefreshPending() (newly bool) {
-	newly = !r.refreshPending
-	r.refreshPending = true
-	return newly
-}
+// dispatching to the rank until the refresh completes.
+func (r *Rank) SetRefreshPending() { r.refreshPending = true }
 
 // RefreshBlocked reports whether dispatch to this rank must wait for a
 // refresh to be issued and completed.

@@ -11,7 +11,6 @@ import (
 
 	"memscale/internal/checkpoint"
 	"memscale/internal/config"
-	"memscale/internal/faults"
 	"memscale/internal/invariant"
 	"memscale/internal/policies"
 	"memscale/internal/runner"
@@ -36,11 +35,6 @@ type GroupSpec struct {
 	Cores, Channels int
 
 	Arrival ArrivalSpec
-
-	// Faults, when non-nil, injects the hardware fault plane into the
-	// managed run of every node of the group, with per-node
-	// decorrelated schedules. Baselines are never faulted.
-	Faults *faults.Config
 }
 
 // Config drives one fleet run.
@@ -59,8 +53,8 @@ type Config struct {
 	// are reassigned at every OS epoch boundary).
 	CapEvery int
 
-	// Seed decorrelates traces, arrivals, and fault schedules across
-	// nodes while keeping the whole fleet reproducible.
+	// Seed decorrelates traces and arrivals across nodes while keeping
+	// the whole fleet reproducible.
 	Seed uint64
 
 	// Workers bounds node-level parallelism (0 = GOMAXPROCS). Results
@@ -69,7 +63,9 @@ type Config struct {
 
 	// Interrupt, when non-nil, requests a soft stop: the run halts at
 	// the next window boundary and returns ErrInterrupted with a
-	// summary of the completed epochs. Nil means run to completion.
+	// summary of the completed epochs. A stop during the baselines
+	// cancels the ones still running, and the summary covers no
+	// epochs. Nil means run to completion.
 	Interrupt <-chan struct{}
 }
 
@@ -216,7 +212,7 @@ type Summary struct {
 	Groups  []GroupSummary `json:"groups"`
 	PerNode []NodeSummary  `json:"per_node,omitempty"`
 
-	// DeadNodes counts nodes lost to panics or faults; the survivors'
+	// DeadNodes counts nodes lost to panics or errors; the survivors'
 	// statistics are still reported.
 	DeadNodes int `json:"dead_nodes,omitempty"`
 
@@ -255,12 +251,13 @@ var ErrInterrupted = fmt.Errorf("fleet: %w", checkpoint.ErrInterrupted)
 // parallelism is across nodes only, every reduction runs in node
 // order on the caller's goroutine, and the coordinator is serial.
 //
-// Node failures (injected panics, transient faults) kill only that
-// node: it is excluded from subsequent epochs and the tail statistics,
-// and its error is joined into the returned error alongside the valid
-// Summary (mirroring Sweep's partial-failure contract). When
-// c.Interrupt fires, the run stops at the next window boundary and the
-// error also matches ErrInterrupted.
+// Node failures (a panicking governor, a simulation error) kill only
+// that node: it is excluded from subsequent epochs and the tail
+// statistics, and its error is joined into the returned error
+// alongside the valid Summary (mirroring Sweep's partial-failure
+// contract). When c.Interrupt fires, the run stops at the next window
+// boundary (or cancels the baselines still running) and the error also
+// matches ErrInterrupted.
 func Run(ctx context.Context, c Config) (Summary, error) {
 	c = c.withDefaults()
 	nodes, err := buildNodes(c)
@@ -279,22 +276,37 @@ func Run(ctx context.Context, c Config) (Summary, error) {
 
 	// Phase 1: paired baselines, parallel across nodes. The baseline
 	// also calibrates each node's rest-of-system power, which the
-	// managed governor needs before it can be built.
-	baseErrs := runner.ForEach(ctx, workers, len(nodes), func(ctx context.Context, i int) error {
+	// managed governor needs before it can be built. A soft stop
+	// cancels the baselines still running: no managed epoch has run
+	// yet, so nothing they would pair with exists.
+	baseCtx, cancelBase := context.WithCancel(ctx)
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		select {
+		case <-c.Interrupt:
+			cancelBase()
+		case <-baseCtx.Done():
+		}
+	}()
+	baseErrs := runner.ForEach(baseCtx, workers, len(nodes), func(ctx context.Context, i int) error {
 		return nodes[i].runBaseline(ctx)
 	}, nil)
-	for i, err := range baseErrs {
-		if err != nil {
-			nodes[i].dead, nodes[i].err = true, err
-		}
-	}
+	cancelBase()
+	<-watched
 	if err := ctx.Err(); err != nil {
 		return Summary{}, err
+	}
+	interrupted := stopped(c.Interrupt)
+	for i, err := range baseErrs {
+		if err != nil && !(interrupted && errors.Is(err, context.Canceled)) {
+			nodes[i].dead, nodes[i].err = true, err
+		}
 	}
 
 	// Phase 2: build the managed systems (cheap, serial).
 	for _, n := range nodes {
-		if n.dead {
+		if n.dead || interrupted {
 			continue
 		}
 		if err := n.buildManaged(); err != nil {
@@ -309,15 +321,10 @@ func Run(ctx context.Context, c Config) (Summary, error) {
 	var caps []config.FreqMHz
 	var fleetChecks uint64
 	capping := c.BudgetW > 0
-	interrupted := false
 	done := 0
-	for done < c.Epochs {
-		select {
-		case <-c.Interrupt:
+	for !interrupted && done < c.Epochs {
+		if stopped(c.Interrupt) {
 			interrupted = true
-		default:
-		}
-		if interrupted {
 			break
 		}
 		k := min(c.CapEvery, c.Epochs-done)
@@ -415,13 +422,12 @@ func buildNodes(c Config) ([]*node, error) {
 		}
 		for range g.Nodes {
 			n := &node{
-				group:     gi,
-				global:    len(nodes),
-				cfg:       cfg,
-				mix:       g.Mix,
-				spec:      g.Spec,
-				faultsCfg: g.Faults,
-				seed:      c.Seed,
+				group:  gi,
+				global: len(nodes),
+				cfg:    cfg,
+				mix:    g.Mix,
+				spec:   g.Spec,
+				seed:   c.Seed,
 			}
 			n.schedule = arr.schedule(c.Seed, n.global, c.Epochs, epochSec)
 			nodes = append(nodes, n)
@@ -564,6 +570,17 @@ func nodeExport(c Config, n *node) *telemetry.RunExport {
 		Energy:          n.res.Memory.Export(),
 		Residency:       n.res.Residency,
 		FreqSeconds:     freqSeconds,
+	}
+}
+
+// stopped reports whether the soft-stop channel has fired; a nil
+// channel never has.
+func stopped(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
 	}
 }
 

@@ -4,14 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"memscale/internal/config"
 	"memscale/internal/core"
-	"memscale/internal/faults"
 	"memscale/internal/policies"
+	"memscale/internal/runner"
 	"memscale/internal/sim"
 	"memscale/internal/workload"
 )
@@ -125,17 +127,34 @@ func TestFleetUncapped(t *testing.T) {
 	}
 }
 
-// TestFleetDeadNodeIsolated: a node with an injected panic dies alone;
-// the rest of the fleet finishes and the error names the node.
+// panicAt is the MemScale governor panicking at the end of its nth
+// epoch.
+type panicAt struct {
+	*core.Policy
+	n, seen int
+}
+
+func (g *panicAt) EpochEnd(p sim.Profile) {
+	g.Policy.EpochEnd(p)
+	if g.seen++; g.seen == g.n {
+		panic(fmt.Sprintf("governor panic at epoch %d", g.n))
+	}
+}
+
+// TestFleetDeadNodeIsolated: the nodes of a group whose governor
+// panics die alone; the rest of the fleet finishes and the error names
+// the panic.
 func TestFleetDeadNodeIsolated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node fleet run")
 	}
 	c := testConfig(t, 2)
-	c.Groups[0].Faults = &faults.Config{PanicEnabled: true, PanicEpoch: 2}
+	c.Groups[0].Spec.Governor = func(cfg *config.Config, nonMem float64) sim.Governor {
+		return &panicAt{Policy: core.NewPolicy(cfg, core.Options{NonMemPower: nonMem}), n: 3}
+	}
 	sum, err := Run(context.Background(), c)
-	if err == nil {
-		t.Fatal("expected joined node errors")
+	if !errors.Is(err, runner.ErrRunPanicked) {
+		t.Fatalf("err = %v, want joined node errors matching ErrRunPanicked", err)
 	}
 	if sum.DeadNodes != c.Groups[0].Nodes {
 		t.Errorf("dead nodes = %d, want %d", sum.DeadNodes, c.Groups[0].Nodes)
@@ -266,6 +285,35 @@ func TestSoftStopBeforeFirstEpoch(t *testing.T) {
 		if ns.SER != 0 || ns.CPIIncrease != 0 || ns.Dead {
 			t.Errorf("node %d: SER %v, CPI %v, dead %v", ns.Node, ns.SER, ns.CPIIncrease, ns.Dead)
 		}
+	}
+}
+
+// TestSoftStopCancelsBaselines: a stop that fires while the baselines
+// run cancels them instead of waiting out every node's full horizon,
+// and the run reports the empty partial summary with ErrInterrupted.
+// The horizon is long enough that finishing the baselines would blow
+// the test deadline.
+func TestSoftStopCancelsBaselines(t *testing.T) {
+	c := testConfig(t, 0)
+	c.Groups = c.Groups[:1]
+	c.Groups[0].Nodes = 2
+	c.Epochs = 4000
+	stop := make(chan struct{})
+	close(stop)
+	c.Interrupt = stop
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	sum, err := Run(ctx, c)
+	if !errors.Is(err, ErrInterrupted) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrInterrupted alone", err)
+	}
+	if !sum.Interrupted || sum.EpochsCompleted != 0 || sum.DeadNodes != 0 || sum.Nodes != 2 {
+		t.Fatalf("interrupted %v at epoch %d with %d of %d nodes dead",
+			sum.Interrupted, sum.EpochsCompleted, sum.DeadNodes, sum.Nodes)
+	}
+	if sum.SER != 0 || sum.BaselineSysJ != 0 || sum.Events != 0 {
+		t.Errorf("SER %v, baseline %v J, %d events: want all 0 with no epochs run",
+			sum.SER, sum.BaselineSysJ, sum.Events)
 	}
 }
 

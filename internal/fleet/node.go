@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"memscale/internal/config"
-	"memscale/internal/faults"
 	"memscale/internal/policies"
 	"memscale/internal/power"
 	"memscale/internal/sim"
@@ -23,11 +22,10 @@ type node struct {
 	group  int // index into the fleet's group list
 	global int // index across the fleet (stable identity)
 
-	cfg       config.Config
-	mix       workload.Mix
-	spec      policies.Spec
-	faultsCfg *faults.Config
-	seed      uint64
+	cfg  config.Config
+	mix  workload.Mix
+	spec policies.Spec
+	seed uint64
 
 	// schedule is the precomputed per-epoch intensity profile both the
 	// baseline and the managed run replay.
@@ -155,20 +153,9 @@ func (n *node) buildManaged() error {
 	if n.spec.Governor != nil {
 		gov = n.spec.Governor(&cfg, n.nonMem)
 	}
-	var inj *faults.Injector
-	if n.faultsCfg != nil {
-		fc := *n.faultsCfg
-		// Decorrelate the disturbance schedules across the fleet while
-		// keeping each node's reproducible.
-		fc.Seed = trace.Seed("fleet-faults", int(fc.Seed), n.global)
-		if inj, err = faults.New(fc, 0); err != nil {
-			return fmt.Errorf("fleet: node %d: %w", n.global, err)
-		}
-	}
 	s, err := sim.New(cfg, streams, sim.Options{
 		Governor:    gov,
 		NonMemPower: n.nonMem,
-		Faults:      inj,
 	})
 	if err != nil {
 		return fmt.Errorf("fleet: node %d: %w", n.global, err)

@@ -974,18 +974,9 @@ func (c *Controller) RelockPenalty(f config.FreqMHz) config.Time {
 // the new frequency becomes active. Switching to the current frequency
 // is a no-op.
 func (c *Controller) SetBusFrequency(now config.Time, f config.FreqMHz) config.Time {
-	return c.SetBusFrequencyStalled(now, f, 0)
-}
-
-// SetBusFrequencyStalled is SetBusFrequency with an extra halt added
-// to every channel's relock window — the fault plane's model of
-// PLL/DLL relock attempts that fail and are retried with backoff
-// before the lock finally takes. The frequency still lands; the
-// channels just stay dark longer.
-func (c *Controller) SetBusFrequencyStalled(now config.Time, f config.FreqMHz, extra config.Time) config.Time {
 	applied := now
 	for ch := range c.channels {
-		if at := c.setChannelFrequency(now, ch, f, extra); at > applied {
+		if at := c.SetChannelFrequency(now, ch, f); at > applied {
 			applied = at
 		}
 	}
@@ -996,15 +987,8 @@ func (c *Controller) SetBusFrequencyStalled(now config.Time, f config.FreqMHz, e
 // Section 6 future-work mechanism). Requirements are as for
 // SetBusFrequency. Returns when the channel resumes.
 func (c *Controller) SetChannelFrequency(now config.Time, chIdx int, f config.FreqMHz) config.Time {
-	return c.setChannelFrequency(now, chIdx, f, 0)
-}
-
-func (c *Controller) setChannelFrequency(now config.Time, chIdx int, f config.FreqMHz, extra config.Time) config.Time {
 	if !config.ValidBusFrequency(f) {
 		panic(fmt.Sprintf("memctrl: invalid bus frequency %v", f))
-	}
-	if extra < 0 {
-		panic(fmt.Sprintf("memctrl: negative relock stall %v", extra))
 	}
 	ch := c.channels[chIdx]
 	if f == ch.timing.BusFreq {
@@ -1016,7 +1000,7 @@ func (c *Controller) setChannelFrequency(now config.Time, chIdx int, f config.Fr
 	if c.flushedAt != now {
 		panic(fmt.Sprintf("memctrl: frequency change at %v without flush (last flush %v)", now, c.flushedAt))
 	}
-	halt := c.RelockPenalty(f) + extra
+	halt := c.RelockPenalty(f)
 	ch.relocking = true
 	ch.relockUntil = now + halt
 	if c.tel != nil {
@@ -1026,43 +1010,17 @@ func (c *Controller) setChannelFrequency(now config.Time, chIdx int, f config.Fr
 	return ch.relockUntil
 }
 
-// StallChannels halts dispatch on every channel until now+stall
-// without changing any operating point — the fault plane's abandoned
-// relock, where every bounded retry failed and the old frequency
-// stays. Queued requests wait out the stall and resume unchanged.
-// Channels must not already be relocking.
-func (c *Controller) StallChannels(now config.Time, stall config.Time) {
-	if stall <= 0 {
-		return
-	}
-	for chIdx, ch := range c.channels {
-		if ch.relocking {
-			panic(fmt.Sprintf("memctrl: channel %d stall while already relocking", chIdx))
-		}
-		ch.relocking = true
-		ch.relockUntil = now + stall
-		// b == 0 marks a pure stall: the operating point is unchanged,
-		// so onRelockDone skips the timing/MC-clock update.
-		c.q.ScheduleBound(ch.relockUntil, c.onRelockDone, nil, int32(chIdx), 0)
-	}
-}
-
-// onRelockDoneEvent completes a channel's relock window. b carries the
-// new bus frequency, or 0 for the fault plane's abandoned-relock stall
-// (the old operating point stays). Dispatch resumes via a same-instant
-// kick event so that when several channels finish relocking at the
-// same timestamp (the uniform switch), the MC clock settles before any
-// request re-dispatches.
+// onRelockDoneEvent completes a channel's relock window; b carries the
+// new bus frequency. Dispatch resumes via a same-instant kick event so
+// that when several channels finish relocking at the same timestamp
+// (the uniform switch), the MC clock settles before any request
+// re-dispatches.
 func (c *Controller) onRelockDoneEvent(now config.Time, _ any, a, b int32) {
 	ch := c.channels[a]
-	if b != 0 {
-		f := config.FreqMHz(b)
-		ch.timing = dram.Resolve(c.cfg.Timing, f, c.devFreqFor(f))
-		ch.relocking = false
-		c.updateMCClock()
-	} else {
-		ch.relocking = false
-	}
+	f := config.FreqMHz(b)
+	ch.timing = dram.Resolve(c.cfg.Timing, f, c.devFreqFor(f))
+	ch.relocking = false
+	c.updateMCClock()
 	c.q.ScheduleBound(c.q.Now(), c.onRelockKick, nil, a, 0)
 }
 
@@ -1082,24 +1040,6 @@ func (c *Controller) onDoneEvent(now config.Time, env any, _, _ int32) {
 	done := req.Done
 	c.putRequest(req)
 	done(now)
-}
-
-// ForceRefresh models a retention emergency: every rank immediately
-// owes an all-bank refresh on top of its tREFI schedule. It returns
-// how many ranks were newly marked — ranks that already owed a refresh
-// absorb the emergency into the outstanding obligation.
-func (c *Controller) ForceRefresh(now config.Time) (marked int) {
-	for chIdx := range c.ranks {
-		for rankIdx, rank := range c.ranks[chIdx] {
-			c.settleRank(now, chIdx, rankIdx, false)
-			c.reviveRankDispatches(chIdx, rankIdx)
-			if rank.SetRefreshPending() {
-				marked++
-			}
-			c.refreshKick(now, chIdx, rankIdx)
-		}
-	}
-	return marked
 }
 
 // updateMCClock re-derives the MC clock from the fastest channel.

@@ -54,7 +54,7 @@ func jobConfig(job Job) (cfg, base config.Config) {
 }
 
 // WarmPrefix simulates prefixEpochs of an unmanaged (governor-free,
-// fault-free, uninstrumented) run of mix under cfg and returns the
+// uninstrumented) run of mix under cfg and returns the
 // snapshot at the epoch boundary. The snapshot may be forked into any
 // number of variant runs: sim.Restore copies every slice and map, so
 // parallel forks from one shared snapshot never race.
@@ -210,13 +210,10 @@ func (e *Engine) RunWithCheckpoint(ctx context.Context, job Job, ckEpoch int) (o
 	if job.Warm != nil {
 		return Outcome{}, nil, errors.New("runner: checkpointing a warm-started job is not supported")
 	}
-	if err := validateFaults(job.Faults); err != nil {
-		return Outcome{}, nil, err
-	}
 	cfg, baseCfg := jobConfig(job)
 	p := &pairing{job: job, cfg: cfg, base: e.cache.claim(baseCfg, job.Mix, job.Epochs), ckEpoch: ckEpoch}
 	defer p.base.release()
-	r, err := e.pair(ctx, p, 0)
+	r, err := e.pair(ctx, p)
 	if err != nil && !errors.Is(err, ErrInterrupted) {
 		return Outcome{}, nil, err
 	}
@@ -224,13 +221,11 @@ func (e *Engine) RunWithCheckpoint(ctx context.Context, job Job, ckEpoch int) (o
 	// stopped on, with a zero Outcome.
 	return r.out, &checkpoint.Checkpoint{
 		Meta: checkpoint.Meta{
-			Mix:     job.Mix.Name,
-			Policy:  job.Spec.Name,
-			Gamma:   cfg.Policy.Gamma,
-			NonMem:  p.nonMem,
-			Epochs:  r.snapEpochs,
-			Faults:  job.Faults,
-			Attempt: r.attempt,
+			Mix:    job.Mix.Name,
+			Policy: job.Spec.Name,
+			Gamma:  cfg.Policy.Gamma,
+			NonMem: p.nonMem,
+			Epochs: r.snapEpochs,
 		},
 		Config: cfg,
 		Base:   baseCfg,
@@ -296,13 +291,7 @@ type ResumeJob struct {
 // pairs it against the cold unmanaged baseline of the full length,
 // exactly as the original run would have been. A resumed run's result
 // is bit-identical to the uninterrupted run of the same job (same
-// governor, same configuration, same fault schedule) — the crash
-// recovery counterpart to the fault plane's panic isolation.
-//
-// One caveat mirrors cold-run retry semantics: a transient fault
-// aborting the resumed portion retries from the checkpoint (not from
-// epoch zero) under the next attempt's schedule, so a resume that
-// aborts is not bit-identical to a cold run that aborts.
+// governor, same configuration).
 func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -339,9 +328,6 @@ func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err err
 			return Outcome{}, fmt.Errorf("runner: resume: %w", err)
 		}
 	}
-	if err := validateFaults(ck.Meta.Faults); err != nil {
-		return Outcome{}, err
-	}
 
 	// The checkpoint fixes the rest-of-system power, so the resumed run
 	// needs nothing from the baseline until the pairing. ck.Config is
@@ -350,14 +336,14 @@ func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err err
 	job := Job{
 		Mix: mix, Spec: spec, Epochs: rj.Epochs,
 		Timeline: rj.Timeline, Telemetry: rj.Telemetry, Timeout: rj.Timeout,
-		Faults: ck.Meta.Faults, Warm: ck.State,
+		Warm: ck.State,
 	}
 	p := &pairing{
 		job: job, cfg: ck.Config, base: e.cache.claim(ck.Base, mix, rj.Epochs),
 		nonMem: ck.Meta.NonMem, known: true,
 	}
 	defer p.base.release()
-	r, err := e.pair(ctx, p, ck.Meta.Attempt)
+	r, err := e.pair(ctx, p)
 	return r.out, err
 }
 

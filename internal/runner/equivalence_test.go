@@ -9,7 +9,6 @@ import (
 
 	"memscale/internal/bitdiff"
 	"memscale/internal/checkpoint"
-	"memscale/internal/faults"
 	"memscale/internal/policies"
 	"memscale/internal/telemetry"
 	"memscale/internal/workload"
@@ -20,26 +19,20 @@ import (
 func goldenJobs(t *testing.T) []Job {
 	t.Helper()
 	var jobs []Job
-	add := func(mixName string, spec policies.Spec, epochs int, fc *faults.Config) {
+	add := func(mixName string, spec policies.Spec, epochs int) {
 		for _, name := range []string{mixName, mixName + workload.PartitionedSuffix} {
 			mix, err := workload.ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			jobs = append(jobs, Job{Mix: mix, Spec: spec, Epochs: epochs, Gamma: 0.10, Faults: fc})
+			jobs = append(jobs, Job{Mix: mix, Spec: spec, Epochs: epochs, Gamma: 0.10})
 		}
 	}
-	add("MEM1", policies.MemScale, 2, nil)
-	add("ILP1", policies.StaticBest, 2, nil)
-	add("MID2", policies.MemScaleFastPD, 2, nil)
-	add("MID3", policies.SlowPD, 2, nil)
-	add("MID1", policies.MemScale, 4, &faults.Config{
-		Seed:               42,
-		RefreshStormRate:   0.5,
-		RelockFailRate:     0.5,
-		CounterCorruptRate: 0.3,
-		ThermalRate:        0.3,
-	})
+	add("MEM1", policies.MemScale, 2)
+	add("ILP1", policies.StaticBest, 2)
+	add("MID2", policies.MemScaleFastPD, 2)
+	add("MID3", policies.SlowPD, 2)
+	add("MID1", policies.MemScale, 4)
 	return jobs
 }
 

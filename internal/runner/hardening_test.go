@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
-	"memscale/internal/bitdiff"
 	"memscale/internal/config"
-	"memscale/internal/faults"
 	"memscale/internal/policies"
+	"memscale/internal/sim"
 )
 
 func TestRunRecoversMutatePanic(t *testing.T) {
@@ -33,13 +33,37 @@ func TestRunRecoversMutatePanic(t *testing.T) {
 	}
 }
 
+// panicAtEpoch wraps a governor and panics in the decision of the
+// given epoch.
+type panicAtEpoch struct {
+	sim.Governor
+	epoch, seen int
+}
+
+func (g *panicAtEpoch) ProfileComplete(p sim.Profile) config.FreqMHz {
+	if g.seen == g.epoch {
+		panic(fmt.Sprintf("governor panic at epoch %d", g.epoch))
+	}
+	g.seen++
+	return g.Governor.ProfileComplete(p)
+}
+
+// TestInjectedPanicIsolatedFromBatch: one job of a batch runs a
+// governor that panics at epoch 1. That job alone fails, with a
+// *PanicError carrying the panic value; the others complete.
 func TestInjectedPanicIsolatedFromBatch(t *testing.T) {
+	poisoned := policies.MemScale
+	poisoned.Name = "MemScale (panics at epoch 1)"
+	poisoned.Speculative = nil
+	poisoned.Governor = func(cfg *config.Config, nonMem float64) sim.Governor {
+		return &panicAtEpoch{Governor: policies.MemScale.Governor(cfg, nonMem), epoch: 1}
+	}
 	jobs := []Job{
 		smallJob(t, "ILP2", policies.MemScale),
-		smallJob(t, "MID1", policies.MemScale),
+		smallJob(t, "MID1", poisoned),
 		smallJob(t, "ILP3", policies.MemScale),
 	}
-	jobs[1].Faults = &faults.Config{Seed: 1, PanicEnabled: true, PanicEpoch: 0}
+	jobs[1].Epochs = 2
 	eng := New(Options{Workers: 3})
 	outs, errs := eng.RunEach(context.Background(), jobs)
 	if !errors.Is(errs[1], ErrRunPanicked) {
@@ -49,8 +73,11 @@ func TestInjectedPanicIsolatedFromBatch(t *testing.T) {
 	if !errors.As(errs[1], &pe) {
 		t.Fatalf("err %T is not a *PanicError", errs[1])
 	}
-	if ip, ok := pe.Value.(faults.InjectedPanic); !ok || ip.Epoch != 0 {
-		t.Errorf("panic value = %#v, want faults.InjectedPanic{Epoch: 0}", pe.Value)
+	if pe.Value != "governor panic at epoch 1" {
+		t.Errorf("panic value = %#v, want the governor's", pe.Value)
+	}
+	if outs[1].Res.Duration != 0 {
+		t.Errorf("panicked job left a non-zero outcome: %+v", outs[1])
 	}
 	for _, i := range []int{0, 2} {
 		if errs[i] != nil {
@@ -88,96 +115,4 @@ func TestParentCancellationIsNotATimeout(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrJobTimeout) {
 		t.Fatalf("err = %v, want context.Canceled and not ErrJobTimeout", err)
 	}
-}
-
-// abortingSeed finds a seed whose transient-abort draw fires on
-// attempt 0 but not on attempt wantClear.
-func abortingSeed(t *testing.T, rate float64, wantClear int) uint64 {
-	t.Helper()
-	for seed := uint64(0); seed < 4096; seed++ {
-		cfg := faults.Config{Seed: seed, TransientAbortRate: rate}
-		first, err := faults.New(cfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clear, err := faults.New(cfg, wantClear)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first.EpochPlan(0).Abort && !clear.EpochPlan(0).Abort {
-			return seed
-		}
-	}
-	t.Fatal("no seed aborts attempt 0 and clears the retry")
-	return 0
-}
-
-func TestTransientFaultRetries(t *testing.T) {
-	job := smallJob(t, "ILP2", policies.MemScale)
-	job.Faults = &faults.Config{
-		Seed:               abortingSeed(t, 0.5, 1),
-		TransientAbortRate: 0.5,
-	}
-	out, err := New(Options{Workers: 1}).Run(context.Background(), job)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if out.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2", out.Attempts)
-	}
-	if out.Res.Faults.TransientAborts != 1 {
-		t.Errorf("TransientAborts = %d, want 1", out.Res.Faults.TransientAborts)
-	}
-}
-
-func TestTransientFaultExhaustsRetries(t *testing.T) {
-	job := smallJob(t, "ILP2", policies.MemScale)
-	job.Faults = &faults.Config{Seed: 3, TransientAbortRate: 1, MaxRunRetries: 2}
-	_, err := New(Options{Workers: 1}).Run(context.Background(), job)
-	if !errors.Is(err, faults.ErrTransient) {
-		t.Fatalf("err = %v, want ErrTransient after exhausted retries", err)
-	}
-}
-
-func TestInvalidFaultConfigRejected(t *testing.T) {
-	job := smallJob(t, "ILP2", policies.MemScale)
-	job.Faults = &faults.Config{Seed: 1, RefreshStormRate: 2}
-	_, err := New(Options{Workers: 1}).Run(context.Background(), job)
-	if !errors.Is(err, faults.ErrInvalidConfig) {
-		t.Fatalf("err = %v, want ErrInvalidConfig", err)
-	}
-}
-
-func TestRetriedRunMatchesUnabortedSchedule(t *testing.T) {
-	// The epoch fault plans are attempt-independent, so a retried run
-	// must land on the same result as the same schedule without the
-	// abort draw (rate zeroed, same seed).
-	seed := abortingSeed(t, 0.5, 1)
-	withAbort := smallJob(t, "ILP2", policies.MemScale)
-	withAbort.Faults = &faults.Config{
-		Seed:               seed,
-		RefreshStormRate:   0.4,
-		RelockFailRate:     0.4,
-		CounterCorruptRate: 0.3,
-		ThermalRate:        0.3,
-		TransientAbortRate: 0.5,
-	}
-	clean := withAbort
-	fc := *withAbort.Faults
-	fc.TransientAbortRate = 0
-	clean.Faults = &fc
-
-	eng := New(Options{Workers: 1})
-	got, err := eng.Run(context.Background(), withAbort)
-	if err != nil {
-		t.Fatalf("retried run: %v", err)
-	}
-	want, err := eng.Run(context.Background(), clean)
-	if err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	if got.Attempts != 2 || want.Attempts != 1 {
-		t.Fatalf("attempts = %d/%d, want 2/1", got.Attempts, want.Attempts)
-	}
-	bitdiff.Same(t, "retried vs clean", got, want, "Attempts", "Res.Faults.TransientAborts")
 }

@@ -28,7 +28,6 @@ import (
 
 	"memscale/internal/config"
 	"memscale/internal/core"
-	"memscale/internal/faults"
 	"memscale/internal/policies"
 	"memscale/internal/sim"
 	"memscale/internal/stats"
@@ -92,15 +91,6 @@ type Job struct {
 	// across jobs.
 	Telemetry *telemetry.Options
 
-	// Faults, when non-nil, injects the deterministic disturbance
-	// schedule into the managed run. The baseline run is never
-	// faulted: it is memoized, shared across jobs, and represents the
-	// pristine reference the paired metrics compare against. Attempts
-	// aborted by an injected transient fault are retried automatically
-	// (up to the config's MaxRunRetries) with the identical hardware
-	// fault schedule.
-	Faults *faults.Config
-
 	// Timeout, when positive, is this job's watchdog deadline in host
 	// wall-clock time; zero falls back to Options.JobTimeout. A job
 	// that overruns fails with ErrJobTimeout without disturbing the
@@ -134,8 +124,10 @@ type Outcome struct {
 	// nil otherwise.
 	Telemetry *telemetry.RunExport
 
-	// Attempts is how many times the managed run executed: 1 plus the
-	// retries consumed by injected transient faults.
+	// Attempts is always 1: the managed run executes once.
+	//
+	// Deprecated: nothing reads it; it remains only so existing
+	// composite literals still compile.
 	Attempts int
 
 	// Shards is unused.
@@ -281,10 +273,8 @@ func (e *Engine) Cache() *BaselineCache { return e.cache }
 
 // Run executes one job: the baseline (through the cache) and the
 // managed run, paired into an Outcome. The whole call is panic
-// isolated — a panicking simulation (or Mutate hook) surfaces as a
-// *PanicError instead of unwinding the caller — and attempts killed
-// by an injected transient fault are retried with the same hardware
-// fault schedule, up to the fault config's retry budget.
+// isolated: a panicking simulation (or Mutate hook) surfaces as a
+// *PanicError instead of unwinding the caller.
 //
 // The baseline simulates on a second goroutine while the managed run
 // proceeds; see pairing for how the managed run gets by without the
@@ -302,24 +292,11 @@ func (e *Engine) Run(ctx context.Context, job Job) (out Outcome, err error) {
 	if job.Epochs <= 0 {
 		return Outcome{}, fmt.Errorf("runner: job epochs must be positive, got %d", job.Epochs)
 	}
-	if err := validateFaults(job.Faults); err != nil {
-		return Outcome{}, err
-	}
 	cfg, baseCfg := jobConfig(job)
 	p := &pairing{job: job, cfg: cfg, base: e.cache.claim(baseCfg, job.Mix, job.Epochs)}
 	defer p.base.release()
-	r, err := e.pair(ctx, p, 0)
+	r, err := e.pair(ctx, p)
 	return r.out, err
-}
-
-func validateFaults(fc *faults.Config) error {
-	if fc == nil {
-		return nil
-	}
-	if err := fc.Validate(); err != nil {
-		return fmt.Errorf("runner: %w", err)
-	}
-	return nil
 }
 
 // pairing is one paired job in flight: its managed run and its claim on
@@ -373,47 +350,32 @@ type attemptResult struct {
 	rec        *telemetry.Recorder
 	snap       *sim.SystemState // the captured state when ckEpoch > 0
 	snapEpochs int              // epochs the snapshot covers
-	attempt    int
 }
 
-// pair runs the managed attempts, starting at attempt number first,
-// and pairs the surviving one with the baseline.
-func (e *Engine) pair(ctx context.Context, p *pairing, first int) (attemptResult, error) {
-	retries := 0
-	if p.job.Faults != nil {
-		retries = p.job.Faults.WithDefaults().MaxRunRetries
+// pair runs the managed attempt and pairs it with the baseline.
+func (e *Engine) pair(ctx context.Context, p *pairing) (attemptResult, error) {
+	r, err := e.attempt(ctx, p)
+	if err != nil && !errors.Is(err, ErrInterrupted) {
+		return attemptResult{}, err
 	}
-	var aborts uint64
-	for attempt := first; ; attempt++ {
-		r, err := e.attempt(ctx, p, attempt)
-		if err == nil || errors.Is(err, ErrInterrupted) {
-			if perr := p.resolve(ctx); perr != nil {
-				return attemptResult{}, perr
-			}
-			if err != nil {
-				// Interrupted: the snapshot carries the boundary the run
-				// stopped on; there is no finished outcome to pair.
-				return attemptResult{snap: r.snap, snapEpochs: r.snapEpochs, attempt: attempt}, err
-			}
-			p.finish(&r)
-			r.out.Mix, r.out.Policy = p.job.Mix, p.job.Spec.Name
-			r.out.NonMem, r.out.Base = p.base.e.nonMem, p.base.e.res
-			r.out.Attempts = attempt - first + 1
-			// Aborted attempts discarded their partial state; fold the
-			// retries they cost into the surviving run's fault tally.
-			r.out.Res.Faults.TransientAborts += aborts
-			return r, nil
-		}
-		if !errors.Is(err, faults.ErrTransient) || attempt-first >= retries || ctx.Err() != nil {
-			return attemptResult{}, err
-		}
-		aborts++
+	if perr := p.resolve(ctx); perr != nil {
+		return attemptResult{}, perr
 	}
+	if err != nil {
+		// Interrupted: the snapshot carries the boundary the run
+		// stopped on; there is no finished outcome to pair.
+		return attemptResult{snap: r.snap, snapEpochs: r.snapEpochs}, err
+	}
+	p.finish(&r)
+	r.out.Mix, r.out.Policy = p.job.Mix, p.job.Spec.Name
+	r.out.NonMem, r.out.Base = p.base.e.nonMem, p.base.e.res
+	r.out.Attempts = 1
+	return r, nil
 }
 
 // attempt executes one managed attempt, on an estimate of nonMem when
 // the governor needs the value before the baseline has it.
-func (e *Engine) attempt(ctx context.Context, p *pairing, attempt int) (attemptResult, error) {
+func (e *Engine) attempt(ctx context.Context, p *pairing) (attemptResult, error) {
 	spec := p.job.Spec
 	if !p.known {
 		p.nonMem, p.known = p.base.resolved()
@@ -432,7 +394,7 @@ func (e *Engine) attempt(ctx context.Context, p *pairing, attempt int) (attemptR
 		return spec.Governor(cfg, p.nonMem)
 	}
 	if p.known || spec.Governor == nil {
-		return e.simulate(ctx, p, attempt, calibrated)
+		return e.simulate(ctx, p, calibrated)
 	}
 
 	var sp *core.Speculation
@@ -441,12 +403,11 @@ func (e *Engine) attempt(ctx context.Context, p *pairing, attempt int) (attemptR
 	} else {
 		sp = core.NewSpeculation(p.base.resolved, nil)
 	}
-	r, err := e.simulate(ctx, p, attempt, func(cfg *config.Config) sim.Governor {
+	r, err := e.simulate(ctx, p, func(cfg *config.Config) sim.Governor {
 		return spec.Speculative(cfg, sp)
 	})
-	// A cancelled attempt has nothing to confirm, and a transient abort
-	// strikes at an epoch the fault plan fixes whatever the run decided.
-	if ctx.Err() != nil || errors.Is(err, ErrJobTimeout) || errors.Is(err, faults.ErrTransient) || sp.Guesses() == 0 {
+	// A cancelled attempt has nothing to confirm.
+	if ctx.Err() != nil || errors.Is(err, ErrJobTimeout) || sp.Guesses() == 0 {
 		return r, err
 	}
 	if perr := p.resolve(ctx); perr != nil {
@@ -457,15 +418,14 @@ func (e *Engine) attempt(ctx context.Context, p *pairing, attempt int) (attemptR
 		return r, err
 	}
 	e.reruns.Add(1)
-	return e.simulate(ctx, p, attempt, calibrated)
+	return e.simulate(ctx, p, calibrated)
 }
 
 // simulate executes one managed attempt under the job's watchdog
-// deadline, with a fresh governor (built by gov), recorder, injector,
-// and trace streams — all are stateful and must not leak across
-// attempts. The run's rest-of-system power is left at zero; finish
+// deadline, with a fresh governor (built by gov), recorder, and trace
+// streams — all are stateful and must not leak across attempts. The run's rest-of-system power is left at zero; finish
 // accounts it once it is known.
-func (e *Engine) simulate(ctx context.Context, p *pairing, attempt int, gov func(*config.Config) sim.Governor) (attemptResult, error) {
+func (e *Engine) simulate(ctx context.Context, p *pairing, gov func(*config.Config) sim.Governor) (attemptResult, error) {
 	job, cfg := p.job, p.cfg
 	timeout := job.Timeout
 	if timeout <= 0 {
@@ -478,14 +438,7 @@ func (e *Engine) simulate(ctx context.Context, p *pairing, attempt int, gov func
 		defer cancel()
 	}
 
-	r := attemptResult{attempt: attempt}
-	var inj *faults.Injector
-	if job.Faults != nil {
-		var err error
-		if inj, err = faults.New(*job.Faults, attempt); err != nil {
-			return r, fmt.Errorf("runner: %w", err)
-		}
-	}
+	var r attemptResult
 	streams, err := job.Mix.Streams(&cfg)
 	if err != nil {
 		return r, err
@@ -493,7 +446,6 @@ func (e *Engine) simulate(ctx context.Context, p *pairing, attempt int, gov func
 	opts := sim.Options{
 		Governor:          gov(&cfg),
 		KeepTimeline:      job.Timeline,
-		Faults:            inj,
 		DisableCoalescing: e.disableCoalescing,
 	}
 	if job.Telemetry != nil {

@@ -9,7 +9,6 @@ import (
 	"memscale/internal/bitdiff"
 	"memscale/internal/config"
 	"memscale/internal/dram"
-	"memscale/internal/faults"
 	"memscale/internal/memctrl"
 	"memscale/internal/telemetry"
 	"memscale/internal/trace"
@@ -91,7 +90,7 @@ func buildStreams(t *testing.T, cfg *config.Config, profiles []trace.Profile, se
 // in every MC counter: each request saw the same bank state, queue depth
 // and row-buffer outcome. The recorder's per-epoch residency columns
 // must tile the run total exactly.
-func checkCoalescedPaths(t *testing.T, cfg config.Config, profiles []trace.Profile, seed uint64, fc *faults.Config) {
+func checkCoalescedPaths(t *testing.T, cfg config.Config, profiles []trace.Profile, seed uint64) {
 	t.Helper()
 	type outcome struct {
 		Res      Result
@@ -99,13 +98,6 @@ func checkCoalescedPaths(t *testing.T, cfg config.Config, profiles []trace.Profi
 	}
 	run := func(opts Options) outcome {
 		opts.Governor = &ladderGovernor{}
-		if fc != nil {
-			inj, err := faults.New(*fc, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Faults = inj
-		}
 		s, err := New(cfg, buildStreams(t, &cfg, profiles, seed), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +133,7 @@ func checkCoalescedPaths(t *testing.T, cfg config.Config, profiles []trace.Profi
 
 // TestCoalescingConservationProperty checks the conservation property
 // on random idle/traffic interleavings: four cores at the paper's epoch
-// length, no faults, each case on a different powerdown mode.
+// length, each case on a different powerdown mode.
 func TestCoalescingConservationProperty(t *testing.T) {
 	for c := 0; c < 3; c++ {
 		t.Run(fmt.Sprintf("case%d", c), func(t *testing.T) {
@@ -156,24 +148,23 @@ func TestCoalescingConservationProperty(t *testing.T) {
 			for i := range profiles {
 				profiles[i] = randomInterleaving(rng, i)
 			}
-			checkCoalescedPaths(t, cfg, profiles, rng.Uint64(), nil)
+			checkCoalescedPaths(t, cfg, profiles, rng.Uint64())
 		})
 	}
 }
 
 // FuzzCoalescedPathEquivalence checks the conservation property on
 // fuzzed inputs. The bytes steer a three-phase workload (miss rates,
-// locality, phase lengths), the powerdown mode, and a refresh-storm
-// schedule from the fault plane; the trace generator's own validation
-// rejects out-of-range rates, so the clamps below only keep the inputs
-// in interesting territory.
+// locality, phase lengths) and the powerdown mode; the trace
+// generator's own validation rejects out-of-range rates, so the clamps
+// below only keep the inputs in interesting territory.
 func FuzzCoalescedPathEquivalence(f *testing.F) {
-	f.Add(uint64(1), 30.0, 0.2, 8.0, 0.7, uint8(0), uint8(1))
-	f.Add(uint64(42), 55.0, 0.0, 20.0, 0.2, uint8(1), uint8(3))
-	f.Add(uint64(7), 5.0, 4.9, 0.1, 0.95, uint8(2), uint8(0))
+	f.Add(uint64(1), 30.0, 0.2, 8.0, 0.7, uint8(0))
+	f.Add(uint64(42), 55.0, 0.0, 20.0, 0.2, uint8(1))
+	f.Add(uint64(7), 5.0, 4.9, 0.1, 0.95, uint8(2))
 
 	f.Fuzz(func(t *testing.T, seed uint64, burstMPKI, idleMPKI, wbFrac, rowLoc float64,
-		pdMode, storms uint8) {
+		pdMode uint8) {
 		t.Parallel() // seed entries run side by side; fuzzing ignores it
 
 		clamp := func(v, lo, hi float64) float64 {
@@ -208,12 +199,6 @@ func FuzzCoalescedPathEquivalence(f *testing.F) {
 		for i := range profiles {
 			profiles[i] = profile
 		}
-		// A storm schedule that actually fires inside two epochs: the
-		// fuzzed byte picks burst depth, the rate is pinned high.
-		checkCoalescedPaths(t, cfg, profiles, seed, &faults.Config{
-			Seed:               seed,
-			RefreshStormRate:   1,
-			RefreshStormBursts: 1 + int(storms)%4,
-		})
+		checkCoalescedPaths(t, cfg, profiles, seed)
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"memscale/internal/config"
 	"memscale/internal/cpu"
 	"memscale/internal/event"
-	"memscale/internal/faults"
 	"memscale/internal/memctrl"
 	"memscale/internal/power"
 	"memscale/internal/trace"
@@ -21,10 +20,9 @@ import (
 //
 // Deliberately excluded from state: the telemetry recorder (purely
 // observational — the simulated event sequence is identical with or
-// without it, so a resumed run re-attaches a fresh recorder), the
-// fault injector (a pure function of config and attempt; the schedule
-// replays from the epoch index), and everything derivable from the
-// Config (timing tables, power model, geometry).
+// without it, so a resumed run re-attaches a fresh recorder) and
+// everything derivable from the Config (timing tables, power model,
+// geometry).
 
 // ErrStateMismatch reports a checkpoint state that does not fit the
 // system it is being restored into — wrong geometry, wrong governor,
@@ -46,7 +44,6 @@ type StatefulGovernor interface {
 // finalize() derives is recomputed, these fields grow epoch by epoch.
 type ResultState struct {
 	FreqTime        map[config.FreqMHz]config.Time `json:"freq_time,omitempty"`
-	Faults          faults.Counts                  `json:"faults"`
 	Epochs          []EpochRecord                  `json:"epochs,omitempty"`
 	InvariantChecks uint64                         `json:"invariant_checks,omitempty"`
 }
@@ -84,8 +81,6 @@ func (s *System) registry(reqEnv func(env any) (int32, error), reqs []*memctrl.R
 	reg := event.NewRegistry()
 	s.MC.RegisterEvents(reg, reqEnv, reqs)
 	cpu.RegisterEvents(reg, s.Cores)
-	reg.RegisterBound("sim.force_refresh", s.onForceRefresh, nil,
-		func(int32) (event.Bound, any, error) { return s.onForceRefresh, nil, nil })
 	return reg
 }
 
@@ -112,7 +107,6 @@ func (s *System) Save() (*SystemState, error) {
 		Meter:   s.Meter.Save(),
 		Result: ResultState{
 			FreqTime:        make(map[config.FreqMHz]config.Time, len(s.result.FreqTime)),
-			Faults:          s.result.Faults,
 			Epochs:          append([]EpochRecord(nil), s.result.Epochs...),
 			InvariantChecks: s.result.InvariantChecks,
 		},
@@ -215,7 +209,6 @@ func (s *System) load(st *SystemState) error {
 	for f, t := range st.Result.FreqTime {
 		s.result.FreqTime[f] = t
 	}
-	s.result.Faults = st.Result.Faults
 	s.result.Epochs = append([]EpochRecord(nil), st.Result.Epochs...)
 	s.result.InvariantChecks = st.Result.InvariantChecks
 	// Re-seed the invariant plane's energy witness from the restored

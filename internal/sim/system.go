@@ -14,7 +14,6 @@ import (
 	"memscale/internal/cpu"
 	"memscale/internal/dram"
 	"memscale/internal/event"
-	"memscale/internal/faults"
 	"memscale/internal/invariant"
 	"memscale/internal/memctrl"
 	"memscale/internal/power"
@@ -63,21 +62,6 @@ type Governor interface {
 	EpochEnd(p Profile)
 }
 
-// DegradableGovernor is the graceful-degradation extension. When the
-// fault plane disturbs an epoch, a governor implementing it receives
-// EpochDegraded (with the whole-epoch profile and the fault-class
-// mask) in place of EpochEnd; it must reset its slack accounting
-// rather than trust measurements taken under the disturbance.
-// Governors without the hook simply have the degraded epoch withheld
-// from EpochEnd.
-type DegradableGovernor interface {
-	Governor
-
-	// EpochDegraded is invoked instead of EpochEnd for an epoch the
-	// fault plane marked degraded.
-	EpochDegraded(p Profile, mask faults.Kind)
-}
-
 // PerChannelGovernor is the Section 6 future-work extension: a
 // governor that picks an independent frequency for every memory
 // channel. When a governor implements it, the system applies the
@@ -119,10 +103,6 @@ type Result struct {
 
 	// Epochs is the per-epoch timeline (only when KeepTimeline).
 	Epochs []EpochRecord
-
-	// Faults tallies the disturbances the fault plane actually applied
-	// to this run (zero when no injector was attached).
-	Faults faults.Counts
 
 	// Events is the number of simulation events fired over the run —
 	// the denominator that normalizes host-time throughput (events/op)
@@ -179,12 +159,6 @@ type Options struct {
 	// the simulated event sequence is identical with or without it.
 	Telemetry *telemetry.Recorder
 
-	// Faults, when non-nil, injects the deterministic disturbance
-	// schedule into the run. A nil injector is the pristine system:
-	// the simulated event sequence is bit-identical to a build without
-	// the fault plane.
-	Faults *faults.Injector
-
 	// DisableCoalescing forces every completion, refresh, and powerdown
 	// transition onto the fully event-driven slow path, firing one event
 	// per micro-step as the original formulation did. The coalesced fast
@@ -218,11 +192,6 @@ type System struct {
 	// run either to completion (run) or one epoch at a time (StepEpoch).
 	step stepState
 
-	// onForceRefresh is the pre-bound refresh-storm callback, so storm
-	// bursts schedule without capturing a closure and a checkpoint can
-	// name the pending bursts.
-	onForceRefresh event.Bound
-
 	// invEnergyJ is the invariant plane's energy witness: the running
 	// sum of per-epoch memory energy, accumulated with a different
 	// float association than the meter's per-interval total so the two
@@ -239,10 +208,6 @@ type stepState struct {
 	}
 	slacker  interface{ Slack() []config.Time }
 	minSlack interface{ MinSlack() config.Time }
-	degrader DegradableGovernor
-
-	perChannel    bool
-	controlFaults bool
 
 	prevSlack []config.Time
 	idx       int
@@ -277,7 +242,6 @@ func New(cfg config.Config, streams []*trace.Stream, opts Options) (*System, err
 		return nil, fmt.Errorf("sim: %d streams for %d cores", len(streams), cfg.Cores)
 	}
 	s := &System{Cfg: cfg, opts: opts, Q: &event.Queue{}}
-	s.onForceRefresh = s.forceRefreshEvent
 	s.MC = memctrl.New(&s.Cfg, s.Q)
 	s.Model = power.NewModel(&s.Cfg)
 	s.Meter = power.NewMeter(s.Model)
@@ -321,21 +285,12 @@ func (s *System) bindGovernor() {
 	})
 	s.step.slacker, _ = s.opts.Governor.(interface{ Slack() []config.Time })
 	s.step.minSlack, _ = s.opts.Governor.(interface{ MinSlack() config.Time })
-	s.step.degrader, _ = s.opts.Governor.(DegradableGovernor)
-	_, s.step.perChannel = s.opts.Governor.(PerChannelGovernor)
-	// Fault classes that disturb the control path only make sense
-	// under a uniform governor: the baseline never consults counters
-	// or relocks, and the per-channel extension is outside the fault
-	// model. Refresh storms hit the DRAM regardless of who governs.
-	s.step.controlFaults = s.opts.Governor != nil && !s.step.perChannel
 }
 
 // SetFrequencyCap sets the external bus-frequency ceiling applied to
-// the governor's choice from the next epoch on; 0 clears the cap. The
-// cap composes with thermal-emergency ceilings (the lower wins) and
-// never marks an epoch degraded: it is an operating constraint, not a
-// fault. This is the hook cluster-level power capping feeds
-// (internal/fleet). f must be 0 or on the bus-frequency ladder.
+// the governor's choice from the next epoch on; 0 clears the cap.
+// This is the hook cluster-level power capping feeds (internal/fleet).
+// f must be 0 or on the bus-frequency ladder.
 func (s *System) SetFrequencyCap(f config.FreqMHz) error {
 	if f != 0 && !config.ValidBusFrequency(f) {
 		return fmt.Errorf("sim: frequency cap %v is not on the bus-frequency ladder", f)
@@ -482,244 +437,114 @@ func (s *System) Finalize() Result {
 // is assembled when the caller wants it or telemetry/timeline needs it
 // anyway.
 func (s *System) stepEpoch(ctx context.Context, wantRec bool) (EpochRecord, error) {
-	epoch := s.Cfg.Policy.EpochLength
-	profLen := s.Cfg.Policy.ProfilingLength
 	tel := s.opts.Telemetry
-	inj := s.opts.Faults
-	predictor := s.step.predictor
-	slacker := s.step.slacker
-	degrader := s.step.degrader
-	controlFaults := s.step.controlFaults
-
-	{
-		idx := s.step.idx
-		s.step.idx++
-		start := s.Q.Now()
-		freq := s.MC.BusFreq()
-		tel.SetEpoch(idx)
-		var hostStart time.Time
-		if tel != nil {
-			// Host wall clock is observed only under telemetry and never
-			// feeds back into simulated time.
-			hostStart = time.Now()
-		}
-
-		plan := inj.EpochPlan(idx)
-		if plan.Panic {
-			panic(faults.InjectedPanic{Epoch: idx})
-		}
-		if plan.Abort {
-			return EpochRecord{}, fmt.Errorf("sim: injected abort at epoch %d: %w", idx, faults.ErrTransient)
-		}
-		var mask faults.Kind
-
-		// Profiling phase.
-		profEnd := start + profLen
-		if err := s.stepUntil(ctx, profEnd); err != nil {
-			return EpochRecord{}, err
-		}
-		p := s.window(start, profEnd, freq)
-
-		// Counter corruption: the profiled window cannot be trusted.
-		// Degrade gracefully by spending a second profiling window and
-		// deciding from that; when the re-profile is corrupted too, the
-		// epoch has no usable profile at all.
-		decisionAt := profEnd
-		decisionProf := p
-		trusted := true
-		if controlFaults && plan.CorruptProfile {
-			s.result.Faults.CounterCorruptions++
-			mask |= faults.KindCounterCorruption
-			var detail int64
-			if plan.CorruptReprofile {
-				detail = 1
-				trusted = false
-			}
-			tel.Fault(profEnd, uint8(faults.KindCounterCorruption), detail, 0)
-			if !plan.CorruptReprofile {
-				reprofEnd := profEnd + profLen
-				if end := start + epoch; reprofEnd > end {
-					reprofEnd = end
-				}
-				if err := s.stepUntil(ctx, reprofEnd); err != nil {
-					return EpochRecord{}, err
-				}
-				p2 := s.window(profEnd, reprofEnd, freq)
-				decisionProf = p2
-				p = mergeProfiles(p, p2)
-				decisionAt = reprofEnd
-			}
-		}
-
-		// Candidate frequency ceiling: the external cap (cluster power
-		// capping) and a thermal emergency both lower it; the lower
-		// wins. maxWant tracks the ceiling absent the external cap so
-		// WantFreq can report what the node would run uncapped.
-		maxWant := config.MaxBusFreq
-		maxAllowed := maxWant
-		if s.capFreq != 0 && s.capFreq < maxAllowed {
-			maxAllowed = s.capFreq
-		}
-		if controlFaults && plan.ThermalCeiling != 0 {
-			if plan.ThermalCeiling < maxWant {
-				maxWant = plan.ThermalCeiling
-			}
-			if plan.ThermalCeiling < maxAllowed {
-				maxAllowed = plan.ThermalCeiling
-			}
-			s.result.Faults.ThermalEpochs++
-			mask |= faults.KindThermal
-			tel.Fault(decisionAt, uint8(faults.KindThermal), int64(plan.ThermalCeiling), 0)
-		}
-
-		// Refresh storm: a retention emergency owes the DRAM extra
-		// all-bank refresh rounds, spaced so each round can complete
-		// before the next lands.
-		if plan.Storm {
-			s.result.Faults.RefreshStorms++
-			mask |= faults.KindRefreshStorm
-			tel.Fault(decisionAt, uint8(faults.KindRefreshStorm), int64(plan.StormBursts), 0)
-			spacing := 2 * s.MC.Timing().TRFC
-			for b := 0; b < plan.StormBursts; b++ {
-				at := decisionAt + config.Time(b)*spacing
-				s.Q.ScheduleBound(at, s.onForceRefresh, nil, 0, 0)
-			}
-		}
-
-		// Control algorithm invocation + bus frequency re-locking.
-		chosen := freq
-		want := freq
-		var chosenPer []config.FreqMHz
-		if pcg, ok := s.opts.Governor.(PerChannelGovernor); ok {
-			chosenPer = pcg.ProfileCompletePerChannel(p)
-			chosen = config.MinBusFreq
-			for ch, f := range chosenPer {
-				s.MC.SetChannelFrequency(profEnd, ch, f)
-				if f > chosen {
-					chosen = f
-				}
-			}
-			want = chosen
-		} else if s.opts.Governor != nil {
-			if trusted && !plan.Storm {
-				chosen = s.opts.Governor.ProfileComplete(decisionProf)
-				want = chosen
-			} else {
-				// Graceful degradation: with no trustworthy profile, or
-				// a retention emergency stealing bandwidth, fall back to
-				// the maximum allowed frequency instead of guessing.
-				chosen = maxAllowed
-				want = maxWant
-			}
-			if want > maxWant {
-				want = maxWant
-			}
-			if chosen > maxAllowed {
-				chosen = maxAllowed
-			}
-			if chosen != freq {
-				penalty := s.MC.RelockPenalty(chosen)
-				if plan.RelockFailures > 0 {
-					// Transient PLL/DLL relock failures: each failed
-					// attempt halts the channels for the full penalty
-					// plus exponential backoff before the retry.
-					s.result.Faults.RelockFaults++
-					mask |= faults.KindRelock
-					stall := inj.RelockStall(penalty, plan.RelockFailures, plan.RelockAbandoned)
-					detail := int64(plan.RelockFailures)
-					if plan.RelockAbandoned {
-						// Every bounded retry failed: give up, stay at
-						// the old frequency, eat the stall.
-						detail = -detail
-						s.result.Faults.RelockAbandoned++
-						s.MC.StallChannels(decisionAt, stall)
-						chosen = freq
-					} else {
-						s.MC.SetBusFrequencyStalled(decisionAt, chosen, stall-penalty)
-					}
-					tel.Fault(decisionAt, uint8(faults.KindRelock), detail, stall)
-				} else {
-					s.MC.SetBusFrequency(decisionAt, chosen)
-				}
-			}
-		}
-		var predicted float64
-		if tel != nil && predictor != nil {
-			predicted = predictor.PredictedMeanCPI(chosen)
-		}
-
-		// Run out the epoch at the chosen frequency.
-		epochEnd := start + epoch
-		if err := s.stepUntil(ctx, epochEnd); err != nil {
-			return EpochRecord{}, err
-		}
-		ep := s.window(decisionAt, epochEnd, chosen)
-		if s.opts.Governor != nil {
-			// The governor accounts slack over the whole epoch.
-			whole := ep
-			whole.Start = start
-			whole.Counters = p.Counters.Add(ep.Counters)
-			whole.Instr = make([]float64, len(p.Instr))
-			for i := range whole.Instr {
-				whole.Instr[i] = p.Instr[i] + ep.Instr[i]
-			}
-			if mask != 0 {
-				// Degraded epoch: its measurements must not feed the
-				// model. Governors with the hook reset their slack
-				// accounting; the rest just skip the update.
-				if degrader != nil {
-					degrader.EpochDegraded(whole, mask)
-				}
-			} else {
-				s.opts.Governor.EpochEnd(whole)
-			}
-		}
-		if mask != 0 {
-			s.result.Faults.DegradedEpochs++
-			tel.DegradedEpoch(epochEnd, uint8(mask), chosen)
-		}
-		if tel != nil && slacker != nil {
-			cur := slacker.Slack()
-			for i := range cur {
-				var prev config.Time
-				if i < len(s.step.prevSlack) {
-					prev = s.step.prevSlack[i]
-				}
-				tel.Slack(epochEnd, i, (cur[i] - prev).Seconds(), cur[i].Seconds())
-			}
-			s.step.prevSlack = cur
-		}
-
-		if err := s.checkInvariants(start, epochEnd, p, ep); err != nil {
-			return EpochRecord{}, err
-		}
-
-		var rec EpochRecord
-		if wantRec || s.opts.KeepTimeline || tel != nil {
-			rec = s.snapshotEpoch(idx, start, decisionAt, epochEnd, chosen, want, chosenPer, p, ep)
-			rec.FaultMask = uint8(mask)
-			if tel != nil {
-				rec.HostNs = time.Since(hostStart).Nanoseconds()
-				tel.ObserveEpochHost(rec.HostNs)
-				if s.opts.Governor != nil {
-					tel.Decision(decisionAt, freq, chosen, predicted, rec.MeanCPI())
-				}
-				tel.AddEpoch(rec)
-			}
-			if s.opts.KeepTimeline {
-				s.result.Epochs = append(s.result.Epochs, rec)
-			}
-		} else {
-			// Run-to-completion callers only consult the epoch bounds;
-			// skip the full snapshot assembly.
-			rec.Index = idx
-			rec.Start = start
-			rec.End = epochEnd
-			rec.Freq = chosen
-			rec.WantFreq = want
-		}
-		return rec, nil
+	idx := s.step.idx
+	s.step.idx++
+	start := s.Q.Now()
+	freq := s.MC.BusFreq()
+	tel.SetEpoch(idx)
+	var hostStart time.Time
+	if tel != nil {
+		// Host wall clock is observed only under telemetry and never
+		// feeds back into simulated time.
+		hostStart = time.Now()
 	}
+
+	// Profiling phase.
+	profEnd := start + s.Cfg.Policy.ProfilingLength
+	if err := s.stepUntil(ctx, profEnd); err != nil {
+		return EpochRecord{}, err
+	}
+	p := s.window(start, profEnd, freq)
+
+	// Control algorithm invocation + bus frequency re-locking. The
+	// external cap (cluster power capping) bounds the governor's
+	// choice; WantFreq reports what the node would run uncapped.
+	chosen := freq
+	want := freq
+	var chosenPer []config.FreqMHz
+	if pcg, ok := s.opts.Governor.(PerChannelGovernor); ok {
+		chosenPer = pcg.ProfileCompletePerChannel(p)
+		chosen = config.MinBusFreq
+		for ch, f := range chosenPer {
+			s.MC.SetChannelFrequency(profEnd, ch, f)
+			if f > chosen {
+				chosen = f
+			}
+		}
+		want = chosen
+	} else if s.opts.Governor != nil {
+		chosen = s.opts.Governor.ProfileComplete(p)
+		want = chosen
+		if s.capFreq != 0 && chosen > s.capFreq {
+			chosen = s.capFreq
+		}
+		if chosen != freq {
+			s.MC.SetBusFrequency(profEnd, chosen)
+		}
+	}
+	var predicted float64
+	if tel != nil && s.step.predictor != nil {
+		predicted = s.step.predictor.PredictedMeanCPI(chosen)
+	}
+
+	// Run out the epoch at the chosen frequency.
+	epochEnd := start + s.Cfg.Policy.EpochLength
+	if err := s.stepUntil(ctx, epochEnd); err != nil {
+		return EpochRecord{}, err
+	}
+	ep := s.window(profEnd, epochEnd, chosen)
+	if s.opts.Governor != nil {
+		// The governor accounts slack over the whole epoch.
+		whole := ep
+		whole.Start = start
+		whole.Counters = p.Counters.Add(ep.Counters)
+		whole.Instr = make([]float64, len(p.Instr))
+		for i := range whole.Instr {
+			whole.Instr[i] = p.Instr[i] + ep.Instr[i]
+		}
+		s.opts.Governor.EpochEnd(whole)
+	}
+	if slacker := s.step.slacker; tel != nil && slacker != nil {
+		cur := slacker.Slack()
+		for i := range cur {
+			var prev config.Time
+			if i < len(s.step.prevSlack) {
+				prev = s.step.prevSlack[i]
+			}
+			tel.Slack(epochEnd, i, (cur[i] - prev).Seconds(), cur[i].Seconds())
+		}
+		s.step.prevSlack = cur
+	}
+
+	if err := s.checkInvariants(start, epochEnd, p, ep); err != nil {
+		return EpochRecord{}, err
+	}
+
+	var rec EpochRecord
+	if wantRec || s.opts.KeepTimeline || tel != nil {
+		rec = s.snapshotEpoch(idx, start, profEnd, epochEnd, chosen, want, chosenPer, p, ep)
+		if tel != nil {
+			rec.HostNs = time.Since(hostStart).Nanoseconds()
+			tel.ObserveEpochHost(rec.HostNs)
+			if s.opts.Governor != nil {
+				tel.Decision(profEnd, freq, chosen, predicted, rec.MeanCPI())
+			}
+			tel.AddEpoch(rec)
+		}
+		if s.opts.KeepTimeline {
+			s.result.Epochs = append(s.result.Epochs, rec)
+		}
+	} else {
+		// Run-to-completion callers only consult the epoch bounds;
+		// skip the full snapshot assembly.
+		rec.Index = idx
+		rec.Start = start
+		rec.End = epochEnd
+		rec.Freq = chosen
+		rec.WantFreq = want
+	}
+	return rec, nil
 }
 
 // energyWitnessRelTol bounds the drift between the invariant plane's
@@ -771,46 +596,6 @@ func (s *System) checkInvariants(start, epochEnd config.Time, p, ep Profile) err
 		s.result.InvariantChecks++
 	}
 	return nil
-}
-
-// forceRefreshEvent is the bound form of one refresh-storm burst.
-func (s *System) forceRefreshEvent(now config.Time, _ any, _, _ int32) {
-	s.MC.ForceRefresh(now)
-}
-
-// mergeProfiles concatenates two adjacent windows into one: counter
-// and instruction deltas add, power intervals and metered energy
-// accumulate, and the span covers both.
-func mergeProfiles(a, b Profile) Profile {
-	out := a
-	out.End = b.End
-	out.Counters = a.Counters.Add(b.Counters)
-	out.Instr = make([]float64, len(a.Instr))
-	for i := range out.Instr {
-		out.Instr[i] = a.Instr[i] + b.Instr[i]
-	}
-	out.Interval = mergeIntervals(a.Interval, b.Interval)
-	out.Energy = a.Energy
-	out.Energy.Add(b.Energy)
-	return out
-}
-
-// mergeIntervals adds two adjacent power intervals; the later
-// interval's operating points win (they are what the epoch continues
-// under).
-func mergeIntervals(a, b power.Interval) power.Interval {
-	out := power.Interval{
-		Duration:  a.Duration + b.Duration,
-		MCBusFreq: b.MCBusFreq,
-		Channels:  make([]power.ChannelSlice, len(a.Channels)),
-	}
-	for i := range a.Channels {
-		c := b.Channels[i]
-		c.Busy += a.Channels[i].Busy
-		c.DRAM.Add(a.Channels[i].DRAM)
-		out.Channels[i] = c
-	}
-	return out
 }
 
 // snapshotEpoch assembles the per-epoch telemetry record from the two

@@ -37,19 +37,6 @@ const (
 	// frequency (0 when the governor exposes no prediction), F2 =
 	// measured mean CPI over the epoch.
 	EvDecision
-
-	// EvFault: the fault plane injected one disturbance. A = fault
-	// class bit (faults.Kind), B = class-specific detail (storm: burst
-	// count; relock: failed attempts, negative when abandoned;
-	// corruption: 1 when the re-profile was corrupted too; thermal:
-	// ceiling MHz), C = class-specific duration (relock: total stall
-	// in ps).
-	EvFault
-
-	// EvDegraded: an epoch ended degraded. A = the union of fault
-	// class bits that disturbed it (faults.Kind mask), B = the
-	// frequency the epoch actually ran at (MHz).
-	EvDegraded
 )
 
 var eventKindNames = map[EventKind]string{
@@ -59,8 +46,6 @@ var eventKindNames = map[EventKind]string{
 	EvRefresh:        "refresh",
 	EvSlack:          "slack",
 	EvDecision:       "decision",
-	EvFault:          "fault",
-	EvDegraded:       "degraded",
 }
 
 // String returns the kind's stable wire name.

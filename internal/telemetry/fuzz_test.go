@@ -12,9 +12,9 @@ func FuzzReadJSONL(f *testing.F) {
 	var valid bytes.Buffer
 	ex := &RunExport{
 		Meta:     RunMeta{Mix: "MID1", Policy: "MemScale"},
-		Counters: map[string]uint64{"faults_injected": 3},
-		Epochs:   []EpochSnapshot{{Index: 0, FaultMask: 1}},
-		Events:   []Event{{Kind: EvFault, A: 1}},
+		Counters: map[string]uint64{"decisions": 3},
+		Epochs:   []EpochSnapshot{{Index: 0, Freq: 800}},
+		Events:   []Event{{Kind: EvDecision, A: 800, B: 667}},
 	}
 	if err := WriteJSONL(&valid, ex); err != nil {
 		f.Fatal(err)
@@ -24,6 +24,8 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte("{}\n"))
 	f.Add([]byte(`{"type":"run"}` + "\n"))
 	f.Add([]byte(`{"type":"epoch","epoch":{}}` + "\n"))
+	// "fault" is a kind older builds wrote and this reader no longer
+	// knows.
 	f.Add([]byte(`{"type":"event","event":{"kind":"fault"}}` + "\n"))
 	f.Add([]byte(`{"type":"run","run":{"mix":"x"}}` + "\n" + `{"type":"unknown"}` + "\n"))
 

@@ -87,11 +87,6 @@ type EpochSnapshot struct {
 	// simulate (zero when telemetry is disabled; host time is the one
 	// nondeterministic field and never feeds back into simulation).
 	HostNs int64 `json:"host_ns,omitempty"`
-
-	// FaultMask is the union of fault-class bits (faults.Kind) that
-	// degraded this epoch; zero for a clean epoch. Held as a plain
-	// uint8 so telemetry stays below faults in the import graph.
-	FaultMask uint8 `json:"fault_mask,omitempty"`
 }
 
 // StartMs returns the epoch start in simulated milliseconds.

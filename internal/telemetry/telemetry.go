@@ -70,12 +70,14 @@ type Recorder struct {
 	Decisions       Counter
 	SlackUpdates    Counter
 	PowerIntervals  Counter
-	FaultsInjected  Counter
-	DegradedEpochs  Counter
-	// NodesLost and NodesRecovered are never incremented: the fleet
-	// supervisor that fed them is gone. They stay because every export
-	// carries each counter by name, and the pinned export digests hash
-	// those names.
+	// FaultsInjected and DegradedEpochs are never incremented: the
+	// fault-injection plane that fed them is gone. NodesLost and
+	// NodesRecovered are never incremented either: the fleet
+	// supervisor that fed them is gone. All four stay because every
+	// export carries each counter by name, and the pinned export
+	// digests hash those names.
+	FaultsInjected Counter
+	DegradedEpochs Counter
 	NodesLost      Counter
 	NodesRecovered Counter
 
@@ -168,31 +170,6 @@ func (r *Recorder) Decision(t config.Time, from, chosen config.FreqMHz, predicte
 	r.Decisions.Add(1)
 	r.push(Event{Kind: EvDecision, Time: t, Channel: -1, Rank: -1, Core: -1,
 		A: int64(from), B: int64(chosen), F1: predicted, F2: actual})
-}
-
-// Fault records one injected fault instance. kind is the single
-// faults.Kind class bit, detail and dur are class-specific (see
-// EvFault). The invariant the fault tests lean on: exactly one Fault
-// call per applied disturbance, so FaultsInjected reconciles with the
-// run's fault counts.
-func (r *Recorder) Fault(t config.Time, kind uint8, detail int64, dur config.Time) {
-	if r == nil {
-		return
-	}
-	r.FaultsInjected.Add(1)
-	r.push(Event{Kind: EvFault, Time: t, Channel: -1, Rank: -1, Core: -1,
-		A: int64(kind), B: detail, C: int64(dur)})
-}
-
-// DegradedEpoch records an epoch that ended degraded under the given
-// fault-class mask, running at freq.
-func (r *Recorder) DegradedEpoch(t config.Time, mask uint8, freq config.FreqMHz) {
-	if r == nil {
-		return
-	}
-	r.DegradedEpochs.Add(1)
-	r.push(Event{Kind: EvDegraded, Time: t, Channel: -1, Rank: -1, Core: -1,
-		A: int64(mask), B: int64(freq)})
 }
 
 // ObserveEpochHost records the host wall-clock nanoseconds one epoch

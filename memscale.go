@@ -32,11 +32,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"memscale/internal/checkpoint"
 	"memscale/internal/config"
-	"memscale/internal/faults"
 	"memscale/internal/invariant"
 	"memscale/internal/policies"
 	"memscale/internal/runner"
@@ -61,8 +59,7 @@ var (
 
 	// ErrInvalidConfig reports a RunConfig whose scaling fields are
 	// degenerate (negative epoch/core/channel counts, out-of-range
-	// gamma, an invalid fault configuration, or a machine shape the
-	// simulator rejects).
+	// gamma, or a machine shape the simulator rejects).
 	ErrInvalidConfig = errors.New("invalid run configuration")
 
 	// ErrRunPanicked reports a run whose simulation panicked. The
@@ -74,10 +71,6 @@ var (
 	// ErrJobTimeout reports a run that exceeded its watchdog deadline
 	// (SweepConfig.JobTimeout).
 	ErrJobTimeout = runner.ErrJobTimeout
-
-	// ErrTransientFault reports a run killed by an injected transient
-	// fault after its automatic retries were exhausted.
-	ErrTransientFault = faults.ErrTransient
 
 	// ErrInvariant reports a runtime invariant violation: one of the
 	// always-on self-checks (energy conservation, residency accounting,
@@ -138,85 +131,6 @@ type RunConfig struct {
 	// Telemetry, when non-nil, instruments the managed run with the
 	// telemetry subsystem and attaches the export to the summary.
 	Telemetry *TelemetryConfig
-
-	// Faults, when non-nil, injects the deterministic fault plane into
-	// the managed run: refresh storms, relock failures, counter
-	// corruption, thermal-emergency frequency caps, transient aborts,
-	// and (for pipeline tests) a forced panic. The baseline run is
-	// never faulted. The same FaultConfig always reproduces the same
-	// disturbance schedule, fault counts, and energy totals.
-	Faults *FaultConfig
-}
-
-// FaultConfig configures the fault-injection plane of one run. Rates
-// are per-epoch probabilities in [0, 1]; zero disables a class. The
-// zero value injects nothing. See internal/faults for the semantics
-// of each class and its defaults.
-type FaultConfig struct {
-	// Seed selects the deterministic disturbance schedule.
-	Seed uint64
-
-	// RefreshStormRate triggers retention emergencies that force
-	// RefreshStormBursts extra all-bank refresh rounds (default 2).
-	RefreshStormRate   float64
-	RefreshStormBursts int
-
-	// RelockFailRate makes PLL/DLL relock attempts fail; failures
-	// retry with exponential backoff (base RelockBackoff, default
-	// 100ns) up to RelockMaxRetries extra attempts (default 3) before
-	// the frequency switch is abandoned for the epoch.
-	RelockFailRate   float64
-	RelockMaxRetries int
-	RelockBackoff    time.Duration
-
-	// CounterCorruptRate perturbs a profiled epoch's MC counters; the
-	// governor re-profiles instead of trusting them, and falls back to
-	// the maximum allowed frequency when the re-profile is corrupted
-	// too.
-	CounterCorruptRate float64
-
-	// ThermalRate opens thermal-emergency windows spanning
-	// ThermalWindowEpochs epochs (default 2) during which the
-	// candidate frequency ceiling is capped at ThermalCeilingMHz
-	// (default 400; must be on the DDR3 ladder).
-	ThermalRate         float64
-	ThermalCeilingMHz   int
-	ThermalWindowEpochs int
-
-	// TransientAbortRate aborts run attempts with ErrTransientFault;
-	// aborted attempts are retried automatically up to MaxRunRetries
-	// times (default 2) with the identical hardware fault schedule.
-	TransientAbortRate float64
-	MaxRunRetries      int
-
-	// InjectPanic forces a deliberate panic at epoch PanicEpoch — the
-	// hook for proving that one job's death cannot take down a sweep.
-	InjectPanic bool
-	PanicEpoch  int
-}
-
-// internal maps the public fault configuration onto the fault plane's
-// own config type. Nil-safe: a nil receiver disables injection.
-func (fc *FaultConfig) internal() *faults.Config {
-	if fc == nil {
-		return nil
-	}
-	return &faults.Config{
-		Seed:                fc.Seed,
-		RefreshStormRate:    fc.RefreshStormRate,
-		RefreshStormBursts:  fc.RefreshStormBursts,
-		RelockFailRate:      fc.RelockFailRate,
-		RelockMaxRetries:    fc.RelockMaxRetries,
-		RelockBackoff:       config.FromNanoseconds(float64(fc.RelockBackoff.Nanoseconds())),
-		CounterCorruptRate:  fc.CounterCorruptRate,
-		ThermalRate:         fc.ThermalRate,
-		ThermalCeiling:      config.FreqMHz(fc.ThermalCeilingMHz),
-		ThermalWindowEpochs: fc.ThermalWindowEpochs,
-		TransientAbortRate:  fc.TransientAbortRate,
-		MaxRunRetries:       fc.MaxRunRetries,
-		PanicEnabled:        fc.InjectPanic,
-		PanicEpoch:          fc.PanicEpoch,
-	}
 }
 
 // TelemetryConfig opts a run into telemetry collection. The zero value
@@ -243,7 +157,7 @@ func (tc *TelemetryConfig) options() *telemetry.Options {
 // Validate rejects degenerate scaling values up front, before any
 // simulation runs. Every failure wraps ErrInvalidConfig and names the
 // offending field with a snake_case path (e.g. "gamma",
-// "faults.storm_rate"), so callers can both classify with errors.Is
+// "channels"), so callers can both classify with errors.Is
 // and surface the exact field to users. Zero values are allowed: they
 // select the documented defaults. Run, RunContext, and Sweep all call
 // Validate internally; calling it directly is only needed to check a
@@ -262,9 +176,6 @@ func (rc RunConfig) Validate() error {
 	case rc.Channels < 0:
 		return fmt.Errorf("%w: channels: must be >= 0 (0 selects the default), got %d",
 			ErrInvalidConfig, rc.Channels)
-	}
-	if err := rc.Faults.validate("faults"); err != nil {
-		return err
 	}
 	// Positive but unusable machine shapes are caught by the simulator
 	// configuration's own validation; surface them under the same
@@ -289,62 +200,6 @@ func checkRunLength(field string, epochs int, cfg *config.Config) error {
 	if limit := sim.MaxEpochs(cfg); epochs > limit {
 		return fmt.Errorf("%w: %s: must be at most %d on %d channels (the event queue's sequence numbers would run out), got %d",
 			ErrInvalidConfig, field, limit, cfg.Channels, epochs)
-	}
-	return nil
-}
-
-// validate checks the fault plane's parameters with field paths rooted
-// at prefix ("faults" for a single run, "groups[i].faults" in a
-// fleet). Nil-safe: a nil config injects nothing and is always valid.
-func (fc *FaultConfig) validate(prefix string) error {
-	if fc == nil {
-		return nil
-	}
-	for _, f := range []struct {
-		field string
-		v     float64
-	}{
-		{"storm_rate", fc.RefreshStormRate},
-		{"relock_rate", fc.RelockFailRate},
-		{"corrupt_rate", fc.CounterCorruptRate},
-		{"thermal_rate", fc.ThermalRate},
-		{"abort_rate", fc.TransientAbortRate},
-	} {
-		if math.IsNaN(f.v) || f.v < 0 || f.v > 1 {
-			return fmt.Errorf("%w: %s.%s: rate must be in [0, 1], got %g",
-				ErrInvalidConfig, prefix, f.field, f.v)
-		}
-	}
-	for _, f := range []struct {
-		field string
-		v     int
-	}{
-		{"storm_bursts", fc.RefreshStormBursts},
-		{"relock_max_retries", fc.RelockMaxRetries},
-		{"thermal_window_epochs", fc.ThermalWindowEpochs},
-		{"max_run_retries", fc.MaxRunRetries},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("%w: %s.%s: must be >= 0 (0 selects the default), got %d",
-				ErrInvalidConfig, prefix, f.field, f.v)
-		}
-	}
-	if fc.RelockBackoff < 0 {
-		return fmt.Errorf("%w: %s.relock_backoff: must be >= 0, got %v",
-			ErrInvalidConfig, prefix, fc.RelockBackoff)
-	}
-	if c := fc.ThermalCeilingMHz; c != 0 && !config.ValidBusFrequency(config.FreqMHz(c)) {
-		return fmt.Errorf("%w: %s.thermal_ceiling_mhz: %d MHz is not on the DDR3 ladder %v",
-			ErrInvalidConfig, prefix, c, config.BusFrequencies)
-	}
-	if fc.InjectPanic && fc.PanicEpoch < 0 {
-		return fmt.Errorf("%w: %s.panic_epoch: must be >= 0 when inject_panic is set, got %d",
-			ErrInvalidConfig, prefix, fc.PanicEpoch)
-	}
-	// Backstop: the fault plane's own validation guards any constraint
-	// added there before this mirror learns its field path.
-	if err := fc.internal().Validate(); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrInvalidConfig, prefix, err)
 	}
 	return nil
 }
@@ -385,7 +240,6 @@ func (rc RunConfig) job() (runner.Job, error) {
 		Channels:  rc.Channels,
 		Timeline:  rc.Timeline,
 		Telemetry: rc.Telemetry.options(),
-		Faults:    rc.Faults.internal(),
 	}, nil
 }
 
@@ -431,20 +285,6 @@ type RunSummary struct {
 
 	// Telemetry, when the run requested it, holds the full export.
 	Telemetry *TelemetryExport
-
-	// FaultCounts tallies the injected faults actually applied to the
-	// managed run, keyed by stable class names ("refresh_storm",
-	// "relock_failure", "relock_abandoned", "counter_corruption",
-	// "thermal_emergency", "transient_abort", "degraded_epochs"); nil
-	// when nothing was injected. DegradedEpochs is the number of
-	// epochs the governor ran in degraded mode. Both are reproduced
-	// exactly by the same FaultConfig.
-	FaultCounts    map[string]uint64
-	DegradedEpochs uint64
-
-	// Attempts is how many times the managed run executed: 1 plus the
-	// automatic retries consumed by injected transient faults.
-	Attempts int
 
 	// Events is the number of simulation events the managed run fired —
 	// the unit benchmarks normalize throughput against (events/op).
@@ -527,9 +367,6 @@ func summarize(out runner.Outcome) RunSummary {
 	// expose them as-is.
 	sum.Timeline = append(sum.Timeline, res.Epochs...)
 	sum.Telemetry = out.Telemetry
-	sum.FaultCounts = res.Faults.Map()
-	sum.DegradedEpochs = res.Faults.DegradedEpochs
-	sum.Attempts = out.Attempts
 	sum.Events = res.Events
 	sum.InvariantChecks = res.InvariantChecks
 	return sum

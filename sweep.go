@@ -35,8 +35,7 @@ type SweepConfig struct {
 	// WarmStart, when non-nil, forks the grid from shared warm-up
 	// prefixes instead of simulating every run from epoch zero: runs
 	// with the same mix and machine shape simulate their first
-	// PrefixEpochs once (unmanaged — no governor, faults, or
-	// telemetry), then each variant restores the snapshot and runs its
+	// PrefixEpochs once (unmanaged — no governor or telemetry), then each variant restores the snapshot and runs its
 	// own policy over the remaining epochs. A gamma or policy sweep
 	// over one mix pays for its warm-up once instead of once per
 	// variant.

@@ -220,7 +220,7 @@ func TestTelemetryExportPinned(t *testing.T) {
 		"ILP1/Static":             "9e2750cc98580a4cd547c2ee4781f45c34acaa8185a0e3fb862c6c37611a306b",
 		"MID2/MemScale + Fast-PD": "0b1f6445d20405388a89839126a26fbea543138dad6bb54f33560d33712e0b36",
 		"MID3/Slow-PD":            "fcf867f81537bd6084e5a05b35c492bc1beceec6ce1fd47e074b4c92a3f08c2c",
-		"MID1/MemScale":           "d675726e3d6fbdae396815c67859812d02bbc65e103742998dec41459cd5fb06",
+		"MID1/MemScale":           "9d1a481a5ff92c3fe27f342d199fd43b3f00203fb41809f97536479e2667f538",
 	}
 	ctx := context.Background()
 	for _, rc := range goldenConfigs() {

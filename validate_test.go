@@ -7,7 +7,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"memscale/internal/config"
 	"memscale/internal/sim"
@@ -27,30 +26,6 @@ func TestRunConfigValidateFieldPaths(t *testing.T) {
 		{"gamma negative", RunConfig{Gamma: -0.1}, "gamma"},
 		{"negative cores", RunConfig{Cores: -4}, "cores"},
 		{"negative channels", RunConfig{Channels: -1}, "channels"},
-		{"storm rate over one",
-			RunConfig{Faults: &FaultConfig{RefreshStormRate: 1.5}}, "faults.storm_rate"},
-		{"negative relock rate",
-			RunConfig{Faults: &FaultConfig{RelockFailRate: -0.2}}, "faults.relock_rate"},
-		{"corrupt rate over one",
-			RunConfig{Faults: &FaultConfig{CounterCorruptRate: 2}}, "faults.corrupt_rate"},
-		{"thermal rate over one",
-			RunConfig{Faults: &FaultConfig{ThermalRate: 7}}, "faults.thermal_rate"},
-		{"abort rate over one",
-			RunConfig{Faults: &FaultConfig{TransientAbortRate: 1.01}}, "faults.abort_rate"},
-		{"negative storm bursts",
-			RunConfig{Faults: &FaultConfig{RefreshStormBursts: -1}}, "faults.storm_bursts"},
-		{"negative relock retries",
-			RunConfig{Faults: &FaultConfig{RelockMaxRetries: -2}}, "faults.relock_max_retries"},
-		{"negative relock backoff",
-			RunConfig{Faults: &FaultConfig{RelockBackoff: -time.Nanosecond}}, "faults.relock_backoff"},
-		{"off-ladder thermal ceiling",
-			RunConfig{Faults: &FaultConfig{ThermalCeilingMHz: 123}}, "faults.thermal_ceiling_mhz"},
-		{"negative thermal window",
-			RunConfig{Faults: &FaultConfig{ThermalWindowEpochs: -1}}, "faults.thermal_window_epochs"},
-		{"negative run retries",
-			RunConfig{Faults: &FaultConfig{MaxRunRetries: -1}}, "faults.max_run_retries"},
-		{"negative panic epoch",
-			RunConfig{Faults: &FaultConfig{InjectPanic: true, PanicEpoch: -1}}, "faults.panic_epoch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,7 +46,6 @@ func TestRunConfigValidateAccepts(t *testing.T) {
 		{},
 		{Mix: "MID1", Policy: "MemScale"},
 		{Epochs: 3, Gamma: 0.25, Cores: 4, Channels: 2},
-		{Faults: &FaultConfig{RefreshStormRate: 0.5, ThermalCeilingMHz: 400}},
 	}
 	for i, rc := range good {
 		if err := rc.Validate(); err != nil {
@@ -215,9 +189,6 @@ func TestFleetConfigValidateFieldPaths(t *testing.T) {
 			FleetConfig{Groups: []NodeGroup{{Nodes: 1, Mix: "MID1",
 				Arrival: ArrivalConfig{Kind: ArrivalBursty, BurstProbability: 2}}}},
 			"groups[0].arrival: burst_probability"},
-		{"bad fault rate",
-			FleetConfig{Groups: []NodeGroup{{Nodes: 1, Mix: "MID1",
-				Faults: &FaultConfig{ThermalRate: 9}}}}, "groups[0].faults.thermal_rate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -242,77 +242,6 @@ func BenchmarkSweepSpeedup(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 }
 
-// forkedSweepPrefix is the warm-up prefix, in epochs, that
-// BenchmarkForkedSweep's variants share.
-const forkedSweepPrefix = 3
-
-// forkedSweepJobs is BenchmarkForkedSweep's grid: 16 gamma variants of
-// one mix and policy, 4 epochs each.
-func forkedSweepJobs(tb testing.TB) []runner.Job {
-	tb.Helper()
-	mix, err := workload.ByName("MID1")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	spec, err := policies.ByName("MemScale")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	jobs := make([]runner.Job, 16)
-	for i := range jobs {
-		jobs[i] = runner.Job{
-			Mix: mix, Spec: spec, Epochs: 4, Cores: 4, Channels: 2,
-			Gamma: 0.02 + 0.01*float64(i),
-		}
-	}
-	return jobs
-}
-
-// BenchmarkForkedSweep times a 16-variant gamma sweep (one mix, one
-// policy, 4 epochs each) cold and warm-started from a shared 3-epoch
-// prefix, and reports the wall-clock ratio as "warm-speedup-x". With
-// the baseline pre-warmed outside the timed region, the cold sweep
-// simulates 16x4 managed epochs while the warm sweep simulates 3
-// shared prefix epochs plus 16x1 variant epochs — a 64/19 = 3.4x
-// ideal ratio. TestForkedSweepEvents checks the same saving as a
-// deterministic count of simulated events.
-func BenchmarkForkedSweep(b *testing.B) {
-	jobs := forkedSweepJobs(b)
-	// One shared cache, pre-warmed: all 16 variants pair against the
-	// same gamma-independent baseline, so neither timed phase simulates
-	// it and the ratio isolates the managed runs.
-	ctx := context.Background()
-	eng := runner.New(runner.Options{Workers: 1, Cache: runner.NewBaselineCache()})
-	if _, err := eng.Run(ctx, jobs[0]); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var cold, warm time.Duration
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, errs := eng.RunEach(ctx, jobs); firstErr(errs) != nil {
-			b.Fatal(firstErr(errs))
-		}
-		cold += time.Since(start)
-		start = time.Now()
-		if _, errs := eng.RunEachWarm(ctx, jobs, forkedSweepPrefix); firstErr(errs) != nil {
-			b.Fatal(firstErr(errs))
-		}
-		warm += time.Since(start)
-	}
-	b.ReportMetric(cold.Seconds()/warm.Seconds(), "warm-speedup-x")
-	b.ReportMetric(float64(runner.WarmGroups(jobs, forkedSweepPrefix)), "warm-groups")
-}
-
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // BenchmarkBaselineCacheHitRate runs the Figure 9-11 shape of grid —
 // many policies paired against few distinct baselines — through one
 // engine and reports the cache hit rate. Each distinct baseline

@@ -13,10 +13,9 @@ import (
 
 // Checkpoint/restore: capture a run's complete simulation state at an
 // epoch boundary and continue it later — crash recovery for
-// long-horizon runs, and the substrate warm-start sweeps fork from. A
-// resumed run is bit-identical to the uninterrupted one: every energy
-// accumulator, CPI ratio, and frequency residency restores to the
-// exact bit pattern (see DESIGN.md §4i).
+// long-horizon runs. A resumed run is bit-identical to the
+// uninterrupted one: every energy accumulator, CPI ratio, and frequency
+// residency restores to the exact bit pattern (see DESIGN.md §4i).
 
 // CheckpointSchemaVersion is the checkpoint container format version
 // ("MAJOR.MINOR") stamped on every container CheckpointRun writes.
@@ -93,8 +92,9 @@ func CheckpointRunInterruptible(ctx context.Context, rc RunConfig, atEpoch int, 
 // Corrupted containers fail with ErrCorruptCheckpoint, incompatible
 // schema versions with a *CheckpointSchemaVersionError, and a
 // container whose state does not fit the run it describes (hand-edited
-// geometry, mismatched governor, or a fault schedule written by an
-// earlier release's fault-injection plane) with ErrInvalidConfig.
+// geometry, a meta policy other than the one that wrote it, or a fault
+// schedule written by an earlier release's fault-injection plane) with
+// ErrInvalidConfig.
 func ResumeRun(ctx context.Context, r io.Reader, epochs int) (RunSummary, error) {
 	sum, err := resumeRun(ctx, r, epochs)
 	if errors.Is(err, sim.ErrStateMismatch) {

@@ -133,6 +133,35 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("err = %v, want ErrInvalidConfig wrapping the state mismatch", err)
 		}
 	})
+	t.Run("swapped policy", func(t *testing.T) {
+		// A container resumes only under the policy that wrote it. The
+		// swaps cover a governed run resumed under another governor, an
+		// ungoverned run resumed under a governor and back, and two
+		// schemes that share the "memscale" governor but configure the
+		// machine differently.
+		for _, sw := range []struct{ from, to string }{
+			{"Static", "MemScale"},
+			{"Fast-PD", "MemScale"},
+			{"Baseline", "Static"},
+			{"MemScale", "Static"},
+			{"MemScale", "MemScale + Fast-PD"},
+			{"MemScale + Fast-PD", "MemScale"},
+		} {
+			t.Run(sw.from+" to "+sw.to, func(t *testing.T) {
+				src := rc
+				src.Policy, src.Epochs = sw.from, 1
+				var ck bytes.Buffer
+				if _, err := CheckpointRun(ctx, src, 0, &ck); err != nil {
+					t.Fatal(err)
+				}
+				swapped := tamper(t, ck.Bytes(), `"policy":"`+sw.from+`"`, `"policy":"`+sw.to+`"`)
+				_, err := ResumeRun(ctx, bytes.NewReader(swapped), 2)
+				if !errors.Is(err, ErrInvalidConfig) || !errors.Is(err, sim.ErrStateMismatch) {
+					t.Fatalf("err = %v, want ErrInvalidConfig wrapping the state mismatch", err)
+				}
+			})
+		}
+	})
 }
 
 // tamper replaces the first old in a container's bytes with new and
@@ -184,56 +213,6 @@ func TestRunPastTwoSeconds(t *testing.T) {
 			t.Errorf("%s run: %v s simulated, want 2.005", c.name, c.sum.DurationSeconds)
 		}
 	}
-}
-
-// TestWarmStartSweep exercises the forked warm-start path end to end:
-// a gamma sweep over one mix forks every variant from one shared
-// unmanaged prefix, produces valid summaries, and is itself
-// deterministic (two warm sweeps agree bit for bit).
-func TestWarmStartSweep(t *testing.T) {
-	ctx := context.Background()
-	runs := []RunConfig{
-		{Mix: "MID1", Policy: "MemScale", Epochs: 2, Gamma: 0.05, Cores: 4, Channels: 2},
-		{Mix: "MID1", Policy: "MemScale", Epochs: 2, Gamma: 0.10, Cores: 4, Channels: 2},
-		{Mix: "MID1", Policy: "Static", Epochs: 2, Cores: 4, Channels: 2},
-	}
-	sc := SweepConfig{Runs: runs, WarmStart: &WarmStartConfig{PrefixEpochs: 1}}
-	sums, err := Sweep(ctx, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range sums {
-		if s.DurationSeconds <= 0 || s.Events == 0 {
-			t.Errorf("run %d: degenerate warm-started summary %+v", i, s)
-		}
-	}
-	again, err := Sweep(ctx, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sums {
-		bitdiff.Same(t, fmt.Sprintf("warm sweep run %d re-run", i), sums[i], again[i])
-	}
-
-	t.Run("prefix must fit", func(t *testing.T) {
-		_, err := Sweep(ctx, SweepConfig{Runs: runs, WarmStart: &WarmStartConfig{PrefixEpochs: 2}})
-		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "warm_start.prefix_epochs") {
-			t.Fatalf("err = %v, want ErrInvalidConfig naming warm_start.prefix_epochs", err)
-		}
-	})
-	t.Run("prefix must be positive", func(t *testing.T) {
-		_, err := Sweep(ctx, SweepConfig{Runs: runs, WarmStart: &WarmStartConfig{}})
-		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "warm_start.prefix_epochs") {
-			t.Fatalf("err = %v, want ErrInvalidConfig naming warm_start.prefix_epochs", err)
-		}
-	})
-	t.Run("empty mix is a zero group key", func(t *testing.T) {
-		bad := []RunConfig{{Policy: "MemScale", Epochs: 2}}
-		_, err := Sweep(ctx, SweepConfig{Runs: bad, WarmStart: &WarmStartConfig{PrefixEpochs: 1}})
-		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "zero warm-up group key") {
-			t.Fatalf("err = %v, want ErrInvalidConfig naming the zero group key", err)
-		}
-	})
 }
 
 // TestResumeRunCorruptReaders drives ResumeRun through every malformed

@@ -5,19 +5,16 @@ import (
 	"runtime"
 	"testing"
 
-	"memscale/internal/config"
 	"memscale/internal/racebuild"
-	"memscale/internal/runner"
 )
 
-// The guards below are deterministic: exact event counts and heap
-// allocation ceilings on the workloads of BenchmarkSingleRun,
-// BenchmarkFleet and BenchmarkForkedSweep. Without timing anything,
-// they fail when a lost coalescing fast path brings elided events
-// back, when allocations creep into the per-event path, or when a
-// warm-started sweep stops sharing its prefix. Neither test calls
-// t.Parallel: Mallocs counts the whole process. Both skip under -race,
-// which slows them about 12x.
+// The guard below is deterministic: exact event counts and heap
+// allocation ceilings on the workloads of BenchmarkSingleRun and
+// BenchmarkFleet. Without timing anything, it fails when a lost
+// coalescing fast path brings elided events back, or when allocations
+// creep into the per-event path. It does not call t.Parallel: Mallocs
+// counts the whole process. It skips under -race, which slows it about
+// 12x.
 
 // mallocs returns the heap allocations made while fn runs.
 func mallocs(fn func()) uint64 {
@@ -66,49 +63,5 @@ func TestRunBudgets(t *testing.T) {
 				t.Errorf("%d heap allocations, budget %d", n, c.maxMallocs)
 			}
 		})
-	}
-}
-
-// TestForkedSweepEvents counts the events BenchmarkForkedSweep's grid
-// simulates cold and warm-started. Warm, the shared prefix fires once
-// and each variant fires only its own epochs after it, so the ideal
-// ratio is 19/64 epochs; losing prefix sharing drags it to 1. The
-// ratio bound is the 1.8x wall-clock floor this count replaces.
-func TestForkedSweepEvents(t *testing.T) {
-	if racebuild.Enabled {
-		t.Skip("race instrumentation slows whole runs")
-	}
-	jobs := forkedSweepJobs(t)
-	ctx := context.Background()
-	eng := runner.New(runner.Options{})
-	coldOuts, errs := eng.RunEach(ctx, jobs)
-	if err := firstErr(errs); err != nil {
-		t.Fatal(err)
-	}
-	warmOuts, errs := eng.RunEachWarm(ctx, jobs, forkedSweepPrefix)
-	if err := firstErr(errs); err != nil {
-		t.Fatal(err)
-	}
-	cfg := config.Default()
-	cfg.Cores, cfg.Channels = jobs[0].Cores, jobs[0].Channels
-	snap, err := eng.WarmPrefix(ctx, cfg, jobs[0].Mix, forkedSweepPrefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := snap.Events.Fired
-
-	var cold, warm uint64
-	for i := range jobs {
-		// A forked run's count includes the prefix it restored.
-		cold += coldOuts[i].Res.Events
-		warm += warmOuts[i].Res.Events - prefix
-	}
-	warm += prefix
-	if cold != 19_515_074 || prefix != 970_311 || warm != 5_900_170 {
-		t.Errorf("cold %d, prefix %d, warm %d events; want 19515074, 970311, 5900170",
-			cold, prefix, warm)
-	}
-	if ratio := float64(warm) / float64(cold); ratio >= 1/1.8 {
-		t.Errorf("warm/cold events %.3f, want < %.3f", ratio, 1/1.8)
 	}
 }

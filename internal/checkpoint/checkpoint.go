@@ -1,8 +1,7 @@
 // Package checkpoint serializes full simulation state to a versioned
-// container, in the spirit of gem5's checkpoint-based fast-forwarding:
-// capture every stateful layer at an epoch boundary, restore it
-// bit-identically, and fork variant runs from a shared warm-up prefix
-// instead of re-simulating it.
+// container, in the spirit of gem5's checkpoints: capture every
+// stateful layer at an epoch boundary and restore it bit-identically,
+// so a long run can resume where it stopped instead of starting over.
 //
 // The container is two JSON lines: a header naming the format and its
 // schema version, then the payload. JSON keeps the format inspectable
@@ -96,8 +95,8 @@ type Meta struct {
 	// Mix is the workload mix name the streams were built from.
 	Mix string `json:"mix"`
 
-	// Policy names the governing scheme (empty for an unmanaged run —
-	// a baseline or a warm-start prefix).
+	// Policy names the scheme that wrote the container; a resume runs
+	// under it and nothing else.
 	Policy string `json:"policy,omitempty"`
 
 	// Gamma is the allowed performance degradation the run used.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"memscale/internal/checkpoint"
 	"memscale/internal/config"
@@ -16,8 +15,7 @@ import (
 	"memscale/internal/workload"
 )
 
-// This file is the engine's checkpoint plane: warm-start forking for
-// sweeps that share a simulation prefix, and checkpoint/resume for
+// This file is the engine's checkpoint plane: checkpoint/resume for
 // long-horizon runs that must survive interruption.
 
 // ErrInterrupted reports a checkpoint-driven run stopped early through
@@ -53,137 +51,6 @@ func jobConfig(job Job) (cfg, base config.Config) {
 	return cfg, base
 }
 
-// WarmPrefix simulates prefixEpochs of an unmanaged (governor-free,
-// uninstrumented) run of mix under cfg and returns the
-// snapshot at the epoch boundary. The snapshot may be forked into any
-// number of variant runs: sim.Restore copies every slice and map, so
-// parallel forks from one shared snapshot never race.
-func (e *Engine) WarmPrefix(ctx context.Context, cfg config.Config, mix workload.Mix, prefixEpochs int) (st *sim.SystemState, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			st, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-
-	if prefixEpochs <= 0 {
-		return nil, fmt.Errorf("runner: warm-start prefix epochs must be positive, got %d", prefixEpochs)
-	}
-	streams, err := mix.Streams(&cfg)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sim.New(cfg, streams, sim.Options{})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < prefixEpochs; i++ {
-		if _, err := s.StepEpoch(ctx); err != nil {
-			return nil, err
-		}
-	}
-	return s.Save()
-}
-
-// warmKey groups jobs that can legitimately share one warm-up prefix:
-// same mix, same prefix length, same post-Configure configuration with
-// gamma zeroed out (gamma steers only the governor, which the
-// unmanaged prefix does not run, so gamma-only variants share a
-// prefix — the common sweep shape).
-func warmKey(job Job, prefixEpochs int) string {
-	cfg, _ := jobConfig(job)
-	cfg.Policy.Gamma = 0
-	return fmt.Sprintf("%s|%d|%+v", job.Mix.Name, prefixEpochs, cfg)
-}
-
-// RunEachWarm is RunEach with warm-start forking: jobs sharing a warm
-// key simulate their first prefixEpochs once, then every job forks
-// from the shared snapshot and runs its remaining epochs under its own
-// governor. Results are indexed like jobs, exactly as RunEach.
-//
-// Warm-started outcomes are an approximation in the gem5
-// fast-forwarding tradition: the managed run's governor only steers
-// the post-prefix epochs, so the result is not bit-identical to a cold
-// managed run of the same job (use RunWithCheckpoint/Resume when exact
-// equivalence is required). The baseline pairing is unaffected — it is
-// still the memoized cold unmanaged run of the full length.
-func (e *Engine) RunEachWarm(ctx context.Context, jobs []Job, prefixEpochs int) ([]Outcome, []error) {
-	if prefixEpochs <= 0 {
-		return e.RunEach(ctx, jobs)
-	}
-
-	// Group jobs by warm key, keeping the first-seen order deterministic.
-	type group struct {
-		job  Job // representative: supplies cfg and mix for the prefix
-		jobs []int
-	}
-	groups := map[string]*group{}
-	var order []string
-	preErr := make([]error, len(jobs))
-	for i, job := range jobs {
-		if job.Epochs <= prefixEpochs {
-			preErr[i] = fmt.Errorf("runner: job epochs (%d) must exceed warm-start prefix epochs (%d)", job.Epochs, prefixEpochs)
-			continue
-		}
-		if job.Warm != nil {
-			preErr[i] = errors.New("runner: warm-start job already carries a snapshot")
-			continue
-		}
-		key := warmKey(job, prefixEpochs)
-		g := groups[key]
-		if g == nil {
-			g = &group{job: job}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.jobs = append(g.jobs, i)
-	}
-
-	// Phase 1: one unmanaged prefix per group, in parallel.
-	snaps := make([]*sim.SystemState, len(order))
-	snapErrs := ForEach(ctx, e.workers, len(order), func(ctx context.Context, gi int) error {
-		g := groups[order[gi]]
-		cfg, _ := jobConfig(g.job)
-		snap, err := e.WarmPrefix(ctx, cfg, g.job.Mix, prefixEpochs)
-		snaps[gi] = snap
-		return err
-	}, nil)
-
-	warmed := make([]Job, len(jobs))
-	copy(warmed, jobs)
-	for gi, key := range order {
-		g := groups[key]
-		for _, i := range g.jobs {
-			if snapErrs[gi] != nil {
-				preErr[i] = fmt.Errorf("runner: warm-start prefix: %w", snapErrs[gi])
-				continue
-			}
-			warmed[i].Warm = snaps[gi]
-		}
-	}
-
-	// Phase 2: every job forks from its snapshot (or reports its
-	// validation/prefix error) on the same worker pool.
-	outs := make([]Outcome, len(jobs))
-	var onDone func(done, i int, err error)
-	if e.onResult != nil {
-		onDone = func(done, i int, err error) {
-			e.onResult(Progress{
-				Done: done, Total: len(jobs), Index: i,
-				Job: jobs[i], Outcome: outs[i], Err: err,
-			})
-		}
-	}
-	errs := ForEach(ctx, e.workers, len(jobs), func(ctx context.Context, i int) error {
-		if preErr[i] != nil {
-			return preErr[i]
-		}
-		var err error
-		outs[i], err = e.Run(ctx, warmed[i])
-		return err
-	}, onDone)
-	return outs, errs
-}
-
 // RunWithCheckpoint is Run with a mid-flight snapshot: the managed run
 // executes epoch by epoch, captures its full state after ckEpoch
 // epochs, and continues to job.Epochs. The returned checkpoint carries
@@ -206,9 +73,6 @@ func (e *Engine) RunWithCheckpoint(ctx context.Context, job Job, ckEpoch int) (o
 	}
 	if ckEpoch <= 0 || ckEpoch > job.Epochs {
 		return Outcome{}, nil, fmt.Errorf("runner: checkpoint epoch %d outside run length [1,%d]", ckEpoch, job.Epochs)
-	}
-	if job.Warm != nil {
-		return Outcome{}, nil, errors.New("runner: checkpointing a warm-started job is not supported")
 	}
 	cfg, baseCfg := jobConfig(job)
 	p := &pairing{job: job, cfg: cfg, base: e.cache.claim(baseCfg, job.Mix, job.Epochs), ckEpoch: ckEpoch}
@@ -279,19 +143,20 @@ type ResumeJob struct {
 	// checkpoint's completed epoch count.
 	Epochs int
 
-	// Timeline, Telemetry, and Timeout mirror the Job fields: they
-	// instrument the resumed portion and bound its host wall-clock
-	// time.
+	// Timeline and Telemetry mirror the Job fields: they instrument
+	// the resumed portion.
 	Timeline  bool
 	Telemetry *telemetry.Options
-	Timeout   time.Duration
 }
 
 // Resume continues a checkpointed run to rj.Epochs total epochs and
 // pairs it against the cold unmanaged baseline of the full length,
 // exactly as the original run would have been. A resumed run's result
-// is bit-identical to the uninterrupted run of the same job (same
-// governor, same configuration).
+// is bit-identical to the uninterrupted run of the same job. The
+// container must resume under the policy that wrote it: a meta policy
+// whose Configure hook does not turn the baseline configuration into
+// the managed one, or whose governor differs from the saved state's,
+// fails with sim.ErrStateMismatch.
 func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -328,34 +193,28 @@ func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err err
 			return Outcome{}, fmt.Errorf("runner: resume: %w", err)
 		}
 	}
+	// ck.Config is already post-Configure, so the hook must not run
+	// again; it must, though, be the hook that produced ck.Config.
+	cfg := ck.Base
+	if spec.Configure != nil {
+		spec.Configure(&cfg)
+	}
+	if cfg != ck.Config {
+		return Outcome{}, fmt.Errorf("runner: resume: %w: checkpoint configuration is not policy %q's",
+			sim.ErrStateMismatch, ck.Meta.Policy)
+	}
 
 	// The checkpoint fixes the rest-of-system power, so the resumed run
-	// needs nothing from the baseline until the pairing. ck.Config is
-	// already post-Configure; the spec's Configure hook must not run
-	// again.
+	// needs nothing from the baseline until the pairing.
 	job := Job{
 		Mix: mix, Spec: spec, Epochs: rj.Epochs,
-		Timeline: rj.Timeline, Telemetry: rj.Telemetry, Timeout: rj.Timeout,
-		Warm: ck.State,
+		Timeline: rj.Timeline, Telemetry: rj.Telemetry,
 	}
 	p := &pairing{
 		job: job, cfg: ck.Config, base: e.cache.claim(ck.Base, mix, rj.Epochs),
-		nonMem: ck.Meta.NonMem, known: true,
+		restore: ck.State, nonMem: ck.Meta.NonMem, known: true,
 	}
 	defer p.base.release()
 	r, err := e.pair(ctx, p)
 	return r.out, err
-}
-
-// WarmGroups reports how many distinct warm-up prefixes a job set
-// would simulate under RunEachWarm — the sweep-planning counterpart to
-// BaselineCache.Stats.
-func WarmGroups(jobs []Job, prefixEpochs int) int {
-	keys := map[string]struct{}{}
-	for _, job := range jobs {
-		if job.Epochs > prefixEpochs {
-			keys[warmKey(job, prefixEpochs)] = struct{}{}
-		}
-	}
-	return len(keys)
 }

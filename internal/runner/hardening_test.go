@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"memscale/internal/config"
 	"memscale/internal/policies"
@@ -86,33 +85,5 @@ func TestInjectedPanicIsolatedFromBatch(t *testing.T) {
 		if outs[i].Res.Duration <= 0 {
 			t.Errorf("job %d has no result despite nil error", i)
 		}
-	}
-}
-
-func TestJobWatchdogTimeout(t *testing.T) {
-	job := smallJob(t, "ILP2", policies.FastPD)
-	job.Timeout = time.Nanosecond
-	eng := New(Options{Workers: 1})
-	_, err := eng.Run(context.Background(), job)
-	if !errors.Is(err, ErrJobTimeout) {
-		t.Fatalf("err = %v, want ErrJobTimeout", err)
-	}
-
-	// The engine-level default applies when the job sets none.
-	eng = New(Options{Workers: 1, JobTimeout: time.Nanosecond})
-	_, err = eng.Run(context.Background(), smallJob(t, "ILP2", policies.FastPD))
-	if !errors.Is(err, ErrJobTimeout) {
-		t.Fatalf("engine default watchdog: err = %v, want ErrJobTimeout", err)
-	}
-}
-
-func TestParentCancellationIsNotATimeout(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	job := smallJob(t, "ILP2", policies.FastPD)
-	job.Timeout = time.Minute
-	_, err := New(Options{Workers: 1}).Run(ctx, job)
-	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrJobTimeout) {
-		t.Fatalf("err = %v, want context.Canceled and not ErrJobTimeout", err)
 	}
 }

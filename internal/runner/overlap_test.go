@@ -161,8 +161,8 @@ func settled(t *testing.T, want int) {
 }
 
 // TestOverlapLifecycle: no goroutine Run, RunWithCheckpoint or Resume
-// starts outlives the call, cancellation during either simulation
-// returns promptly, and the watchdog still reports ErrJobTimeout.
+// starts outlives the call, and cancellation during either simulation
+// returns promptly.
 func TestOverlapLifecycle(t *testing.T) {
 	ctx := context.Background()
 	before := runtime.NumGoroutine()
@@ -207,11 +207,4 @@ func TestOverlapLifecycle(t *testing.T) {
 		}
 		settled(t, before)
 	}
-
-	j := long(policies.MemScale)
-	j.Timeout = 50 * time.Millisecond
-	if _, err := New(Options{Workers: 1}).Run(ctx, j); !errors.Is(err, ErrJobTimeout) {
-		t.Fatalf("err = %v, want ErrJobTimeout", err)
-	}
-	settled(t, before)
 }

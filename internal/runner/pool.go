@@ -22,9 +22,8 @@ import (
 //     yet started record ctx.Err() without invoking fn.
 //   - Serialized completion callback: onDone (when non-nil) is invoked
 //     once per finished index, in completion order, from one goroutine
-//     at a time, with done counting finishes so far. Watchdog
-//     deadlines belong inside fn (wrap ctx with a timeout there); the
-//     pool itself never abandons a running fn.
+//     at a time, with done counting finishes so far. The pool never
+//     abandons a running fn.
 //
 // Determinism note: fn writes results into caller-owned, index-slotted
 // storage, so outputs are positionally identical on any worker count;

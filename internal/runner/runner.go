@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
-	"time"
 
 	"memscale/internal/config"
 	"memscale/internal/core"
@@ -35,18 +34,11 @@ import (
 	"memscale/internal/workload"
 )
 
-// Sentinel errors, matched with errors.Is.
-var (
-	// ErrRunPanicked marks a job whose simulation panicked. The worker
-	// recovered, so one poisoned job never takes down the batch; the
-	// concrete error is a *PanicError carrying the value and stack.
-	ErrRunPanicked = errors.New("run panicked")
-
-	// ErrJobTimeout marks a job that exceeded its watchdog deadline
-	// (Job.Timeout or Options.JobTimeout) while the surrounding batch
-	// was still live.
-	ErrJobTimeout = errors.New("job deadline exceeded")
-)
+// ErrRunPanicked marks a job whose simulation panicked, matched with
+// errors.Is. The worker recovered, so one poisoned job never takes
+// down the batch; the concrete error is a *PanicError carrying the
+// value and stack.
+var ErrRunPanicked = errors.New("run panicked")
 
 // PanicError is the error a recovered job panic is reported as. It
 // unwraps to ErrRunPanicked.
@@ -90,19 +82,6 @@ type Job struct {
 	// baseline run is never instrumented: it is memoized and shared
 	// across jobs.
 	Telemetry *telemetry.Options
-
-	// Timeout, when positive, is this job's watchdog deadline in host
-	// wall-clock time; zero falls back to Options.JobTimeout. A job
-	// that overruns fails with ErrJobTimeout without disturbing the
-	// rest of the batch.
-	Timeout time.Duration
-
-	// Warm, when non-nil, is an unmanaged warm-up snapshot the managed
-	// run forks from instead of simulating the shared prefix itself
-	// (see Engine.WarmPrefix and RunEachWarm). Epochs still counts the
-	// total run length including the prefix. The baseline pairing is
-	// unchanged: it is the cold unmanaged run of the full length.
-	Warm *sim.SystemState
 
 	// Interrupt, when non-nil, is a soft-stop signal honored by
 	// checkpoint-driven runs (RunWithCheckpoint): once it fires the run
@@ -221,10 +200,6 @@ type Options struct {
 	// engines; nil creates a private cache.
 	Cache *BaselineCache
 
-	// JobTimeout, when positive, is the default per-job watchdog
-	// deadline (host wall-clock); Job.Timeout overrides it per job.
-	JobTimeout time.Duration
-
 	// OnResult, when non-nil, is invoked after every finished batch
 	// job (successful or not).
 	OnResult func(Progress)
@@ -233,10 +208,9 @@ type Options struct {
 // Engine executes jobs on a worker pool with shared baseline
 // memoization. An Engine is safe for concurrent use.
 type Engine struct {
-	workers    int
-	cache      *BaselineCache
-	jobTimeout time.Duration
-	onResult   func(Progress)
+	workers  int
+	cache    *BaselineCache
+	onResult func(Progress)
 
 	// speculation, when non-nil, replaces core.NewSpeculation(resolved,
 	// nil) for speculative attempts; tests use it to hold the baseline
@@ -262,11 +236,8 @@ func New(opts Options) *Engine {
 	if cache == nil {
 		cache = NewBaselineCache()
 	}
-	return &Engine{workers: w, cache: cache, jobTimeout: opts.JobTimeout, onResult: opts.OnResult}
+	return &Engine{workers: w, cache: cache, onResult: opts.OnResult}
 }
-
-// Workers returns the engine's concurrency bound.
-func (e *Engine) Workers() int { return e.workers }
 
 // Cache returns the engine's baseline cache.
 func (e *Engine) Cache() *BaselineCache { return e.cache }
@@ -318,6 +289,10 @@ type pairing struct {
 	cfg     config.Config // the managed run's configuration
 	base    *baselineClaim
 	ckEpoch int // > 0: capture the managed state after this many epochs
+
+	// restore, when non-nil, is the checkpointed state the managed run
+	// resumes from instead of booting cold (Resume).
+	restore *sim.SystemState
 
 	// nonMem is the rest-of-system power the managed run uses, once
 	// known: the baseline's calibration, or a checkpoint's.
@@ -407,7 +382,7 @@ func (e *Engine) attempt(ctx context.Context, p *pairing) (attemptResult, error)
 		return spec.Speculative(cfg, sp)
 	})
 	// A cancelled attempt has nothing to confirm.
-	if ctx.Err() != nil || errors.Is(err, ErrJobTimeout) || sp.Guesses() == 0 {
+	if ctx.Err() != nil || sp.Guesses() == 0 {
 		return r, err
 	}
 	if perr := p.resolve(ctx); perr != nil {
@@ -421,23 +396,12 @@ func (e *Engine) attempt(ctx context.Context, p *pairing) (attemptResult, error)
 	return e.simulate(ctx, p, calibrated)
 }
 
-// simulate executes one managed attempt under the job's watchdog
-// deadline, with a fresh governor (built by gov), recorder, and trace
-// streams — all are stateful and must not leak across attempts. The run's rest-of-system power is left at zero; finish
-// accounts it once it is known.
+// simulate executes one managed attempt with a fresh governor (built
+// by gov), recorder, and trace streams — all are stateful and must not
+// leak across attempts. The run's rest-of-system power is left at
+// zero; finish accounts it once it is known.
 func (e *Engine) simulate(ctx context.Context, p *pairing, gov func(*config.Config) sim.Governor) (attemptResult, error) {
 	job, cfg := p.job, p.cfg
-	timeout := job.Timeout
-	if timeout <= 0 {
-		timeout = e.jobTimeout
-	}
-	parent := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
 	var r attemptResult
 	streams, err := job.Mix.Streams(&cfg)
 	if err != nil {
@@ -454,11 +418,8 @@ func (e *Engine) simulate(ctx context.Context, p *pairing, gov func(*config.Conf
 		opts.Telemetry = r.rec
 	}
 	var s *sim.System
-	if job.Warm != nil {
-		// Fork from the snapshot instead of simulating the prefix: the
-		// restored system resumes at the snapshot's epoch boundary with
-		// a fresh governor.
-		s, err = sim.Restore(cfg, streams, opts, job.Warm)
+	if p.restore != nil {
+		s, err = sim.Restore(cfg, streams, opts, p.restore)
 	} else {
 		s, err = sim.New(cfg, streams, opts)
 	}
@@ -473,9 +434,6 @@ func (e *Engine) simulate(ctx context.Context, p *pairing, gov func(*config.Conf
 		res, err = s.RunForContext(ctx, target)
 	}
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-			return r, fmt.Errorf("runner: job exceeded %v watchdog: %w", timeout, ErrJobTimeout)
-		}
 		return r, err
 	}
 	r.out = Outcome{Res: res}

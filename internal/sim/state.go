@@ -68,8 +68,8 @@ type SystemState struct {
 
 	// GovernorName records who governed the saved run (empty for the
 	// unmanaged baseline); GovernorState its serialized state when the
-	// governor is stateful. A managed checkpoint must be restored under
-	// a same-named governor; an unmanaged one may fork into any.
+	// governor is stateful. A checkpoint restores only under a governor
+	// of the same name, or under none when it names none.
 	GovernorName  string          `json:"governor_name,omitempty"`
 	GovernorState json.RawMessage `json:"governor_state,omitempty"`
 }
@@ -143,10 +143,10 @@ func (s *System) Save() (*SystemState, error) {
 
 // Restore builds a system from cfg/streams/opts — exactly as New would
 // — and loads st into it. The configuration must describe the same
-// machine the state was saved from (geometry mismatches are rejected);
-// the governor in opts may differ only when the checkpoint was taken
-// from an unmanaged run (warm-start forking), otherwise it must carry
-// the same name and, for stateful governors, accepts the saved state.
+// machine the state was saved from (geometry mismatches are rejected),
+// and the governor in opts must carry the name the state records (no
+// governor for an unmanaged checkpoint) and, when stateful, accept the
+// saved state.
 func Restore(cfg config.Config, streams []*trace.Stream, opts Options, st *SystemState) (*System, error) {
 	s, err := New(cfg, streams, opts)
 	if err != nil {
@@ -168,16 +168,18 @@ func (s *System) load(st *SystemState) error {
 	if len(st.LastInstr) != len(s.Cores) {
 		return fmt.Errorf("sim: state instruction baseline sized for %d cores, system has %d", len(st.LastInstr), len(s.Cores))
 	}
+	// A checkpoint resumes only under the governor that produced it.
+	name := ""
+	if s.opts.Governor != nil {
+		name = s.opts.Governor.Name()
+	}
+	if name != st.GovernorName {
+		return fmt.Errorf("sim: checkpoint was governed by %q, restore target runs %q", st.GovernorName, name)
+	}
 	if st.GovernorState != nil {
-		// A managed checkpoint resumes only under the governor that
-		// produced it.
 		sg, ok := s.opts.Governor.(StatefulGovernor)
-		if !ok || s.opts.Governor.Name() != st.GovernorName {
-			name := "<none>"
-			if s.opts.Governor != nil {
-				name = s.opts.Governor.Name()
-			}
-			return fmt.Errorf("sim: checkpoint was governed by %q, restore target runs %q without its state", st.GovernorName, name)
+		if !ok {
+			return fmt.Errorf("sim: governor %q cannot load its saved state", name)
 		}
 		if err := sg.LoadGovernorState(st.GovernorState); err != nil {
 			return err

@@ -68,10 +68,6 @@ var (
 	// (*runner.PanicError).
 	ErrRunPanicked = runner.ErrRunPanicked
 
-	// ErrJobTimeout reports a run that exceeded its watchdog deadline
-	// (SweepConfig.JobTimeout).
-	ErrJobTimeout = runner.ErrJobTimeout
-
 	// ErrInvariant reports a runtime invariant violation: one of the
 	// always-on self-checks (energy conservation, residency accounting,
 	// slack ledger bounds, cap-within-budget) found simulator state
@@ -139,19 +135,16 @@ type RunConfig struct {
 type TelemetryConfig struct {
 	// Events enables the event stream (frequency transitions, powerdown
 	// entry/exit, refreshes, slack updates, governor decisions).
+	// The recorder retains the newest 4096 events and reports how many
+	// older ones it dropped on the export.
 	Events bool
-
-	// EventRingSize bounds the retained event buffer (default 4096;
-	// oldest events are dropped beyond it, with the drop count
-	// reported on the export).
-	EventRingSize int
 }
 
 func (tc *TelemetryConfig) options() *telemetry.Options {
 	if tc == nil {
 		return nil
 	}
-	return &telemetry.Options{Events: tc.Events, RingSize: tc.EventRingSize}
+	return &telemetry.Options{Events: tc.Events}
 }
 
 // Validate rejects degenerate scaling values up front, before any

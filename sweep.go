@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"memscale/internal/runner"
 )
@@ -24,36 +23,6 @@ type SweepConfig struct {
 	// Progress, when non-nil, is invoked once per finished job, in
 	// completion order, from one goroutine at a time.
 	Progress func(SweepProgress)
-
-	// JobTimeout, when positive, is a per-job watchdog deadline in
-	// host wall-clock time: a run that overruns it fails with
-	// ErrJobTimeout at its index while the rest of the sweep keeps
-	// going. Zero disables the watchdog (ctx still cancels the whole
-	// sweep).
-	JobTimeout time.Duration
-
-	// WarmStart, when non-nil, forks the grid from shared warm-up
-	// prefixes instead of simulating every run from epoch zero: runs
-	// with the same mix and machine shape simulate their first
-	// PrefixEpochs once (unmanaged — no governor or telemetry), then each variant restores the snapshot and runs its
-	// own policy over the remaining epochs. A gamma or policy sweep
-	// over one mix pays for its warm-up once instead of once per
-	// variant.
-	//
-	// Warm-started summaries are an approximation in the gem5
-	// fast-forwarding tradition: the governor only steers the
-	// post-prefix epochs, so results are not bit-identical to the cold
-	// sweep (use CheckpointRun/ResumeRun when exact equivalence is
-	// required). Baselines are unaffected — each run still pairs
-	// against the cold unmanaged baseline of its full length.
-	WarmStart *WarmStartConfig
-}
-
-// WarmStartConfig configures warm-start forking for a sweep.
-type WarmStartConfig struct {
-	// PrefixEpochs is the shared warm-up length in OS quanta; it must
-	// be positive and smaller than every run's epoch count.
-	PrefixEpochs int
 }
 
 // SweepProgress reports one finished sweep job.
@@ -114,10 +83,6 @@ func Sweep(ctx context.Context, sc SweepConfig) ([]RunSummary, error) {
 		return nil, fmt.Errorf("%w: runs: sweep has no runs (Grid over empty mixes or policies produces none)",
 			ErrInvalidConfig)
 	}
-	if sc.WarmStart != nil && sc.WarmStart.PrefixEpochs <= 0 {
-		return nil, fmt.Errorf("%w: warm_start.prefix_epochs: must be positive, got %d",
-			ErrInvalidConfig, sc.WarmStart.PrefixEpochs)
-	}
 	sums := make([]RunSummary, len(sc.Runs))
 	errs := make([]error, len(sc.Runs))
 
@@ -129,21 +94,6 @@ func Sweep(ctx context.Context, sc SweepConfig) ([]RunSummary, error) {
 		if err := rc.Validate(); err != nil {
 			errs[i] = err
 			continue
-		}
-		if sc.WarmStart != nil {
-			// Warm-start groups are keyed by mix and machine shape; an
-			// empty mix name would produce a meaningless zero group key
-			// (and fail mix resolution below with a less precise error).
-			if rc.Mix == "" {
-				errs[i] = fmt.Errorf("%w: mix: warm-start sweep requires a mix name (empty mix yields a zero warm-up group key)",
-					ErrInvalidConfig)
-				continue
-			}
-			if epochs := rc.withDefaults().Epochs; sc.WarmStart.PrefixEpochs >= epochs {
-				errs[i] = fmt.Errorf("%w: warm_start.prefix_epochs: must be smaller than the run's %d epochs, got %d",
-					ErrInvalidConfig, epochs, sc.WarmStart.PrefixEpochs)
-				continue
-			}
 		}
 		job, err := rc.withDefaults().job()
 		if err != nil {
@@ -183,14 +133,8 @@ func Sweep(ctx context.Context, sc SweepConfig) ([]RunSummary, error) {
 		}
 	}
 
-	eng := runner.New(runner.Options{Workers: sc.Workers, JobTimeout: sc.JobTimeout, OnResult: onResult})
-	var outs []runner.Outcome
-	var runErrs []error
-	if sc.WarmStart != nil {
-		outs, runErrs = eng.RunEachWarm(ctx, jobs, sc.WarmStart.PrefixEpochs)
-	} else {
-		outs, runErrs = eng.RunEach(ctx, jobs)
-	}
+	eng := runner.New(runner.Options{Workers: sc.Workers, OnResult: onResult})
+	outs, runErrs := eng.RunEach(ctx, jobs)
 	for k, out := range outs {
 		i := jobIdx[k]
 		if runErrs[k] != nil {

@@ -109,54 +109,25 @@ func TestValidateMatchesRunContext(t *testing.T) {
 	}
 }
 
-// TestWarmStartValidateFieldPaths extends the field-path contract to
-// the checkpoint/warm-start knobs: every rejection wraps
-// ErrInvalidConfig and names the offending field before any
-// simulation runs.
-func TestWarmStartValidateFieldPaths(t *testing.T) {
-	ctx := context.Background()
-	runs := []RunConfig{{Mix: "MID1", Policy: "MemScale", Epochs: 2}}
-	cases := []struct {
-		name string
-		call func() error
-		path string
+// TestCheckpointValidateFieldPaths extends the field-path contract to
+// the checkpoint knob: every rejection wraps ErrInvalidConfig and
+// names the offending field before any simulation runs.
+func TestCheckpointValidateFieldPaths(t *testing.T) {
+	rc := RunConfig{Mix: "MID1", Policy: "MemScale", Epochs: 2}
+	for _, tc := range []struct {
+		name    string
+		atEpoch int
 	}{
-		{"zero warm-start prefix", func() error {
-			_, err := Sweep(ctx, SweepConfig{Runs: runs, WarmStart: &WarmStartConfig{}})
-			return err
-		}, "warm_start.prefix_epochs"},
-		{"negative warm-start prefix", func() error {
-			_, err := Sweep(ctx, SweepConfig{Runs: runs, WarmStart: &WarmStartConfig{PrefixEpochs: -3}})
-			return err
-		}, "warm_start.prefix_epochs"},
-		{"prefix not smaller than epochs", func() error {
-			_, err := Sweep(ctx, SweepConfig{Runs: runs, WarmStart: &WarmStartConfig{PrefixEpochs: 2}})
-			return err
-		}, "warm_start.prefix_epochs"},
-		{"empty mix zero group key", func() error {
-			_, err := Sweep(ctx, SweepConfig{
-				Runs:      []RunConfig{{Policy: "MemScale", Epochs: 2}},
-				WarmStart: &WarmStartConfig{PrefixEpochs: 1},
-			})
-			return err
-		}, "zero warm-up group key"},
-		{"checkpoint epoch beyond run", func() error {
-			_, err := CheckpointRun(ctx, runs[0], 99, io.Discard)
-			return err
-		}, "checkpoint.at_epoch"},
-		{"negative checkpoint epoch", func() error {
-			_, err := CheckpointRun(ctx, runs[0], -1, io.Discard)
-			return err
-		}, "checkpoint.at_epoch"},
-	}
-	for _, tc := range cases {
+		{"checkpoint epoch beyond run", 99},
+		{"negative checkpoint epoch", -1},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.call()
+			_, err := CheckpointRun(context.Background(), rc, tc.atEpoch, io.Discard)
 			if !errors.Is(err, ErrInvalidConfig) {
 				t.Fatalf("err = %v, want ErrInvalidConfig", err)
 			}
-			if !strings.Contains(err.Error(), tc.path) {
-				t.Errorf("error %q does not name %q", err, tc.path)
+			if !strings.Contains(err.Error(), "checkpoint.at_epoch") {
+				t.Errorf("error %q does not name checkpoint.at_epoch", err)
 			}
 		})
 	}

@@ -144,14 +144,6 @@ func BenchmarkSensitivityExtra(b *testing.B) {
 	benchSensitivity(b, func(p exp.Params) (exp.Report, error) { return p.SensitivityExtra() })
 }
 
-func BenchmarkAblations(b *testing.B) {
-	benchSensitivity(b, func(p exp.Params) (exp.Report, error) { return p.Ablations() })
-}
-
-func BenchmarkFutureWorkPerChannel(b *testing.B) {
-	benchSensitivity(b, func(p exp.Params) (exp.Report, error) { return p.FutureWork() })
-}
-
 // singleRunConfig is the memory-bound epoch pair behind
 // BenchmarkSingleRun and TestRunBudgets.
 var singleRunConfig = RunConfig{Mix: "MEM1", Policy: "MemScale", Epochs: 1}

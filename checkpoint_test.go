@@ -217,7 +217,8 @@ func TestRunPastTwoSeconds(t *testing.T) {
 
 // TestResumeRunCorruptReaders drives ResumeRun through every malformed
 // container shape a crash can leave on disk — truncated mid-payload,
-// header-only, bit-flipped payload bytes — asserting the typed failure
+// header-only, bit-flipped payload bytes — and a CRC-valid container
+// whose rest-of-system power is not positive, asserting the typed failure
 // contract: ErrCorruptCheckpoint or a *CheckpointSchemaVersionError,
 // never a panic, never a silent success.
 func TestResumeRunCorruptReaders(t *testing.T) {
@@ -273,6 +274,21 @@ func TestResumeRunCorruptReaders(t *testing.T) {
 		_, err := ResumeRun(ctx, strings.NewReader(""), 4)
 		if !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
+		}
+	})
+	t.Run("non-positive rest-of-system power", func(t *testing.T) {
+		// A CRC-valid container whose calibrated power is zero or
+		// negative would give the resumed run a rest-of-system energy
+		// of zero or below.
+		field := regexp.MustCompile(`"non_mem_w":[^,}]+`).Find(data)
+		if field == nil {
+			t.Fatal("non_mem_w not found in container")
+		}
+		for _, w := range []string{"0", "-20.5"} {
+			bad := tamper(t, data, string(field), `"non_mem_w":`+w)
+			if _, err := ResumeRun(ctx, bytes.NewReader(bad), 4); !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Errorf("non_mem_w %s: err = %v, want ErrCorruptCheckpoint", w, err)
+			}
 		}
 	})
 }

@@ -10,12 +10,12 @@
 //	               [-quiet]
 //
 // The default scale (10 quanta = 50 ms simulated per run) reproduces
-// the paper's trends. `-experiment all` took 9m23s of wall time and
-// 16 CPU-minutes at the default 10 epochs, and 3m54s at -epochs 4, on
-// a 2-vCPU Xeon host. The experiment grids are embarrassingly
-// parallel, so the sweep engine spreads the runs over the worker count
-// (default GOMAXPROCS). Raise -epochs for tighter numbers. Ctrl-C
-// cancels the in-flight simulations promptly.
+// the paper's trends. `-experiment all` took 8m02s of wall time and
+// 14 CPU-minutes at the default 10 epochs, and 3m15s at -epochs 4, on
+// a 2-vCPU Intel Xeon host (Go 1.24). The experiment grids are
+// embarrassingly parallel, so the sweep engine spreads the runs over
+// the worker count (default GOMAXPROCS). Raise -epochs for tighter
+// numbers. Ctrl-C cancels the in-flight simulations promptly.
 package main
 
 import (

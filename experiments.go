@@ -94,8 +94,6 @@ func experimentRunners(p exp.Params) map[string]func() ([]exp.Report, error) {
 		"figure14":          one(p.Figure14),
 		"figure15":          one(p.Figure15),
 		"sensitivity-extra": one(p.SensitivityExtra),
-		"ablations":         one(p.Ablations),
-		"futurework":        one(p.FutureWork),
 		"class-summaries": func() ([]exp.Report, error) {
 			var out []exp.Report
 			for _, c := range []workload.Class{workload.ClassILP, workload.ClassMID, workload.ClassMEM} {
@@ -114,7 +112,7 @@ func experimentRunners(p exp.Params) map[string]func() ([]exp.Report, error) {
 var experimentOrder = []string{
 	"table1", "table2", "figure2", "figure5+6", "figure7", "figure8",
 	"figure9-11", "figure12", "figure13", "figure14", "figure15",
-	"sensitivity-extra", "ablations", "futurework", "class-summaries",
+	"sensitivity-extra", "class-summaries",
 }
 
 // Experiments lists the available experiment IDs in presentation

@@ -102,7 +102,10 @@ type Meta struct {
 	// Gamma is the allowed performance degradation the run used.
 	Gamma float64 `json:"gamma,omitempty"`
 
-	// NonMem is the calibrated rest-of-system power (watts).
+	// NonMem is the calibrated rest-of-system power (watts). Decode
+	// rejects a value that is not positive. A positive value that
+	// differs from the calibration still resumes: the container does
+	// not record which baseline calibrated it.
 	NonMem float64 `json:"non_mem_w"`
 
 	// Epochs is the number of OS epochs completed at the snapshot.
@@ -147,8 +150,9 @@ func Encode(w io.Writer, ck *Checkpoint) error {
 }
 
 // Decode parses a container written by Encode. Corrupted or truncated
-// bytes yield an error wrapping ErrCorruptCheckpoint; a container from
-// an incompatible schema major version yields a *SchemaVersionError;
+// bytes and a meta non_mem_w that is not positive yield an error
+// wrapping ErrCorruptCheckpoint; a container from an incompatible
+// schema major version yields a *SchemaVersionError;
 // a container from a fault-injected run yields an error wrapping
 // sim.ErrStateMismatch. Decode never panics, whatever the input.
 func Decode(r io.Reader) (*Checkpoint, error) {
@@ -202,6 +206,12 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 	ck.Meta = payload.Meta.Meta
 	if ck.State == nil {
 		return nil, fmt.Errorf("%w: payload carries no state", ErrCorruptCheckpoint)
+	}
+	// Every writer calibrates NonMem from a baseline's positive DIMM
+	// power, and a resume accounts the run's rest-of-system energy at it.
+	// (JSON carries no NaN or infinity.)
+	if ck.Meta.NonMem <= 0 {
+		return nil, fmt.Errorf("%w: meta non_mem_w %g is not a positive power", ErrCorruptCheckpoint, ck.Meta.NonMem)
 	}
 	return ck, nil
 }

@@ -22,11 +22,6 @@ type PerfModel struct {
 	cfg     *config.Config
 	timings map[config.FreqMHz]dram.Resolved
 
-	// noQueue disables the xi_bank/xi_bus contention terms (the
-	// AblateQueueModel variant): the model then assumes every access
-	// pays bare service time.
-	noQueue bool
-
 	// Per-window derived quantities.
 	XiBank  float64 // 1 + BTO/BTC: bank queue factor including self
 	XiBus   float64 // 1 + CTO/CTC: bus queue factor including self
@@ -70,12 +65,8 @@ func (m *PerfModel) deviceTime(c memctrl.Counters, at dram.Resolved) config.Time
 // memory time.
 func (m *PerfModel) Fit(p sim.Profile) {
 	c := p.Counters
-	if m.noQueue {
-		m.XiBank, m.XiBus = 1, 1
-	} else {
-		m.XiBank = 1 + c.BankQueueDepth()
-		m.XiBus = 1 + c.ChannelQueueDepth()
-	}
+	m.XiBank = 1 + c.BankQueueDepth()
+	m.XiBus = 1 + c.ChannelQueueDepth()
 	m.FitFreq = p.BusFreq
 	at := m.timings[p.BusFreq]
 	m.TDevice = m.deviceTime(c, at)

@@ -5,10 +5,10 @@
 // scheduling, the Section 3.1 performance counters, and the
 // PLL/DLL-relock frequency-switching mechanism that MemScale adds.
 //
-// Frequencies are tracked per channel: the paper's base scheme always
-// drives all channels together (SetBusFrequency), while the Section 6
-// future-work extension can relock channels independently
-// (SetChannelFrequency). The MC clock follows the fastest channel.
+// Every frequency switch drives all channels together (SetBusFrequency),
+// as in the paper's scheme. Each channel keeps its own timing and relock
+// window, which open and close together; the MC clock follows the
+// fastest channel.
 package memctrl
 
 import (
@@ -270,16 +270,9 @@ func (c *Controller) Start() {
 	}
 }
 
-// BusFreq returns channel 0's bus frequency — the system frequency
-// when all channels scale together, as in the paper's base scheme.
+// BusFreq returns the bus frequency every channel runs at (read from
+// channel 0).
 func (c *Controller) BusFreq() config.FreqMHz { return c.channels[0].timing.BusFreq }
-
-// ChannelFreq returns one channel's bus frequency.
-func (c *Controller) ChannelFreq(ch int) config.FreqMHz { return c.channels[ch].timing.BusFreq }
-
-// MCBusFreq returns the bus frequency that currently sets the MC
-// clock (the fastest channel).
-func (c *Controller) MCBusFreq() config.FreqMHz { return c.mcBusFreq }
 
 // DevFreq returns channel 0's DRAM device frequency.
 func (c *Controller) DevFreq() config.FreqMHz { return c.channels[0].timing.DevFreq }
@@ -976,17 +969,16 @@ func (c *Controller) RelockPenalty(f config.FreqMHz) config.Time {
 func (c *Controller) SetBusFrequency(now config.Time, f config.FreqMHz) config.Time {
 	applied := now
 	for ch := range c.channels {
-		if at := c.SetChannelFrequency(now, ch, f); at > applied {
+		if at := c.relockChannel(now, ch, f); at > applied {
 			applied = at
 		}
 	}
 	return applied
 }
 
-// SetChannelFrequency relocks a single channel to bus frequency f (the
-// Section 6 future-work mechanism). Requirements are as for
-// SetBusFrequency. Returns when the channel resumes.
-func (c *Controller) SetChannelFrequency(now config.Time, chIdx int, f config.FreqMHz) config.Time {
+// relockChannel starts one channel's share of a SetBusFrequency switch
+// and returns when that channel resumes.
+func (c *Controller) relockChannel(now config.Time, chIdx int, f config.FreqMHz) config.Time {
 	if !config.ValidBusFrequency(f) {
 		panic(fmt.Sprintf("memctrl: invalid bus frequency %v", f))
 	}

@@ -28,10 +28,10 @@ type Counters struct {
 	Reads, Writebacks uint64
 
 	// PerChannel replicates the queueing and row-buffer counters at
-	// channel granularity. The paper's base scheme needs only the
-	// aggregate set ("only a single set of counters is needed"); the
-	// per-channel sets support the Section 6 future-work extension
-	// that picks a different frequency per channel.
+	// channel granularity. The governor reads only the aggregate set
+	// ("only a single set of counters is needed"); the per-channel sets
+	// are kept because they are part of the controller's checkpoint
+	// image (ControllerState).
 	PerChannel []ChannelCounters
 }
 

@@ -63,9 +63,9 @@ func (b Breakdown) Scale(k float64) Breakdown {
 }
 
 // ChannelSlice is one channel's share of an accounting interval. Each
-// channel carries its own operating point so that per-channel DFS (the
-// paper's Section 6 future work) prices correctly; under uniform
-// scaling every slice simply holds the same frequencies.
+// channel carries its own operating point; since every switch drives
+// all channels together, the slices of one interval hold the same
+// frequencies.
 type ChannelSlice struct {
 	BusFreq config.FreqMHz
 	DevFreq config.FreqMHz // DIMM/DRAM clock; == BusFreq unless decoupled

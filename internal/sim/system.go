@@ -62,18 +62,6 @@ type Governor interface {
 	EpochEnd(p Profile)
 }
 
-// PerChannelGovernor is the Section 6 future-work extension: a
-// governor that picks an independent frequency for every memory
-// channel. When a governor implements it, the system applies the
-// per-channel choices instead of the uniform one.
-type PerChannelGovernor interface {
-	Governor
-
-	// ProfileCompletePerChannel returns one bus frequency per channel
-	// for the rest of the epoch.
-	ProfileCompletePerChannel(p Profile) []config.FreqMHz
-}
-
 // EpochRecord captures one epoch for timeline figures. It is the
 // telemetry layer's epoch snapshot — one type serves the internal
 // timeline, the public API sample, and the JSONL export.
@@ -462,18 +450,7 @@ func (s *System) stepEpoch(ctx context.Context, wantRec bool) (EpochRecord, erro
 	// choice; WantFreq reports what the node would run uncapped.
 	chosen := freq
 	want := freq
-	var chosenPer []config.FreqMHz
-	if pcg, ok := s.opts.Governor.(PerChannelGovernor); ok {
-		chosenPer = pcg.ProfileCompletePerChannel(p)
-		chosen = config.MinBusFreq
-		for ch, f := range chosenPer {
-			s.MC.SetChannelFrequency(profEnd, ch, f)
-			if f > chosen {
-				chosen = f
-			}
-		}
-		want = chosen
-	} else if s.opts.Governor != nil {
+	if s.opts.Governor != nil {
 		chosen = s.opts.Governor.ProfileComplete(p)
 		want = chosen
 		if s.capFreq != 0 && chosen > s.capFreq {
@@ -523,7 +500,7 @@ func (s *System) stepEpoch(ctx context.Context, wantRec bool) (EpochRecord, erro
 
 	var rec EpochRecord
 	if wantRec || s.opts.KeepTimeline || tel != nil {
-		rec = s.snapshotEpoch(idx, start, profEnd, epochEnd, chosen, want, chosenPer, p, ep)
+		rec = s.snapshotEpoch(idx, start, profEnd, epochEnd, chosen, want, p, ep)
 		if tel != nil {
 			rec.HostNs = time.Since(hostStart).Nanoseconds()
 			tel.ObserveEpochHost(rec.HostNs)
@@ -601,7 +578,7 @@ func (s *System) checkInvariants(start, epochEnd config.Time, p, ep Profile) err
 // snapshotEpoch assembles the per-epoch telemetry record from the two
 // windows of one epoch (profiling phase + epoch body).
 func (s *System) snapshotEpoch(idx int, start, profEnd, epochEnd config.Time,
-	chosen, want config.FreqMHz, chosenPer []config.FreqMHz, p, ep Profile) EpochRecord {
+	chosen, want config.FreqMHz, p, ep Profile) EpochRecord {
 	energy := p.Energy
 	energy.Add(ep.Energy)
 	residency := p.Interval.DRAMTotal()
@@ -624,7 +601,6 @@ func (s *System) snapshotEpoch(idx int, start, profEnd, epochEnd config.Time,
 		End:         epochEnd,
 		Freq:        chosen,
 		WantFreq:    want,
-		ChannelFreq: chosenPer,
 		CoreCPI:     coreCPI,
 		ChannelUtil: util,
 		Energy:      energy.Export(),

@@ -51,18 +51,14 @@ type EpochSnapshot struct {
 	Start config.Time `json:"start_ps"`
 	End   config.Time `json:"end_ps"`
 
-	// Freq is the bus frequency chosen for the epoch body (the
-	// fastest channel under per-channel scaling); ChannelFreq holds
-	// the per-channel choices when a per-channel governor ran.
-	Freq        config.FreqMHz   `json:"freq_mhz"`
-	ChannelFreq []config.FreqMHz `json:"channel_freq_mhz,omitempty"`
+	// Freq is the bus frequency every channel ran the epoch body at.
+	Freq config.FreqMHz `json:"freq_mhz"`
 
 	// WantFreq is the frequency the governor would have run absent any
-	// external frequency cap (SetFrequencyCap): the pre-cap choice,
-	// still clamped by thermal emergencies. WantFreq > Freq marks a
-	// cap-constrained epoch — the signal cluster-level power capping
-	// uses to find nodes that deserve a promotion. Equal to Freq when
-	// uncapped.
+	// external frequency cap (SetFrequencyCap): the pre-cap choice.
+	// WantFreq > Freq marks a cap-constrained epoch — the signal
+	// cluster-level power capping uses to find nodes that deserve a
+	// promotion. Equal to Freq when uncapped.
 	WantFreq config.FreqMHz `json:"want_freq_mhz,omitempty"`
 
 	// CoreCPI is the epoch-local CPI per core; ChannelUtil the

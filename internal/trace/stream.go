@@ -143,9 +143,8 @@ func NewStream(p Profile, mapper *config.AddressMapper, seed uint64) (*Stream, e
 
 // NewStreamOnChannels builds a stream whose accesses are confined to
 // the given memory channels, modelling OS page placement that
-// partitions applications across channels — the substrate for the
-// paper's Section 6 future work (per-channel frequencies and OS-level
-// scheduling). A nil or empty channel list means all channels.
+// partitions applications across channels (the "/part" mixes). A nil
+// or empty channel list means all channels.
 func NewStreamOnChannels(p Profile, mapper *config.AddressMapper, seed uint64, channels []int) (*Stream, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -194,10 +194,9 @@ func appRateOver(p trace.Profile, instructions uint64, rate func(trace.Phase) fl
 
 // PartitionedStreams instantiates the mix with OS page placement that
 // confines each application to its own memory channel (application i
-// of the mix maps to channel i mod Channels). This is the workload
-// shape for the paper's Section 6 future work: with heterogeneous
-// per-channel load, per-channel frequency selection has room that
-// uniform scaling does not.
+// of the mix maps to channel i mod Channels). It skews per-channel load
+// while the trace content stays that of Streams; the "/part" golden
+// rows pin how the uniform governor runs on it.
 func (m Mix) PartitionedStreams(cfg *config.Config) ([]*trace.Stream, error) {
 	mapper := config.NewAddressMapper(cfg)
 	// Seed from the base name so a mix and its Partition() variant draw

@@ -306,3 +306,27 @@ func TestAccessLocations(t *testing.T) {
 		}
 	}
 }
+
+func TestPartitionedStreamsConfineChannels(t *testing.T) {
+	cfg := config.Default()
+	mix := Mix{Name: "HETT2", Class: ClassMID,
+		Apps: [4]string{"swim", "eon", "art", "crafty"}}
+	streams, err := mix.PartitionedStreams(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for core, s := range streams {
+		want := core % len(mix.Apps) % cfg.Channels
+		for i := 0; i < 200; i++ {
+			a := s.Next()
+			if got := a.Loc.Channel; got != want {
+				t.Fatalf("core %d access on channel %d, want %d", core, got, want)
+			}
+			if a.Writeback {
+				if got := a.WBLoc.Channel; got != want {
+					t.Fatalf("core %d writeback on channel %d, want %d", core, got, want)
+				}
+			}
+		}
+	}
+}

@@ -115,10 +115,9 @@ type RunConfig struct {
 	// Partitioned confines each application of the mix to its own
 	// memory channel (OS page placement; application i maps to channel
 	// i mod Channels). Partitioned runs draw the same per-core traces
-	// as the unpartitioned mix — placement, not content, differs. This
-	// is the workload shape of the paper's Section 6 future work: with
-	// heterogeneous per-channel load, per-channel frequency selection
-	// has room that uniform scaling does not.
+	// as the unpartitioned mix — placement, not content, differs. It is
+	// a placement variant only: the governor still picks one frequency
+	// for all channels, and the "/part" golden rows pin those runs.
 	Partitioned bool
 
 	// Timeline retains per-epoch frequency/CPI records.

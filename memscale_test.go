@@ -104,8 +104,11 @@ func TestExperimentsRegistry(t *testing.T) {
 	if len(ids) < 12 {
 		t.Fatalf("only %d experiments registered", len(ids))
 	}
-	if _, err := RunExperiment("no-such-figure", ExperimentParams{}); err == nil {
-		t.Error("unknown experiment must error")
+	// Retired ids must not resolve.
+	for _, id := range []string{"no-such-figure", "ablations", "futurework"} {
+		if _, err := RunExperiment(id, ExperimentParams{}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("RunExperiment(%q): err = %v, want unknown experiment", id, err)
+		}
 	}
 }
 

@@ -52,8 +52,7 @@ func CanonicalJSONL(e *telemetry.RunExport) ([]byte, error) {
 	c.Histograms = append([]*telemetry.Histogram(nil), e.Histograms...)
 	for i, h := range c.Histograms {
 		if h.Name == "epoch_host" {
-			c.Histograms[i] = h.Clone()
-			c.Histograms[i].Reset()
+			c.Histograms[i] = telemetry.NewHistogram(h.Name, h.Unit, h.Bounds)
 			break
 		}
 	}

@@ -27,15 +27,22 @@ import (
 // Magic identifies the container format on the header line.
 const Magic = "memscale-checkpoint"
 
-// SchemaVersion is the container format version ("MAJOR.MINOR"). Minor
-// bumps only add fields, which older readers ignore; a major bump
-// means the payload shapes changed incompatibly. Decode accepts any
+// SchemaVersion is the container format version ("MAJOR.MINOR"). A
+// minor bump keeps every older container readable; a major bump means
+// the payload shapes changed incompatibly. Decode accepts any
 // container whose major version matches and rejects the rest with a
 // *SchemaVersionError.
 //
 // 1.1 added the header's payload_crc32 integrity field; 1.0 containers
 // (no CRC) remain readable.
-const SchemaVersion = "1.1"
+//
+// 1.2 dropped the controller's per-channel counter sets: a 1.2 image
+// carries only the one controller-wide set. Readers older than 1.2
+// reject 1.2 images (their controller Load finds no per-channel sets).
+// 1.2 readers load 1.0 and 1.1 images, which already carry the
+// controller-wide set beside the per-channel ones, by ignoring the
+// legacy key.
+const SchemaVersion = "1.2"
 
 // ErrCorruptCheckpoint reports container bytes that do not parse as a
 // checkpoint: truncation, wrong magic, malformed JSON. Matched with

@@ -17,10 +17,6 @@ import (
 func mkProfile(cfg *config.Config, mpki float64, xiBank, xiBus float64) sim.Profile {
 	const instrPerCore = 1_000_000
 	c := memctrl.Counters{TLM: make([]uint64, cfg.Cores)}
-	c.PerChannel = make([]memctrl.ChannelCounters, cfg.Channels)
-	for ch := range c.PerChannel {
-		c.PerChannel[ch].TLM = make([]uint64, cfg.Cores)
-	}
 	misses := uint64(mpki * instrPerCore / 1000)
 	var totalMisses uint64
 	for i := range c.TLM {

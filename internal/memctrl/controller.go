@@ -148,13 +148,10 @@ type Controller struct {
 	flushedAt config.Time // start of the current power interval
 
 	// tel, when non-nil, receives latency/queue-depth samples and
-	// powerdown/refresh/relock events. Purely observational: no
-	// scheduling decision reads it. All per-channel emissions route
-	// through telCh — one staging cell per channel — which the recorder
-	// folds back at window edges (telemetry.Recorder.MergeChannels) in
-	// the export's canonical order.
-	tel   *telemetry.Recorder
-	telCh []*telemetry.ChannelCell
+	// powerdown/refresh/relock events, each tagged with its channel and
+	// recorded as it happens. Purely observational: no scheduling
+	// decision reads it.
+	tel *telemetry.Recorder
 
 	// quiesce is the coalescing horizon: the caller's promise that no
 	// external sampling (counter window, power flush, instruction
@@ -164,10 +161,10 @@ type Controller struct {
 	// fast path of DESIGN.md §4g. Zero disables every fast path.
 	quiesce config.Time
 
-	// reqFree recycles Request objects per channel: every transaction
-	// that clears the bus returns its Request to its channel's pool, so
-	// the steady state allocates none.
-	reqFree [][]*Request
+	// reqFree recycles Request objects: every transaction that clears
+	// the bus returns its Request to the pool, so the steady state
+	// allocates none.
+	reqFree []*Request
 
 	// Pre-bound event callbacks, created once so the hot path schedules
 	// without capturing a closure (see event.Bound).
@@ -193,7 +190,6 @@ func New(cfg *config.Config, q *event.Queue) *Controller {
 		mcBusFreq: config.MaxBusFreq,
 	}
 	c.mcTime = cfg.Timing.MCTime(config.MaxBusFreq)
-	c.reqFree = make([][]*Request, cfg.Channels)
 	c.ranksPerCh = cfg.RanksPerChannel()
 	c.onStartBank = c.startBankServiceEvent
 	c.onBusReady = c.busReadyEvent
@@ -236,10 +232,6 @@ func New(cfg *config.Config, q *event.Queue) *Controller {
 		}
 	}
 	c.counters.TLM = make([]uint64, cfg.Cores)
-	c.counters.PerChannel = make([]ChannelCounters, cfg.Channels)
-	for i := range c.counters.PerChannel {
-		c.counters.PerChannel[i].TLM = make([]uint64, cfg.Cores)
-	}
 	return c
 }
 
@@ -278,10 +270,7 @@ func (c *Controller) BusFreq() config.FreqMHz { return c.channels[0].timing.BusF
 func (c *Controller) DevFreq() config.FreqMHz { return c.channels[0].timing.DevFreq }
 
 // SetTelemetry attaches a recorder. Pass nil to detach.
-func (c *Controller) SetTelemetry(tel *telemetry.Recorder) {
-	c.tel = tel
-	c.telCh = tel.ChannelCells(len(c.channels))
-}
+func (c *Controller) SetTelemetry(tel *telemetry.Recorder) { c.tel = tel }
 
 // SetQuiesceHorizon declares that nothing outside the event queue will
 // observe controller or core state strictly before t: no counter
@@ -293,59 +282,30 @@ func (c *Controller) SetTelemetry(tel *telemetry.Recorder) {
 // on the fully event-driven path.
 func (c *Controller) SetQuiesceHorizon(t config.Time) { c.quiesce = t }
 
-// Counters returns a snapshot of the performance counters. The hot
-// paths accumulate only the per-channel replicas; the aggregate set is
-// derived here by summation, which is exact — integer sums are
-// order-independent.
-func (c *Controller) Counters() Counters {
-	out := Counters{
-		TLM:        make([]uint64, len(c.counters.TLM)),
-		PerChannel: make([]ChannelCounters, len(c.counters.PerChannel)),
-	}
-	for i := range c.counters.PerChannel {
-		pc := &c.counters.PerChannel[i]
-		out.PerChannel[i] = pc.clone()
-		out.BTO += pc.BTO
-		out.BTC += pc.BTC
-		out.CTO += pc.CTO
-		out.CTC += pc.CTC
-		out.RBHC += pc.RBHC
-		out.OBMC += pc.OBMC
-		out.CBMC += pc.CBMC
-		out.EPDC += pc.EPDC
-		out.POCC += pc.POCC
-		out.Reads += pc.Reads
-		out.Writebacks += pc.Writebacks
-		for core, v := range pc.TLM {
-			out.TLM[core] += v
-		}
-	}
-	return out
-}
+// Counters returns a snapshot of the performance counters.
+func (c *Controller) Counters() Counters { return c.counters.Clone() }
 
 // Timing returns the resolved timing of channel 0 (the system timing
 // under uniform scaling).
 func (c *Controller) Timing() dram.Resolved { return c.channels[0].timing }
 
-// getRequest takes a recycled Request from a channel's pool, or
-// allocates one while the pool warms up.
-func (c *Controller) getRequest(chIdx int) *Request {
-	pool := c.reqFree[chIdx]
-	if n := len(pool); n > 0 {
-		req := pool[n-1]
-		c.reqFree[chIdx] = pool[:n-1]
+// getRequest takes a recycled Request from the pool, or allocates one
+// while the pool warms up.
+func (c *Controller) getRequest() *Request {
+	if n := len(c.reqFree); n > 0 {
+		req := c.reqFree[n-1]
+		c.reqFree = c.reqFree[:n-1]
 		return req
 	}
 	return &Request{}
 }
 
-// putRequest recycles a completed Request into its channel's pool. Only
-// the callback is cleared, so the pool retains no reference; every
-// other field is overwritten by the next EnqueueLoc.
+// putRequest recycles a completed Request into the pool. Only the
+// callback is cleared, so the pool retains no reference; every other
+// field is overwritten by the next EnqueueLoc.
 func (c *Controller) putRequest(req *Request) {
-	chIdx := req.Loc.Channel
 	req.Done = nil
-	c.reqFree[chIdx] = append(c.reqFree[chIdx], req)
+	c.reqFree = append(c.reqFree, req)
 }
 
 // Enqueue submits a memory transaction by line address: it decodes the
@@ -371,28 +331,25 @@ func (c *Controller) EnqueueLoc(now config.Time, loc config.Location, write bool
 		// way, put the decision back on a live event.
 		c.reviveDispatch(loc.Channel, b)
 	}
-	req := c.getRequest(loc.Channel)
+	req := c.getRequest()
 	req.Loc = loc
 	req.Write = write
 	req.Core = core
 	req.Done = done
 	req.Arrived = now
 	req.ready = 0
-	pc := &c.counters.PerChannel[loc.Channel]
 
 	// Section 3.1 accumulators: outstanding work seen by the arrival.
-	// Only the per-channel replicas are written on the hot path; the
-	// aggregate set is derived by summation when read (Counters).
-	pc.BTC++
-	pc.BTO += uint64(ch.outstanding[b])
-	pc.CTC++
+	c.counters.BTC++
+	c.counters.BTO += uint64(ch.outstanding[b])
+	c.counters.CTC++
 	busOut := ch.busQueue.Len()
 	if ch.busFreeAt > now {
 		busOut++
 	}
-	pc.CTO += uint64(busOut)
+	c.counters.CTO += uint64(busOut)
 	if !write {
-		pc.TLM[core]++
+		c.counters.TLM[core]++
 	}
 
 	if c.tel != nil {
@@ -402,7 +359,7 @@ func (c *Controller) EnqueueLoc(now config.Time, loc config.Location, write bool
 		for _, p := range c.pending[loc.Channel] {
 			depth += p
 		}
-		c.telCh[loc.Channel].ObserveQueueDepth(depth)
+		c.tel.ObserveQueueDepth(depth)
 	}
 
 	ch.outstanding[b]++
@@ -503,22 +460,21 @@ func (c *Controller) startBankService(now config.Time, chIdx int, b bankID, req 
 	rank := c.ranks[chIdx][rankIdx]
 	ready, kind, pdExit := rank.StartAccess(now, req.Loc.Bank, req.Loc.Row)
 
-	pc := &c.counters.PerChannel[chIdx]
 	switch kind {
 	case dram.RowHit:
-		pc.RBHC++
+		c.counters.RBHC++
 	case dram.ClosedMiss:
-		pc.CBMC++
+		c.counters.CBMC++
 	case dram.OpenMiss:
-		pc.OBMC++
+		c.counters.OBMC++
 	}
 	if kind != dram.RowHit {
-		pc.POCC++
+		c.counters.POCC++
 	}
 	if pdExit {
-		pc.EPDC++
+		c.counters.EPDC++
 		if c.tel != nil {
-			c.telCh[chIdx].PowerdownExit(now, rankIdx)
+			c.tel.PowerdownExit(now, chIdx, rankIdx)
 		}
 	}
 
@@ -585,13 +541,12 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 	c.dispatched[chIdx][rankIdx]--
 	ch.outstanding[b]--
 	c.pending[chIdx][rankIdx]--
-	pc := &c.counters.PerChannel[chIdx]
 	if req.Write {
-		pc.Writebacks++
+		c.counters.Writebacks++
 	} else {
-		pc.Reads++
+		c.counters.Reads++
 		if c.tel != nil {
-			c.telCh[chIdx].ObserveReadLatency(busEnd - req.Arrived)
+			c.tel.ObserveReadLatency(busEnd - req.Arrived)
 		}
 	}
 
@@ -859,7 +814,7 @@ func (c *Controller) maybePowerdown(now config.Time, chIdx, rankIdx int) {
 	rank := c.ranks[chIdx][rankIdx]
 	slow := c.cfg.Powerdown == config.PowerdownSlow
 	if rank.EnterPowerdown(now, slow) && c.tel != nil {
-		c.telCh[chIdx].PowerdownEnter(now, rankIdx, slow)
+		c.tel.PowerdownEnter(now, chIdx, rankIdx, slow)
 	}
 }
 
@@ -889,7 +844,7 @@ func (c *Controller) refreshKick(now config.Time, chIdx, rankIdx int) {
 		return // still in service; the next FinishAccess re-kicks
 	}
 	if c.tel != nil {
-		c.telCh[chIdx].Refresh(now, rankIdx, until-now)
+		c.tel.Refresh(now, chIdx, rankIdx, until-now)
 	}
 	c.q.ScheduleBound(until, c.onRefreshDone, nil, int32(chIdx), int32(rankIdx))
 }
@@ -996,7 +951,7 @@ func (c *Controller) relockChannel(now config.Time, chIdx int, f config.FreqMHz)
 	ch.relocking = true
 	ch.relockUntil = now + halt
 	if c.tel != nil {
-		c.telCh[chIdx].FreqTransition(now, ch.timing.BusFreq, f, halt)
+		c.tel.FreqTransition(now, chIdx, ch.timing.BusFreq, f, halt)
 	}
 	c.q.ScheduleBound(ch.relockUntil, c.onRelockDone, nil, int32(chIdx), int32(f))
 	return ch.relockUntil

@@ -1,6 +1,9 @@
 package memctrl
 
 import (
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"memscale/internal/config"
@@ -396,4 +399,83 @@ func TestTerminationChargedAtFlush(t *testing.T) {
 		t.Fatalf("%d requests still queued at the second flush", c.QueuedRequests())
 	}
 	check(2, c, 2*window, n2)
+}
+
+// savedRig returns a rig with traffic through its counters and its
+// saved image.
+func savedRig(t *testing.T) (*rig, *ControllerState) {
+	t.Helper()
+	r := newRig(nil)
+	for i := 0; i < 24; i++ {
+		r.c.Enqueue(0, r.line(i%4, i%3, i%8, 10+i%2, 0), i%5 == 0, i%16, nil)
+	}
+	r.drain()
+	tbl := NewRequestTable()
+	st := r.c.Save(tbl)
+	st.Requests = tbl.States()
+	if st.Counters.Reads == 0 || st.Counters.Writebacks == 0 {
+		t.Fatalf("no traffic in the saved counters: %+v", st.Counters)
+	}
+	return r, st
+}
+
+// TestLoadRejectsForeignCoreCount: an image whose TLM is sized for
+// another core count does not load.
+func TestLoadRejectsForeignCoreCount(t *testing.T) {
+	r, st := savedRig(t)
+	doneFor := func(int) func(config.Time) { return nil }
+	for _, n := range []int{r.cfg.Cores - 1, r.cfg.Cores + 1} {
+		st.Counters.TLM = make([]uint64, n)
+		_, err := New(&r.cfg, &event.Queue{}).Load(st, doneFor)
+		if err == nil || !strings.Contains(err.Error(), "counters sized for") {
+			t.Errorf("TLM for %d cores on a %d-core controller: err = %v", n, r.cfg.Cores, err)
+		}
+	}
+}
+
+// TestLoadLegacyCounterImage: images written before the counters
+// became one controller-wide set also carry a per-channel copy under
+// "PerChannel". Load ignores it and restores the controller-wide set.
+func TestLoadLegacyCounterImage(t *testing.T) {
+	r, st := savedRig(t)
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img, ctr map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &img); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(img["counters"], &ctr); err != nil {
+		t.Fatal(err)
+	}
+	// Every legacy set is a copy of the aggregate, so a loader that
+	// summed them would restore Channels times the counts.
+	legacy := make([]Counters, r.cfg.Channels)
+	for ch := range legacy {
+		legacy[ch] = st.Counters
+	}
+	if ctr["PerChannel"], err = json.Marshal(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if img["counters"], err = json.Marshal(ctr); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(img); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"PerChannel":[{"TLM":[`) {
+		t.Fatalf("image carries no legacy per-channel sets: %.300s", raw)
+	}
+	var old ControllerState
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	c := New(&r.cfg, &event.Queue{})
+	if _, err := c.Load(&old, func(int) func(config.Time) { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Counters(), r.c.Counters(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored counters = %+v, want %+v", got, want)
+	}
 }

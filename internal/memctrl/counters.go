@@ -1,8 +1,10 @@
 package memctrl
 
 // Counters is the Section 3.1 performance-counter set the OS policy
-// reads at profiling and epoch boundaries. All counters are cumulative
-// since controller creation; the policy works with deltas via Sub.
+// reads at profiling and epoch boundaries. The controller keeps one set
+// for all channels ("only a single set of counters is needed"). All
+// counters are cumulative since controller creation; the policy works
+// with deltas via Sub.
 type Counters struct {
 	// TLM: Total LLC Misses per core (reads reaching memory). The
 	// companion TIC (total instructions committed) lives in the core
@@ -26,104 +28,12 @@ type Counters struct {
 
 	// Reads and Writebacks served (completed bus transfers).
 	Reads, Writebacks uint64
-
-	// PerChannel replicates the queueing and row-buffer counters at
-	// channel granularity. The governor reads only the aggregate set
-	// ("only a single set of counters is needed"); the per-channel sets
-	// are kept because they are part of the controller's checkpoint
-	// image (ControllerState).
-	PerChannel []ChannelCounters
 }
 
-// ChannelCounters is the per-channel replica of the queueing and
-// row-buffer counter set, plus per-core miss routing (which core's
-// misses land on this channel).
-type ChannelCounters struct {
-	BTO, BTC uint64
-	CTO, CTC uint64
-
-	RBHC, OBMC, CBMC, EPDC uint64
-
-	// POCC: page open/close command pairs issued on this channel.
-	POCC uint64
-
-	Reads, Writebacks uint64
-
-	// TLM[i]: core i's LLC misses serviced by this channel.
-	TLM []uint64
-}
-
-func (c ChannelCounters) clone() ChannelCounters {
-	out := c
-	out.TLM = append([]uint64(nil), c.TLM...)
-	return out
-}
-
-func (c ChannelCounters) sub(prev ChannelCounters) ChannelCounters {
-	out := c.clone()
-	out.BTO -= prev.BTO
-	out.BTC -= prev.BTC
-	out.CTO -= prev.CTO
-	out.CTC -= prev.CTC
-	out.RBHC -= prev.RBHC
-	out.OBMC -= prev.OBMC
-	out.CBMC -= prev.CBMC
-	out.EPDC -= prev.EPDC
-	out.POCC -= prev.POCC
-	out.Reads -= prev.Reads
-	out.Writebacks -= prev.Writebacks
-	for i := range out.TLM {
-		out.TLM[i] -= prev.TLM[i]
-	}
-	return out
-}
-
-func (c ChannelCounters) add(o ChannelCounters) ChannelCounters {
-	out := c.clone()
-	out.BTO += o.BTO
-	out.BTC += o.BTC
-	out.CTO += o.CTO
-	out.CTC += o.CTC
-	out.RBHC += o.RBHC
-	out.OBMC += o.OBMC
-	out.CBMC += o.CBMC
-	out.EPDC += o.EPDC
-	out.POCC += o.POCC
-	out.Reads += o.Reads
-	out.Writebacks += o.Writebacks
-	for i := range out.TLM {
-		out.TLM[i] += o.TLM[i]
-	}
-	return out
-}
-
-// BankQueueDepth returns the channel-local BTO/BTC ratio.
-func (c ChannelCounters) BankQueueDepth() float64 {
-	if c.BTC == 0 {
-		return 0
-	}
-	return float64(c.BTO) / float64(c.BTC)
-}
-
-// ChannelQueueDepth returns the channel-local CTO/CTC ratio.
-func (c ChannelCounters) ChannelQueueDepth() float64 {
-	if c.CTC == 0 {
-		return 0
-	}
-	return float64(c.CTO) / float64(c.CTC)
-}
-
-// AccessCount returns the channel's row-buffer-classified accesses.
-func (c ChannelCounters) AccessCount() uint64 { return c.RBHC + c.OBMC + c.CBMC }
-
-// Clone deep-copies the counters (snapshotting the nested slices).
+// Clone deep-copies the counters (snapshotting the TLM slice).
 func (c Counters) Clone() Counters {
 	out := c
 	out.TLM = append([]uint64(nil), c.TLM...)
-	out.PerChannel = make([]ChannelCounters, len(c.PerChannel))
-	for i := range c.PerChannel {
-		out.PerChannel[i] = c.PerChannel[i].clone()
-	}
 	return out
 }
 
@@ -144,9 +54,6 @@ func (c Counters) Add(o Counters) Counters {
 	out.POCC += o.POCC
 	out.Reads += o.Reads
 	out.Writebacks += o.Writebacks
-	for i := range out.PerChannel {
-		out.PerChannel[i] = out.PerChannel[i].add(o.PerChannel[i])
-	}
 	return out
 }
 
@@ -168,9 +75,6 @@ func (c Counters) Sub(prev Counters) Counters {
 	out.POCC -= prev.POCC
 	out.Reads -= prev.Reads
 	out.Writebacks -= prev.Writebacks
-	for i := range out.PerChannel {
-		out.PerChannel[i] = out.PerChannel[i].sub(prev.PerChannel[i])
-	}
 	return out
 }
 

@@ -218,9 +218,9 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 		len(st.DefPrech) != len(c.channels) || len(st.DefGate) != len(c.defGate) {
 		return nil, fmt.Errorf("memctrl: state bookkeeping dimensions do not match controller geometry")
 	}
-	if len(st.Counters.TLM) != len(c.counters.TLM) || len(st.Counters.PerChannel) != len(c.counters.PerChannel) {
-		return nil, fmt.Errorf("memctrl: state counters sized for %d cores / %d channels, controller has %d / %d",
-			len(st.Counters.TLM), len(st.Counters.PerChannel), len(c.counters.TLM), len(c.counters.PerChannel))
+	if len(st.Counters.TLM) != len(c.counters.TLM) {
+		return nil, fmt.Errorf("memctrl: state counters sized for %d cores, controller has %d",
+			len(st.Counters.TLM), len(c.counters.TLM))
 	}
 
 	reqs := make([]*Request, len(st.Requests))

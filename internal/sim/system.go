@@ -303,10 +303,6 @@ func (s *System) flush(now config.Time) (power.Interval, power.Breakdown) {
 // window snapshots counter/instruction deltas since the last call and
 // pairs them with the flushed power interval.
 func (s *System) window(start, now config.Time, freq config.FreqMHz) Profile {
-	// Every window call sits at a window edge with the queue
-	// quiescent, so fold the per-channel telemetry cells into the
-	// run-wide collectors before anything else pushes.
-	s.opts.Telemetry.MergeChannels()
 	cur := s.MC.Counters()
 	instr := make([]float64, len(s.Cores))
 	for i, c := range s.Cores {
@@ -611,9 +607,6 @@ func (s *System) snapshotEpoch(idx int, start, profEnd, epochEnd config.Time,
 }
 
 func (s *System) finalize() Result {
-	// Safety merge: the last epoch's window calls drained the cells
-	// already, but a run abandoned mid-epoch may hold staged samples.
-	s.opts.Telemetry.MergeChannels()
 	now := s.Q.Now()
 	r := &s.result
 	r.Duration = now

@@ -128,15 +128,6 @@ func (h *Histogram) Merge(o *Histogram) bool {
 	return true
 }
 
-// Reset zeroes the histogram's observations, keeping its layout. Used
-// by the per-channel staging replicas after a window-edge merge.
-func (h *Histogram) Reset() {
-	for i := range h.Counts {
-		h.Counts[i] = 0
-	}
-	h.Count, h.Sum, h.Min, h.Max = 0, 0, 0, 0
-}
-
 // Clone returns a deep copy of h.
 func (h *Histogram) Clone() *Histogram {
 	out := *h

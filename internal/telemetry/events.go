@@ -95,10 +95,8 @@ type Event struct {
 	F2 float64 `json:"f2,omitempty"`
 }
 
-// eventRing is a fixed-capacity drop-oldest ring buffer. When a sink
-// is attached the ring instead drains wholesale to the sink on
-// overflow, so nothing is lost and the hot path still amortizes sink
-// calls over full buffers.
+// eventRing is a fixed-capacity drop-oldest ring buffer: when full,
+// each push evicts the oldest event and counts it as dropped.
 type eventRing struct {
 	buf     []Event
 	head    int // index of the oldest event

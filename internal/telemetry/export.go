@@ -93,7 +93,8 @@ type RunExport struct {
 	Epochs []EpochSnapshot `json:"-"`
 	Events []Event         `json:"-"`
 
-	// DroppedEvents counts ring evictions (sink-less recorders only).
+	// DroppedEvents counts the events the ring evicted to make room
+	// for newer ones.
 	DroppedEvents uint64 `json:"dropped_events,omitempty"`
 }
 
@@ -108,11 +109,9 @@ func (e *RunExport) Histogram(name string) *Histogram {
 	return nil
 }
 
-// Export snapshots the recorder into a self-contained RunExport. If a
-// sink is attached, buffered events are flushed to it and the export's
-// Events field stays empty (the sink owns the stream); otherwise the
-// export carries the ring's retained events. Safe on nil (returns
-// nil).
+// Export snapshots the recorder into a self-contained RunExport. The
+// export carries the ring's retained events, which it drains, and the
+// count the ring dropped. Safe on nil (returns nil).
 func (r *Recorder) Export(meta RunMeta, freqSeconds map[int]float64) *RunExport {
 	if r == nil {
 		return nil

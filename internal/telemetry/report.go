@@ -208,7 +208,7 @@ func writeRunSummary(w io.Writer, e *RunExport) {
 	fmt.Fprintf(w, "  powerdown: %d enters / %d exits; %d refreshes\n",
 		e.Counters["powerdown_enters"], e.Counters["powerdown_exits"], e.Counters["refreshes"])
 	if e.DroppedEvents > 0 {
-		fmt.Fprintf(w, "  WARNING: %d events dropped (ring full, no sink)\n", e.DroppedEvents)
+		fmt.Fprintf(w, "  WARNING: %d events dropped (ring full)\n", e.DroppedEvents)
 	}
 }
 

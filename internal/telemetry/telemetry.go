@@ -11,16 +11,19 @@
 //     methods are nil-receiver-safe, and hot paths additionally guard
 //     with a nil check so no argument is even materialized.
 //   - Zero interference. Telemetry observes the simulation and never
-//     feeds back into it: an instrumented run's event sequence is
-//     bit-identical to an uninstrumented one.
-//   - One recorder per run, merged at window edges. The recorder's
-//     run-wide collectors are single-goroutine (the sweep engine gives
-//     every job its own recorder, aggregating exports only after the
-//     jobs finish). Per-channel telemetry — relocks, powerdowns,
-//     refreshes, read latency, queue depth — is recorded only through
-//     ChannelCells, one per memory channel, and folded back into the
-//     run-wide collectors at window edges (MergeChannels). The fold
-//     fixes the export's canonical event order and histogram sums.
+//     feeds back into it: an instrumented run simulates the same
+//     machine and reports the same results as an uninstrumented one.
+//     Only the number of fired events differs: the memory controller
+//     keeps its deferred-precharge shortcut off while a recorder is
+//     attached, so that every powerdown is recorded at its own instant,
+//     and the event-driven closes it takes instead fire more events.
+//   - One recorder per run, one record path. The recorder is
+//     single-goroutine (the sweep engine gives every job its own
+//     recorder, aggregating exports only after the jobs finish). Every
+//     record goes straight into the run-wide collectors as it happens:
+//     events export in the order they fired, and each histogram's Sum
+//     accumulates in observation order. Per-channel records — relocks,
+//     powerdowns, refreshes — carry their channel index in the event.
 //
 // The package sits below power/memctrl/sim in the import graph
 // (it imports only config and dram), so every layer can emit into it.
@@ -90,10 +93,6 @@ type Recorder struct {
 	energy    Energy
 	residency dram.Account
 
-	// cells are the per-channel staging replicas the memory controller
-	// records into; MergeChannels folds them back at window edges.
-	cells []*ChannelCell
-
 	epochs []EpochSnapshot
 }
 
@@ -147,6 +146,66 @@ func (r *Recorder) push(ev Event) {
 	}
 	ev.Epoch = r.epoch
 	r.ring.push(ev)
+}
+
+// FreqTransition records a channel's relock from one bus frequency to
+// another, with its halt penalty. Safe on nil.
+func (r *Recorder) FreqTransition(t config.Time, ch int, from, to config.FreqMHz, penalty config.Time) {
+	if r == nil {
+		return
+	}
+	r.FreqTransitions.Add(1)
+	r.push(Event{Kind: EvFreqTransition, Time: t, Channel: ch, Rank: -1, Core: -1,
+		A: int64(from), B: int64(to), C: int64(penalty)})
+}
+
+// PowerdownEnter records a rank dropping CKE. Safe on nil.
+func (r *Recorder) PowerdownEnter(t config.Time, ch, rank int, slow bool) {
+	if r == nil {
+		return
+	}
+	r.PowerdownEnters.Add(1)
+	var a int64
+	if slow {
+		a = 1
+	}
+	r.push(Event{Kind: EvPowerdownEnter, Time: t, Channel: ch, Rank: rank, Core: -1, A: a})
+}
+
+// PowerdownExit records a rank waking to serve a request. Safe on nil.
+func (r *Recorder) PowerdownExit(t config.Time, ch, rank int) {
+	if r == nil {
+		return
+	}
+	r.PowerdownExits.Add(1)
+	r.push(Event{Kind: EvPowerdownExit, Time: t, Channel: ch, Rank: rank, Core: -1})
+}
+
+// Refresh records a rank refresh spanning dur. Safe on nil.
+func (r *Recorder) Refresh(t config.Time, ch, rank int, dur config.Time) {
+	if r == nil {
+		return
+	}
+	r.Refreshes.Add(1)
+	r.push(Event{Kind: EvRefresh, Time: t, Channel: ch, Rank: rank, Core: -1, C: int64(dur)})
+}
+
+// ObserveReadLatency records one read's arrival-to-data latency. Safe
+// on nil.
+func (r *Recorder) ObserveReadLatency(d config.Time) {
+	if r == nil {
+		return
+	}
+	r.ReadLatencyNs.Observe(d.Nanoseconds())
+}
+
+// ObserveQueueDepth records the outstanding request count an arriving
+// request sees on its channel. Safe on nil.
+func (r *Recorder) ObserveQueueDepth(depth int) {
+	if r == nil {
+		return
+	}
+	r.QueueDepth.Observe(float64(depth))
 }
 
 // Slack records one core's slack credit (delta > 0) or debit at an

@@ -12,17 +12,12 @@ import (
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.SetEpoch(3)
-	if cells := r.ChannelCells(4); cells != nil {
-		t.Errorf("nil recorder ChannelCells = %v, want nil", cells)
-	}
-	var c *ChannelCell
-	c.FreqTransition(0, 800, 400, 100)
-	c.PowerdownEnter(0, 0, true)
-	c.PowerdownExit(0, 0)
-	c.Refresh(0, 0, 10)
-	c.ObserveReadLatency(100)
-	c.ObserveQueueDepth(4)
-	r.MergeChannels()
+	r.FreqTransition(0, 1, 800, 400, 100)
+	r.PowerdownEnter(0, 1, 0, true)
+	r.PowerdownExit(0, 1, 0)
+	r.Refresh(0, 1, 0, 10)
+	r.ObserveReadLatency(100)
+	r.ObserveQueueDepth(4)
 	r.Slack(0, 0, 0.1, 0.2)
 	r.Decision(0, 800, 400, 1.2, 1.3)
 	r.ObserveEpochHost(1000)
@@ -87,11 +82,9 @@ func TestHistogramMerge(t *testing.T) {
 
 func TestEventRingDropOldest(t *testing.T) {
 	r := NewRecorder(Options{Events: true, RingSize: 3})
-	c := r.ChannelCells(1)[0]
 	for i := 0; i < 5; i++ {
-		c.Refresh(config.Time(i), i, 1)
+		r.Refresh(config.Time(i), 0, i, 1)
 	}
-	r.MergeChannels()
 	out := r.Export(RunMeta{}, nil)
 	if len(out.Events) != 3 {
 		t.Fatalf("retained %d events, want 3", len(out.Events))
@@ -107,12 +100,47 @@ func TestEventRingDropOldest(t *testing.T) {
 	}
 }
 
+// TestRecordOrder pins the one record path: events export in the
+// order they were recorded, whatever their channels, and the read
+// latency Sum is the in-order float sum of the observations.
+func TestRecordOrder(t *testing.T) {
+	r := NewRecorder(Options{Events: true})
+	r.PowerdownExit(1000, 1, 2)
+	r.PowerdownEnter(1000, 0, 3, false)
+	out := r.Export(RunMeta{}, nil)
+	if len(out.Events) != 2 {
+		t.Fatalf("exported %d events, want 2", len(out.Events))
+	}
+	if e := out.Events[0]; e.Kind != EvPowerdownExit || e.Channel != 1 || e.Rank != 2 {
+		t.Errorf("first event = %+v, want channel 1's powerdown_exit", e)
+	}
+	if e := out.Events[1]; e.Kind != EvPowerdownEnter || e.Channel != 0 || e.Rank != 3 {
+		t.Errorf("second event = %+v, want channel 0's powerdown_enter", e)
+	}
+
+	// Float addition is not associative: these latencies, grouped as
+	// if read on channels 0, 1, 0, 1 and summed per channel, total
+	// 701.4 ns; summed in order, 701.3999999999999 ns.
+	lat := []config.Time{100_100, 200_300, 300_700, 100_300}
+	var want float64
+	for _, d := range lat {
+		r.ObserveReadLatency(d)
+		want += d.Nanoseconds()
+	}
+	ns := func(i int) float64 { return lat[i].Nanoseconds() }
+	if grouped := (ns(0) + ns(2)) + (ns(1) + ns(3)); grouped == want {
+		t.Fatalf("latencies do not tell the orders apart: both sum to %v", want)
+	}
+	if got := r.Export(RunMeta{}, nil).Histogram("read_latency").Sum; got != want {
+		t.Errorf("read latency Sum = %v, want in-order sum %v", got, want)
+	}
+}
+
 // TestCSVSinkFormat pins WriteEventsCSV's header and row layout.
 func TestCSVSinkFormat(t *testing.T) {
 	r := NewRecorder(Options{Events: true})
 	r.SetEpoch(7)
-	r.ChannelCells(2)[1].FreqTransition(1000, 800, 400, 42)
-	r.MergeChannels()
+	r.FreqTransition(1000, 1, 800, 400, 42)
 	var buf bytes.Buffer
 	if err := WriteEventsCSV(&buf, []*RunExport{r.Export(RunMeta{}, nil)}); err != nil {
 		t.Fatal(err)
@@ -129,10 +157,8 @@ func TestCSVSinkFormat(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	r := NewRecorder(Options{Events: true})
 	r.SetEpoch(0)
-	c := r.ChannelCells(1)[0]
-	c.ObserveReadLatency(60 * config.Nanosecond)
-	c.ObserveQueueDepth(3)
-	r.MergeChannels()
+	r.ObserveReadLatency(60 * config.Nanosecond)
+	r.ObserveQueueDepth(3)
 	r.Decision(100, 800, 400, 1.5, 1.6)
 	r.PowerInterval(5*config.Millisecond,
 		dram.Account{PrechargeStandby: 5 * config.Millisecond},
@@ -189,8 +215,7 @@ func TestReadJSONLRejectsOrphans(t *testing.T) {
 func TestRollupMerges(t *testing.T) {
 	mk := func(mix string, reads float64) *RunExport {
 		r := NewRecorder(Options{})
-		r.ChannelCells(1)[0].ObserveReadLatency(config.Time(reads))
-		r.MergeChannels()
+		r.ObserveReadLatency(config.Time(reads))
 		r.FreqTransitions.Add(2)
 		r.PowerInterval(5*config.Millisecond,
 			dram.Account{ActiveStandby: 2 * config.Millisecond},
@@ -254,8 +279,7 @@ func TestReportViews(t *testing.T) {
 		CoreCPI: []float64{1.6}, ChannelUtil: []float64{0.2},
 		Residency: dram.Account{PrechargeStandby: 5 * config.Millisecond},
 	})
-	r.ChannelCells(1)[0].ObserveReadLatency(60 * config.Nanosecond)
-	r.MergeChannels()
+	r.ObserveReadLatency(60 * config.Nanosecond)
 	exp := r.Export(RunMeta{Mix: "MID3", Policy: "MemScale"}, map[int]float64{400: 0.005})
 	exp.DurationSeconds = 0.005
 	exports := []*RunExport{exp}

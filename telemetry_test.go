@@ -208,19 +208,18 @@ func TestTelemetrySchemaVersion(t *testing.T) {
 }
 
 // TestTelemetryExportPinned pins the SHA-256 of the canonical JSONL
-// export for every golden config with the event stream on. The export
-// order and the histogram sums follow from how the per-channel
-// telemetry cells fold into the run-wide collectors (internal/telemetry
-// cells.go); any change to that fold, to event emission, or to the
-// simulated sequence itself moves these digests and must re-pin them
-// deliberately.
+// export for every golden config with the event stream on. Events
+// export in the order they fired and each histogram's Sum accumulates
+// in observation order, so any change to event emission, to the record
+// order, or to the simulated sequence itself moves these digests and
+// must re-pin them deliberately.
 func TestTelemetryExportPinned(t *testing.T) {
 	pins := map[string]string{
-		"MEM1/MemScale":           "4efeab1a20c19759c67eb9adc6dcb4ab8473399440b0a8ad073aa09347608a7c",
-		"ILP1/Static":             "9e2750cc98580a4cd547c2ee4781f45c34acaa8185a0e3fb862c6c37611a306b",
-		"MID2/MemScale + Fast-PD": "0b1f6445d20405388a89839126a26fbea543138dad6bb54f33560d33712e0b36",
-		"MID3/Slow-PD":            "fcf867f81537bd6084e5a05b35c492bc1beceec6ce1fd47e074b4c92a3f08c2c",
-		"MID1/MemScale":           "9d1a481a5ff92c3fe27f342d199fd43b3f00203fb41809f97536479e2667f538",
+		"MEM1/MemScale":           "c3180adcfc45c4fb617ef6935266df051b84879f07c61b5ecf6c87b4f0418899",
+		"ILP1/Static":             "818a06d1154d137daf44e04d7ec9265d87f508ed02716725c091fbb575f7b033",
+		"MID2/MemScale + Fast-PD": "0c6bc817384d759e0c3c635b721ae7015c3cd0f828421d6711c4808b735ea99d",
+		"MID3/Slow-PD":            "bf2219c40ebdb8be611732c325615bfceaf609a515b85d7a1fd814bb7cd585e0",
+		"MID1/MemScale":           "b664387b6351b738ac486732c8396f74157164ac7a97499a0fb071b31a432bae",
 	}
 	ctx := context.Background()
 	for _, rc := range goldenConfigs() {

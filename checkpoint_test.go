@@ -217,10 +217,12 @@ func TestRunPastTwoSeconds(t *testing.T) {
 
 // TestResumeRunCorruptReaders drives ResumeRun through every malformed
 // container shape a crash can leave on disk — truncated mid-payload,
-// header-only, bit-flipped payload bytes — and a CRC-valid container
-// whose rest-of-system power is not positive, asserting the typed failure
-// contract: ErrCorruptCheckpoint or a *CheckpointSchemaVersionError,
-// never a panic, never a silent success.
+// header-only, bit-flipped payload bytes — and CRC-valid containers
+// whose rest-of-system power is not positive or whose state the
+// simulator cannot produce, asserting the typed failure contract:
+// ErrCorruptCheckpoint, a *CheckpointSchemaVersionError or
+// ErrInvalidConfig wrapping the state mismatch, never a panic, never a
+// silent success.
 func TestResumeRunCorruptReaders(t *testing.T) {
 	ctx := context.Background()
 	rc := RunConfig{Mix: "MID1", Policy: "MemScale", Epochs: 2, Cores: 4, Channels: 2}
@@ -289,6 +291,50 @@ func TestResumeRunCorruptReaders(t *testing.T) {
 			if _, err := ResumeRun(ctx, bytes.NewReader(bad), 4); !errors.Is(err, ErrCorruptCheckpoint) {
 				t.Errorf("non_mem_w %s: err = %v, want ErrCorruptCheckpoint", w, err)
 			}
+		}
+	})
+
+	mismatch := func(t *testing.T, bad []byte) {
+		t.Helper()
+		_, err := ResumeRun(ctx, bytes.NewReader(bad), 4)
+		if !errors.Is(err, ErrInvalidConfig) || !errors.Is(err, sim.ErrStateMismatch) {
+			t.Fatalf("err = %v, want ErrInvalidConfig wrapping the state mismatch", err)
+		}
+	}
+	t.Run("short counter baseline", func(t *testing.T) {
+		tlm := regexp.MustCompile(`("last_counters":\{"TLM":\[\d+,\d+,\d+),\d+\]`).FindSubmatch(data)
+		if tlm == nil {
+			t.Fatal("four-core last_counters TLM not found in container")
+		}
+		mismatch(t, tamper(t, data, string(tlm[0]), string(tlm[1])+"]"))
+	})
+	t.Run("frequency cap off the ladder", func(t *testing.T) {
+		for _, f := range []string{"100", "500", "750"} {
+			t.Run(f, func(t *testing.T) {
+				mismatch(t, tamper(t, data, `"epoch_idx":`, `"cap_freq":`+f+`,"epoch_idx":`))
+			})
+		}
+	})
+	t.Run("rest-of-system power not the calibration", func(t *testing.T) {
+		// 20.39 W becomes 120.39 W: positive, so Decode accepts it, but
+		// not what the container's baseline calibrates.
+		mismatch(t, tamper(t, data, `"non_mem_w":`, `"non_mem_w":1`))
+	})
+	t.Run("legacy operating point", func(t *testing.T) {
+		// Images before schema 1.3 carry the operating point in every
+		// channel (the pinned container runs all four at 467 MHz). A
+		// device clock other than the bus frequency, or one channel at
+		// another frequency, is a state the simulator cannot produce.
+		legacy, err := os.ReadFile(filepath.Join("testdata", "ckpt-mem1part-shards4.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct{ name, old, new string }{
+			{"dev_freq 0", `"dev_freq":467`, `"dev_freq":0`},
+			{"dev_freq 123", `"dev_freq":467`, `"dev_freq":123`},
+			{"channels disagree", `"bus_freq":467,"dev_freq":467`, `"bus_freq":800,"dev_freq":800`},
+		} {
+			t.Run(tc.name, func(t *testing.T) { mismatch(t, tamper(t, legacy, tc.old, tc.new)) })
 		}
 	})
 }

@@ -42,7 +42,11 @@ const Magic = "memscale-checkpoint"
 // 1.2 readers load 1.0 and 1.1 images, which already carry the
 // controller-wide set beside the per-channel ones, by ignoring the
 // legacy key.
-const SchemaVersion = "1.2"
+//
+// 1.3 stores the controller's operating point once instead of in every
+// channel, and adds the meta horizon. 1.3 readers load older images
+// only when their channels' copies agree (memctrl.Controller.Load).
+const SchemaVersion = "1.3"
 
 // ErrCorruptCheckpoint reports container bytes that do not parse as a
 // checkpoint: truncation, wrong magic, malformed JSON. Matched with
@@ -110,10 +114,14 @@ type Meta struct {
 	Gamma float64 `json:"gamma,omitempty"`
 
 	// NonMem is the calibrated rest-of-system power (watts). Decode
-	// rejects a value that is not positive. A positive value that
-	// differs from the calibration still resumes: the container does
-	// not record which baseline calibrated it.
+	// rejects a value that is not positive.
 	NonMem float64 `json:"non_mem_w"`
+
+	// Horizon is the run length, in epochs, of the baseline that
+	// calibrated NonMem; a resume rejects a NonMem that differs from
+	// that calibration in any bit. Containers before schema 1.3 do not
+	// record it, and a resume of one skips the check.
+	Horizon int `json:"horizon,omitempty"`
 
 	// Epochs is the number of OS epochs completed at the snapshot.
 	Epochs int `json:"epochs"`

@@ -120,3 +120,21 @@ func TestEncodeDecodeRoundTripWithCRC(t *testing.T) {
 		t.Fatal("header carries no payload_crc32")
 	}
 }
+
+// TestDecodeMetaHorizon: the meta horizon round-trips, and a meta
+// without it (every container before schema 1.3) decodes with zero.
+func TestDecodeMetaHorizon(t *testing.T) {
+	data := validContainer(t)
+	ck, err := Decode(bytes.NewReader(data))
+	if err != nil || ck.Meta.Horizon != 0 {
+		t.Fatalf("meta without horizon: decoded %+v, err %v", ck, err)
+	}
+	ck.Meta.Horizon = 4
+	var buf bytes.Buffer
+	if err := Encode(&buf, ck); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Decode(&buf); err != nil || got.Meta.Horizon != 4 {
+		t.Errorf("horizon 4: decoded %+v, err %v", got, err)
+	}
+}

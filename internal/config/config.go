@@ -213,6 +213,16 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// DevFreq returns the DRAM device clock paired with bus frequency bus:
+// DecoupledDevFreq when set, else the bus frequency itself. memctrl
+// and the power model both derive the device clock here.
+func (c *Config) DevFreq(bus FreqMHz) FreqMHz {
+	if c.DecoupledDevFreq != 0 {
+		return c.DecoupledDevFreq
+	}
+	return bus
+}
+
 // RanksPerChannel returns the number of ranks sharing one channel.
 func (c *Config) RanksPerChannel() int { return c.DIMMsPerChannel * c.RanksPerDIMM }
 

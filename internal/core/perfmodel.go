@@ -41,7 +41,7 @@ func NewPerfModel(cfg *config.Config) *PerfModel {
 		timings: make(map[config.FreqMHz]dram.Resolved, len(config.BusFrequencies)),
 	}
 	for _, f := range config.BusFrequencies {
-		m.timings[f] = dram.Resolve(cfg.Timing, f, f)
+		m.timings[f] = dram.Resolve(cfg.Timing, f, cfg.DevFreq(f))
 	}
 	return m
 }
@@ -67,8 +67,8 @@ func (m *PerfModel) Fit(p sim.Profile) {
 	c := p.Counters
 	m.XiBank = 1 + c.BankQueueDepth()
 	m.XiBus = 1 + c.ChannelQueueDepth()
-	m.FitFreq = p.BusFreq
-	at := m.timings[p.BusFreq]
+	m.FitFreq = p.Interval.BusFreq
+	at := m.timings[m.FitFreq]
 	m.TDevice = m.deviceTime(c, at)
 
 	n := len(p.Instr)
@@ -77,7 +77,7 @@ func (m *PerfModel) Fit(p sim.Profile) {
 	m.CPIObs = resize(m.CPIObs, n)
 
 	cycles := m.cfg.TimeToCPUCycles(p.Elapsed())
-	tpiMemProf := m.TPIMem(p.BusFreq) // seconds
+	tpiMemProf := m.TPIMem(m.FitFreq) // seconds
 	for i := 0; i < n; i++ {
 		instr := p.Instr[i]
 		if instr <= 0 {

@@ -172,7 +172,7 @@ func (p *Policy) nonMem(prof sim.Profile) (float64, *guess) {
 // denominator is common to all candidates, so minimizing the numerator
 // minimizes SER. A non-nil g logs the candidate's terms.
 func (p *Policy) score(prof sim.Profile, f config.FreqMHz, nonMem float64, g *guess) float64 {
-	relTime := p.model.RelTime(f, prof.BusFreq)
+	relTime := p.model.RelTime(f, prof.Interval.BusFreq)
 	mem := p.predictMemEnergy(prof, f, relTime)
 	if p.opts.Objective == MinimizeMemoryEnergy {
 		return mem
@@ -190,34 +190,27 @@ func (p *Policy) score(prof sim.Profile, f config.FreqMHz, nonMem float64, g *gu
 // occupancies rescale with the burst length ratio.
 func (p *Policy) predictMemEnergy(prof sim.Profile, f config.FreqMHz, relTime float64) float64 {
 	iv := prof.Interval
-	burstRatio := float64(p.model.Timing(f).Burst) / float64(p.model.Timing(prof.BusFreq).Burst)
+	burstRatio := float64(p.model.Timing(f).Burst) / float64(p.model.Timing(iv.BusFreq).Burst)
 
 	pred := power.Interval{
-		Duration:  scaleT(iv.Duration, relTime),
-		MCBusFreq: f,
-		Channels:  make([]power.ChannelSlice, len(iv.Channels)),
+		Duration: scaleT(iv.Duration, relTime),
+		BusFreq:  f,
+		Channels: make([]power.ChannelSlice, len(iv.Channels)),
 	}
-	for i := range iv.Channels {
-		pred.Channels[i] = predictChannelSlice(iv.Channels[i], f, relTime, burstRatio)
+	for i, ch := range iv.Channels {
+		a := ch.DRAM
+		a.ActiveStandby = scaleT(a.ActiveStandby, relTime)
+		a.PrechargeStandby = scaleT(a.PrechargeStandby, relTime)
+		a.ActivePD = scaleT(a.ActivePD, relTime)
+		a.PrechargePD = scaleT(a.PrechargePD, relTime)
+		a.PrechargePDSlow = scaleT(a.PrechargePDSlow, relTime)
+		a.Refreshing = scaleT(a.Refreshing, relTime)
+		a.ReadBurst = scaleT(a.ReadBurst, burstRatio)
+		a.WriteBurst = scaleT(a.WriteBurst, burstRatio)
+		a.TermBurst = scaleT(a.TermBurst, burstRatio)
+		pred.Channels[i] = power.ChannelSlice{DRAM: a, Busy: scaleT(ch.Busy, burstRatio)}
 	}
 	return p.emod.Energy(pred).Memory()
-}
-
-// predictChannelSlice rescales one channel's profiled account to a
-// candidate frequency.
-func predictChannelSlice(ch power.ChannelSlice, f config.FreqMHz, relTime, burstRatio float64) power.ChannelSlice {
-	out := power.ChannelSlice{BusFreq: f, DevFreq: f, DRAM: ch.DRAM}
-	out.DRAM.ActiveStandby = scaleT(ch.DRAM.ActiveStandby, relTime)
-	out.DRAM.PrechargeStandby = scaleT(ch.DRAM.PrechargeStandby, relTime)
-	out.DRAM.ActivePD = scaleT(ch.DRAM.ActivePD, relTime)
-	out.DRAM.PrechargePD = scaleT(ch.DRAM.PrechargePD, relTime)
-	out.DRAM.PrechargePDSlow = scaleT(ch.DRAM.PrechargePDSlow, relTime)
-	out.DRAM.Refreshing = scaleT(ch.DRAM.Refreshing, relTime)
-	out.DRAM.ReadBurst = scaleT(ch.DRAM.ReadBurst, burstRatio)
-	out.DRAM.WriteBurst = scaleT(ch.DRAM.WriteBurst, burstRatio)
-	out.DRAM.TermBurst = scaleT(ch.DRAM.TermBurst, burstRatio)
-	out.Busy = scaleT(ch.Busy, burstRatio)
-	return out
 }
 
 func scaleT(t config.Time, k float64) config.Time {

@@ -143,7 +143,7 @@ func TestPerfModelPredictsMeasuredCPI(t *testing.T) {
 	m := NewPerfModel(&cfg)
 	m.Fit(captured)
 	for i := 0; i < cfg.Cores; i++ {
-		pred := m.CPI(i, captured.BusFreq)
+		pred := m.CPI(i, captured.Interval.BusFreq)
 		meas := m.CPIObs[i]
 		if meas <= 0 {
 			continue

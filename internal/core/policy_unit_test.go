@@ -35,12 +35,12 @@ func mkProfile(cfg *config.Config, mpki float64, xiBank, xiBus float64) sim.Prof
 	}
 
 	elapsed := 300 * config.Microsecond
-	interval := power.Uniform(elapsed, config.MaxBusFreq, config.MaxBusFreq,
-		idleAccount(cfg, elapsed), make([]config.Time, cfg.Channels))
+	interval := power.Interval{Duration: elapsed, BusFreq: config.MaxBusFreq,
+		Channels: make([]power.ChannelSlice, cfg.Channels)}
+	interval.Channels[0].DRAM = idleAccount(cfg, elapsed)
 
 	return sim.Profile{
 		End:      elapsed,
-		BusFreq:  config.MaxBusFreq,
 		Counters: c,
 		Instr:    instr,
 		Interval: interval,

@@ -21,7 +21,6 @@ import "memscale/internal/config"
 // — exactly the behaviour Section 2.2 describes.
 type Resolved struct {
 	BusFreq config.FreqMHz // channel frequency
-	DevFreq config.FreqMHz // DRAM/DIMM clock (== BusFreq unless decoupled)
 
 	TRCD   config.Time
 	TRP    config.Time
@@ -48,7 +47,6 @@ func Resolve(t config.DDR3Timing, bus, dev config.FreqMHz) Resolved {
 	q := dev.QuantizeCeil
 	return Resolved{
 		BusFreq: bus,
-		DevFreq: dev,
 
 		TRCD:   q(t.TRCD),
 		TRP:    q(t.TRP),

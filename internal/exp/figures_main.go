@@ -209,10 +209,3 @@ func addTimelineRows(t *stats.Table, res *sim.Result, mix workload.Mix) {
 		t.AddRow(row...)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

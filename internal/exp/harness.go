@@ -116,10 +116,6 @@ func (p Params) runGrid(jobs []runner.Job) ([]runner.Outcome, error) {
 	return p.engine().RunAll(p.ctx(), jobs)
 }
 
-func (p Params) runDuration(cfg *config.Config) config.Time {
-	return config.Time(p.Epochs) * cfg.Policy.EpochLength
-}
-
 func (p Params) logf(format string, args ...any) {
 	if p.Progress != nil {
 		fmt.Fprintf(p.Progress, format+"\n", args...)

@@ -5,10 +5,10 @@
 // scheduling, the Section 3.1 performance counters, and the
 // PLL/DLL-relock frequency-switching mechanism that MemScale adds.
 //
-// Every frequency switch drives all channels together (SetBusFrequency),
-// as in the paper's scheme. Each channel keeps its own timing and relock
-// window, which open and close together; the MC clock follows the
-// fastest channel.
+// The memory subsystem has one operating point, the bus frequency: every
+// switch (SetBusFrequency) moves all channels together, as in the
+// paper's scheme, and the device and MC clocks derive from it
+// (config.DevFreq, config.MCFreq). Every rank shares one timing.
 package memctrl
 
 import (
@@ -103,10 +103,6 @@ type channel struct {
 	// of eight scattered bank structs.
 	defAts  []config.Time
 	defSeqs []uint64
-
-	timing      dram.Resolved // operating point of this channel
-	relocking   bool
-	relockUntil config.Time
 }
 
 // Controller is the memory controller for all channels.
@@ -118,9 +114,12 @@ type Controller struct {
 	channels []*channel
 	ranks    [][]*dram.Rank // [channel][rank]
 
-	// MC clock: double the fastest channel's bus frequency.
-	mcBusFreq config.FreqMHz
-	mcTime    config.Time
+	// timing is the operating point, resolved at the bus frequency; every
+	// rank points at it. While relocking, no channel dispatches or grants
+	// its bus until relockUntil.
+	timing      dram.Resolved
+	relocking   bool
+	relockUntil config.Time
 
 	ranksPerCh int // cached cfg.RanksPerChannel(), for the defGate/defMask index
 
@@ -184,12 +183,11 @@ type Controller struct {
 // boots at the nominal maximum frequency.
 func New(cfg *config.Config, q *event.Queue) *Controller {
 	c := &Controller{
-		cfg:       cfg,
-		q:         q,
-		mapper:    config.NewAddressMapper(cfg),
-		mcBusFreq: config.MaxBusFreq,
+		cfg:    cfg,
+		q:      q,
+		mapper: config.NewAddressMapper(cfg),
 	}
-	c.mcTime = cfg.Timing.MCTime(config.MaxBusFreq)
+	c.setBusFreq(config.MaxBusFreq)
 	c.ranksPerCh = cfg.RanksPerChannel()
 	c.onStartBank = c.startBankServiceEvent
 	c.onBusReady = c.busReadyEvent
@@ -218,7 +216,6 @@ func New(cfg *config.Config, q *event.Queue) *Controller {
 			outstanding: make([]int, banksPerChannel),
 			defAts:      make([]config.Time, banksPerChannel),
 			defSeqs:     make([]uint64, banksPerChannel),
-			timing:      dram.Resolve(cfg.Timing, config.MaxBusFreq, c.devFreqFor(config.MaxBusFreq)),
 		}
 		for i := range ch.defAts {
 			ch.defAts[i] = noDeferral
@@ -228,20 +225,16 @@ func New(cfg *config.Config, q *event.Queue) *Controller {
 		c.dispatched[chIdx] = make([]int, cfg.RanksPerChannel())
 		c.pending[chIdx] = make([]int, cfg.RanksPerChannel())
 		for r := range c.ranks[chIdx] {
-			c.ranks[chIdx][r] = dram.NewRank(cfg.BanksPerRank, &ch.timing)
+			c.ranks[chIdx][r] = dram.NewRank(cfg.BanksPerRank, &c.timing)
 		}
 	}
 	c.counters.TLM = make([]uint64, cfg.Cores)
 	return c
 }
 
-// devFreqFor returns the DRAM device frequency paired with a bus
-// frequency (lower and fixed under Decoupled DIMMs).
-func (c *Controller) devFreqFor(bus config.FreqMHz) config.FreqMHz {
-	if c.cfg.DecoupledDevFreq != 0 {
-		return c.cfg.DecoupledDevFreq
-	}
-	return bus
+// setBusFreq resolves the shared timing at bus frequency f.
+func (c *Controller) setBusFreq(f config.FreqMHz) {
+	c.timing = dram.Resolve(c.cfg.Timing, f, c.cfg.DevFreq(f))
 }
 
 // Start arms the per-rank refresh timers, staggered so ranks refresh
@@ -262,12 +255,8 @@ func (c *Controller) Start() {
 	}
 }
 
-// BusFreq returns the bus frequency every channel runs at (read from
-// channel 0).
-func (c *Controller) BusFreq() config.FreqMHz { return c.channels[0].timing.BusFreq }
-
-// DevFreq returns channel 0's DRAM device frequency.
-func (c *Controller) DevFreq() config.FreqMHz { return c.channels[0].timing.DevFreq }
+// BusFreq returns the bus frequency every channel runs at.
+func (c *Controller) BusFreq() config.FreqMHz { return c.timing.BusFreq }
 
 // SetTelemetry attaches a recorder. Pass nil to detach.
 func (c *Controller) SetTelemetry(tel *telemetry.Recorder) { c.tel = tel }
@@ -285,9 +274,8 @@ func (c *Controller) SetQuiesceHorizon(t config.Time) { c.quiesce = t }
 // Counters returns a snapshot of the performance counters.
 func (c *Controller) Counters() Counters { return c.counters.Clone() }
 
-// Timing returns the resolved timing of channel 0 (the system timing
-// under uniform scaling).
-func (c *Controller) Timing() dram.Resolved { return c.channels[0].timing }
+// Timing returns the resolved timing of the current operating point.
+func (c *Controller) Timing() dram.Resolved { return c.timing }
 
 // getRequest takes a recycled Request from the pool, or allocates one
 // while the pool warms up.
@@ -400,7 +388,7 @@ func (c *Controller) nextFor(ch *channel, b bankID) *Request {
 // rank, and the controller allow it.
 func (c *Controller) tryDispatch(now config.Time, chIdx int, b bankID) {
 	ch := c.channels[chIdx]
-	if ch.relocking || ch.banks[b].dispatched {
+	if c.relocking || ch.banks[b].dispatched {
 		return
 	}
 	rankIdx, bankIdx := c.split(b)
@@ -423,7 +411,7 @@ func (c *Controller) tryDispatch(now config.Time, chIdx int, b bankID) {
 			if bk.queue.Len() > 0 && bk.wb.Len() == 0 {
 				bk.defDispatch = true
 				bk.defReq = bk.queue.Peek()
-				c.q.ScheduleViaSeq(bk.prechAt, bk.prechSeq, bk.prechAt+c.mcTime,
+				c.q.ScheduleViaSeq(bk.prechAt, bk.prechSeq, bk.prechAt+c.timing.MC,
 					c.onStartBank, bk.defReq, int32(chIdx), int32(b))
 			} else {
 				c.materializePrecharge(bk, chIdx, b)
@@ -440,7 +428,7 @@ func (c *Controller) tryDispatch(now config.Time, chIdx int, b bankID) {
 	c.dispatched[chIdx][rankIdx]++
 	// The MC pipeline spends mcTime per request before the device
 	// sees it (five MC cycles, Section 3.3).
-	c.q.ScheduleBound(now+c.mcTime, c.onStartBank, req, int32(chIdx), int32(b))
+	c.q.ScheduleBound(now+c.timing.MC, c.onStartBank, req, int32(chIdx), int32(b))
 }
 
 func (c *Controller) startBankServiceEvent(now config.Time, env any, a, b int32) {
@@ -449,10 +437,9 @@ func (c *Controller) startBankServiceEvent(now config.Time, env any, a, b int32)
 
 // startBankService issues the request to the DRAM bank.
 func (c *Controller) startBankService(now config.Time, chIdx int, b bankID, req *Request) {
-	ch := c.channels[chIdx]
-	if ch.relocking {
+	if c.relocking {
 		// The relock began after dispatch; resume when it ends.
-		c.q.ScheduleBound(ch.relockUntil, c.onStartBank, req, int32(chIdx), int32(b))
+		c.q.ScheduleBound(c.relockUntil, c.onStartBank, req, int32(chIdx), int32(b))
 		return
 	}
 	rankIdx := req.Loc.Rank
@@ -481,7 +468,7 @@ func (c *Controller) startBankService(now config.Time, chIdx int, b bankID, req 
 	// Decoupled DIMMs: the device-side transfer into the
 	// synchronization buffer runs at the slower device clock; the
 	// channel burst cannot begin until it completes.
-	if extra := ch.timing.DevBurst - ch.timing.Burst; extra > 0 {
+	if extra := c.timing.DevBurst - c.timing.Burst; extra > 0 {
 		ready += extra
 	}
 	req.ready = ready
@@ -501,7 +488,7 @@ func (c *Controller) busReadyEvent(now config.Time, env any, a, _ int32) {
 // transfer-blocking behaviour of the Figure 4 queueing model.
 func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 	ch := c.channels[chIdx]
-	if ch.relocking || ch.busQueue.Len() == 0 {
+	if c.relocking || ch.busQueue.Len() == 0 {
 		return
 	}
 	if ch.busFreeAt > now {
@@ -519,7 +506,7 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 	c.settleRank(now, chIdx, req.Loc.Rank, false)
 
 	busStart := now
-	busEnd := busStart + ch.timing.Burst
+	busEnd := busStart + c.timing.Burst
 	ch.busFreeAt = busEnd
 	ch.busBusy += busEnd - busStart
 
@@ -586,7 +573,7 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 		ch.defAts[b] = prechargeDone
 		ch.defSeqs[b] = uint64(bk.prechSeq)
 		c.deferAdded(chIdx, b, prechargeDone)
-		c.q.ScheduleViaSeq(prechargeDone, bk.prechSeq, prechargeDone+c.mcTime,
+		c.q.ScheduleViaSeq(prechargeDone, bk.prechSeq, prechargeDone+c.timing.MC,
 			c.onStartBank, bk.defReq, int32(chIdx), int32(b))
 	} else {
 		c.q.ScheduleBound(prechargeDone, c.onPrecharge, nil, int32(chIdx), int32(b))
@@ -805,7 +792,7 @@ func (c *Controller) grantBusEvent(now config.Time, _ any, a, _ int32) {
 // maybePowerdown drops an idle rank into the configured powerdown
 // state, as today's aggressive controllers do (Section 4.2.3).
 func (c *Controller) maybePowerdown(now config.Time, chIdx, rankIdx int) {
-	if c.cfg.Powerdown == config.PowerdownNone || c.channels[chIdx].relocking {
+	if c.cfg.Powerdown == config.PowerdownNone || c.relocking {
 		return
 	}
 	if c.pending[chIdx][rankIdx] > 0 || c.dispatched[chIdx][rankIdx] > 0 {
@@ -870,21 +857,17 @@ func (c *Controller) kickRank(now config.Time, chIdx, rankIdx int) {
 }
 
 // FlushInterval closes the power-accounting interval at now and
-// returns it: per-channel rank accounts, bus occupancies, and
-// operating points, plus the MC reference frequency. Call before every
-// frequency change and at reporting boundaries.
+// returns it: the operating point, and per channel the rank accounts
+// and bus occupancy. Call before every frequency change and at
+// reporting boundaries.
 func (c *Controller) FlushInterval(now config.Time) power.Interval {
 	iv := power.Interval{
-		Duration:  now - c.flushedAt,
-		MCBusFreq: c.mcBusFreq,
-		Channels:  make([]power.ChannelSlice, len(c.channels)),
+		Duration: now - c.flushedAt,
+		BusFreq:  c.timing.BusFreq,
+		Channels: make([]power.ChannelSlice, len(c.channels)),
 	}
 	for chIdx, ch := range c.channels {
-		slice := power.ChannelSlice{
-			BusFreq: ch.timing.BusFreq,
-			DevFreq: ch.timing.DevFreq,
-			Busy:    ch.busBusy,
-		}
+		slice := power.ChannelSlice{Busy: ch.busBusy}
 		ch.busBusy = 0
 		for rankIdx := range c.ranks[chIdx] {
 			slice.DRAM.Add(c.flushRank(now, chIdx, rankIdx, slice.Busy))
@@ -915,59 +898,47 @@ func (c *Controller) RelockPenalty(f config.FreqMHz) config.Time {
 	return f.Cycles(int64(c.cfg.Policy.RelockCycles)) + c.cfg.Policy.RelockExtra
 }
 
-// SetBusFrequency initiates a frequency switch of every channel — the
-// paper's base mechanism. Memory dispatch halts for the relock
-// penalty; queued requests wait and resume at the new operating point.
-// The caller must flush the power interval first. It returns the time
-// the new frequency becomes active. Switching to the current frequency
-// is a no-op.
+// SetBusFrequency initiates a frequency switch of the whole memory
+// subsystem — the paper's base mechanism. Memory dispatch halts for
+// the relock penalty; queued requests wait and resume at the new
+// operating point. The caller must flush the power interval first. It
+// returns the time the new frequency becomes active. Switching to the
+// current frequency is a no-op. The per-channel relock-done events
+// hold consecutive tickets at one instant, so no other event can fire
+// between them.
 func (c *Controller) SetBusFrequency(now config.Time, f config.FreqMHz) config.Time {
-	applied := now
-	for ch := range c.channels {
-		if at := c.relockChannel(now, ch, f); at > applied {
-			applied = at
-		}
-	}
-	return applied
-}
-
-// relockChannel starts one channel's share of a SetBusFrequency switch
-// and returns when that channel resumes.
-func (c *Controller) relockChannel(now config.Time, chIdx int, f config.FreqMHz) config.Time {
 	if !config.ValidBusFrequency(f) {
 		panic(fmt.Sprintf("memctrl: invalid bus frequency %v", f))
 	}
-	ch := c.channels[chIdx]
-	if f == ch.timing.BusFreq {
+	if f == c.timing.BusFreq {
 		return now
 	}
-	if ch.relocking {
-		panic(fmt.Sprintf("memctrl: channel %d frequency change while already relocking", chIdx))
+	if c.relocking {
+		panic("memctrl: frequency change while already relocking")
 	}
 	if c.flushedAt != now {
 		panic(fmt.Sprintf("memctrl: frequency change at %v without flush (last flush %v)", now, c.flushedAt))
 	}
 	halt := c.RelockPenalty(f)
-	ch.relocking = true
-	ch.relockUntil = now + halt
-	if c.tel != nil {
-		c.tel.FreqTransition(now, chIdx, ch.timing.BusFreq, f, halt)
+	c.relocking = true
+	c.relockUntil = now + halt
+	for chIdx := range c.channels {
+		if c.tel != nil {
+			c.tel.FreqTransition(now, chIdx, c.timing.BusFreq, f, halt)
+		}
+		c.q.ScheduleBound(c.relockUntil, c.onRelockDone, nil, int32(chIdx), int32(f))
 	}
-	c.q.ScheduleBound(ch.relockUntil, c.onRelockDone, nil, int32(chIdx), int32(f))
-	return ch.relockUntil
+	return c.relockUntil
 }
 
-// onRelockDoneEvent completes a channel's relock window; b carries the
-// new bus frequency. Dispatch resumes via a same-instant kick event so
-// that when several channels finish relocking at the same timestamp
-// (the uniform switch), the MC clock settles before any request
-// re-dispatches.
+// onRelockDoneEvent closes the relock window for channel a; b carries
+// the new bus frequency, which the first channel's event switches to.
+// Dispatch resumes via a same-instant kick event per channel.
 func (c *Controller) onRelockDoneEvent(now config.Time, _ any, a, b int32) {
-	ch := c.channels[a]
-	f := config.FreqMHz(b)
-	ch.timing = dram.Resolve(c.cfg.Timing, f, c.devFreqFor(f))
-	ch.relocking = false
-	c.updateMCClock()
+	if c.relocking {
+		c.setBusFreq(config.FreqMHz(b))
+		c.relocking = false
+	}
 	c.q.ScheduleBound(c.q.Now(), c.onRelockKick, nil, a, 0)
 }
 
@@ -987,29 +958,6 @@ func (c *Controller) onDoneEvent(now config.Time, env any, _, _ int32) {
 	done := req.Done
 	c.putRequest(req)
 	done(now)
-}
-
-// updateMCClock re-derives the MC clock from the fastest channel.
-func (c *Controller) updateMCClock() {
-	max := config.MinBusFreq
-	for _, ch := range c.channels {
-		if ch.timing.BusFreq > max {
-			max = ch.timing.BusFreq
-		}
-	}
-	c.mcBusFreq = max
-	c.mcTime = c.cfg.Timing.MCTime(max)
-}
-
-// Relocking reports whether any channel's frequency switch is in
-// progress.
-func (c *Controller) Relocking() bool {
-	for _, ch := range c.channels {
-		if ch.relocking {
-			return true
-		}
-	}
-	return false
 }
 
 // QueuedRequests returns the number of requests queued or in flight.

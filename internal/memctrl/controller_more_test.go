@@ -125,15 +125,15 @@ func TestCountersAdd(t *testing.T) {
 	}
 }
 
-// TestDecoupledBackgroundPower: with Decoupled DIMMs the device clock
-// is low, so the rank background energy must match the device
-// frequency, not the channel's.
+// TestDecoupledDevFreqInInterval: with Decoupled DIMMs the interval
+// carries the channel's bus frequency, and the device clock the power
+// model prices background energy at is the low decoupled one.
 func TestDecoupledDevFreqInInterval(t *testing.T) {
 	r := newRig(func(c *config.Config) { c.DecoupledDevFreq = config.Freq400 })
 	r.q.RunUntil(50 * config.Microsecond)
 	iv := r.c.FlushInterval(r.q.Now())
-	if iv.Channels[0].DevFreq != config.Freq400 || iv.Channels[0].BusFreq != config.Freq800 {
-		t.Errorf("interval freqs: bus %v dev %v", iv.Channels[0].BusFreq, iv.Channels[0].DevFreq)
+	if dev := r.cfg.DevFreq(iv.BusFreq); dev != config.Freq400 || iv.BusFreq != config.Freq800 {
+		t.Errorf("interval freqs: bus %v dev %v", iv.BusFreq, dev)
 	}
 }
 
@@ -477,5 +477,110 @@ func TestLoadLegacyCounterImage(t *testing.T) {
 	}
 	if got, want := c.Counters(), r.c.Counters(); !reflect.DeepEqual(got, want) {
 		t.Errorf("restored counters = %+v, want %+v", got, want)
+	}
+}
+
+// legacyPointImage rewrites a saved image into the schema 1.2 shape:
+// no controller operating point, and each channel carrying its own
+// copy, set by point(ch) to bus_freq, dev_freq, relocking and
+// relock_until.
+func legacyPointImage(t *testing.T, st *ControllerState, point func(ch int) map[string]any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img map[string]json.RawMessage
+	var chans []map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &img); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(img["channels"], &chans); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := img["bus_freq"]; !ok || strings.Contains(string(raw), `"dev_freq"`) {
+		t.Fatalf("saved image does not carry one operating point: %.300s", raw)
+	}
+	delete(img, "bus_freq")
+	delete(img, "relocking")
+	delete(img, "relock_until")
+	for ch := range chans {
+		for k, v := range point(ch) {
+			if chans[ch][k], err = json.Marshal(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if img["channels"], err = json.Marshal(chans); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(img); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestLoadLegacyOperatingPoint: an image of schema 1.2 or earlier
+// carries the operating point in every channel. Load accepts it only
+// when every copy agrees and each device clock is the one the
+// configuration derives, and then restores the state the one-point
+// image restores.
+func TestLoadLegacyOperatingPoint(t *testing.T) {
+	r := newRig(func(c *config.Config) { c.DecoupledDevFreq = config.Freq200 })
+	r.q.RunUntil(20 * config.Microsecond)
+	now := r.q.Now()
+	r.c.FlushInterval(now)
+	until := r.c.SetBusFrequency(now, config.Freq400)
+	st := r.c.Save(NewRequestTable()) // mid-relock
+	if !st.Relocking || st.RelockUntil != until || st.BusFreq != config.Freq800 {
+		t.Fatalf("saved point: bus %v relocking %v until %v", st.BusFreq, st.Relocking, st.RelockUntil)
+	}
+	doneFor := func(int) func(config.Time) { return nil }
+	load := func(raw []byte) (*Controller, error) {
+		var img ControllerState
+		if err := json.Unmarshal(raw, &img); err != nil {
+			t.Fatal(err)
+		}
+		c := New(&r.cfg, &event.Queue{})
+		_, err := c.Load(&img, doneFor)
+		return c, err
+	}
+	point := func(bus, dev config.FreqMHz) map[string]any {
+		return map[string]any{"bus_freq": bus, "dev_freq": dev, "relocking": true, "relock_until": until}
+	}
+
+	want := New(&r.cfg, &event.Queue{})
+	if _, err := want.Load(st, doneFor); err != nil {
+		t.Fatal(err)
+	}
+	c, err := load(legacyPointImage(t, st, func(int) map[string]any { return point(config.Freq800, config.Freq200) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Save(NewRequestTable()), want.Save(NewRequestTable()); !reflect.DeepEqual(got, want) {
+		t.Errorf("legacy image restored %+v, one-point image %+v", got, want)
+	}
+	if c.timing != want.timing || !c.relocking {
+		t.Errorf("legacy image timing %+v relocking %v, want %+v relocking", c.timing, c.relocking, want.timing)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		point func(ch int) map[string]any
+		err   string
+	}{
+		{"channels disagree", func(ch int) map[string]any {
+			if ch == 1 {
+				return point(config.Freq333, config.Freq200)
+			}
+			return point(config.Freq800, config.Freq200)
+		}, "disagrees with channel 0's"},
+		{"device clock is the bus clock", func(int) map[string]any { return point(config.Freq800, config.Freq800) }, "device clock"},
+		{"device clock zero", func(int) map[string]any { return point(config.Freq800, 0) }, "device clock"},
+		{"bus off the ladder", func(int) map[string]any { return point(123, config.Freq200) }, "not on the ladder"},
+	} {
+		if _, err := load(legacyPointImage(t, st, tc.point)); err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.err)
+		}
 	}
 }

@@ -335,7 +335,7 @@ func TestFrequencyChangeHaltsAndResumes(t *testing.T) {
 	if applied != want {
 		t.Errorf("relock completes at %v, want %v", applied, want)
 	}
-	if !r.c.Relocking() {
+	if !r.c.relocking {
 		t.Error("controller must report relocking")
 	}
 	// A read issued during the relock waits for it.
@@ -400,8 +400,8 @@ func TestDecoupledDevFreqLatency(t *testing.T) {
 	d2 := dec.read(0, dec.line(0, 0, 0, 10, 0), 0)
 	norm.drain()
 	dec.drain()
-	if dec.c.DevFreq() != config.Freq400 || dec.c.BusFreq() != config.Freq800 {
-		t.Fatalf("decoupled rig freqs: bus %v dev %v", dec.c.BusFreq(), dec.c.DevFreq())
+	if tm := dec.c.Timing(); tm.DevBurst != dec.cfg.Timing.BurstTime(config.Freq400) || tm.BusFreq != config.Freq800 {
+		t.Fatalf("decoupled rig timing: bus %v device burst %v", tm.BusFreq, tm.DevBurst)
 	}
 	if *d2 <= *d1 {
 		t.Errorf("decoupled access (%v) must be slower than lock-step (%v)", *d2, *d1)

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/bits"
 
@@ -98,23 +99,18 @@ type BankState struct {
 }
 
 // ChannelState is the pure-data image of one channel: banks, bus
-// arbitration, deferral mirrors, and the operating point (from which
-// the resolved timing is rebuilt on restore).
+// arbitration and deferral mirrors.
 type ChannelState struct {
-	Banks       []BankState    `json:"banks"`
-	WBCount     int            `json:"wb_count"`
-	BusFreeAt   config.Time    `json:"bus_free_at"`
-	BusQueue    []int32        `json:"bus_queue,omitempty"`
-	GrantArmed  bool           `json:"grant_armed,omitempty"`
-	GrantSeq    uint64         `json:"grant_seq"`
-	BusBusy     config.Time    `json:"bus_busy"`
-	Outstanding []int          `json:"outstanding"`
-	DefAts      []config.Time  `json:"def_ats"`
-	DefSeqs     []uint64       `json:"def_seqs"`
-	BusFreq     config.FreqMHz `json:"bus_freq"`
-	DevFreq     config.FreqMHz `json:"dev_freq"`
-	Relocking   bool           `json:"relocking,omitempty"`
-	RelockUntil config.Time    `json:"relock_until"`
+	Banks       []BankState   `json:"banks"`
+	WBCount     int           `json:"wb_count"`
+	BusFreeAt   config.Time   `json:"bus_free_at"`
+	BusQueue    []int32       `json:"bus_queue,omitempty"`
+	GrantArmed  bool          `json:"grant_armed,omitempty"`
+	GrantSeq    uint64        `json:"grant_seq"`
+	BusBusy     config.Time   `json:"bus_busy"`
+	Outstanding []int         `json:"outstanding"`
+	DefAts      []config.Time `json:"def_ats"`
+	DefSeqs     []uint64      `json:"def_seqs"`
 }
 
 // ControllerState is the complete serializable image of a Controller.
@@ -129,6 +125,67 @@ type ControllerState struct {
 	Counters   Counters           `json:"counters"`
 	FlushedAt  config.Time        `json:"flushed_at"`
 	Quiesce    config.Time        `json:"quiesce"`
+
+	// The operating point, from whose bus frequency Load rebuilds the
+	// timing and clocks. Images of schema 1.2 and earlier carry a copy
+	// per channel instead, which UnmarshalJSON keeps in legacy.
+	BusFreq     config.FreqMHz `json:"bus_freq,omitempty"`
+	Relocking   bool           `json:"relocking,omitempty"`
+	RelockUntil config.Time    `json:"relock_until,omitempty"`
+	legacy      []channelPoint
+}
+
+// channelPoint is one channel's copy of the operating point in an
+// image of schema 1.2 or earlier.
+type channelPoint struct {
+	BusFreq     config.FreqMHz `json:"bus_freq"`
+	DevFreq     config.FreqMHz `json:"dev_freq"`
+	Relocking   bool           `json:"relocking"`
+	RelockUntil config.Time    `json:"relock_until"`
+}
+
+// UnmarshalJSON decodes an image of any 1.x schema. An image without
+// the controller's bus_freq predates schema 1.3, so its per-channel
+// operating points are decoded too.
+func (st *ControllerState) UnmarshalJSON(data []byte) error {
+	type image ControllerState // drops the method, not the fields
+	if err := json.Unmarshal(data, (*image)(st)); err != nil {
+		return err
+	}
+	if st.BusFreq != 0 {
+		return nil
+	}
+	var old struct {
+		Channels []channelPoint `json:"channels"`
+	}
+	if err := json.Unmarshal(data, &old); err != nil {
+		return err
+	}
+	st.legacy = old.Channels
+	return nil
+}
+
+// point returns the image's operating point. The copies of a legacy
+// image must agree, at the device clock cfg derives from their bus
+// frequency: the simulator switches all channels together and never
+// runs the devices at another clock.
+func (st *ControllerState) point(cfg *config.Config) (channelPoint, error) {
+	p := channelPoint{st.BusFreq, cfg.DevFreq(st.BusFreq), st.Relocking, st.RelockUntil}
+	if len(st.legacy) > 0 {
+		p = st.legacy[0]
+	}
+	for i, cp := range st.legacy {
+		if cp != p {
+			return p, fmt.Errorf("memctrl: channel %d operating point %+v disagrees with channel 0's %+v", i, cp, p)
+		}
+	}
+	if !config.ValidBusFrequency(p.BusFreq) {
+		return p, fmt.Errorf("memctrl: bus frequency %v not on the ladder", p.BusFreq)
+	}
+	if want := cfg.DevFreq(p.BusFreq); p.DevFreq != want {
+		return p, fmt.Errorf("memctrl: device clock %v, bus frequency %v derives %v", p.DevFreq, p.BusFreq, want)
+	}
+	return p, nil
 }
 
 func saveRing(r *reqRing, tbl *RequestTable) []int32 {
@@ -157,6 +214,10 @@ func (c *Controller) Save(tbl *RequestTable) *ControllerState {
 		Counters:   c.Counters(),
 		FlushedAt:  c.flushedAt,
 		Quiesce:    c.quiesce,
+
+		BusFreq:     c.timing.BusFreq,
+		Relocking:   c.relocking,
+		RelockUntil: c.relockUntil,
 	}
 	for chIdx, ch := range c.channels {
 		st.DefPrech[chIdx] = make([]int, c.ranksPerCh)
@@ -173,10 +234,6 @@ func (c *Controller) Save(tbl *RequestTable) *ControllerState {
 			Outstanding: append([]int(nil), ch.outstanding...),
 			DefAts:      append([]config.Time(nil), ch.defAts...),
 			DefSeqs:     append([]uint64(nil), ch.defSeqs...),
-			BusFreq:     ch.timing.BusFreq,
-			DevFreq:     ch.timing.DevFreq,
-			Relocking:   ch.relocking,
-			RelockUntil: ch.relockUntil,
 		}
 		for b := range ch.banks {
 			bk := &ch.banks[b]
@@ -222,6 +279,10 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 		return nil, fmt.Errorf("memctrl: state counters sized for %d cores, controller has %d",
 			len(st.Counters.TLM), len(c.counters.TLM))
 	}
+	p, err := st.point(c.cfg)
+	if err != nil {
+		return nil, err
+	}
 
 	reqs := make([]*Request, len(st.Requests))
 	for i, rs := range st.Requests {
@@ -261,9 +322,6 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 		if len(cs.Banks) != len(ch.banks) || len(cs.Outstanding) != len(ch.outstanding) ||
 			len(cs.DefAts) != len(ch.defAts) || len(cs.DefSeqs) != len(ch.defSeqs) {
 			return nil, fmt.Errorf("memctrl: channel %d state does not match bank geometry", chIdx)
-		}
-		if !config.ValidBusFrequency(cs.BusFreq) {
-			return nil, fmt.Errorf("memctrl: channel %d bus frequency %v not on the ladder", chIdx, cs.BusFreq)
 		}
 		for b, bs := range cs.Banks {
 			bk := &ch.banks[b]
@@ -305,9 +363,6 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 			}
 		}
 		copy(ch.defSeqs, cs.DefSeqs)
-		ch.timing = dram.Resolve(c.cfg.Timing, cs.BusFreq, cs.DevFreq)
-		ch.relocking = cs.Relocking
-		ch.relockUntil = cs.RelockUntil
 
 		if len(st.Ranks[chIdx]) != len(c.ranks[chIdx]) {
 			return nil, fmt.Errorf("memctrl: channel %d state has %d ranks, controller has %d",
@@ -337,7 +392,9 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 	c.counters = st.Counters.Clone()
 	c.flushedAt = st.FlushedAt
 	c.quiesce = st.Quiesce
-	c.updateMCClock()
+	c.setBusFreq(p.BusFreq)
+	c.relocking = p.Relocking
+	c.relockUntil = p.RelockUntil
 	return reqs, nil
 }
 

@@ -62,14 +62,8 @@ func (b Breakdown) Scale(k float64) Breakdown {
 	}
 }
 
-// ChannelSlice is one channel's share of an accounting interval. Each
-// channel carries its own operating point; since every switch drives
-// all channels together, the slices of one interval hold the same
-// frequencies.
+// ChannelSlice is one channel's share of an accounting interval.
 type ChannelSlice struct {
-	BusFreq config.FreqMHz
-	DevFreq config.FreqMHz // DIMM/DRAM clock; == BusFreq unless decoupled
-
 	// DRAM is the sum of the channel's ranks' flushed accounts.
 	DRAM dram.Account
 
@@ -79,31 +73,16 @@ type ChannelSlice struct {
 }
 
 // Interval is everything the model needs to convert one stretch of
-// simulation at fixed operating points into energy.
+// simulation at a fixed operating point into energy.
 type Interval struct {
 	Duration config.Time
 
-	// MCBusFreq is the bus frequency that sets the memory controller
-	// clock (the fastest channel under per-channel scaling).
-	MCBusFreq config.FreqMHz
+	// BusFreq is the operating point: every channel and DIMM runs at
+	// it, the device clock is config.DevFreq of it, and the memory
+	// controller clock config.MCFreq.
+	BusFreq config.FreqMHz
 
 	Channels []ChannelSlice
-}
-
-// Uniform builds an interval where every channel runs at the same
-// operating point — the common case for the paper's base MemScale.
-// DRAM pricing is frequency-linear per slice, so with equal
-// frequencies the summed account can live on one slice without
-// changing the result.
-func Uniform(duration config.Time, bus, dev config.FreqMHz, dramSum dram.Account, busy []config.Time) Interval {
-	iv := Interval{Duration: duration, MCBusFreq: bus, Channels: make([]ChannelSlice, len(busy))}
-	for i := range iv.Channels {
-		iv.Channels[i] = ChannelSlice{BusFreq: bus, DevFreq: dev, Busy: busy[i]}
-	}
-	if len(iv.Channels) > 0 {
-		iv.Channels[0].DRAM = dramSum
-	}
-	return iv
 }
 
 // DRAMTotal returns the summed account across channels.
@@ -137,20 +116,21 @@ func (m *Model) bgScale(f config.FreqMHz) float64 {
 	return s*lin + (1 - s)
 }
 
-// Energy evaluates the full memory-subsystem energy of one interval,
-// pricing each channel at its own operating point.
+// Energy evaluates the full memory-subsystem energy of one interval
+// at its operating point.
 func (m *Model) Energy(iv Interval) Breakdown {
 	cur := m.cfg.Currents
 	p := m.cfg.Power
 	dur := iv.Duration.Seconds()
 	tRC := (m.cfg.Timing.TRAS + m.cfg.Timing.TRP).Seconds()
+	scale := m.bgScale(m.cfg.DevFreq(iv.BusFreq))
+	fScale := float64(iv.BusFreq) / float64(config.MaxBusFreq)
 
 	var b Breakdown
 	var utilSum float64
 	for i := range iv.Channels {
 		ch := &iv.Channels[i]
 		a := &ch.DRAM
-		scale := m.bgScale(ch.DevFreq)
 
 		// Background: state durations times the per-rank background
 		// power. Standby states are clocked, so they scale with the
@@ -180,7 +160,6 @@ func (m *Model) Energy(iv Interval) Breakdown {
 
 		// Register + PLL per DIMM; both scale linearly with channel
 		// frequency, the register additionally with utilization.
-		fScale := float64(ch.BusFreq) / float64(config.MaxBusFreq)
 		util := utilization(ch.Busy, iv.Duration)
 		utilSum += util
 		regW := (p.RegisterIdleW + (p.RegisterPeakW-p.RegisterIdleW)*util) * fScale
@@ -189,13 +168,12 @@ func (m *Model) Energy(iv Interval) Breakdown {
 	}
 
 	// Memory controller: utilization-linear between idle and peak,
-	// scaled by V^2*f across the DVFS range. The MC clock follows the
-	// fastest channel.
+	// scaled by V^2*f across the DVFS range.
 	meanUtil := 0.0
 	if len(iv.Channels) > 0 {
 		meanUtil = utilSum / float64(len(iv.Channels))
 	}
-	b.MC = m.MCPower(iv.MCBusFreq, meanUtil) * dur
+	b.MC = m.MCPower(iv.BusFreq, meanUtil) * dur
 
 	return b
 }
@@ -244,17 +222,6 @@ func utilization(busy, total config.Time) float64 {
 		return 0
 	}
 	return clamp01(float64(busy) / float64(total))
-}
-
-func meanUtilization(busy []config.Time, total config.Time) float64 {
-	if len(busy) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, b := range busy {
-		sum += utilization(b, total)
-	}
-	return sum / float64(len(busy))
 }
 
 func clamp01(x float64) float64 {

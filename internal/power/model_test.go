@@ -17,9 +17,9 @@ func newModel() (*Model, config.Config) {
 // idleInterval returns an interval with all ranks in precharge standby
 // for 1 second at frequency f.
 func idleInterval(c *config.Config, f config.FreqMHz) Interval {
-	return Uniform(config.Second, f, f,
-		dram.Account{PrechargeStandby: config.Time(c.TotalRanks()) * config.Second},
-		make([]config.Time, c.Channels))
+	iv := Interval{Duration: config.Second, BusFreq: f, Channels: make([]ChannelSlice, c.Channels)}
+	iv.Channels[0].DRAM.PrechargeStandby = config.Time(c.TotalRanks()) * config.Second
+	return iv
 }
 
 func TestIdleBackgroundPower(t *testing.T) {
@@ -63,8 +63,7 @@ func TestBackgroundFreqScalingKnob(t *testing.T) {
 func TestPowerdownStatesCheaper(t *testing.T) {
 	m, c := newModel()
 	mk := func(set func(*dram.Account, config.Time)) float64 {
-		iv := Uniform(config.Second, config.Freq800, config.Freq800,
-			dram.Account{}, make([]config.Time, c.Channels))
+		iv := Interval{Duration: config.Second, BusFreq: config.Freq800, Channels: make([]ChannelSlice, c.Channels)}
 		set(&iv.Channels[0].DRAM, config.Time(c.TotalRanks())*config.Second)
 		return m.Energy(iv).Background
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 
 	"memscale/internal/checkpoint"
@@ -85,11 +86,12 @@ func (e *Engine) RunWithCheckpoint(ctx context.Context, job Job, ckEpoch int) (o
 	// stopped on, with a zero Outcome.
 	return r.out, &checkpoint.Checkpoint{
 		Meta: checkpoint.Meta{
-			Mix:    job.Mix.Name,
-			Policy: job.Spec.Name,
-			Gamma:  cfg.Policy.Gamma,
-			NonMem: p.nonMem,
-			Epochs: r.snapEpochs,
+			Mix:     job.Mix.Name,
+			Policy:  job.Spec.Name,
+			Gamma:   cfg.Policy.Gamma,
+			NonMem:  p.nonMem,
+			Horizon: job.Epochs,
+			Epochs:  r.snapEpochs,
 		},
 		Config: cfg,
 		Base:   baseCfg,
@@ -156,7 +158,8 @@ type ResumeJob struct {
 // container must resume under the policy that wrote it: a meta policy
 // whose Configure hook does not turn the baseline configuration into
 // the managed one, or whose governor differs from the saved state's,
-// fails with sim.ErrStateMismatch.
+// fails with sim.ErrStateMismatch, as does a meta NonMem that is not
+// bit for bit the calibration of the baseline over the meta horizon.
 func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -215,6 +218,22 @@ func (e *Engine) Resume(ctx context.Context, rj ResumeJob) (out Outcome, err err
 		restore: ck.State, nonMem: ck.Meta.NonMem, known: true,
 	}
 	defer p.base.release()
+	// The baseline that calibrated NonMem is the pairing's own when the
+	// resume runs to the horizon; otherwise it simulates alongside.
+	calib := p.base
+	if h := ck.Meta.Horizon; h > 0 && h != rj.Epochs {
+		calib = e.cache.claim(ck.Base, mix, h)
+		defer calib.release()
+	}
 	r, err := e.pair(ctx, p)
-	return r.out, err
+	if err == nil && ck.Meta.Horizon > 0 {
+		if err = calib.wait(ctx); err == nil && math.Float64bits(calib.e.nonMem) != math.Float64bits(ck.Meta.NonMem) {
+			err = fmt.Errorf("runner: resume: %w: meta non_mem_w %v is not the %d-epoch baseline's calibration %v",
+				sim.ErrStateMismatch, ck.Meta.NonMem, ck.Meta.Horizon, calib.e.nonMem)
+		}
+	}
+	if err != nil {
+		return Outcome{}, err
+	}
+	return r.out, nil
 }

@@ -168,6 +168,12 @@ func (s *System) load(st *SystemState) error {
 	if len(st.LastInstr) != len(s.Cores) {
 		return fmt.Errorf("sim: state instruction baseline sized for %d cores, system has %d", len(st.LastInstr), len(s.Cores))
 	}
+	if len(st.LastCounters.TLM) != len(s.Cores) {
+		return fmt.Errorf("sim: state counter baseline sized for %d cores, system has %d", len(st.LastCounters.TLM), len(s.Cores))
+	}
+	if st.CapFreq != 0 && !config.ValidBusFrequency(st.CapFreq) {
+		return fmt.Errorf("sim: frequency cap %v is not on the bus-frequency ladder", st.CapFreq)
+	}
 	// A checkpoint resumes only under the governor that produced it.
 	name := ""
 	if s.opts.Governor != nil {

@@ -25,7 +25,6 @@ import (
 // counters over one window (a profiling phase or a whole epoch).
 type Profile struct {
 	Start, End config.Time
-	BusFreq    config.FreqMHz // frequency in force during the window
 
 	// Counters are the deltas of the Section 3.1 counter set.
 	Counters memctrl.Counters
@@ -34,9 +33,9 @@ type Profile struct {
 	// TIC counter deltas).
 	Instr []float64
 
-	// Interval is the power-accounting flush covering the window; it
-	// carries the PTC/PTCKEL/ATCKEL/POCC-equivalent state fractions
-	// the power model needs.
+	// Interval is the power-accounting flush covering the window: the
+	// frequency in force during it, and the PTC/PTCKEL/ATCKEL/
+	// POCC-equivalent state fractions the power model needs.
 	Interval power.Interval
 
 	// Energy is the metered energy of the window, as integrated by the
@@ -296,13 +295,13 @@ func (s *System) FrequencyCap() config.FreqMHz { return s.capFreq }
 func (s *System) flush(now config.Time) (power.Interval, power.Breakdown) {
 	iv := s.MC.FlushInterval(now)
 	b := s.Meter.Record(iv)
-	s.result.FreqTime[iv.Channels[0].BusFreq] += iv.Duration
+	s.result.FreqTime[iv.BusFreq] += iv.Duration
 	return iv, b
 }
 
 // window snapshots counter/instruction deltas since the last call and
 // pairs them with the flushed power interval.
-func (s *System) window(start, now config.Time, freq config.FreqMHz) Profile {
+func (s *System) window(start, now config.Time) Profile {
 	cur := s.MC.Counters()
 	instr := make([]float64, len(s.Cores))
 	for i, c := range s.Cores {
@@ -314,7 +313,6 @@ func (s *System) window(start, now config.Time, freq config.FreqMHz) Profile {
 	p := Profile{
 		Start:    start,
 		End:      now,
-		BusFreq:  freq,
 		Counters: cur.Sub(s.lastCounters),
 		Instr:    instr,
 		Interval: iv,
@@ -439,7 +437,7 @@ func (s *System) stepEpoch(ctx context.Context, wantRec bool) (EpochRecord, erro
 	if err := s.stepUntil(ctx, profEnd); err != nil {
 		return EpochRecord{}, err
 	}
-	p := s.window(start, profEnd, freq)
+	p := s.window(start, profEnd)
 
 	// Control algorithm invocation + bus frequency re-locking. The
 	// external cap (cluster power capping) bounds the governor's
@@ -466,7 +464,7 @@ func (s *System) stepEpoch(ctx context.Context, wantRec bool) (EpochRecord, erro
 	if err := s.stepUntil(ctx, epochEnd); err != nil {
 		return EpochRecord{}, err
 	}
-	ep := s.window(profEnd, epochEnd, chosen)
+	ep := s.window(profEnd, epochEnd)
 	if s.opts.Governor != nil {
 		// The governor accounts slack over the whole epoch.
 		whole := ep

@@ -112,7 +112,7 @@ func resumeRun(ctx context.Context, r io.Reader, epochs int) (RunSummary, error)
 		return RunSummary{}, fmt.Errorf("%w: resume.epochs: must exceed the checkpoint's completed %d, got %d",
 			ErrInvalidConfig, ck.Meta.Epochs, epochs)
 	}
-	if err := checkRunLength("resume.epochs", epochs, &ck.Config); err != nil {
+	if err := runner.CheckRunLength("resume.epochs", epochs, &ck.Config); err != nil {
 		return RunSummary{}, err
 	}
 	out, err := runner.New(runner.Options{Workers: 1}).Resume(ctx, runner.ResumeJob{

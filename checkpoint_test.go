@@ -320,6 +320,15 @@ func TestResumeRunCorruptReaders(t *testing.T) {
 		// not what the container's baseline calibrates.
 		mismatch(t, tamper(t, data, `"non_mem_w":`, `"non_mem_w":1`))
 	})
+	// A relock window closes only through one pending mc.relock_done
+	// per channel; the container, taken at an epoch boundary, has no
+	// relock in flight.
+	t.Run("relocking without pending relock completions", func(t *testing.T) {
+		mismatch(t, tamper(t, data, `"bus_freq":`, `"relocking":true,"bus_freq":`))
+	})
+	t.Run("pending relock completion without relocking", func(t *testing.T) {
+		mismatch(t, tamper(t, data, `"kind":"mc.refresh_tick"`, `"kind":"mc.relock_done"`))
+	})
 	t.Run("legacy operating point", func(t *testing.T) {
 		// Images before schema 1.3 carry the operating point in every
 		// channel (the pinned container runs all four at 467 MHz). A

@@ -88,15 +88,13 @@ func main() {
 		g.Gamma = *gamma
 		fc.Groups = append(fc.Groups, g)
 	}
-	if err := fc.Validate(); err != nil {
-		fatal(err)
-	}
 
 	// Signal wiring: the first SIGINT/SIGTERM soft-stops the fleet at
 	// its next window boundary; only a second one cancels hard.
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	softStop := make(chan struct{})
+	fc.Interrupt = softStop
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		<-sigs
@@ -104,11 +102,11 @@ func main() {
 		<-sigs
 		cancel()
 	}()
-	sum, err := memscale.RunFleetInterruptible(ctx, fc, softStop)
+	sum, err := memscale.RunFleet(ctx, fc)
 	cancel()
 	interrupted := errors.Is(err, memscale.ErrInterrupted)
 	if err != nil && sum.Nodes == 0 {
-		fatal(err) // total failure: nothing to report
+		fatal(err) // an invalid configuration or a total failure: nothing to report
 	}
 
 	type view struct {

@@ -49,6 +49,7 @@ import (
 	"syscall"
 
 	"memscale"
+	"memscale/internal/checkpoint"
 )
 
 // exitInterrupted is the exit code of a run stopped by SIGINT/SIGTERM
@@ -178,7 +179,14 @@ func main() {
 		sum, err = memscale.CheckpointRunInterruptible(ctx, rc, *checkpointEpoch, softStop, &buf)
 		interrupted := errors.Is(err, memscale.ErrInterrupted)
 		if err == nil || interrupted {
-			if werr := os.WriteFile(*checkpointOut, buf.Bytes(), 0o644); werr != nil {
+			// Written through a synced temporary file and a rename, so a
+			// crash or a full disk mid-write leaves any earlier container
+			// at the path intact rather than truncated.
+			ck, werr := checkpoint.Decode(&buf)
+			if werr == nil {
+				werr = checkpoint.WriteFile(*checkpointOut, ck)
+			}
+			if werr != nil {
 				fatal(werr)
 			}
 			fmt.Printf("checkpoint written to %s\n", *checkpointOut)

@@ -6,13 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
-	"memscale/internal/config"
 	"memscale/internal/fleet"
-	"memscale/internal/policies"
-	"memscale/internal/workload"
 )
 
 // Fleet-scale simulation: N nodes, each a full paired MemScale run,
@@ -29,29 +25,40 @@ import (
 //	})
 //	fmt.Printf("fleet SER %.3f, p99 CPI +%.1f%%\n", sum.SER, sum.P99CPIIncrease*100)
 
-// ArrivalKind names an open-loop arrival process shape; ArrivalConfig
-// configures one node group's process. See the kind constants for the
-// semantics of each shape.
+// FleetConfig drives one fleet run; NodeGroup describes one
+// homogeneous slice of the fleet; ArrivalConfig names a group's
+// open-loop arrival process, whose shape ArrivalKind selects. See the
+// field documentation of the fleet package's Config, NodeGroup and
+// ArrivalConfig. FleetConfig.Validate rejects a degenerate
+// configuration up front: like RunConfig.Validate, every failure wraps
+// ErrInvalidConfig and names the offending field with a path (e.g.
+// "groups[2].nodes", "groups[0].arrival"); unknown mix and policy
+// names additionally match ErrUnknownMix / ErrUnknownPolicy.
 type (
+	FleetConfig   = fleet.Config
+	NodeGroup     = fleet.NodeGroup
+	ArrivalConfig = fleet.ArrivalConfig
 	ArrivalKind   = fleet.ArrivalKind
-	ArrivalConfig = fleet.ArrivalSpec
 )
 
-// The supported arrival processes.
+// The supported arrival processes. Their parameters are fixed: a
+// nominal load of 1000 users x 20 req/s per node (DESIGN.md §4h).
 const (
 	// ArrivalSteady offers exactly the nominal load every epoch
 	// (intensity multiplier 1.0 — bit-identical to an undriven node).
 	ArrivalSteady = fleet.ArrivalSteady
 
 	// ArrivalPoisson draws each epoch's request count from a Poisson
-	// process at UsersPerNode x RequestsPerUserHz.
+	// process at the nominal rate.
 	ArrivalPoisson = fleet.ArrivalPoisson
 
 	// ArrivalBursty is a two-state Markov-modulated Poisson process:
-	// nodes flip between the nominal rate and BurstFactor times it.
+	// nodes flip between the nominal rate and 4x it, entering a burst
+	// with probability 0.05 per epoch and staying 5 epochs on average.
 	ArrivalBursty = fleet.ArrivalBursty
 
-	// ArrivalDiurnal modulates the Poisson rate by a sinusoid with a
+	// ArrivalDiurnal modulates the Poisson rate by a sinusoid of
+	// relative amplitude 0.6 over the fleet horizon, with a
 	// deterministic per-node phase offset.
 	ArrivalDiurnal = fleet.ArrivalDiurnal
 )
@@ -68,161 +75,6 @@ type (
 	FleetNodeSummary  = fleet.NodeSummary
 )
 
-// NodeGroup describes one homogeneous slice of the fleet: Nodes
-// servers all running the same workload mix under the same policy and
-// arrival process.
-type NodeGroup struct {
-	// Name labels the group in summaries and CSVs (defaults to the
-	// group's index).
-	Name string
-
-	// Nodes is the group's server count (must be positive).
-	Nodes int
-
-	// Mix is a Table 1 workload name; Policy a scheme name as listed
-	// by Policies() (default "MemScale"). Every node of the group runs
-	// this pair, with per-node decorrelated traces.
-	Mix    string
-	Policy string
-
-	// Gamma, Cores, Channels scale each node exactly like the
-	// RunConfig fields of the same names (zero selects the defaults:
-	// 0.10, 16, 4).
-	Gamma    float64
-	Cores    int
-	Channels int
-
-	// Arrival is the group's open-loop arrival process. The zero value
-	// offers a steady nominal load.
-	Arrival ArrivalConfig
-}
-
-// FleetConfig drives one fleet run.
-type FleetConfig struct {
-	// Groups partitions the fleet. At least one group is required.
-	Groups []NodeGroup
-
-	// Epochs is the horizon in 5 ms OS epochs per node (default 10),
-	// at most sim.MaxEpochs for each group's channel count (22,906 on
-	// the default four channels); Validate rejects longer horizons.
-	Epochs int
-
-	// PowerBudgetW is the global memory-power budget in watts shared
-	// by the whole fleet. Each fleet epoch the coordinator
-	// redistributes it across nodes as per-node frequency caps
-	// (FastCap-style fair assignment); 0 disables cluster capping and
-	// every node runs pure MemScale.
-	PowerBudgetW float64
-
-	// CapIntervalEpochs is the coordinator period in OS epochs
-	// (default 1: caps are reassigned at every epoch boundary).
-	CapIntervalEpochs int
-
-	// Seed decorrelates traces and arrivals across nodes while keeping the whole fleet reproducible: the same
-	// FleetConfig yields a bit-identical FleetSummary on any worker
-	// count.
-	Seed uint64
-
-	// Workers bounds node-level parallelism (0 = GOMAXPROCS).
-	Workers int
-}
-
-// Validate rejects a degenerate fleet configuration up front. Like
-// RunConfig.Validate, every failure wraps ErrInvalidConfig and names
-// the offending field with a path (e.g. "groups[2].nodes",
-// "groups[0].arrival.burst_probability"); unknown mix and policy names
-// additionally match ErrUnknownMix / ErrUnknownPolicy.
-func (fc FleetConfig) Validate() error {
-	switch {
-	case len(fc.Groups) == 0:
-		return fmt.Errorf("%w: groups: at least one node group is required", ErrInvalidConfig)
-	case fc.Epochs < 0:
-		return fmt.Errorf("%w: epochs: must be >= 0 (0 selects the default 10), got %d",
-			ErrInvalidConfig, fc.Epochs)
-	case math.IsNaN(fc.PowerBudgetW) || math.IsInf(fc.PowerBudgetW, 0) || fc.PowerBudgetW < 0:
-		return fmt.Errorf("%w: power_budget_w: must be finite and >= 0 (0 disables capping), got %g",
-			ErrInvalidConfig, fc.PowerBudgetW)
-	case fc.CapIntervalEpochs < 0:
-		return fmt.Errorf("%w: cap_interval_epochs: must be >= 0 (0 selects the default 1), got %d",
-			ErrInvalidConfig, fc.CapIntervalEpochs)
-	}
-	for gi, g := range fc.Groups {
-		if g.Nodes <= 0 {
-			return fmt.Errorf("%w: groups[%d].nodes: must be positive, got %d",
-				ErrInvalidConfig, gi, g.Nodes)
-		}
-		if _, err := workload.ByName(g.Mix); err != nil {
-			return fmt.Errorf("%w: groups[%d].mix: %w", ErrInvalidConfig, gi, err)
-		}
-		policy := g.Policy
-		if policy == "" {
-			policy = "MemScale"
-		}
-		if _, err := policies.ByName(policy); err != nil {
-			return fmt.Errorf("%w: groups[%d].policy: %w", ErrInvalidConfig, gi, err)
-		}
-		switch {
-		case math.IsNaN(g.Gamma) || g.Gamma < 0 || g.Gamma >= 1:
-			return fmt.Errorf("%w: groups[%d].gamma: must be in [0, 1), got %g",
-				ErrInvalidConfig, gi, g.Gamma)
-		case g.Cores < 0:
-			return fmt.Errorf("%w: groups[%d].cores: must be >= 0, got %d",
-				ErrInvalidConfig, gi, g.Cores)
-		case g.Channels < 0:
-			return fmt.Errorf("%w: groups[%d].channels: must be >= 0, got %d",
-				ErrInvalidConfig, gi, g.Channels)
-		}
-		cfg := config.Default()
-		if g.Channels > 0 {
-			cfg.Channels = g.Channels
-		}
-		if err := checkRunLength("epochs", fc.Epochs, &cfg); err != nil {
-			return err
-		}
-		if err := g.Arrival.Validate(); err != nil {
-			return fmt.Errorf("%w: groups[%d].arrival: %v", ErrInvalidConfig, gi, err)
-		}
-	}
-	return nil
-}
-
-// internal resolves the validated public configuration into the fleet
-// engine's own config type.
-func (fc FleetConfig) internal() (fleet.Config, error) {
-	c := fleet.Config{
-		Epochs:   fc.Epochs,
-		BudgetW:  fc.PowerBudgetW,
-		CapEvery: fc.CapIntervalEpochs,
-		Seed:     fc.Seed,
-		Workers:  fc.Workers,
-	}
-	for gi, g := range fc.Groups {
-		mix, err := workload.ByName(g.Mix)
-		if err != nil {
-			return fleet.Config{}, fmt.Errorf("groups[%d].mix: %w", gi, err)
-		}
-		policy := g.Policy
-		if policy == "" {
-			policy = "MemScale"
-		}
-		spec, err := policies.ByName(policy)
-		if err != nil {
-			return fleet.Config{}, fmt.Errorf("groups[%d].policy: %w", gi, err)
-		}
-		name := g.Name
-		if name == "" {
-			name = fmt.Sprintf("group%d", gi)
-		}
-		c.Groups = append(c.Groups, fleet.GroupSpec{
-			Name: name, Nodes: g.Nodes,
-			Mix: mix, Spec: spec,
-			Gamma: g.Gamma, Cores: g.Cores, Channels: g.Channels,
-			Arrival: g.Arrival,
-		})
-	}
-	return c, nil
-}
-
 // RunFleet simulates the fleet under ctx: per-node paired baselines,
 // then the managed runs stepped in lockstep fleet epochs with the
 // cluster coordinator redistributing PowerBudgetW between steps.
@@ -234,31 +86,17 @@ func (fc FleetConfig) internal() (fleet.Config, error) {
 // kill only that node: survivors' statistics are still reported and the dead
 // nodes' errors come back joined alongside the valid summary,
 // mirroring Sweep's partial-failure contract.
+//
+// When fc.Interrupt fires (a closed or signaled channel — wire it to
+// SIGINT/SIGTERM in a CLI), the fleet finishes its current lockstep
+// window and reports ErrInterrupted alongside the partial summary
+// (Interrupted set, EpochsCompleted counting the finished window
+// boundary). A stop during the baselines cancels them; the summary
+// then covers no epochs. The partial summary pairs each node's
+// completed epochs with the same epochs of its baseline, so its SER
+// and CPI figures describe those epochs.
 func RunFleet(ctx context.Context, fc FleetConfig) (FleetSummary, error) {
-	return RunFleetInterruptible(ctx, fc, nil)
-}
-
-// RunFleetInterruptible is RunFleet with a soft-stop signal: when stop
-// fires (a closed or signaled channel — wire it to SIGINT/SIGTERM in a
-// CLI), the fleet finishes its current lockstep window and reports
-// ErrInterrupted alongside the partial summary (Interrupted set,
-// EpochsCompleted counting the finished window boundary). A stop
-// during the baselines cancels them; the summary then covers no
-// epochs. The partial
-// summary pairs each node's completed epochs with the same epochs of
-// its baseline, so its SER and CPI figures describe those epochs. A
-// run that completes without interruption behaves exactly like
-// RunFleet.
-func RunFleetInterruptible(ctx context.Context, fc FleetConfig, stop <-chan struct{}) (FleetSummary, error) {
-	if err := fc.Validate(); err != nil {
-		return FleetSummary{}, err
-	}
-	c, err := fc.internal()
-	if err != nil {
-		return FleetSummary{}, err
-	}
-	c.Interrupt = stop
-	return fleet.Run(ctx, c)
+	return fleet.Run(ctx, fc)
 }
 
 // FleetSchemaVersion is the fleet-summary interchange format version

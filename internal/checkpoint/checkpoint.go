@@ -18,6 +18,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"memscale/internal/config"
@@ -231,38 +232,31 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteFile atomically-ish writes the checkpoint to path (temp file in
-// the same directory, then rename), so a crash mid-write never leaves
-// a truncated container where a resumable one was expected.
+// WriteFile writes the checkpoint to path atomically: it encodes into
+// a temporary file in the same directory, syncs it to disk and renames
+// it over path, so a crash or a full disk mid-write never leaves a
+// truncated container where a resumable one was expected. A failed
+// write leaves whatever was at path untouched and no temporary file
+// behind.
 func WriteFile(path string, ck *Checkpoint) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".ckpt-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := Encode(tmp, ck); err != nil {
-		tmp.Close()
-		return err
+	// The mode a plain file write would give the container.
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		err = Encode(tmp, ck)
 	}
-	if err := tmp.Close(); err != nil {
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// ReadFile parses the checkpoint container at path.
-func ReadFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Decode(f)
-}
-
-func dirOf(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i > 0 {
-		return path[:i]
-	}
-	return "."
 }

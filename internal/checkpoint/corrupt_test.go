@@ -3,6 +3,9 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -136,5 +139,49 @@ func TestDecodeMetaHorizon(t *testing.T) {
 	}
 	if got, err := Decode(&buf); err != nil || got.Meta.Horizon != 4 {
 		t.Errorf("horizon 4: decoded %+v, err %v", got, err)
+	}
+}
+
+// TestWriteFileFailedEncodeKeepsContainer: a write that fails partway
+// (here the encode: JSON has no NaN) leaves the container already at
+// the path byte-identical and no temporary file behind; a write that
+// succeeds leaves a container readable like a plain file write's.
+func TestWriteFileFailedEncodeKeepsContainer(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	ck := &Checkpoint{
+		Meta:  Meta{Mix: "MID1", Policy: "MemScale", Epochs: 4, NonMem: 18.5},
+		State: &sim.SystemState{Events: &event.State{}, MC: &memctrl.ControllerState{}},
+	}
+	if err := WriteFile(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, validContainer(t)) {
+		t.Fatal("WriteFile wrote other bytes than Encode")
+	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Mode().Perm() != 0o644 {
+		t.Errorf("container mode = %v, want 0644", fi.Mode().Perm())
+	}
+
+	bad := *ck
+	bad.Meta.NonMem = math.NaN()
+	if err := WriteFile(path, &bad); err == nil {
+		t.Fatal("WriteFile encoded a NaN non_mem_w")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("failed write changed the existing container")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".ckpt-*")); len(left) != 0 {
+		t.Errorf("failed write left %v behind", left)
 	}
 }

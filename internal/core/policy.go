@@ -24,10 +24,6 @@ type Options struct {
 	// the system energy ratio (Equation 10).
 	NonMemPower float64
 
-	// Gamma overrides the maximum allowed performance degradation;
-	// zero uses the configuration default.
-	Gamma float64
-
 	Objective Objective
 
 	// Speculation, when non-nil, supplies the rest-of-system power
@@ -55,16 +51,12 @@ type Policy struct {
 
 // NewPolicy builds the governor for cfg.
 func NewPolicy(cfg *config.Config, opts Options) *Policy {
-	g := opts.Gamma
-	if g == 0 {
-		g = cfg.Policy.Gamma
-	}
 	return &Policy{
 		cfg:        cfg,
 		model:      NewPerfModel(cfg),
 		emod:       power.NewModel(cfg),
 		opts:       opts,
-		gamma:      g,
+		gamma:      cfg.Policy.Gamma,
 		slack:      make([]config.Time, cfg.Cores),
 		chosen:     config.MaxBusFreq,
 		timeAtFreq: map[config.FreqMHz]int{},

@@ -195,9 +195,11 @@ func TestGammaSensitivity(t *testing.T) {
 	// A tighter bound must not save more energy than a looser one.
 	nonMem := calibrate(t, "MID1")
 	cfg1 := config.Default()
-	tight := NewPolicy(&cfg1, Options{NonMemPower: nonMem, Gamma: 0.01})
+	cfg1.Policy.Gamma = 0.01
+	tight := NewPolicy(&cfg1, Options{NonMemPower: nonMem})
 	cfg5 := config.Default()
-	loose := NewPolicy(&cfg5, Options{NonMemPower: nonMem, Gamma: 0.10})
+	cfg5.Policy.Gamma = 0.10
+	loose := NewPolicy(&cfg5, Options{NonMemPower: nonMem})
 
 	rTight := runMix(t, "MID1", tight, 30*config.Millisecond, nonMem)
 	rLoose := runMix(t, "MID1", loose, 30*config.Millisecond, nonMem)

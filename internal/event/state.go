@@ -129,6 +129,24 @@ func (q *Queue) Save(codec Codec) (*State, error) {
 	return st, nil
 }
 
+// Pending counts the image's pending events of one callback kind,
+// deferred schedules included. An entry naming a node out of range
+// counts for nothing; Load rejects it.
+func (st *State) Pending(kind string) int {
+	n := 0
+	for _, e := range st.Heap {
+		if e.Idx >= 0 && int(e.Idx) < len(st.Nodes) && st.Nodes[e.Idx].Kind == kind {
+			n++
+		}
+	}
+	for _, d := range st.Defers {
+		if d.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 // Load replaces the queue's entire state with st, rebinding every
 // pending callback through codec. A corrupted or impossible state
 // yields an error, never a panic or a clock running backwards in later

@@ -58,7 +58,7 @@ func TestRunPairMemScaleILP(t *testing.T) {
 	p := quickParams()
 	p.Epochs = 4
 	mix, _ := workload.ByName("ILP3")
-	out, err := p.runPair(nil, mix, p.memScaleSpec())
+	out, err := p.runPair(nil, mix, policies.MemScale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"memscale/internal/config"
+	"memscale/internal/policies"
 	"memscale/internal/runner"
 	"memscale/internal/sim"
 	"memscale/internal/stats"
@@ -70,10 +71,9 @@ func (p Params) Figure2() (Report, error) {
 // Figures 5 and 6). The mixes run concurrently on the sweep engine;
 // outcomes come back in Table 1 order.
 func (p Params) MemScaleOutcomes() ([]Outcome, error) {
-	spec := p.memScaleSpec()
 	jobs := make([]runner.Job, 0, len(workload.Mixes))
 	for _, mix := range workload.Mixes {
-		jobs = append(jobs, p.job(nil, mix, spec))
+		jobs = append(jobs, p.job(nil, mix, policies.MemScale))
 	}
 	return p.runGrid(jobs)
 }
@@ -135,9 +135,8 @@ func (p Params) timeline(mixName string, cores int) (*sim.Result, workload.Mix, 
 	if err != nil {
 		return nil, mix, err
 	}
-	spec := p.memScaleSpec()
 	s, err := sim.New(cfg, streams, sim.Options{
-		Governor:     spec.Governor(&cfg, nonMem),
+		Governor:     policies.MemScale.Governor(&cfg, nonMem),
 		NonMemPower:  nonMem,
 		KeepTimeline: true,
 	})

@@ -14,13 +14,6 @@ import (
 // schemes share the four memoized MID baselines.
 func (p Params) PolicyComparison() (map[string][]Outcome, []string, error) {
 	specs := policies.Alternatives()
-	// Swap in the harness-configured MemScale variants so gamma
-	// propagates.
-	for i, s := range specs {
-		if s.Name == policies.MemScale.Name {
-			specs[i] = p.memScaleSpec()
-		}
-	}
 	mixes := workload.ByClass(workload.ClassMID)
 	names := make([]string, len(specs))
 	jobs := make([]runner.Job, 0, len(specs)*len(mixes))

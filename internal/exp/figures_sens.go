@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"memscale/internal/config"
+	"memscale/internal/policies"
 	"memscale/internal/runner"
 	"memscale/internal/stats"
 	"memscale/internal/workload"
@@ -13,11 +14,10 @@ import (
 // configuration variant and returns (system savings mean, worst CPI
 // increase).
 func (p Params) sensitivityRow(mutate func(*config.Config)) (float64, float64, error) {
-	spec := p.memScaleSpec()
 	mixes := workload.ByClass(workload.ClassMID)
 	jobs := make([]runner.Job, 0, len(mixes))
 	for _, mix := range mixes {
-		jobs = append(jobs, p.job(mutate, mix, spec))
+		jobs = append(jobs, p.job(mutate, mix, policies.MemScale))
 	}
 	outs, err := p.runGrid(jobs)
 	if err != nil {
@@ -165,10 +165,9 @@ func (p Params) ByClassSummary(class workload.Class) (Report, error) {
 		Title:   fmt.Sprintf("MemScale summary for %s workloads", class),
 		Columns: []string{"Workload", "System", "Memory", "Avg CPI inc", "Worst CPI inc"},
 	}
-	spec := p.memScaleSpec()
 	var jobs []runner.Job
 	for _, mix := range workload.ByClass(class) {
-		jobs = append(jobs, p.job(nil, mix, spec))
+		jobs = append(jobs, p.job(nil, mix, policies.MemScale))
 	}
 	outs, err := p.runGrid(jobs)
 	if err != nil {

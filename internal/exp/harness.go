@@ -15,7 +15,6 @@ import (
 	"io"
 
 	"memscale/internal/config"
-	"memscale/internal/core"
 	"memscale/internal/policies"
 	"memscale/internal/runner"
 	"memscale/internal/sim"
@@ -159,17 +158,4 @@ func (p Params) runPair(mutate func(*config.Config), mix workload.Mix, spec poli
 	p.logf("  %-8s %-20s mem %-7s sys %-7s", mix.Name, spec.Name,
 		stats.Pct(out.MemorySavings()), stats.Pct(out.SystemSavings()))
 	return out, nil
-}
-
-// memScaleSpec returns the MemScale spec with the harness gamma.
-func (p Params) memScaleSpec() policies.Spec {
-	spec := policies.MemScale
-	gamma := p.Gamma
-	spec.Governor = func(cfg *config.Config, nonMem float64) sim.Governor {
-		return core.NewPolicy(cfg, core.Options{NonMemPower: nonMem, Gamma: gamma})
-	}
-	spec.Speculative = func(cfg *config.Config, sp *core.Speculation) sim.Governor {
-		return core.NewPolicy(cfg, core.Options{Speculation: sp, Gamma: gamma})
-	}
-	return spec
 }

@@ -6,6 +6,7 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -17,7 +18,7 @@ type ArrivalKind string
 
 // The supported arrival processes. Every node derives its per-epoch
 // request-rate profile from per-user rates: the nominal offered load
-// is UsersPerNode x RequestsPerUserHz, and each epoch's realized load
+// is usersPerNode x requestsPerUserHz, and each epoch's realized load
 // is expressed as an intensity multiplier relative to that nominal,
 // which scales the node's effective memory pressure (trace
 // SetIntensity).
@@ -27,111 +28,55 @@ const (
 	ArrivalSteady ArrivalKind = "steady"
 
 	// ArrivalPoisson draws each epoch's request count from a Poisson
-	// process at the nominal rate; relative fluctuation shrinks as
-	// UsersPerNode grows, exactly like real aggregated user traffic.
+	// process at the nominal rate.
 	ArrivalPoisson ArrivalKind = "poisson"
 
 	// ArrivalBursty is a two-state Markov-modulated Poisson process:
-	// nodes flip between the nominal rate and BurstFactor times it,
+	// nodes flip between the nominal rate and burstFactor times it,
 	// with geometric burst durations.
 	ArrivalBursty ArrivalKind = "bursty"
 
 	// ArrivalDiurnal modulates the Poisson rate by a sinusoid of
-	// amplitude DiurnalAmplitude over DiurnalPeriodEpochs, with a
-	// deterministic per-node phase offset (nodes in different
-	// "timezones" peak at different epochs).
+	// amplitude diurnalAmplitude over the fleet horizon (one "day" per
+	// run), with a deterministic per-node phase offset (nodes in
+	// different "timezones" peak at different epochs).
 	ArrivalDiurnal ArrivalKind = "diurnal"
 )
 
-// ArrivalSpec configures one group's arrival process. The zero value
+// The fixed parameters of the arrival processes. The nominal load is
+// 1000 users x 20 req/s per node; over a 5 ms epoch that is a Poisson
+// rate of 100, whose relative noise drives the intensity multipliers.
+const (
+	usersPerNode      = 1000.0
+	requestsPerUserHz = 20.0
+
+	// burstFactor is the bursty-state rate multiplier, burstProbability
+	// the per-epoch chance of entering a burst, burstMeanEpochs the
+	// mean burst length.
+	burstFactor      = 4.0
+	burstProbability = 0.05
+	burstMeanEpochs  = 5.0
+
+	// diurnalAmplitude is the sinusoid's relative amplitude: a trough
+	// offers 40% of the nominal load, a peak 160%.
+	diurnalAmplitude = 0.6
+)
+
+// ArrivalConfig selects one group's arrival process. The zero value
 // selects a steady nominal load.
-type ArrivalSpec struct {
+type ArrivalConfig struct {
 	Kind ArrivalKind
-
-	// UsersPerNode and RequestsPerUserHz set the nominal offered load
-	// (defaults 1000 users x 20 req/s). They matter in ratio terms:
-	// the product fixes the Poisson rate whose relative noise drives
-	// the intensity multipliers.
-	UsersPerNode      float64
-	RequestsPerUserHz float64
-
-	// BurstFactor is the bursty-state rate multiplier (default 4);
-	// BurstProbability the per-epoch chance of entering a burst
-	// (default 0.05); BurstMeanEpochs the mean burst length
-	// (default 5).
-	BurstFactor      float64
-	BurstProbability float64
-	BurstMeanEpochs  float64
-
-	// DiurnalAmplitude is the sinusoid's relative amplitude in [0, 1)
-	// (default 0.6); DiurnalPeriodEpochs its period (default: the
-	// fleet horizon, one full "day" per run).
-	DiurnalAmplitude    float64
-	DiurnalPeriodEpochs int
 }
 
-func (a ArrivalSpec) withDefaults(horizon int) ArrivalSpec {
-	if a.Kind == "" {
-		a.Kind = ArrivalSteady
+// kind returns the configured kind, steady when unset. An unknown kind
+// fails naming the field in snake_case, like the rest of the fleet
+// configuration's field paths.
+func (a ArrivalConfig) kind() (ArrivalKind, error) {
+	switch k := cmp.Or(a.Kind, ArrivalSteady); k {
+	case ArrivalSteady, ArrivalPoisson, ArrivalBursty, ArrivalDiurnal:
+		return k, nil
 	}
-	if a.UsersPerNode == 0 {
-		a.UsersPerNode = 1000
-	}
-	if a.RequestsPerUserHz == 0 {
-		a.RequestsPerUserHz = 20
-	}
-	if a.BurstFactor == 0 {
-		a.BurstFactor = 4
-	}
-	if a.BurstProbability == 0 {
-		a.BurstProbability = 0.05
-	}
-	if a.BurstMeanEpochs == 0 {
-		a.BurstMeanEpochs = 5
-	}
-	if a.DiurnalAmplitude == 0 {
-		a.DiurnalAmplitude = 0.6
-	}
-	if a.DiurnalPeriodEpochs == 0 {
-		a.DiurnalPeriodEpochs = horizon
-	}
-	return a
-}
-
-// Validate rejects a degenerate arrival process. Failures name the
-// offending field in snake_case (burst_probability, ...), matching the
-// public API's field-path convention.
-func (a ArrivalSpec) Validate() error {
-	switch a.Kind {
-	case "", ArrivalSteady, ArrivalPoisson, ArrivalBursty, ArrivalDiurnal:
-	default:
-		return fmt.Errorf("kind: unknown arrival kind %q", a.Kind)
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"users_per_node", a.UsersPerNode},
-		{"requests_per_user_hz", a.RequestsPerUserHz},
-		{"burst_factor", a.BurstFactor},
-		{"burst_probability", a.BurstProbability},
-		{"burst_mean_epochs", a.BurstMeanEpochs},
-		{"diurnal_amplitude", a.DiurnalAmplitude},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-			return fmt.Errorf("%s: must be finite and >= 0, got %g", f.name, f.v)
-		}
-	}
-	if a.BurstProbability > 1 {
-		return fmt.Errorf("burst_probability: must be in [0, 1], got %g", a.BurstProbability)
-	}
-	if a.DiurnalAmplitude >= 1 {
-		return fmt.Errorf("diurnal_amplitude: must be in [0, 1), got %g", a.DiurnalAmplitude)
-	}
-	if a.DiurnalPeriodEpochs < 0 {
-		return fmt.Errorf("diurnal_period_epochs: must be >= 0, got %d", a.DiurnalPeriodEpochs)
-	}
-	return nil
+	return "", fmt.Errorf("kind: unknown arrival kind %q", a.Kind)
 }
 
 // Intensity multipliers are clamped to keep the scaled miss rate
@@ -143,45 +88,45 @@ const (
 	maxIntensity = 20.0
 )
 
-// schedule precomputes the node's per-epoch intensity multipliers.
-// The sequence is a pure function of (seed, node, epochs) — workers,
-// wall clock, and sibling nodes never influence it — and the steady
-// kind returns exact 1.0 entries so an undriven fleet is bit-identical
-// to plain paired runs.
-func (a ArrivalSpec) schedule(seed uint64, node, epochs int, epochSeconds float64) []float64 {
+// schedule precomputes a node's per-epoch intensity multipliers under
+// the arrival process kind. The sequence is a pure function of (seed,
+// node, epochs) — workers, wall clock, and sibling nodes never
+// influence it — and the steady kind returns exact 1.0 entries so an
+// undriven fleet is bit-identical to plain paired runs.
+func schedule(kind ArrivalKind, seed uint64, node, epochs int, epochSeconds float64) []float64 {
 	out := make([]float64, epochs)
-	if a.Kind == ArrivalSteady {
+	if kind == ArrivalSteady {
 		for i := range out {
 			out[i] = 1
 		}
 		return out
 	}
 	rng := trace.NewRNG(trace.Seed("fleet-arrival", int(seed), node))
-	lambda := a.UsersPerNode * a.RequestsPerUserHz * epochSeconds
+	lambda := usersPerNode * requestsPerUserHz * epochSeconds
 
 	// Per-node diurnal phase: a fixed fraction of the period, so the
 	// fleet's load peaks are staggered deterministically.
-	phase := rng.Float64() * float64(a.DiurnalPeriodEpochs)
+	phase := rng.Float64() * float64(epochs)
 
 	bursting := false
 	for i := range out {
 		rate := 1.0
-		switch a.Kind {
+		switch kind {
 		case ArrivalBursty:
 			if bursting {
-				// Geometric burst duration with mean BurstMeanEpochs.
-				if rng.Float64() < 1/a.BurstMeanEpochs {
+				// Geometric burst duration with mean burstMeanEpochs.
+				if rng.Float64() < 1/burstMeanEpochs {
 					bursting = false
 				}
-			} else if rng.Float64() < a.BurstProbability {
+			} else if rng.Float64() < burstProbability {
 				bursting = true
 			}
 			if bursting {
-				rate = a.BurstFactor
+				rate = burstFactor
 			}
 		case ArrivalDiurnal:
-			rate = 1 + a.DiurnalAmplitude*
-				math.Sin(2*math.Pi*(float64(i)+phase)/float64(a.DiurnalPeriodEpochs))
+			rate = 1 + diurnalAmplitude*
+				math.Sin(2*math.Pi*(float64(i)+phase)/float64(epochs))
 		}
 		// Realized intensity = Poisson noise around the modulated rate,
 		// expressed relative to the nominal rate.

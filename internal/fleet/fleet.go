@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -19,67 +20,144 @@ import (
 	"memscale/internal/workload"
 )
 
-// GroupSpec describes one homogeneous slice of the fleet: Nodes
+// NodeGroup describes one homogeneous slice of the fleet: Nodes
 // servers all running the same workload mix under the same policy and
 // arrival process.
-type GroupSpec struct {
-	Name  string
+type NodeGroup struct {
+	// Name labels the group in summaries and CSVs (default "group<i>",
+	// after the group's index).
+	Name string
+
+	// Nodes is the group's server count (must be positive).
 	Nodes int
 
-	Mix  workload.Mix
-	Spec policies.Spec
+	// Mix is a Table 1 workload name; Policy a scheme name as listed
+	// by the public Policies() (default "MemScale"). Every node of the
+	// group runs this pair, with per-node decorrelated traces.
+	Mix    string
+	Policy string
 
-	// Gamma, Cores, Channels scale each node (zero selects the
-	// single-node defaults: 0.10, 16, 4).
-	Gamma           float64
-	Cores, Channels int
+	// Gamma, Cores, Channels scale each node exactly like the
+	// RunConfig fields of the same names (zero selects the defaults:
+	// 0.10, 16, 4).
+	Gamma    float64
+	Cores    int
+	Channels int
 
-	Arrival ArrivalSpec
+	// Arrival is the group's open-loop arrival process. The zero value
+	// offers a steady nominal load.
+	Arrival ArrivalConfig
 }
 
 // Config drives one fleet run.
 type Config struct {
-	Groups []GroupSpec
+	// Groups partitions the fleet. At least one group is required.
+	Groups []NodeGroup
 
-	// Epochs is the horizon in OS epochs per node (default 10).
+	// Epochs is the horizon in 5 ms OS epochs per node (default 10),
+	// at most sim.MaxEpochs for each group's channel count (22,906 on
+	// the default four channels); Validate rejects longer horizons.
 	Epochs int
 
-	// BudgetW is the global memory-power budget in watts shared by
-	// every node; 0 disables cluster capping (nodes run pure
-	// MemScale).
-	BudgetW float64
+	// PowerBudgetW is the global memory-power budget in watts shared
+	// by the whole fleet. Each fleet epoch the coordinator
+	// redistributes it across nodes as per-node frequency caps
+	// (FastCap-style fair assignment); 0 disables cluster capping and
+	// every node runs pure MemScale.
+	PowerBudgetW float64
 
-	// CapEvery is the coordinator period in epochs (default 1: caps
-	// are reassigned at every OS epoch boundary).
-	CapEvery int
+	// CapIntervalEpochs is the coordinator period in OS epochs
+	// (default 1: caps are reassigned at every epoch boundary).
+	CapIntervalEpochs int
 
 	// Seed decorrelates traces and arrivals across nodes while keeping
-	// the whole fleet reproducible.
+	// the whole fleet reproducible: the same Config yields a
+	// bit-identical Summary on any worker count.
 	Seed uint64
 
-	// Workers bounds node-level parallelism (0 = GOMAXPROCS). Results
-	// are bit-identical on any worker count.
+	// Workers bounds node-level parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// Interrupt, when non-nil, requests a soft stop: the run halts at
-	// the next window boundary and returns ErrInterrupted with a
-	// summary of the completed epochs. A stop during the baselines
-	// cancels the ones still running, and the summary covers no
-	// epochs. Nil means run to completion.
+	// Interrupt, when non-nil, requests a soft stop (wire it to
+	// SIGINT/SIGTERM in a CLI): the run halts at the next window
+	// boundary and returns ErrInterrupted with a summary of the
+	// completed epochs. A stop during the baselines cancels the ones
+	// still running, and the summary covers no epochs. Nil means run to
+	// completion.
 	Interrupt <-chan struct{}
+}
+
+// Validate rejects a degenerate fleet configuration up front. Every
+// failure wraps runner.ErrInvalidConfig and names the offending field
+// with a path (e.g. "groups[2].nodes", "groups[0].arrival"); unknown
+// mix and policy names additionally match workload.ErrUnknownMix and
+// policies.ErrUnknownPolicy. Run performs the same checks.
+func (c Config) Validate() error {
+	_, err := c.resolve()
+	return err
+}
+
+// group is one NodeGroup validated and resolved: its name defaulted,
+// its mix and policy looked up, its machine configuration built.
+type group struct {
+	name    string
+	nodes   int
+	mix     workload.Mix
+	spec    policies.Spec
+	cfg     config.Config
+	arrival ArrivalKind
+}
+
+// resolve validates c and resolves every group, in one pass.
+func (c Config) resolve() ([]group, error) {
+	switch {
+	case len(c.Groups) == 0:
+		return nil, fmt.Errorf("%w: groups: at least one node group is required", runner.ErrInvalidConfig)
+	case math.IsNaN(c.PowerBudgetW) || math.IsInf(c.PowerBudgetW, 0) || c.PowerBudgetW < 0:
+		return nil, fmt.Errorf("%w: power_budget_w: must be finite and >= 0 (0 disables capping), got %g",
+			runner.ErrInvalidConfig, c.PowerBudgetW)
+	case c.CapIntervalEpochs < 0:
+		return nil, fmt.Errorf("%w: cap_interval_epochs: must be >= 0 (0 selects the default 1), got %d",
+			runner.ErrInvalidConfig, c.CapIntervalEpochs)
+	}
+	groups := make([]group, len(c.Groups))
+	for gi, g := range c.Groups {
+		path := fmt.Sprintf("groups[%d]", gi)
+		if g.Nodes <= 0 {
+			return nil, fmt.Errorf("%w: %s.nodes: must be positive, got %d",
+				runner.ErrInvalidConfig, path, g.Nodes)
+		}
+		mix, err := workload.ByName(g.Mix)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s.mix: %w", runner.ErrInvalidConfig, path, err)
+		}
+		spec, err := policies.ByName(cmp.Or(g.Policy, policies.MemScale.Name))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s.policy: %w", runner.ErrInvalidConfig, path, err)
+		}
+		cfg, err := runner.Machine(path, c.Epochs, g.Gamma, g.Cores, g.Channels)
+		if err != nil {
+			return nil, err
+		}
+		arrival, err := g.Arrival.kind()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s.arrival: %v", runner.ErrInvalidConfig, path, err)
+		}
+		name := g.Name
+		if name == "" {
+			name = fmt.Sprintf("group%d", gi)
+		}
+		groups[gi] = group{name: name, nodes: g.Nodes, mix: mix, spec: spec, cfg: cfg, arrival: arrival}
+	}
+	return groups, nil
 }
 
 func (c Config) withDefaults() Config {
 	if c.Epochs == 0 {
 		c.Epochs = 10
 	}
-	if c.CapEvery == 0 {
-		c.CapEvery = 1
-	}
-	for i := range c.Groups {
-		if c.Groups[i].Gamma == 0 {
-			c.Groups[i].Gamma = 0.10
-		}
+	if c.CapIntervalEpochs == 0 {
+		c.CapIntervalEpochs = 1
 	}
 	return c
 }
@@ -257,16 +335,21 @@ var ErrInterrupted = fmt.Errorf("fleet: %w", checkpoint.ErrInterrupted)
 // alongside the valid Summary (mirroring Sweep's partial-failure
 // contract). When c.Interrupt fires, the run stops at the next window
 // boundary (or cancels the baselines still running) and the error also
-// matches ErrInterrupted.
+// matches ErrInterrupted. The partial summary pairs each node's
+// completed epochs with the same epochs of its baseline, so its SER
+// and CPI figures describe those epochs.
 func Run(ctx context.Context, c Config) (Summary, error) {
-	c = c.withDefaults()
-	nodes, err := buildNodes(c)
+	groups, err := c.resolve()
 	if err != nil {
 		return Summary{}, err
 	}
-	if len(nodes) == 0 {
-		return Summary{}, errors.New("fleet: no nodes configured")
-	}
+	return run(ctx, c, groups)
+}
+
+// run executes c over its resolved groups.
+func run(ctx context.Context, c Config, groups []group) (Summary, error) {
+	c = c.withDefaults()
+	nodes := buildNodes(c, groups)
 
 	procs := c.Workers
 	if procs <= 0 {
@@ -315,19 +398,19 @@ func Run(ctx context.Context, c Config) (Summary, error) {
 	}
 
 	// Phase 3: lockstep fleet epochs. Every step advances all live
-	// nodes by CapEvery OS epochs in parallel, then the serial
+	// nodes by CapIntervalEpochs OS epochs in parallel, then the serial
 	// coordinator reassigns caps from the step's measurements.
 	var capTrace []CapStep
 	var caps []config.FreqMHz
 	var fleetChecks uint64
-	capping := c.BudgetW > 0
+	capping := c.PowerBudgetW > 0
 	done := 0
 	for !interrupted && done < c.Epochs {
 		if stopped(c.Interrupt) {
 			interrupted = true
 			break
 		}
-		k := min(c.CapEvery, c.Epochs-done)
+		k := min(c.CapIntervalEpochs, c.Epochs-done)
 		stepErrs := runner.ForEach(ctx, workers, len(nodes), func(ctx context.Context, i int) error {
 			if nodes[i].dead {
 				return nil
@@ -347,13 +430,13 @@ func Run(ctx context.Context, c Config) (Summary, error) {
 			for i, n := range nodes {
 				obs[i] = n.observe()
 			}
-			newCaps, step := planCaps(done+k, c.BudgetW, obs, caps)
+			newCaps, step := planCaps(done+k, c.PowerBudgetW, obs, caps)
 			// Coordinator invariant: the planner never estimates above
 			// the budget without declaring the deficit.
 			if err := invariant.Check("cap_within_budget",
-				step.DeficitW > 0 || step.EstimatedW <= c.BudgetW*(1+1e-9),
+				step.DeficitW > 0 || step.EstimatedW <= c.PowerBudgetW*(1+1e-9),
 				"epoch %d: estimated fleet power %.6f W exceeds budget %.6f W with no declared deficit",
-				done+k, step.EstimatedW, c.BudgetW); err != nil {
+				done+k, step.EstimatedW, c.PowerBudgetW); err != nil {
 				return Summary{}, err
 			}
 			fleetChecks++
@@ -384,7 +467,7 @@ func Run(ctx context.Context, c Config) (Summary, error) {
 			n.baseRes = n.baseAt[n.epochs-1]
 		}
 	}
-	sum := summarize(c, nodes, done, caps, capTrace)
+	sum := summarize(c, groups, nodes, done, caps, capTrace)
 	sum.InvariantChecks += fleetChecks
 	errOut := joinNodeErrors(nodes)
 	if interrupted {
@@ -395,70 +478,52 @@ func Run(ctx context.Context, c Config) (Summary, error) {
 	return sum, errOut
 }
 
-// buildNodes expands the group specs into the flat node list, with
+// buildNodes expands the resolved groups into the flat node list, with
 // stable global indices (group order, then node order) and precomputed
 // arrival schedules.
-func buildNodes(c Config) ([]*node, error) {
+func buildNodes(c Config, groups []group) []*node {
 	var nodes []*node
 	epochSec := config.Default().Policy.EpochLength.Seconds()
-	for gi, g := range c.Groups {
-		if g.Nodes <= 0 {
-			return nil, fmt.Errorf("fleet: group %d (%s): node count must be positive, got %d", gi, g.Name, g.Nodes)
-		}
-		arr := g.Arrival.withDefaults(c.Epochs)
-		if err := arr.Validate(); err != nil {
-			return nil, fmt.Errorf("fleet: group %d (%s): arrival %w", gi, g.Name, err)
-		}
-		cfg := config.Default()
-		cfg.Policy.Gamma = g.Gamma
-		if g.Cores > 0 {
-			cfg.Cores = g.Cores
-		}
-		if g.Channels > 0 {
-			cfg.Channels = g.Channels
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("fleet: group %d (%s): %w", gi, g.Name, err)
-		}
-		for range g.Nodes {
+	for gi, g := range groups {
+		for range g.nodes {
 			n := &node{
 				group:  gi,
 				global: len(nodes),
-				cfg:    cfg,
-				mix:    g.Mix,
-				spec:   g.Spec,
+				cfg:    g.cfg,
+				mix:    g.mix,
+				spec:   g.spec,
 				seed:   c.Seed,
 			}
-			n.schedule = arr.schedule(c.Seed, n.global, c.Epochs, epochSec)
+			n.schedule = schedule(g.arrival, c.Seed, n.global, c.Epochs, epochSec)
 			nodes = append(nodes, n)
 		}
 	}
-	return nodes, nil
+	return nodes
 }
 
 // summarize reduces the fleet, in node order, into the public summary
 // of the first done epochs.
-func summarize(c Config, nodes []*node, done int, caps []config.FreqMHz, capTrace []CapStep) Summary {
+func summarize(c Config, resolved []group, nodes []*node, done int, caps []config.FreqMHz, capTrace []CapStep) Summary {
 	sum := Summary{
 		Nodes:    len(nodes),
 		Epochs:   c.Epochs,
-		BudgetW:  c.BudgetW,
+		BudgetW:  c.PowerBudgetW,
 		CapTrace: capTrace,
 	}
 
-	groups := make([]GroupSummary, len(c.Groups))
-	groupSys := make([]float64, len(c.Groups))
-	groupBase := make([]float64, len(c.Groups))
-	groupCPI := make([][]float64, len(c.Groups))
-	for gi, g := range c.Groups {
-		groups[gi] = GroupSummary{Name: g.Name, Nodes: g.Nodes, Rollup: telemetry.NewRollup()}
+	groups := make([]GroupSummary, len(resolved))
+	groupSys := make([]float64, len(resolved))
+	groupBase := make([]float64, len(resolved))
+	groupCPI := make([][]float64, len(resolved))
+	for gi, g := range resolved {
+		groups[gi] = GroupSummary{Name: g.name, Nodes: g.nodes, Rollup: telemetry.NewRollup()}
 	}
 
 	var cpis []float64
 	var totalEpochs, constrainedEpochs int
 	var wallSec float64
 	for _, n := range nodes {
-		ns := NodeSummary{Node: n.global, Group: c.Groups[n.group].Name}
+		ns := NodeSummary{Node: n.global, Group: groups[n.group].Name}
 		if caps != nil && n.global < len(caps) {
 			ns.FinalCapMHz = int(caps[n.global])
 		}
@@ -510,7 +575,7 @@ func summarize(c Config, nodes []*node, done int, caps []config.FreqMHz, capTrac
 		groupSys[gi] += sys
 		groupBase[gi] += base
 		groupCPI[gi] = append(groupCPI[gi], cpi)
-		groups[gi].Rollup.Add(nodeExport(c, n))
+		groups[gi].Rollup.Add(nodeExport(n))
 	}
 
 	if sum.BaselineSysJ > 0 {
@@ -522,7 +587,7 @@ func summarize(c Config, nodes []*node, done int, caps []config.FreqMHz, capTrac
 	if totalEpochs > 0 {
 		sum.ConstrainedFrac = float64(constrainedEpochs) / float64(totalEpochs)
 	}
-	if c.BudgetW > 0 && sum.MemAvgPowerW > c.BudgetW {
+	if c.PowerBudgetW > 0 && sum.MemAvgPowerW > c.PowerBudgetW {
 		sum.BudgetExceeded = true
 	}
 	sum.AvgCPIIncrease = mean(cpis)
@@ -551,17 +616,16 @@ func summarize(c Config, nodes []*node, done int, caps []config.FreqMHz, capTrac
 
 // nodeExport packages one node's managed totals as a run export so
 // group aggregation reuses the standard telemetry rollup.
-func nodeExport(c Config, n *node) *telemetry.RunExport {
-	g := c.Groups[n.group]
+func nodeExport(n *node) *telemetry.RunExport {
 	freqSeconds := make(map[int]float64, len(n.res.FreqTime))
 	for f, t := range n.res.FreqTime {
 		freqSeconds[int(f)] = t.Seconds()
 	}
 	return &telemetry.RunExport{
 		Meta: telemetry.RunMeta{
-			Mix:          g.Mix.Name,
-			Policy:       g.Spec.Name,
-			Gamma:        g.Gamma,
+			Mix:          n.mix.Name,
+			Policy:       n.spec.Name,
+			Gamma:        n.cfg.Policy.Gamma,
 			Cores:        n.cfg.Cores,
 			Channels:     n.cfg.Channels,
 			NonMemPowerW: n.nonMem,

@@ -10,40 +10,37 @@ import (
 	"testing"
 	"time"
 
+	"memscale/internal/bitdiff"
 	"memscale/internal/config"
 	"memscale/internal/core"
-	"memscale/internal/policies"
 	"memscale/internal/runner"
 	"memscale/internal/sim"
-	"memscale/internal/workload"
 )
 
-func testConfig(t *testing.T, workers int) Config {
-	t.Helper()
-	ilp, err := workload.ByName("ILP1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid, err := workload.ByName("MID2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := policies.ByName("MemScale")
-	if err != nil {
-		t.Fatal(err)
-	}
+func testConfig(workers int) Config {
 	return Config{
-		Groups: []GroupSpec{
-			{Name: "web", Nodes: 4, Mix: ilp, Spec: spec, Cores: 2, Channels: 1,
-				Arrival: ArrivalSpec{Kind: ArrivalPoisson, UsersPerNode: 200, RequestsPerUserHz: 10}},
-			{Name: "cache", Nodes: 2, Mix: mid, Spec: spec, Cores: 2, Channels: 1,
-				Arrival: ArrivalSpec{Kind: ArrivalBursty}},
+		Groups: []NodeGroup{
+			{Name: "web", Nodes: 4, Mix: "ILP1", Cores: 2, Channels: 1,
+				Arrival: ArrivalConfig{Kind: ArrivalPoisson}},
+			{Name: "cache", Nodes: 2, Mix: "MID2", Cores: 2, Channels: 1,
+				Arrival: ArrivalConfig{Kind: ArrivalBursty}},
 		},
-		Epochs:  6,
-		BudgetW: 40,
-		Seed:    7,
-		Workers: workers,
+		Epochs:       6,
+		PowerBudgetW: 40,
+		Seed:         7,
+		Workers:      workers,
 	}
+}
+
+// resolved resolves c for a test that swaps a group's governor before
+// handing the groups to run.
+func resolved(t *testing.T, c Config) []group {
+	t.Helper()
+	groups, err := c.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return groups
 }
 
 // TestFleetDeterministicAcrossWorkers is the headline guarantee: same
@@ -52,8 +49,8 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node fleet run")
 	}
-	a, errA := Run(context.Background(), testConfig(t, 1))
-	b, errB := Run(context.Background(), testConfig(t, 4))
+	a, errA := Run(context.Background(), testConfig(1))
+	b, errB := Run(context.Background(), testConfig(4))
 	if errA != nil || errB != nil {
 		t.Fatalf("errs: %v / %v", errA, errB)
 	}
@@ -67,6 +64,34 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestFleetCapInterval: with a coordinator period of 3 over a 10-epoch
+// horizon, caps are reassigned after epochs 3, 6 and 9 (none at the
+// horizon), and the summary stays bit-identical across worker counts.
+func TestFleetCapInterval(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node fleet run")
+	}
+	c := testConfig(1)
+	c.Epochs, c.CapIntervalEpochs = 10, 3
+	a, err := Run(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var epochs []int
+	for _, s := range a.CapTrace {
+		epochs = append(epochs, s.Epoch)
+	}
+	if fmt.Sprint(epochs) != "[3 6 9]" {
+		t.Errorf("cap decisions at epochs %v, want [3 6 9]", epochs)
+	}
+	c.Workers = 3
+	b, err := Run(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitdiff.Same(t, "1 vs 3 workers", a, b)
+}
+
 // TestFleetBudgetCapsPower checks the coordinator actually constrains
 // the fleet: with a tight budget, nodes end up capped below nominal
 // and the trace shows constrained nodes.
@@ -74,10 +99,10 @@ func TestFleetBudgetCapsPower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node fleet run")
 	}
-	c := testConfig(t, 0)
+	c := testConfig(0)
 	c.Groups = c.Groups[1:] // MID nodes want high frequency
 	c.Groups[0].Nodes = 3
-	c.BudgetW = 18 // well under 3 nodes' uncapped draw
+	c.PowerBudgetW = 18 // well under 3 nodes' uncapped draw
 	sum, err := Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +120,8 @@ func TestFleetBudgetCapsPower(t *testing.T) {
 		t.Error("tight budget never capped any node below nominal")
 	}
 	last := sum.CapTrace[len(sum.CapTrace)-1]
-	if last.EstimatedW > c.BudgetW+1e-9 && last.DeficitW == 0 {
-		t.Errorf("estimate %.2fW exceeds budget %.2fW without deficit", last.EstimatedW, c.BudgetW)
+	if last.EstimatedW > c.PowerBudgetW+1e-9 && last.DeficitW == 0 {
+		t.Errorf("estimate %.2fW exceeds budget %.2fW without deficit", last.EstimatedW, c.PowerBudgetW)
 	}
 }
 
@@ -107,8 +132,8 @@ func TestFleetUncapped(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node fleet run")
 	}
-	c := testConfig(t, 0)
-	c.BudgetW = 0
+	c := testConfig(0)
+	c.PowerBudgetW = 0
 	sum, err := Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
@@ -148,11 +173,12 @@ func TestFleetDeadNodeIsolated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node fleet run")
 	}
-	c := testConfig(t, 2)
-	c.Groups[0].Spec.Governor = func(cfg *config.Config, nonMem float64) sim.Governor {
+	c := testConfig(2)
+	groups := resolved(t, c)
+	groups[0].spec.Governor = func(cfg *config.Config, nonMem float64) sim.Governor {
 		return &panicAt{Policy: core.NewPolicy(cfg, core.Options{NonMemPower: nonMem}), n: 3}
 	}
-	sum, err := Run(context.Background(), c)
+	sum, err := run(context.Background(), c, groups)
 	if !errors.Is(err, runner.ErrRunPanicked) {
 		t.Fatalf("err = %v, want joined node errors matching ErrRunPanicked", err)
 	}
@@ -185,19 +211,20 @@ func (g *stopAfter) EpochEnd(p sim.Profile) {
 	}
 }
 
-// interruptAfter arms c to soft-stop after done epochs.
-func interruptAfter(c *Config, done int) {
+// interruptAfter arms c to soft-stop after done epochs and returns its
+// groups resolved with the stopping governor.
+func interruptAfter(t *testing.T, c *Config, done int) []group {
 	ch := make(chan struct{})
 	var once sync.Once
 	stop := func() { once.Do(func() { close(ch) }) }
 	c.Interrupt = ch
-	for gi := range c.Groups {
-		spec := c.Groups[gi].Spec
-		spec.Governor = func(cfg *config.Config, nonMem float64) sim.Governor {
+	groups := resolved(t, *c)
+	for gi := range groups {
+		groups[gi].spec.Governor = func(cfg *config.Config, nonMem float64) sim.Governor {
 			return &stopAfter{Policy: core.NewPolicy(cfg, core.Options{NonMemPower: nonMem}), n: done, stop: stop}
 		}
-		c.Groups[gi].Spec = spec
 	}
+	return groups
 }
 
 // TestSoftStopPairsCompletedEpochs: a fleet soft-stopped after done
@@ -213,9 +240,9 @@ func TestSoftStopPairsCompletedEpochs(t *testing.T) {
 		t.Skip("multi-node fleet run")
 	}
 	const done = 4
-	c := testConfig(t, 0)
-	interruptAfter(&c, done)
-	got, err := Run(context.Background(), c)
+	c := testConfig(0)
+	groups := interruptAfter(t, &c, done)
+	got, err := run(context.Background(), c, groups)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
@@ -223,7 +250,7 @@ func TestSoftStopPairsCompletedEpochs(t *testing.T) {
 		t.Fatalf("interrupted %v at epoch %d, want a stop at %d", got.Interrupted, got.EpochsCompleted, done)
 	}
 
-	ref := testConfig(t, 0)
+	ref := testConfig(0)
 	ref.Epochs = done
 	want, err := Run(context.Background(), ref)
 	if err != nil {
@@ -266,7 +293,7 @@ func TestSoftStopBeforeFirstEpoch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node fleet run")
 	}
-	c := testConfig(t, 0)
+	c := testConfig(0)
 	stop := make(chan struct{})
 	close(stop)
 	c.Interrupt = stop
@@ -294,7 +321,7 @@ func TestSoftStopBeforeFirstEpoch(t *testing.T) {
 // The horizon is long enough that finishing the baselines would blow
 // the test deadline.
 func TestSoftStopCancelsBaselines(t *testing.T) {
-	c := testConfig(t, 0)
+	c := testConfig(0)
 	c.Groups = c.Groups[:1]
 	c.Groups[0].Nodes = 2
 	c.Epochs = 4000
@@ -410,19 +437,19 @@ func TestPlanCapsDeadNodesDrawNothing(t *testing.T) {
 // --- arrival units ---
 
 func TestArrivalSteadyIsExactlyOne(t *testing.T) {
-	a := ArrivalSpec{}.withDefaults(8)
-	for i, m := range a.schedule(1, 0, 8, 0.005) {
+	for i, m := range schedule(ArrivalSteady, 1, 0, 8, 0.005) {
 		if m != 1 {
 			t.Fatalf("steady epoch %d = %g", i, m)
 		}
 	}
 }
 
+// TestArrivalDeterministicPerNode also draws every diurnal trough
+// (40% of the nominal rate of 100) through poisson's small-rate branch.
 func TestArrivalDeterministicPerNode(t *testing.T) {
-	a := ArrivalSpec{Kind: ArrivalDiurnal}.withDefaults(50)
-	x := a.schedule(9, 3, 50, 0.005)
-	y := a.schedule(9, 3, 50, 0.005)
-	z := a.schedule(9, 4, 50, 0.005)
+	x := schedule(ArrivalDiurnal, 9, 3, 50, 0.005)
+	y := schedule(ArrivalDiurnal, 9, 3, 50, 0.005)
+	z := schedule(ArrivalDiurnal, 9, 4, 50, 0.005)
 	same, diff := true, false
 	for i := range x {
 		if x[i] != y[i] {
@@ -441,9 +468,8 @@ func TestArrivalDeterministicPerNode(t *testing.T) {
 }
 
 func TestArrivalPoissonMeanNearOne(t *testing.T) {
-	a := ArrivalSpec{Kind: ArrivalPoisson}.withDefaults(200)
 	var sum float64
-	sched := a.schedule(5, 0, 200, 0.005)
+	sched := schedule(ArrivalPoisson, 5, 0, 200, 0.005)
 	for _, m := range sched {
 		sum += m
 		if m < minIntensity || m > maxIntensity {
@@ -456,9 +482,8 @@ func TestArrivalPoissonMeanNearOne(t *testing.T) {
 }
 
 func TestArrivalBurstyExceedsNominal(t *testing.T) {
-	a := ArrivalSpec{Kind: ArrivalBursty}.withDefaults(400)
 	bursts := 0
-	for _, m := range a.schedule(3, 1, 400, 0.005) {
+	for _, m := range schedule(ArrivalBursty, 3, 1, 400, 0.005) {
 		if m > 2 {
 			bursts++
 		}
@@ -469,18 +494,12 @@ func TestArrivalBurstyExceedsNominal(t *testing.T) {
 }
 
 func TestArrivalValidation(t *testing.T) {
-	cases := []ArrivalSpec{
-		{Kind: "nope"},
-		{Kind: ArrivalPoisson, UsersPerNode: math.NaN()},
-		{Kind: ArrivalBursty, BurstProbability: 1.5},
-		{Kind: ArrivalDiurnal, DiurnalAmplitude: 1.0},
+	if _, err := (ArrivalConfig{Kind: "nope"}).kind(); err == nil {
+		t.Error("unknown kind accepted")
 	}
-	for i, c := range cases {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d accepted: %+v", i, c)
+	for _, k := range []ArrivalKind{"", ArrivalSteady, ArrivalPoisson, ArrivalBursty, ArrivalDiurnal} {
+		if _, err := (ArrivalConfig{Kind: k}).kind(); err != nil {
+			t.Errorf("kind %q rejected: %v", k, err)
 		}
-	}
-	if err := (ArrivalSpec{}).withDefaults(10).Validate(); err != nil {
-		t.Errorf("defaults rejected: %v", err)
 	}
 }

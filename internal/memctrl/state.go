@@ -398,6 +398,22 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 	return reqs, nil
 }
 
+// CheckRelock cross-checks a loaded controller against the pending
+// events of the image it was loaded with: a relock window closes only
+// through one mc.relock_done per channel, all scheduled by the switch
+// that opened it, so a relocking controller must have exactly that many
+// pending and an idle one none.
+func (c *Controller) CheckRelock(ev *event.State) error {
+	want := 0
+	if c.relocking {
+		want = len(c.channels)
+	}
+	if got := ev.Pending("mc.relock_done"); got != want {
+		return fmt.Errorf("memctrl: relocking %v with %d pending relock completions, want %d", c.relocking, got, want)
+	}
+	return nil
+}
+
 // RegisterEvents registers the controller's pre-bound callback kinds
 // with the checkpoint event registry. On save, reqEnv is the live
 // RequestTable's EncodeEnv; on load, reqs indexes the rebuilt request

@@ -32,16 +32,7 @@ var ErrInterrupted = fmt.Errorf("runner: %w", checkpoint.ErrInterrupted)
 // calibrate its baseline from base, not cfg, to reproduce the cold
 // run's pairing exactly.
 func jobConfig(job Job) (cfg, base config.Config) {
-	cfg = config.Default()
-	if job.Gamma > 0 {
-		cfg.Policy.Gamma = job.Gamma
-	}
-	if job.Cores > 0 {
-		cfg.Cores = job.Cores
-	}
-	if job.Channels > 0 {
-		cfg.Channels = job.Channels
-	}
+	cfg = machine(job.Gamma, job.Cores, job.Channels)
 	if job.Mutate != nil {
 		job.Mutate(&cfg)
 	}

@@ -208,6 +208,9 @@ func (s *System) load(st *SystemState) error {
 	if err != nil {
 		return err
 	}
+	if err := s.MC.CheckRelock(st.Events); err != nil {
+		return err
+	}
 	codec := s.registry(nil, reqs)
 	if err := s.Q.Load(st.Events, codec); err != nil {
 		return err

@@ -24,7 +24,7 @@ func newGoverned(t *testing.T, mixName string, opts sim.Options) *sim.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Governor = core.NewPolicy(&cfg, core.Options{NonMemPower: 150, Gamma: 0.10})
+	opts.Governor = core.NewPolicy(&cfg, core.Options{NonMemPower: 150})
 	s, err := sim.New(cfg, streams, opts)
 	if err != nil {
 		t.Fatal(err)

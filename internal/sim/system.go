@@ -214,10 +214,12 @@ const ticketsPerBurst = 12
 // channel count: 22,906 epochs (about 115 simulated seconds) on the
 // paper's four channels, 91,625 on one. An invalid cfg (no channels, a
 // zero burst time) gets a finite bound instead of a division by zero;
-// config.Validate rejects it elsewhere.
+// config.Validate rejects it elsewhere. Dividing by each factor in
+// turn, rather than by their product, keeps a huge channel count from
+// wrapping the divisor around to a small one.
 func MaxEpochs(cfg *config.Config) int {
 	slots := uint64(cfg.Policy.EpochLength / max(cfg.Timing.BurstTime(config.MaxBusFreq), 1))
-	return int(event.MaxTickets / max(uint64(cfg.Channels)*slots*ticketsPerBurst, 1))
+	return int(event.MaxTickets / ticketsPerBurst / max(slots, 1) / max(uint64(cfg.Channels), 1))
 }
 
 // New builds a system running the given per-core streams under cfg.

@@ -28,17 +28,13 @@ package memscale
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"memscale/internal/checkpoint"
-	"memscale/internal/config"
 	"memscale/internal/invariant"
 	"memscale/internal/policies"
 	"memscale/internal/runner"
-	"memscale/internal/sim"
 	"memscale/internal/telemetry"
 	"memscale/internal/workload"
 )
@@ -57,10 +53,10 @@ var (
 	// ErrUnknownPolicy reports a RunConfig.Policy outside Policies().
 	ErrUnknownPolicy = policies.ErrUnknownPolicy
 
-	// ErrInvalidConfig reports a RunConfig whose scaling fields are
-	// degenerate (negative epoch/core/channel counts, out-of-range
-	// gamma, or a machine shape the simulator rejects).
-	ErrInvalidConfig = errors.New("invalid run configuration")
+	// ErrInvalidConfig reports a RunConfig or FleetConfig whose scaling
+	// fields are degenerate (negative epoch/core/channel counts,
+	// out-of-range gamma, or a machine shape the simulator rejects).
+	ErrInvalidConfig = runner.ErrInvalidConfig
 
 	// ErrRunPanicked reports a run whose simulation panicked. The
 	// worker recovered: in a Sweep the other jobs are unaffected, and
@@ -155,45 +151,8 @@ func (tc *TelemetryConfig) options() *telemetry.Options {
 // Validate internally; calling it directly is only needed to check a
 // configuration without running it.
 func (rc RunConfig) Validate() error {
-	switch {
-	case rc.Epochs < 0:
-		return fmt.Errorf("%w: epochs: must be >= 0 (0 selects the default 10), got %d",
-			ErrInvalidConfig, rc.Epochs)
-	case math.IsNaN(rc.Gamma) || rc.Gamma < 0 || rc.Gamma >= 1:
-		return fmt.Errorf("%w: gamma: must be in [0, 1) (0 selects the default 0.10), got %g",
-			ErrInvalidConfig, rc.Gamma)
-	case rc.Cores < 0:
-		return fmt.Errorf("%w: cores: must be >= 0 (0 selects the default), got %d",
-			ErrInvalidConfig, rc.Cores)
-	case rc.Channels < 0:
-		return fmt.Errorf("%w: channels: must be >= 0 (0 selects the default), got %d",
-			ErrInvalidConfig, rc.Channels)
-	}
-	// Positive but unusable machine shapes are caught by the simulator
-	// configuration's own validation; surface them under the same
-	// typed error instead of a NaN-filled summary later.
-	cfg := config.Default()
-	if rc.Cores > 0 {
-		cfg.Cores = rc.Cores
-	}
-	if rc.Channels > 0 {
-		cfg.Channels = rc.Channels
-	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	return checkRunLength("epochs", rc.Epochs, &cfg)
-}
-
-// checkRunLength rejects a run of epochs OS quanta that could use up
-// the event queue's sequence numbers on cfg's machine (sim.MaxEpochs),
-// so a too-long run fails before it starts rather than partway through.
-func checkRunLength(field string, epochs int, cfg *config.Config) error {
-	if limit := sim.MaxEpochs(cfg); epochs > limit {
-		return fmt.Errorf("%w: %s: must be at most %d on %d channels (the event queue's sequence numbers would run out), got %d",
-			ErrInvalidConfig, field, limit, cfg.Channels, epochs)
-	}
-	return nil
+	_, err := runner.Machine("", rc.Epochs, rc.Gamma, rc.Cores, rc.Channels)
+	return err
 }
 
 // withDefaults fills the documented defaults into zero fields.

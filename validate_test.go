@@ -84,6 +84,11 @@ func TestRunLengthBound(t *testing.T) {
 		}
 		wantEpochsErr("fleet", FleetConfig{Groups: group, Epochs: limit + 1}.Validate(), "epochs")
 	}
+	// Zero epochs selects the default 10; a machine whose bound is
+	// below that is rejected too, and a channel count large enough to
+	// wrap the bound's arithmetic around does not lift it.
+	wantEpochsErr("default run", RunConfig{Channels: 1 << 20}.Validate(), "epochs")
+	wantEpochsErr("wrapping channels", RunConfig{Epochs: 1 << 39, Channels: 3 << 60}.Validate(), "epochs")
 
 	f, err := os.Open("testdata/ckpt-mem1part-shards4.bin")
 	if err != nil {
@@ -156,10 +161,6 @@ func TestFleetConfigValidateFieldPaths(t *testing.T) {
 		{"bad arrival",
 			FleetConfig{Groups: []NodeGroup{{Nodes: 1, Mix: "MID1",
 				Arrival: ArrivalConfig{Kind: "nope"}}}}, "groups[0].arrival"},
-		{"bad burst probability",
-			FleetConfig{Groups: []NodeGroup{{Nodes: 1, Mix: "MID1",
-				Arrival: ArrivalConfig{Kind: ArrivalBursty, BurstProbability: 2}}}},
-			"groups[0].arrival: burst_probability"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -346,6 +347,45 @@ func TestResumeRunCorruptReaders(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) { mismatch(t, tamper(t, legacy, tc.old, tc.new)) })
 		}
 	})
+
+	// The controller's request counts are derived from its bank
+	// records, so on a container taken mid-run with requests in flight
+	// a raised count is a state the simulator cannot hold.
+	busyRC := RunConfig{Mix: "MEM1", Policy: "MemScale", Epochs: 4, Cores: 4, Channels: 2}
+	var busy bytes.Buffer
+	if _, err := CheckpointRun(ctx, busyRC, 2, &busy); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`"dispatched":\[\[[0-9,\[\]]*[1-9]`).Match(busy.Bytes()) {
+		t.Fatal("mid-run container has no dispatched requests")
+	}
+	for _, tc := range []struct {
+		field, number string // number matches the first count, in its last group
+		raise         int
+	}{
+		{"outstanding", `"outstanding":\[(\d+)`, 3},
+		{"pending", `"pending":\[\[(\d+)`, 5},
+		{"dispatched", `"dispatched":\[\[(\d+)`, 1},
+		{"wb_count", `"wb_count":(\d+)`, 40},
+	} {
+		t.Run(tc.field+" raised", func(t *testing.T) {
+			m := regexp.MustCompile(tc.number).FindSubmatch(busy.Bytes())
+			if m == nil {
+				t.Fatalf("%s not found in container", tc.field)
+			}
+			n, err := strconv.Atoi(string(m[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := string(m[0])
+			bad := tamper(t, busy.Bytes(), old, old[:len(old)-len(m[1])]+strconv.Itoa(n+tc.raise))
+			_, err = ResumeRun(ctx, bytes.NewReader(bad), busyRC.Epochs)
+			if !errors.Is(err, ErrInvalidConfig) || !errors.Is(err, sim.ErrStateMismatch) ||
+				!strings.Contains(err.Error(), tc.field+" ") {
+				t.Fatalf("err = %v, want ErrInvalidConfig wrapping a state mismatch naming %s", err, tc.field)
+			}
+		})
+	}
 }
 
 // TestCheckpointRunInterruptible: a pre-fired stop channel halts the

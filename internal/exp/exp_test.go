@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -30,10 +32,55 @@ func TestTable2Renders(t *testing.T) {
 	}
 }
 
+// TestForEachMix: the per-mix fan-out behind Table 1 and Figure 2
+// fills every mix's slot on a pool of workers, logs each mix that
+// finished once, and reports the first error in mix order.
+func TestForEachMix(t *testing.T) {
+	var log bytes.Buffer
+	p := quickParams()
+	p.Workers = 4
+	p.Progress = &log
+	names := make([]string, len(workload.Mixes))
+	err := p.forEachMix(func(i int, mix workload.Mix) error {
+		names[i] = mix.Name
+		return nil
+	}, func(i int) { p.logf("%s", names[i]) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := map[string]int{}
+	for _, line := range strings.Fields(log.String()) {
+		logged[line]++
+	}
+	for i, mix := range workload.Mixes {
+		if names[i] != mix.Name || logged[mix.Name] != 1 {
+			t.Errorf("mix %d: slot %q, logged %d times, want %q once", i, names[i], logged[mix.Name], mix.Name)
+		}
+	}
+
+	first, second := errors.New("first"), errors.New("second")
+	err = p.forEachMix(func(i int, _ workload.Mix) error {
+		switch i {
+		case 3:
+			return first
+		case 7:
+			return second
+		}
+		return nil
+	}, func(i int) {
+		if i == 3 || i == 7 {
+			t.Errorf("mix %d failed but was logged", i)
+		}
+	})
+	if !errors.Is(err, first) || errors.Is(err, second) {
+		t.Errorf("err = %v, want the first failing mix's error alone", err)
+	}
+}
+
 func TestRunPairBaselineIdentity(t *testing.T) {
 	p := quickParams()
 	mix, _ := workload.ByName("ILP2")
-	out, err := p.runPair(nil, mix, policies.Baseline)
+	out, err := p.engine().Run(p.ctx(), p.job(nil, mix, policies.Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +105,7 @@ func TestRunPairMemScaleILP(t *testing.T) {
 	p := quickParams()
 	p.Epochs = 4
 	mix, _ := workload.ByName("ILP3")
-	out, err := p.runPair(nil, mix, policies.MemScale)
+	out, err := p.engine().Run(p.ctx(), p.job(nil, mix, policies.MemScale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +125,7 @@ func TestPolicySpecsAllRunnable(t *testing.T) {
 	p := quickParams()
 	mix, _ := workload.ByName("MID1")
 	for _, spec := range policies.All() {
-		out, err := p.runPair(nil, mix, spec)
+		out, err := p.engine().Run(p.ctx(), p.job(nil, mix, spec))
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}

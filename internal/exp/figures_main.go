@@ -14,7 +14,8 @@ import (
 // Figure2 reproduces the conventional memory power breakdown: for each
 // workload class, the baseline system's memory power split into
 // background, activate/precharge, read/write, termination, PLL/REG,
-// and MC shares, normalized to the MEM-class average power.
+// and MC shares, normalized to the MEM-class average power. The twelve
+// baselines run concurrently.
 func (p Params) Figure2() (Report, error) {
 	t := stats.Table{
 		Title: "Figure 2: conventional memory subsystem power breakdown",
@@ -22,46 +23,49 @@ func (p Params) Figure2() (Report, error) {
 			"PLL/REG", "MC", "Power vs AVG_MEM"},
 		Notes: []string{"baseline (no energy management); shares of memory-subsystem power"},
 	}
+	bases := make([]sim.Result, len(workload.Mixes))
+	err := p.forEachMix(func(i int, mix workload.Mix) error {
+		res, _, err := p.runBaseline(config.Default(), mix)
+		bases[i] = res
+		return err
+	}, func(i int) {
+		p.logf("  figure2 %s: %.1f W memory", workload.Mixes[i].Name, bases[i].MemAvgWatts)
+	})
+	if err != nil {
+		return Report{}, err
+	}
+	// Sum each class's mixes in Table 1 order, then average.
 	type classPower struct {
-		shares [6]float64
-		watts  float64
+		shares   [6]float64
+		watts, n float64
 	}
-	classes := []workload.Class{workload.ClassMEM, workload.ClassMID, workload.ClassILP}
-	results := map[workload.Class]classPower{}
-	for _, class := range classes {
-		var agg classPower
-		mixes := workload.ByClass(class)
-		for _, mix := range mixes {
-			cfg := config.Default()
-			res, _, err := p.runBaseline(cfg, mix)
-			if err != nil {
-				return Report{}, err
-			}
-			b := res.Memory
-			mem := b.Memory()
-			agg.shares[0] += b.Background / mem
-			agg.shares[1] += b.ActPre / mem
-			agg.shares[2] += b.ReadWrite / mem
-			agg.shares[3] += (b.Termination + b.Refresh) / mem
-			agg.shares[4] += b.PLLReg / mem
-			agg.shares[5] += b.MC / mem
-			agg.watts += res.MemAvgWatts
-			p.logf("  figure2 %s: %.1f W memory", mix.Name, res.MemAvgWatts)
+	results := map[workload.Class]*classPower{}
+	for i, mix := range workload.Mixes {
+		agg := results[mix.Class]
+		if agg == nil {
+			agg = &classPower{}
+			results[mix.Class] = agg
 		}
-		n := float64(len(mixes))
-		for i := range agg.shares {
-			agg.shares[i] /= n
-		}
-		agg.watts /= n
-		results[class] = agg
+		b := bases[i].Memory
+		mem := b.Memory()
+		agg.shares[0] += b.Background / mem
+		agg.shares[1] += b.ActPre / mem
+		agg.shares[2] += b.ReadWrite / mem
+		agg.shares[3] += (b.Termination + b.Refresh) / mem
+		agg.shares[4] += b.PLLReg / mem
+		agg.shares[5] += b.MC / mem
+		agg.watts += bases[i].MemAvgWatts
+		agg.n++
 	}
-	norm := results[workload.ClassMEM].watts
-	for _, class := range classes {
+	memClass := results[workload.ClassMEM]
+	norm := memClass.watts / memClass.n
+	for _, class := range []workload.Class{workload.ClassMEM, workload.ClassMID, workload.ClassILP} {
 		r := results[class]
-		t.AddRow("AVG_"+class.String(),
-			stats.Pct(r.shares[0]), stats.Pct(r.shares[1]), stats.Pct(r.shares[2]),
-			stats.Pct(r.shares[3]), stats.Pct(r.shares[4]), stats.Pct(r.shares[5]),
-			stats.Pct(r.watts/norm))
+		row := []string{"AVG_" + class.String()}
+		for _, share := range r.shares {
+			row = append(row, stats.Pct(share/r.n))
+		}
+		t.AddRow(append(row, stats.Pct(r.watts/r.n/norm))...)
 	}
 	return Report{ID: "figure2", Title: "Power breakdown", Table: t}, nil
 }
@@ -113,41 +117,26 @@ func (p Params) Figures5And6() ([]Report, error) {
 	}, nil
 }
 
-// timeline runs one mix under MemScale with per-epoch records.
+// timeline runs one mix under MemScale for TimelineEpochs with
+// per-epoch records, calibrated on the baseline of the same run, as
+// every other figure is.
 func (p Params) timeline(mixName string, cores int) (*sim.Result, workload.Mix, error) {
-	cfg := config.Default()
-	cfg.Cores = cores
-	if p.Gamma > 0 {
-		cfg.Policy.Gamma = p.Gamma
-	}
 	mix, err := workload.ByName(mixName)
 	if err != nil {
 		return nil, mix, err
 	}
-	// Calibrate rest-of-system power on a short baseline run.
-	short := p
-	short.Epochs = min(p.Epochs, 4)
-	_, nonMem, err := short.runBaseline(cfg, mix)
-	if err != nil {
-		return nil, mix, err
-	}
-	streams, err := mix.Streams(&cfg)
-	if err != nil {
-		return nil, mix, err
-	}
-	s, err := sim.New(cfg, streams, sim.Options{
-		Governor:     policies.MemScale.Governor(&cfg, nonMem),
-		NonMemPower:  nonMem,
-		KeepTimeline: true,
+	out, err := p.engine().Run(p.ctx(), runner.Job{
+		Mix:      mix,
+		Spec:     policies.MemScale,
+		Epochs:   p.TimelineEpochs,
+		Gamma:    p.Gamma,
+		Cores:    cores,
+		Timeline: true,
 	})
 	if err != nil {
 		return nil, mix, err
 	}
-	res, err := s.RunForContext(p.ctx(), config.Time(p.TimelineEpochs)*cfg.Policy.EpochLength)
-	if err != nil {
-		return nil, mix, err
-	}
-	return &res, mix, nil
+	return &out.Res, mix, nil
 }
 
 // Figure7 reproduces the MID3 timeline: per-epoch bus frequency,

@@ -38,9 +38,10 @@ type Params struct {
 	Gamma float64
 
 	// Workers bounds the number of concurrently executing runs per
-	// grid; zero means GOMAXPROCS. Parallelism never changes results:
-	// each simulation is single-threaded and deterministic, and grid
-	// results are ordered by submission, not completion.
+	// grid, and of mixes Table 1 and Figure 2 work on at once; zero
+	// means GOMAXPROCS. Parallelism never changes results: each
+	// simulation is single-threaded and deterministic, and results are
+	// ordered by submission, not completion.
 	Workers int
 
 	// Progress, when non-nil, receives one line per completed run.
@@ -148,14 +149,22 @@ func (p Params) runBaseline(cfg config.Config, mix workload.Mix) (sim.Result, fl
 	return cache.Baseline(p.ctx(), cfg, mix, p.Epochs, 0)
 }
 
-// runPair runs (mix, spec) against its baseline under a possibly
-// mutated configuration and returns the paired outcome.
-func (p Params) runPair(mutate func(*config.Config), mix workload.Mix, spec policies.Spec) (Outcome, error) {
-	out, err := p.engine().Run(p.ctx(), p.job(mutate, mix, spec))
-	if err != nil {
-		return Outcome{}, err
+// forEachMix runs fn for every Table 1 mix on at most p.Workers
+// goroutines; fn stores its result in the mix's slot. logDone runs for
+// each mix fn finished without error, in completion order, one at a
+// time. It returns the first error in mix order.
+func (p Params) forEachMix(fn func(i int, mix workload.Mix) error, logDone func(i int)) error {
+	errs := runner.ForEach(p.ctx(), p.Workers, len(workload.Mixes), func(_ context.Context, i int) error {
+		return fn(i, workload.Mixes[i])
+	}, func(_, i int, err error) {
+		if err == nil {
+			logDone(i)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	p.logf("  %-8s %-20s mem %-7s sys %-7s", mix.Name, spec.Name,
-		stats.Pct(out.MemorySavings()), stats.Pct(out.SystemSavings()))
-	return out, nil
+	return nil
 }

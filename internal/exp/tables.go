@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"memscale/internal/config"
 	"memscale/internal/stats"
@@ -11,7 +12,8 @@ import (
 // Table1 regenerates the workload table: it drives every mix's
 // synthetic trace generators through the paper's per-core instruction
 // budget and reports the aggregate RPKI/WPKI next to the paper's
-// values (paper Table 1).
+// values (paper Table 1). The mixes are generated concurrently; the
+// rows keep Table 1 order.
 func (p Params) Table1() (Report, error) {
 	t := stats.Table{
 		Title:   "Table 1: workload descriptions (generated vs paper)",
@@ -20,12 +22,14 @@ func (p Params) Table1() (Report, error) {
 			"generated over 100M instructions per core, as the paper's traces were",
 		},
 	}
-	cfg := config.Default()
 	const target = float64(workload.Table1Instructions)
-	for _, mix := range workload.Mixes {
+	type rates struct{ rpki, wpki float64 }
+	rows := make([]rates, len(workload.Mixes))
+	err := p.forEachMix(func(i int, mix workload.Mix) error {
+		cfg := config.Default()
 		streams, err := mix.Streams(&cfg)
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		var instr, reads, wbs uint64
 		for _, s := range streams {
@@ -40,18 +44,18 @@ func (p Params) Table1() (Report, error) {
 			reads += rd
 			wbs += wb
 		}
-		rpki := float64(reads) / float64(instr) * 1000
-		wpki := float64(wbs) / float64(instr) * 1000
-		apps := ""
-		for i, a := range mix.Apps {
-			if i > 0 {
-				apps += " "
-			}
-			apps += a
-		}
-		t.AddRow(mix.Name, stats.F2(rpki), stats.F2(mix.PaperRPKI),
-			stats.F2(wpki), stats.F2(mix.PaperWPKI), apps)
-		p.logf("  table1 %s: RPKI %.2f (paper %.2f)", mix.Name, rpki, mix.PaperRPKI)
+		rows[i] = rates{float64(reads) / float64(instr) * 1000, float64(wbs) / float64(instr) * 1000}
+		return nil
+	}, func(i int) {
+		mix := workload.Mixes[i]
+		p.logf("  table1 %s: RPKI %.2f (paper %.2f)", mix.Name, rows[i].rpki, mix.PaperRPKI)
+	})
+	if err != nil {
+		return Report{}, err
+	}
+	for i, mix := range workload.Mixes {
+		t.AddRow(mix.Name, stats.F2(rows[i].rpki), stats.F2(mix.PaperRPKI),
+			stats.F2(rows[i].wpki), stats.F2(mix.PaperWPKI), strings.Join(mix.Apps[:], " "))
 	}
 	return Report{ID: "table1", Title: "Workload descriptions", Table: t}, nil
 }

@@ -60,19 +60,29 @@ type bank struct {
 
 	// Deferred auto-precharge close (DESIGN.md §4g): when a grant leaves
 	// the bank idle — or leaves it with a forced next dispatch — inside
-	// the quiesce horizon, the precharge-done event is elided.
-	// prechAt/prechSeq record the instant and the reserved ordering
-	// ticket of the event that would have fired; settleRank replays or
-	// materializes it on the rank's next touch. With defDispatch set,
-	// the elided event's dispatch of defReq (the unambiguous queue head)
-	// rides the deferred-schedule plane: its start-bank event
-	// materializes at the ticket's exact position, and settlement
-	// replays only the pop and the bookkeeping.
-	prechDeferred bool
-	defDispatch   bool
-	prechAt       config.Time
-	prechSeq      event.Seq
-	defReq        *Request
+	// the quiesce horizon, the precharge-done event is elided; the
+	// channel's defAts entry for the bank is then real. prechAt/prechSeq
+	// record the instant and the reserved ordering ticket of the event
+	// that would have fired; settleRank replays or materializes it on
+	// the rank's next touch. With defDispatch set, the elided event's
+	// dispatch of defReq (the unambiguous queue head) rides the
+	// deferred-schedule plane: its start-bank event materializes at the
+	// ticket's exact position, and settlement replays only the pop and
+	// the bookkeeping.
+	defDispatch bool
+	prechAt     config.Time
+	prechSeq    event.Seq
+	defReq      *Request
+}
+
+// outstanding returns the requests the bank holds: its queued reads and
+// writebacks, and the one it has dispatched, if any.
+func (bk *bank) outstanding() int {
+	n := bk.queue.Len() + bk.wb.Len()
+	if bk.dispatched {
+		n++
+	}
+	return n
 }
 
 type channel struct {
@@ -95,14 +105,29 @@ type channel struct {
 
 	busBusy config.Time // accumulated burst occupancy since last flush
 
-	outstanding []int // per bank: queued + dispatched requests
-
 	// defAts/defSeqs mirror banks[i].prechAt/prechSeq for banks holding
 	// a deferred close (noDeferral sentinel otherwise), packed flat so
 	// settleRank's earliest-deferral scan reads two cache lines instead
 	// of eight scattered bank structs.
 	defAts  []config.Time
 	defSeqs []uint64
+}
+
+// rankRec is the controller's record of one rank. The requests it
+// holds are counted from its bank records only (rankLoad).
+type rankRec struct {
+	dev *dram.Rank
+
+	// defMask has bit i set while bank i holds a deferred close, so
+	// settlement visits only those banks — usually one or two of eight.
+	// config.Validate caps BanksPerRank at the mask's 64 bits.
+	defMask uint64
+
+	// defGate is a lower bound on the earliest prechAt of the rank's
+	// deferred closes (noDeferral when none), so settleRank's inlined
+	// gate is one load and one compare. Removing a deferral may leave
+	// it stale-low; the next touch rescans and tightens it.
+	defGate config.Time
 }
 
 // Controller is the memory controller for all channels.
@@ -112,7 +137,7 @@ type Controller struct {
 	mapper *config.AddressMapper
 
 	channels []*channel
-	ranks    [][]*dram.Rank // [channel][rank]
+	ranks    []rankRec // [chIdx*ranksPerCh + rankIdx]
 
 	// timing is the operating point, resolved at the bus frequency; every
 	// rank points at it. While relocking, no channel dispatches or grants
@@ -121,26 +146,7 @@ type Controller struct {
 	relocking   bool
 	relockUntil config.Time
 
-	ranksPerCh int // cached cfg.RanksPerChannel(), for the defGate/defMask index
-
-	// Per-rank dispatch bookkeeping for refresh/powerdown decisions.
-	dispatched [][]int // requests dispatched but not yet through the bus
-	pending    [][]int // requests queued or dispatched per rank
-
-	// defMask has bit i set while bank i of the rank holds a deferred
-	// close (its defAts entry is real), flattened like defGate, so
-	// settlement visits only the deferred banks — usually one or two of
-	// eight. config.Validate caps BanksPerRank at the mask's 64 bits.
-	defMask []uint64
-
-	// defGate is a lower bound on the earliest prechAt among a rank's
-	// deferred closes (noDeferral when none are outstanding), flattened
-	// to [chIdx*ranksPerChannel+rankIdx] so settleRank's hot gate — a
-	// touch strictly before the bound settles nothing — is one load and
-	// one compare, and the wrapper stays inlineable. Removing a deferral
-	// may leave it stale-low; harmless, the next touch rescans and
-	// tightens it.
-	defGate []config.Time
+	ranksPerCh int // cached cfg.RanksPerChannel(), for the ranks index
 
 	counters Counters
 
@@ -200,33 +206,22 @@ func New(cfg *config.Config, q *event.Queue) *Controller {
 	c.onRelockKick = c.onRelockKickEvent
 	c.onDone = c.onDoneEvent
 
-	banksPerChannel := cfg.RanksPerChannel() * cfg.BanksPerRank
+	banksPerChannel := c.ranksPerCh * cfg.BanksPerRank
 	c.channels = make([]*channel, cfg.Channels)
-	c.ranks = make([][]*dram.Rank, cfg.Channels)
-	c.dispatched = make([][]int, cfg.Channels)
-	c.pending = make([][]int, cfg.Channels)
-	c.defMask = make([]uint64, cfg.Channels*cfg.RanksPerChannel())
-	c.defGate = make([]config.Time, cfg.Channels*cfg.RanksPerChannel())
-	for i := range c.defGate {
-		c.defGate[i] = noDeferral
-	}
 	for chIdx := range c.channels {
 		ch := &channel{
-			banks:       make([]bank, banksPerChannel),
-			outstanding: make([]int, banksPerChannel),
-			defAts:      make([]config.Time, banksPerChannel),
-			defSeqs:     make([]uint64, banksPerChannel),
+			banks:   make([]bank, banksPerChannel),
+			defAts:  make([]config.Time, banksPerChannel),
+			defSeqs: make([]uint64, banksPerChannel),
 		}
 		for i := range ch.defAts {
 			ch.defAts[i] = noDeferral
 		}
 		c.channels[chIdx] = ch
-		c.ranks[chIdx] = make([]*dram.Rank, cfg.RanksPerChannel())
-		c.dispatched[chIdx] = make([]int, cfg.RanksPerChannel())
-		c.pending[chIdx] = make([]int, cfg.RanksPerChannel())
-		for r := range c.ranks[chIdx] {
-			c.ranks[chIdx][r] = dram.NewRank(cfg.BanksPerRank, &c.timing)
-		}
+	}
+	c.ranks = make([]rankRec, cfg.Channels*c.ranksPerCh)
+	for g := range c.ranks {
+		c.ranks[g] = rankRec{dev: dram.NewRank(cfg.BanksPerRank, &c.timing), defGate: noDeferral}
 	}
 	c.counters.TLM = make([]uint64, cfg.Cores)
 	return c
@@ -241,18 +236,34 @@ func (c *Controller) setBusFreq(f config.FreqMHz) {
 // round-robin across the tREFI interval as real controllers do.
 func (c *Controller) Start() {
 	interval := c.cfg.Timing.RefreshInterval()
-	n := config.Time(c.cfg.TotalRanks())
-	i := config.Time(0)
-	for ch := range c.ranks {
-		for r := range c.ranks[ch] {
-			first := c.q.Now() + interval*(i+1)/n
-			i++
-			c.q.ScheduleBound(first, c.onRefreshTick, nil, int32(ch), int32(r))
-			// Ranks that never see traffic still power down under the
-			// powerdown policies.
-			c.maybePowerdown(c.q.Now(), ch, r)
+	n := config.Time(len(c.ranks))
+	for g := range c.ranks {
+		ch, r := g/c.ranksPerCh, g%c.ranksPerCh
+		first := c.q.Now() + interval*config.Time(g+1)/n
+		c.q.ScheduleBound(first, c.onRefreshTick, nil, int32(ch), int32(r))
+		// Ranks that never see traffic still power down under the
+		// powerdown policies.
+		c.maybePowerdown(c.q.Now(), ch, r)
+	}
+}
+
+// rank returns the record of rank rankIdx on channel chIdx.
+func (c *Controller) rank(chIdx, rankIdx int) *rankRec {
+	return &c.ranks[chIdx*c.ranksPerCh+rankIdx]
+}
+
+// rankLoad sums a rank's bank records: the requests its banks hold,
+// queued or dispatched, and how many of those are dispatched.
+func (c *Controller) rankLoad(chIdx, rankIdx int) (pending, dispatched int) {
+	base := rankIdx * c.cfg.BanksPerRank
+	banks := c.channels[chIdx].banks[base : base+c.cfg.BanksPerRank]
+	for i := range banks {
+		pending += banks[i].outstanding()
+		if banks[i].dispatched {
+			dispatched++
 		}
 	}
+	return pending, dispatched
 }
 
 // BusFreq returns the bus frequency every channel runs at.
@@ -329,7 +340,7 @@ func (c *Controller) EnqueueLoc(now config.Time, loc config.Location, write bool
 
 	// Section 3.1 accumulators: outstanding work seen by the arrival.
 	c.counters.BTC++
-	c.counters.BTO += uint64(ch.outstanding[b])
+	c.counters.BTO += uint64(ch.banks[b].outstanding())
 	c.counters.CTC++
 	busOut := ch.busQueue.Len()
 	if ch.busFreeAt > now {
@@ -344,14 +355,11 @@ func (c *Controller) EnqueueLoc(now config.Time, loc config.Location, write bool
 		// Channel-local depth: the count an arrival sees on its own
 		// channel's queues.
 		depth := 0
-		for _, p := range c.pending[loc.Channel] {
-			depth += p
+		for i := range ch.banks {
+			depth += ch.banks[i].outstanding()
 		}
 		c.tel.ObserveQueueDepth(depth)
 	}
-
-	ch.outstanding[b]++
-	c.pending[loc.Channel][loc.Rank]++
 
 	if write {
 		ch.banks[b].wb.Push(req)
@@ -392,7 +400,7 @@ func (c *Controller) tryDispatch(now config.Time, chIdx int, b bankID) {
 		return
 	}
 	rankIdx, bankIdx := c.split(b)
-	rank := c.ranks[chIdx][rankIdx]
+	rank := c.rank(chIdx, rankIdx).dev
 	if rank.RefreshBlocked() {
 		return
 	}
@@ -407,7 +415,7 @@ func (c *Controller) tryDispatch(now config.Time, chIdx int, b bankID) {
 		// dispatch — by upgrading to a dispatching deferral; otherwise
 		// revive it so its firing re-decides live. Real events that set
 		// freeAt, and dispatching deferrals, re-kick on their own.
-		if bk := &ch.banks[b]; bk.prechDeferred && !bk.defDispatch {
+		if bk := &ch.banks[b]; ch.defAts[b] != noDeferral && !bk.defDispatch {
 			if bk.queue.Len() > 0 && bk.wb.Len() == 0 {
 				bk.defDispatch = true
 				bk.defReq = bk.queue.Peek()
@@ -425,7 +433,6 @@ func (c *Controller) tryDispatch(now config.Time, chIdx int, b bankID) {
 		return
 	}
 	ch.banks[b].dispatched = true
-	c.dispatched[chIdx][rankIdx]++
 	// The MC pipeline spends mcTime per request before the device
 	// sees it (five MC cycles, Section 3.3).
 	c.q.ScheduleBound(now+c.timing.MC, c.onStartBank, req, int32(chIdx), int32(b))
@@ -444,7 +451,7 @@ func (c *Controller) startBankService(now config.Time, chIdx int, b bankID, req 
 	}
 	rankIdx := req.Loc.Rank
 	c.settleRank(now, chIdx, rankIdx, false)
-	rank := c.ranks[chIdx][rankIdx]
+	rank := c.rank(chIdx, rankIdx).dev
 	ready, kind, pdExit := rank.StartAccess(now, req.Loc.Bank, req.Loc.Row)
 
 	switch kind {
@@ -512,7 +519,7 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 
 	b := c.bankID(req.Loc.Rank, req.Loc.Bank)
 	rankIdx := req.Loc.Rank
-	rank := c.ranks[chIdx][rankIdx]
+	rank := c.rank(chIdx, rankIdx).dev
 
 	// Closed-page management: keep the row open only if the next
 	// request already queued for this bank targets the same row
@@ -525,9 +532,6 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 	prechargeDone := rank.FinishAccess(req.Loc.Bank, busStart, busEnd, req.Write, keepOpen)
 
 	ch.banks[b].dispatched = false
-	c.dispatched[chIdx][rankIdx]--
-	ch.outstanding[b]--
-	c.pending[chIdx][rankIdx]--
 	if req.Write {
 		c.counters.Writebacks++
 	} else {
@@ -539,7 +543,7 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 
 	if keepOpen {
 		c.q.ScheduleBound(busEnd, c.onBankKick, nil, int32(chIdx), int32(b))
-	} else if c.tel == nil && prechargeDone <= c.quiesce && ch.outstanding[b] == 0 {
+	} else if c.tel == nil && prechargeDone <= c.quiesce && ch.banks[b].outstanding() == 0 {
 		// Deferred precharge close: the bank has no queued work, so the
 		// event's only effects would be the row close (a pure state
 		// transition at a known time) and the powerdown check. Elide the
@@ -549,7 +553,6 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 		// horizon nothing samples the rank before settlement, and with
 		// no telemetry attached no observer sees the transition late.
 		bk := &ch.banks[b]
-		bk.prechDeferred = true
 		bk.prechAt = prechargeDone
 		bk.prechSeq = c.q.ReserveSeq()
 		ch.defAts[b] = prechargeDone
@@ -565,7 +568,6 @@ func (c *Controller) tryGrantBus(now config.Time, chIdx int) {
 		// replays the row close, the pop, and the bookkeeping. A
 		// writeback arrival or a refresh obligation before the instant
 		// un-forces the choice and revives the real event instead.
-		bk.prechDeferred = true
 		bk.defDispatch = true
 		bk.prechAt = prechargeDone
 		bk.prechSeq = c.q.ReserveSeq()
@@ -635,7 +637,7 @@ func (c *Controller) prechargeEvent(now config.Time, _ any, a, b int32) {
 	chIdx, bk := int(a), bankID(b)
 	rankIdx, bankIdx := c.split(bk)
 	c.settleRank(now, chIdx, rankIdx, false)
-	c.ranks[chIdx][rankIdx].PrechargeDone(now, bankIdx)
+	c.rank(chIdx, rankIdx).dev.PrechargeDone(now, bankIdx)
 	c.tryDispatch(now, chIdx, bk)
 	c.maybePowerdown(now, chIdx, rankIdx)
 }
@@ -644,11 +646,11 @@ func (c *Controller) prechargeEvent(now config.Time, _ any, a, b int32) {
 // tightening the earliest-instant bound.
 func (c *Controller) deferAdded(chIdx int, b bankID, at config.Time) {
 	rankIdx, bankIdx := c.split(b)
-	g := chIdx*c.ranksPerCh + rankIdx
-	if at < c.defGate[g] {
-		c.defGate[g] = at
+	rk := c.rank(chIdx, rankIdx)
+	if at < rk.defGate {
+		rk.defGate = at
 	}
-	c.defMask[g] |= 1 << bankIdx
+	rk.defMask |= 1 << bankIdx
 }
 
 // deferCleared drops bank b's deferred close from the rank's
@@ -656,14 +658,14 @@ func (c *Controller) deferAdded(chIdx int, b bankID, at config.Time) {
 func (c *Controller) deferCleared(chIdx int, b bankID) {
 	c.channels[chIdx].defAts[b] = noDeferral
 	rankIdx, bankIdx := c.split(b)
-	c.defMask[chIdx*c.ranksPerCh+rankIdx] &^= 1 << bankIdx
+	c.rank(chIdx, rankIdx).defMask &^= 1 << bankIdx
 }
 
 // settleRank applies any deferred precharge closes for a rank whose
 // instant has been reached, exactly as the elided events would have,
 // in the (time, ticket) order those events would have fired in. It is
 // called at the top of every path that reads or mutates rank state or
-// the rank's pending/dispatched bookkeeping, so between a deferred
+// the rank's queued and dispatched requests, so between a deferred
 // instant and its settlement the rank is provably untouched and the
 // retroactive evaluation sees exactly the state the event would have
 // seen. boundary is true when settling at a drain deadline
@@ -674,7 +676,7 @@ func (c *Controller) deferCleared(chIdx int, b bankID) {
 // The inlineable gate makes the no-deferral-due common case a single
 // compare at each rank-touch site.
 func (c *Controller) settleRank(now config.Time, chIdx, rankIdx int, boundary bool) {
-	if c.defGate[chIdx*c.ranksPerCh+rankIdx] > now {
+	if c.ranks[chIdx*c.ranksPerCh+rankIdx].defGate > now {
 		return
 	}
 	c.settleRankSlow(now, chIdx, rankIdx, boundary)
@@ -683,9 +685,9 @@ func (c *Controller) settleRank(now config.Time, chIdx, rankIdx int, boundary bo
 func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundary bool) {
 	ch := c.channels[chIdx]
 	base := rankIdx * c.cfg.BanksPerRank
-	g := chIdx*c.ranksPerCh + rankIdx
-	for c.defMask[g] != 0 {
-		m := c.defMask[g]
+	rk := c.rank(chIdx, rankIdx)
+	for rk.defMask != 0 {
+		m := rk.defMask
 		best := base + bits.TrailingZeros64(m)
 		bestAt := ch.defAts[best]
 		for m &= m - 1; m != 0; m &= m - 1 {
@@ -698,8 +700,8 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 		b := bankID(best)
 		bk := &ch.banks[b]
 		if bk.prechAt > now {
-			c.defGate[g] = bk.prechAt // exact again
-			return                    // still in the future; revival on arrival handles it
+			rk.defGate = bk.prechAt // exact again
+			return                  // still in the future; revival on arrival handles it
 		}
 		if !boundary && bk.prechAt == now && uint64(bk.prechSeq) > c.q.FiringSeq() {
 			if bk.defDispatch {
@@ -718,9 +720,8 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 		// timestamp. The rank was untouched since, so the retroactive
 		// evaluation sees exactly the state the event would have seen.
 		at := bk.prechAt
-		bk.prechDeferred = false
 		c.deferCleared(chIdx, b)
-		c.ranks[chIdx][rankIdx].PrechargeDone(at, best-base)
+		rk.dev.PrechargeDone(at, best-base)
 		if bk.defDispatch {
 			// Replay the forced dispatch: the head is popped and the
 			// bank marked busy; the start-bank event itself already
@@ -731,7 +732,6 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 			}
 			bk.defReq = nil
 			bk.dispatched = true
-			c.dispatched[chIdx][rankIdx]++
 		} else {
 			// The bank had no queued work at prechAt (an arrival would
 			// have settled or materialized first), so the elided event's
@@ -739,13 +739,12 @@ func (c *Controller) settleRankSlow(now config.Time, chIdx, rankIdx int, boundar
 			c.maybePowerdown(at, chIdx, rankIdx)
 		}
 	}
-	c.defGate[g] = noDeferral
+	rk.defGate = noDeferral
 }
 
 // materializePrecharge converts a deferred precharge close back into a
 // real event at its reserved (time, ticket) position.
 func (c *Controller) materializePrecharge(bk *bank, chIdx int, b bankID) {
-	bk.prechDeferred = false
 	c.deferCleared(chIdx, b)
 	c.q.ScheduleBoundSeq(bk.prechAt, bk.prechSeq, c.onPrecharge, nil, int32(chIdx), int32(b))
 }
@@ -762,7 +761,6 @@ func (c *Controller) reviveDispatch(chIdx int, b bankID) {
 	if !c.q.CancelDeferred(bk.prechSeq) {
 		panic("memctrl: deferred dispatch activation already materialized")
 	}
-	bk.prechDeferred = false
 	bk.defDispatch = false
 	bk.defReq = nil
 	c.deferCleared(chIdx, b)
@@ -776,7 +774,7 @@ func (c *Controller) reviveDispatch(chIdx int, b bankID) {
 func (c *Controller) reviveRankDispatches(chIdx, rankIdx int) {
 	ch := c.channels[chIdx]
 	base := rankIdx * c.cfg.BanksPerRank
-	for m := c.defMask[chIdx*c.ranksPerCh+rankIdx]; m != 0; m &= m - 1 {
+	for m := c.rank(chIdx, rankIdx).defMask; m != 0; m &= m - 1 {
 		if b := bankID(base + bits.TrailingZeros64(m)); ch.banks[b].defDispatch {
 			c.reviveDispatch(chIdx, b)
 		}
@@ -795,10 +793,10 @@ func (c *Controller) maybePowerdown(now config.Time, chIdx, rankIdx int) {
 	if c.cfg.Powerdown == config.PowerdownNone || c.relocking {
 		return
 	}
-	if c.pending[chIdx][rankIdx] > 0 || c.dispatched[chIdx][rankIdx] > 0 {
+	if pending, _ := c.rankLoad(chIdx, rankIdx); pending > 0 {
 		return
 	}
-	rank := c.ranks[chIdx][rankIdx]
+	rank := c.rank(chIdx, rankIdx).dev
 	slow := c.cfg.Powerdown == config.PowerdownSlow
 	if rank.EnterPowerdown(now, slow) && c.tel != nil {
 		c.tel.PowerdownEnter(now, chIdx, rankIdx, slow)
@@ -815,15 +813,18 @@ func (c *Controller) refreshTimer(now config.Time, chIdx, rankIdx int) {
 	c.settleRank(now, chIdx, rankIdx, false)
 	c.reviveRankDispatches(chIdx, rankIdx)
 	c.q.ScheduleBound(now+c.cfg.Timing.RefreshInterval(), c.onRefreshTick, nil, int32(chIdx), int32(rankIdx))
-	c.ranks[chIdx][rankIdx].SetRefreshPending()
+	c.rank(chIdx, rankIdx).dev.SetRefreshPending()
 	c.refreshKick(now, chIdx, rankIdx)
 }
 
 // refreshKick attempts to issue a pending refresh once the rank's
 // pipeline has drained.
 func (c *Controller) refreshKick(now config.Time, chIdx, rankIdx int) {
-	rank := c.ranks[chIdx][rankIdx]
-	if !rank.RefreshBlocked() || c.dispatched[chIdx][rankIdx] > 0 {
+	rank := c.rank(chIdx, rankIdx).dev
+	if !rank.RefreshBlocked() {
+		return
+	}
+	if _, dispatched := c.rankLoad(chIdx, rankIdx); dispatched > 0 {
 		return
 	}
 	until, ok := rank.TryStartRefresh(now)
@@ -842,7 +843,7 @@ func (c *Controller) refreshKick(now config.Time, chIdx, rankIdx int) {
 func (c *Controller) refreshDoneEvent(now config.Time, _ any, a, b int32) {
 	chIdx, rankIdx := int(a), int(b)
 	c.settleRank(now, chIdx, rankIdx, false)
-	c.ranks[chIdx][rankIdx].RefreshDone(now)
+	c.rank(chIdx, rankIdx).dev.RefreshDone(now)
 	c.refreshKick(now, chIdx, rankIdx)
 	c.kickRank(now, chIdx, rankIdx)
 	c.maybePowerdown(now, chIdx, rankIdx)
@@ -869,7 +870,7 @@ func (c *Controller) FlushInterval(now config.Time) power.Interval {
 	for chIdx, ch := range c.channels {
 		slice := power.ChannelSlice{Busy: ch.busBusy}
 		ch.busBusy = 0
-		for rankIdx := range c.ranks[chIdx] {
+		for rankIdx := 0; rankIdx < c.ranksPerCh; rankIdx++ {
 			slice.DRAM.Add(c.flushRank(now, chIdx, rankIdx, slice.Busy))
 		}
 		iv.Channels[chIdx] = slice
@@ -887,7 +888,7 @@ func (c *Controller) FlushInterval(now config.Time) power.Interval {
 // occupancy less this rank's own.
 func (c *Controller) flushRank(now config.Time, chIdx, rankIdx int, busy config.Time) dram.Account {
 	c.settleRank(now, chIdx, rankIdx, true)
-	acct := c.ranks[chIdx][rankIdx].Flush(now)
+	acct := c.rank(chIdx, rankIdx).dev.Flush(now)
 	acct.TermBurst = busy - acct.ReadBurst - acct.WriteBurst
 	return acct
 }
@@ -945,7 +946,7 @@ func (c *Controller) onRelockDoneEvent(now config.Time, _ any, a, b int32) {
 // onRelockKickEvent re-kicks every rank and the bus of a channel whose
 // relock window just closed.
 func (c *Controller) onRelockKickEvent(now config.Time, _ any, a, _ int32) {
-	for rankIdx := range c.ranks[a] {
+	for rankIdx := 0; rankIdx < c.ranksPerCh; rankIdx++ {
 		c.kickRank(now, int(a), rankIdx)
 	}
 	c.tryGrantBus(now, int(a))
@@ -963,9 +964,9 @@ func (c *Controller) onDoneEvent(now config.Time, env any, _, _ int32) {
 // QueuedRequests returns the number of requests queued or in flight.
 func (c *Controller) QueuedRequests() int {
 	n := 0
-	for _, pend := range c.pending {
-		for _, p := range pend {
-			n += p
+	for _, ch := range c.channels {
+		for i := range ch.banks {
+			n += ch.banks[i].outstanding()
 		}
 	}
 	return n

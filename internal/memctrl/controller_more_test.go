@@ -243,17 +243,19 @@ func BenchmarkControllerThroughput(b *testing.B) {
 
 // TestLoadRebuildsDeferralMask checks that a restored controller
 // rebuilds the per-rank deferred-close bitmask from the saved DefAts,
-// and that Load rejects a DefPrech count that disagrees with them.
+// and that Load rejects a DefPrech count or a bank's PrechDeferred flag
+// that disagrees with them.
 func TestLoadRebuildsDeferralMask(t *testing.T) {
 	r := newRig(nil)
 	r.c.SetQuiesceHorizon(config.Second)
 	for bank := 0; bank < 3; bank++ {
 		r.c.Enqueue(0, r.line(0, 0, bank, 10, 0), true, 0, nil)
 	}
-	for r.q.Step() && r.c.defMask[0]&(r.c.defMask[0]-1) == 0 {
+	mask := func() uint64 { return r.c.ranks[0].defMask }
+	for r.q.Step() && mask()&(mask()-1) == 0 {
 	}
-	if r.c.defMask[0]&(r.c.defMask[0]-1) == 0 {
-		t.Fatalf("no two deferred closes on rank 0 (mask %b)", r.c.defMask[0])
+	if mask()&(mask()-1) == 0 {
+		t.Fatalf("no two deferred closes on rank 0 (mask %b)", mask())
 	}
 	tbl := NewRequestTable()
 	st := r.c.Save(tbl)
@@ -264,15 +266,26 @@ func TestLoadRebuildsDeferralMask(t *testing.T) {
 	if _, err := c.Load(st, doneFor); err != nil {
 		t.Fatal(err)
 	}
-	for g := range c.defMask {
-		if c.defMask[g] != r.c.defMask[g] {
-			t.Fatalf("rank %d: restored mask %b, saved %b", g, c.defMask[g], r.c.defMask[g])
+	for g := range c.ranks {
+		if got, want := c.ranks[g].defMask, r.c.ranks[g].defMask; got != want {
+			t.Fatalf("rank %d: restored mask %b, saved %b", g, got, want)
 		}
 	}
 
 	st.DefPrech[0][0]++
 	if _, err := New(&r.cfg, &event.Queue{}).Load(st, doneFor); err == nil {
 		t.Fatal("Load accepted a DefPrech count that disagrees with DefAts")
+	}
+	st.DefPrech[0][0]--
+
+	// A bank's prech_deferred flag is derived from its DefAts entry.
+	for b := range st.Channels[0].Banks {
+		st.Channels[0].Banks[b].PrechDeferred = !st.Channels[0].Banks[b].PrechDeferred
+		_, err := New(&r.cfg, &event.Queue{}).Load(st, doneFor)
+		if err == nil || !strings.Contains(err.Error(), "prech_deferred") {
+			t.Fatalf("bank %d: flipped prech_deferred: err = %v", b, err)
+		}
+		st.Channels[0].Banks[b].PrechDeferred = !st.Channels[0].Banks[b].PrechDeferred
 	}
 }
 

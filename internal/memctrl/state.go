@@ -202,15 +202,17 @@ func saveRing(r *reqRing, tbl *RequestTable) []int32 {
 // Save captures the controller's full state, interning every in-flight
 // request into tbl. The caller completes the request table (the event
 // queue's save may intern more) and then assigns tbl.States() to the
-// returned state's Requests field.
+// returned state's Requests field. The image's request counts are
+// derived from the bank records; Load checks them against the rings.
 func (c *Controller) Save(tbl *RequestTable) *ControllerState {
+	nch := len(c.channels)
 	st := &ControllerState{
-		Channels:   make([]ChannelState, len(c.channels)),
-		Ranks:      make([][]dram.RankState, len(c.ranks)),
-		Dispatched: copy2D(c.dispatched),
-		Pending:    copy2D(c.pending),
-		DefPrech:   make([][]int, len(c.channels)),
-		DefGate:    append([]config.Time(nil), c.defGate...),
+		Channels:   make([]ChannelState, nch),
+		Ranks:      make([][]dram.RankState, nch),
+		Dispatched: make([][]int, nch),
+		Pending:    make([][]int, nch),
+		DefPrech:   make([][]int, nch),
+		DefGate:    make([]config.Time, 0, len(c.ranks)),
 		Counters:   c.Counters(),
 		FlushedAt:  c.flushedAt,
 		Quiesce:    c.quiesce,
@@ -220,9 +222,16 @@ func (c *Controller) Save(tbl *RequestTable) *ControllerState {
 		RelockUntil: c.relockUntil,
 	}
 	for chIdx, ch := range c.channels {
+		st.Ranks[chIdx] = make([]dram.RankState, c.ranksPerCh)
+		st.Dispatched[chIdx] = make([]int, c.ranksPerCh)
+		st.Pending[chIdx] = make([]int, c.ranksPerCh)
 		st.DefPrech[chIdx] = make([]int, c.ranksPerCh)
-		for r := range st.DefPrech[chIdx] {
-			st.DefPrech[chIdx][r] = bits.OnesCount64(c.defMask[chIdx*c.ranksPerCh+r])
+		for r := range st.Ranks[chIdx] {
+			rk := c.rank(chIdx, r)
+			st.Ranks[chIdx][r] = rk.dev.Save()
+			st.DefGate = append(st.DefGate, rk.defGate)
+			st.Pending[chIdx][r], st.Dispatched[chIdx][r] = c.rankLoad(chIdx, r)
+			st.DefPrech[chIdx][r] = bits.OnesCount64(rk.defMask)
 		}
 		cs := ChannelState{
 			Banks:       make([]BankState, len(ch.banks)),
@@ -231,17 +240,18 @@ func (c *Controller) Save(tbl *RequestTable) *ControllerState {
 			GrantArmed:  ch.grantArmed,
 			GrantSeq:    uint64(ch.grantSeq),
 			BusBusy:     ch.busBusy,
-			Outstanding: append([]int(nil), ch.outstanding...),
+			Outstanding: make([]int, len(ch.banks)),
 			DefAts:      append([]config.Time(nil), ch.defAts...),
 			DefSeqs:     append([]uint64(nil), ch.defSeqs...),
 		}
 		for b := range ch.banks {
 			bk := &ch.banks[b]
+			cs.Outstanding[b] = bk.outstanding()
 			bs := BankState{
 				Queue:         saveRing(&bk.queue, tbl),
 				WB:            saveRing(&bk.wb, tbl),
 				Dispatched:    bk.dispatched,
-				PrechDeferred: bk.prechDeferred,
+				PrechDeferred: ch.defAts[b] != noDeferral,
 				DefDispatch:   bk.defDispatch,
 				PrechAt:       bk.prechAt,
 				PrechSeq:      uint64(bk.prechSeq),
@@ -254,10 +264,6 @@ func (c *Controller) Save(tbl *RequestTable) *ControllerState {
 		}
 		cs.BusQueue = saveRing(&ch.busQueue, tbl)
 		st.Channels[chIdx] = cs
-		st.Ranks[chIdx] = make([]dram.RankState, len(c.ranks[chIdx]))
-		for r, rank := range c.ranks[chIdx] {
-			st.Ranks[chIdx][r] = rank.Save()
-		}
 	}
 	return st
 }
@@ -266,13 +272,15 @@ func (c *Controller) Save(tbl *RequestTable) *ControllerState {
 // completion callback of a core's reads, rebinding each restored
 // request's Done. It returns the rebuilt request table (id order), for
 // decoding request-carrying events. The controller must be freshly
-// constructed under the same geometry the state was saved from.
+// constructed under the same geometry the state was saved from. Load
+// rejects request counts that disagree with the rings and dispatch
+// flags, and deferral flags and counts that disagree with def_ats.
 func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(config.Time)) ([]*Request, error) {
-	if len(st.Channels) != len(c.channels) || len(st.Ranks) != len(c.ranks) {
-		return nil, fmt.Errorf("memctrl: state has %d channels, controller has %d", len(st.Channels), len(c.channels))
+	nch := len(c.channels)
+	if len(st.Channels) != nch || len(st.Ranks) != nch {
+		return nil, fmt.Errorf("memctrl: state has %d channels, controller has %d", len(st.Channels), nch)
 	}
-	if len(st.Dispatched) != len(c.dispatched) || len(st.Pending) != len(c.pending) ||
-		len(st.DefPrech) != len(c.channels) || len(st.DefGate) != len(c.defGate) {
+	if len(st.Dispatched) != nch || len(st.Pending) != nch || len(st.DefPrech) != nch || len(st.DefGate) != len(c.ranks) {
 		return nil, fmt.Errorf("memctrl: state bookkeeping dimensions do not match controller geometry")
 	}
 	if len(st.Counters.TLM) != len(c.counters.TLM) {
@@ -316,21 +324,20 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 		return nil
 	}
 
-	clear(c.defMask)
 	for chIdx, cs := range st.Channels {
 		ch := c.channels[chIdx]
-		if len(cs.Banks) != len(ch.banks) || len(cs.Outstanding) != len(ch.outstanding) ||
+		if len(cs.Banks) != len(ch.banks) || len(cs.Outstanding) != len(ch.banks) ||
 			len(cs.DefAts) != len(ch.defAts) || len(cs.DefSeqs) != len(ch.defSeqs) {
 			return nil, fmt.Errorf("memctrl: channel %d state does not match bank geometry", chIdx)
 		}
+		wbCount := 0
 		for b, bs := range cs.Banks {
 			bk := &ch.banks[b]
 			*bk = bank{
-				dispatched:    bs.Dispatched,
-				prechDeferred: bs.PrechDeferred,
-				defDispatch:   bs.DefDispatch,
-				prechAt:       bs.PrechAt,
-				prechSeq:      event.Seq(bs.PrechSeq),
+				dispatched:  bs.Dispatched,
+				defDispatch: bs.DefDispatch,
+				prechAt:     bs.PrechAt,
+				prechSeq:    event.Seq(bs.PrechSeq),
 			}
 			if err := loadRing(&bk.queue, bs.Queue); err != nil {
 				return nil, err
@@ -345,8 +352,18 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 				}
 				bk.defReq = req
 			}
+			if bs.PrechDeferred != (cs.DefAts[b] != noDeferral) {
+				return nil, fmt.Errorf("memctrl: channel %d bank %d: prech_deferred %v, def_ats %v", chIdx, b, bs.PrechDeferred, cs.DefAts[b])
+			}
+			if n := cs.Outstanding[b]; n != bk.outstanding() {
+				return nil, fmt.Errorf("memctrl: channel %d bank %d: outstanding %d, its rings and flag hold %d", chIdx, b, n, bk.outstanding())
+			}
+			wbCount += bk.wb.Len()
 		}
-		ch.wbCount = cs.WBCount
+		if cs.WBCount != wbCount {
+			return nil, fmt.Errorf("memctrl: channel %d: wb_count %d, its banks queue %d writebacks", chIdx, cs.WBCount, wbCount)
+		}
+		ch.wbCount = wbCount
 		ch.busFreeAt = cs.BusFreeAt
 		ch.busQueue = reqRing{}
 		if err := loadRing(&ch.busQueue, cs.BusQueue); err != nil {
@@ -355,40 +372,36 @@ func (c *Controller) Load(st *ControllerState, doneFor func(core int) func(confi
 		ch.grantArmed = cs.GrantArmed
 		ch.grantSeq = event.Seq(cs.GrantSeq)
 		ch.busBusy = cs.BusBusy
-		copy(ch.outstanding, cs.Outstanding)
 		copy(ch.defAts, cs.DefAts)
-		for b, at := range ch.defAts {
-			if at != noDeferral {
-				c.defMask[chIdx*c.ranksPerCh+b/c.cfg.BanksPerRank] |= 1 << (b % c.cfg.BanksPerRank)
-			}
-		}
 		copy(ch.defSeqs, cs.DefSeqs)
 
-		if len(st.Ranks[chIdx]) != len(c.ranks[chIdx]) {
-			return nil, fmt.Errorf("memctrl: channel %d state has %d ranks, controller has %d",
-				chIdx, len(st.Ranks[chIdx]), len(c.ranks[chIdx]))
+		if len(st.Ranks[chIdx]) != c.ranksPerCh || len(st.Pending[chIdx]) != c.ranksPerCh ||
+			len(st.Dispatched[chIdx]) != c.ranksPerCh || len(st.DefPrech[chIdx]) != c.ranksPerCh {
+			return nil, fmt.Errorf("memctrl: channel %d state does not match rank geometry (%d ranks)", chIdx, c.ranksPerCh)
 		}
-		for r, rank := range c.ranks[chIdx] {
-			if err := rank.Load(st.Ranks[chIdx][r]); err != nil {
+		for r := range st.Ranks[chIdx] {
+			rk := c.rank(chIdx, r)
+			rk.defGate, rk.defMask = st.DefGate[chIdx*c.ranksPerCh+r], 0
+			for i, at := range ch.defAts[r*c.cfg.BanksPerRank : (r+1)*c.cfg.BanksPerRank] {
+				if at != noDeferral {
+					rk.defMask |= 1 << i
+				}
+			}
+			if err := rk.dev.Load(st.Ranks[chIdx][r]); err != nil {
 				return nil, fmt.Errorf("memctrl: channel %d rank %d: %w", chIdx, r, err)
 			}
-		}
-		if err := copyInto(c.dispatched[chIdx], st.Dispatched, chIdx); err != nil {
-			return nil, err
-		}
-		if err := copyInto(c.pending[chIdx], st.Pending, chIdx); err != nil {
-			return nil, err
-		}
-		if len(st.DefPrech[chIdx]) != c.ranksPerCh {
-			return nil, fmt.Errorf("memctrl: state row %d has %d entries, controller has %d", chIdx, len(st.DefPrech[chIdx]), c.ranksPerCh)
-		}
-		for r, n := range st.DefPrech[chIdx] {
-			if got := bits.OnesCount64(c.defMask[chIdx*c.ranksPerCh+r]); n != got {
+			pending, dispatched := c.rankLoad(chIdx, r)
+			if n := st.Pending[chIdx][r]; n != pending {
+				return nil, fmt.Errorf("memctrl: channel %d rank %d: pending %d, its banks hold %d requests", chIdx, r, n, pending)
+			}
+			if n := st.Dispatched[chIdx][r]; n != dispatched {
+				return nil, fmt.Errorf("memctrl: channel %d rank %d: dispatched %d, %d of its banks hold a dispatched request", chIdx, r, n, dispatched)
+			}
+			if n, got := st.DefPrech[chIdx][r], bits.OnesCount64(rk.defMask); n != got {
 				return nil, fmt.Errorf("memctrl: channel %d rank %d counts %d deferred closes, def_ats holds %d", chIdx, r, n, got)
 			}
 		}
 	}
-	copy(c.defGate, st.DefGate)
 	c.counters = st.Counters.Clone()
 	c.flushedAt = st.FlushedAt
 	c.quiesce = st.Quiesce
@@ -441,20 +454,4 @@ func (c *Controller) RegisterEvents(reg *event.Registry, reqEnv func(env any) (i
 	reg.RegisterBound("mc.refresh_done", c.onRefreshDone, nil, bare(c.onRefreshDone))
 	reg.RegisterBound("mc.relock_done", c.onRelockDone, nil, bare(c.onRelockDone))
 	reg.RegisterBound("mc.relock_kick", c.onRelockKick, nil, bare(c.onRelockKick))
-}
-
-func copy2D(src [][]int) [][]int {
-	out := make([][]int, len(src))
-	for i, row := range src {
-		out[i] = append([]int(nil), row...)
-	}
-	return out
-}
-
-func copyInto(dst []int, src [][]int, i int) error {
-	if len(src[i]) != len(dst) {
-		return fmt.Errorf("memctrl: state row %d has %d entries, controller has %d", i, len(src[i]), len(dst))
-	}
-	copy(dst, src[i])
-	return nil
 }

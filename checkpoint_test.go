@@ -72,18 +72,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	bitdiff.Same(t, "extended run", cold, resumed)
 
-	t.Run("cross-shard restore", func(t *testing.T) {
-		// testdata/ckpt-mem1part-shards4.bin was written by the retired
-		// channel-sharded engine (CheckpointRun of MEM1/MemScale, 2
-		// epochs, 4 cores, partitioned, 4 shards). Its event state
-		// carries residue-class sequence numbers and a dense node
-		// arena, so it is not byte-equal to a serial container, yet it
-		// must still resume bit-identically to the cold serial run.
-		data, err := os.ReadFile(filepath.Join("testdata", "ckpt-mem1part-shards4.bin"))
+	t.Run("legacy 1.1 container", func(t *testing.T) {
+		// testdata/ckpt-mem1-schema1.1.bin was written by an earlier
+		// release at schema 1.1 (memscale-sim -checkpoint-out of
+		// MEM1/MemScale, 2 epochs, 4 cores). Its event state carries
+		// the handle-era node keys (gen, pos, free list, heap order)
+		// and its controller image the per-channel counters and
+		// operating point, so it is not byte-equal to a 1.3 container,
+		// yet it must still resume bit-identically to the cold run.
+		data, err := os.ReadFile(filepath.Join("testdata", "ckpt-mem1-schema1.1.bin"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		long := RunConfig{Mix: "MEM1", Policy: "MemScale", Epochs: 4, Cores: 4, Partitioned: true}
+		long := RunConfig{Mix: "MEM1", Policy: "MemScale", Epochs: 4, Cores: 4}
 		cold, err := RunContext(ctx, long)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +93,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bitdiff.Same(t, "four-shard container resumed serially", cold, res)
+		bitdiff.Same(t, "schema 1.1 container resumed", cold, res)
 	})
 	t.Run("epochs not beyond snapshot", func(t *testing.T) {
 		_, err := ResumeRun(ctx, bytes.NewReader(buf.Bytes()), 2)
@@ -295,6 +296,15 @@ func TestResumeRunCorruptReaders(t *testing.T) {
 		}
 	})
 
+	t.Run("retired mix name", func(t *testing.T) {
+		// The channel-partitioned "/part" mixes are gone; a container
+		// naming one must fail by name, not resume some other placement.
+		bad := tamper(t, data, `"mix":"MID1"`, `"mix":"MEM1/part"`)
+		if _, err := ResumeRun(ctx, bytes.NewReader(bad), 4); !errors.Is(err, ErrUnknownMix) {
+			t.Fatalf("err = %v, want ErrUnknownMix", err)
+		}
+	})
+
 	mismatch := func(t *testing.T, bad []byte) {
 		t.Helper()
 		_, err := ResumeRun(ctx, bytes.NewReader(bad), 4)
@@ -332,17 +342,17 @@ func TestResumeRunCorruptReaders(t *testing.T) {
 	})
 	t.Run("legacy operating point", func(t *testing.T) {
 		// Images before schema 1.3 carry the operating point in every
-		// channel (the pinned container runs all four at 467 MHz). A
+		// channel (the pinned container runs all four at 533 MHz). A
 		// device clock other than the bus frequency, or one channel at
 		// another frequency, is a state the simulator cannot produce.
-		legacy, err := os.ReadFile(filepath.Join("testdata", "ckpt-mem1part-shards4.bin"))
+		legacy, err := os.ReadFile(filepath.Join("testdata", "ckpt-mem1-schema1.1.bin"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct{ name, old, new string }{
-			{"dev_freq 0", `"dev_freq":467`, `"dev_freq":0`},
-			{"dev_freq 123", `"dev_freq":467`, `"dev_freq":123`},
-			{"channels disagree", `"bus_freq":467,"dev_freq":467`, `"bus_freq":800,"dev_freq":800`},
+			{"dev_freq 0", `"dev_freq":533`, `"dev_freq":0`},
+			{"dev_freq 123", `"dev_freq":533`, `"dev_freq":123`},
+			{"channels disagree", `"bus_freq":533,"dev_freq":533`, `"bus_freq":800,"dev_freq":800`},
 		} {
 			t.Run(tc.name, func(t *testing.T) { mismatch(t, tamper(t, legacy, tc.old, tc.new)) })
 		}

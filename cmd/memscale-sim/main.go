@@ -5,8 +5,7 @@
 // Usage:
 //
 //	memscale-sim -mix MID1 [-policy MemScale] [-epochs 10]
-//	             [-gamma 0.10] [-cores 16] [-channels 4]
-//	             [-partitioned] [-timeline]
+//	             [-gamma 0.10] [-cores 16] [-channels 4] [-timeline]
 //	             [-checkpoint-out run.ckpt [-checkpoint-epoch K]]
 //	             [-restore run.ckpt]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -64,7 +63,6 @@ func main() {
 	gamma := flag.Float64("gamma", 0.10, "maximum allowed performance degradation")
 	cores := flag.Int("cores", 0, "core count override (default 16)")
 	channels := flag.Int("channels", 0, "channel count override (default 4)")
-	partitioned := flag.Bool("partitioned", false, "confine each application of the mix to its own memory channel")
 	timeline := flag.Bool("timeline", false, "print the per-epoch frequency/CPI timeline")
 	checkpointOut := flag.String("checkpoint-out", "",
 		"write the run's full simulation state to this container file (resume it with -restore)")
@@ -149,14 +147,13 @@ func main() {
 	}
 
 	rc := memscale.RunConfig{
-		Mix:         *mix,
-		Policy:      *policy,
-		Epochs:      *epochs,
-		Gamma:       *gamma,
-		Cores:       *cores,
-		Channels:    *channels,
-		Partitioned: *partitioned,
-		Timeline:    *timeline,
+		Mix:      *mix,
+		Policy:   *policy,
+		Epochs:   *epochs,
+		Gamma:    *gamma,
+		Cores:    *cores,
+		Channels: *channels,
+		Timeline: *timeline,
 	}
 	if *telemetryOut != "" {
 		rc.Telemetry = &memscale.TelemetryConfig{Events: true}

@@ -1,17 +1,10 @@
 package memscale
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
-
-	"memscale/internal/bitdiff"
 )
 
 // goldenConfigs are the five pinned determinism cases from
@@ -129,123 +122,6 @@ func TestGoldenDeterminism(t *testing.T) {
 			}
 			if sum.InvariantChecks == 0 {
 				t.Error("InvariantChecks = 0; the runtime invariant plane must be active on golden configs")
-			}
-		})
-	}
-}
-
-// summaryDigest is the SHA-256 of a summary's numeric results
-// (energies, savings, CPI increases, frequency residency and event
-// count), floats rendered as Float64bits and map entries in key order.
-func summaryDigest(sum RunSummary) string {
-	var b strings.Builder
-	put := func(name string, v float64) { fmt.Fprintf(&b, "%s=%#x\n", name, math.Float64bits(v)) }
-	put("DurationSeconds", sum.DurationSeconds)
-	put("MemoryEnergyJ", sum.MemoryEnergyJ)
-	put("SystemEnergyJ", sum.SystemEnergyJ)
-	put("MemorySavings", sum.MemorySavings)
-	put("SystemSavings", sum.SystemSavings)
-	put("AvgCPIIncrease", sum.AvgCPIIncrease)
-	put("WorstCPIIncrease", sum.WorstCPIIncrease)
-	freqs := make([]int, 0, len(sum.FreqSeconds))
-	for f := range sum.FreqSeconds {
-		freqs = append(freqs, f)
-	}
-	sort.Ints(freqs)
-	for _, f := range freqs {
-		put(fmt.Sprintf("FreqSeconds[%d]", f), sum.FreqSeconds[f])
-	}
-	// The constant lines are the retired fault plane's degraded-epoch
-	// and attempt tallies, always 0 and 1 on a fault-free run; writing
-	// them keeps every pinned digest byte-identical.
-	fmt.Fprintf(&b, "DegradedEpochs=0\nAttempts=1\nEvents=%d\n", sum.Events)
-	d := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(d[:])
-}
-
-// exportDigest is the SHA-256 of an export's canonical JSONL.
-func exportDigest(t *testing.T, e *TelemetryExport) string {
-	t.Helper()
-	jsonl, err := bitdiff.CanonicalJSONL(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := sha256.Sum256(jsonl)
-	return hex.EncodeToString(d[:])
-}
-
-// partitionedPins hold every golden config on channel-partitioned
-// ("/part") placement: the summary digest of the plain run, and the
-// summary digest and canonical-JSONL SHA-256 of the run with the
-// telemetry event stream on. The pins come from the retired
-// channel-sharded engine on four shards, which matched the serial
-// engine bit for bit; they hold the serial engine to those bits, and
-// the two tests below keep the names of that engine's parity suite.
-// The MID1/MemScale entries are the exception: that golden config
-// dropped its fault schedule after the sharded engine was retired, so
-// its pins come from the serial engine run without faults. The tel
-// pins hold the export in fire order, which differs from the sharded
-// engine's channel-merged export only in the read-latency Sum's low
-// bits and the order of same-instant events on different channels.
-var partitionedPins = map[string]struct{ plain, sum, tel string }{
-	"MEM1/MemScale": {
-		"2341409cf26d913dcde2045b42e687bfd5e56fef9aaf084b8a8e96abb06ae0c1",
-		"3e6bb5ecab9e8badf21fed41aa33656067be141e88acb68e54b7583937574436",
-		"f9df8c160735463acc0ce5d70da0a7cd97b7a7f1d2a0219fbe055504e9809fd2"},
-	"ILP1/Static": {
-		"ce97c5c0f44848f625db001b90f220db57b2c29a21d1d58471d9d41a8d16e682",
-		"930e5bf6c295672ae9ffc66955e1f1f492eb59545d312e20ffad4d8376b509ea",
-		"39ce1327f2c0b549966257a8ffb35223764062234442adfe830775f90bc27860"},
-	"MID2/MemScale + Fast-PD": {
-		"a9c0050b83c154c46c24838845e74678ee2604542edb9ea049b2dd8e76049ccc",
-		"b465a03e2f804d70d54f55aa56d1e1208c698cf1a8c8222659f6db3e8e96f4f5",
-		"c3305de1d46c33c70af16ccddabd852b133f31858616c3363a90c5c4ccf3e86f"},
-	"MID3/Slow-PD": {
-		"54df28f87b2a1a556011bff64219ce3bf11713939ed19494cec585205d505139",
-		"779064f337d4d3025bdca8812aa3bd0d2c55ad19f09495232e9a60172af8d87f",
-		"7e590182b8625a0fdee4cc529d3030c90a22b323fc4e9a3434f987b31f77598d"},
-	"MID1/MemScale": {
-		"6fcea4e2e1e88a5deb836419dd077fb83c83f84a23ce613ff2e59a92986f1ea2",
-		"0f27da9659ad6c38c34125dd573720812e7295b5c8f08be4c34a98ca9eab49bd",
-		"7377550834801472f656661444dd52e9afbbec07226f5629a5ad52d17b9792d4"},
-}
-
-// TestShardParity runs every golden config on partitioned placement
-// and requires the pinned summary digest.
-func TestShardParity(t *testing.T) { checkPartitioned(t, nil) }
-
-// TestShardTelemetryParity is TestShardParity with the telemetry event
-// stream on: the summary digest and the SHA-256 of the canonical JSONL
-// export must both match their pins.
-func TestShardTelemetryParity(t *testing.T) {
-	checkPartitioned(t, &TelemetryConfig{Events: true})
-}
-
-func checkPartitioned(t *testing.T, tc *TelemetryConfig) {
-	ctx := context.Background()
-	for _, rc := range goldenConfigs() {
-		rc.Partitioned = true
-		rc.Telemetry = tc
-		name := rc.Mix + "/" + rc.Policy
-		want := partitionedPins[name]
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			sum, err := RunContext(ctx, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSum := want.plain
-			if tc != nil {
-				wantSum = want.sum
-			}
-			if got := summaryDigest(sum); got != wantSum {
-				t.Errorf("summary digest = %s, want %s", got, wantSum)
-			}
-			if tc == nil {
-				return
-			}
-			if got := exportDigest(t, sum.Telemetry); got != want.tel {
-				t.Errorf("canonical telemetry SHA-256 = %s, want %s", got, want.tel)
 			}
 		})
 	}

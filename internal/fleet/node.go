@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"memscale/internal/config"
 	"memscale/internal/policies"
@@ -63,29 +62,9 @@ type node struct {
 // address/gap sequences, seeded by the fleet seed and the node's
 // stable global index.
 func (n *node) streamsFor(cfg *config.Config) ([]*trace.Stream, error) {
-	mapper := config.NewAddressMapper(cfg)
-	// Seed from the base mix name so a mix and its Partition() variant
-	// draw identical traces on every node — placement, not content, is
-	// what the variant changes.
-	base := strings.TrimSuffix(n.mix.Name, workload.PartitionedSuffix)
-	streams := make([]*trace.Stream, cfg.Cores)
-	for core := 0; core < cfg.Cores; core++ {
-		appIdx := core % len(n.mix.Apps)
-		name := n.mix.Apps[appIdx]
-		p, err := workload.App(name)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: node %d: %w", n.global, err)
-		}
-		var channels []int
-		if n.mix.Partitioned {
-			channels = []int{appIdx % cfg.Channels}
-		}
-		s, err := trace.NewStreamOnChannels(p, mapper,
-			trace.Seed("fleet", int(n.seed), n.global, base, name, core), channels)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: node %d core %d: %w", n.global, core, err)
-		}
-		streams[core] = s
+	streams, err := n.mix.Streams(cfg, "fleet", int(n.seed), n.global)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: node %d: %w", n.global, err)
 	}
 	return streams, nil
 }

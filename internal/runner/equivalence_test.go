@@ -3,7 +3,6 @@ package runner
 import (
 	"bytes"
 	"context"
-	"strings"
 	"sync"
 	"testing"
 
@@ -15,18 +14,16 @@ import (
 )
 
 // goldenJobs are the five golden_test.go configurations at engine
-// level, each followed by its channel-partitioned ("/part") variant.
+// level.
 func goldenJobs(t *testing.T) []Job {
 	t.Helper()
 	var jobs []Job
 	add := func(mixName string, spec policies.Spec, epochs int) {
-		for _, name := range []string{mixName, mixName + workload.PartitionedSuffix} {
-			mix, err := workload.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = append(jobs, Job{Mix: mix, Spec: spec, Epochs: epochs, Gamma: 0.10})
+		mix, err := workload.ByName(mixName)
+		if err != nil {
+			t.Fatal(err)
 		}
+		jobs = append(jobs, Job{Mix: mix, Spec: spec, Epochs: epochs, Gamma: 0.10})
 	}
 	add("MEM1", policies.MemScale, 2)
 	add("ILP1", policies.StaticBest, 2)
@@ -54,7 +51,6 @@ type cell struct {
 	ckpt       bool // RunWithCheckpoint at the midpoint epoch
 	resume     bool // resume the reference's checkpoint after Encode/Decode
 	noCoalesce bool // the event-driven path (sim.Options.DisableCoalescing)
-	part       bool // run on the /part rows too, not only the golden five
 
 	against string   // the earlier cell this one must equal; "" is the reference
 	skip    []string // every field the cell may differ from it in
@@ -75,7 +71,7 @@ var (
 	equivalenceCells = []cell{
 		{name: "cold/resumed/telemetry", fresh: true, tel: true, resume: true, skip: []string{"Telemetry"}},
 		{name: "warm/resumed/telemetry", tel: true, resume: true, against: "cold/resumed/telemetry"},
-		{name: "warm/event-driven", noCoalesce: true, part: true, skip: []string{"Res.Events", "Telemetry"}},
+		{name: "warm/event-driven", noCoalesce: true, skip: []string{"Res.Events", "Telemetry"}},
 	}
 )
 
@@ -143,12 +139,8 @@ func matrix(t *testing.T, job Job, cells []cell) *reference {
 	}
 	bitdiff.Same(t, "checkpoint Meta.NonMem vs outcome", ref.ck.Meta.NonMem, ref.out.NonMem)
 
-	part := strings.HasSuffix(job.Mix.Name, workload.PartitionedSuffix)
 	outs := map[string]Outcome{"": ref.out}
 	for _, c := range cells {
-		if part && !c.part {
-			continue
-		}
 		_, out, ck, err := c.run(job, ref.cache, ref.ck)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -165,9 +157,9 @@ func matrix(t *testing.T, job Job, cells []cell) *reference {
 	return ref
 }
 
-// TestEquivalence runs every golden job, and its /part variant, the
-// ways equivalenceCells list: resumed on a cold and on a warm cache,
-// and on the event-driven path.
+// TestEquivalence runs every golden job the ways equivalenceCells
+// list: resumed on a cold and on a warm cache, and on the event-driven
+// path.
 func TestEquivalence(t *testing.T) {
 	for _, job := range goldenJobs(t) {
 		t.Run(job.Mix.Name+"/"+job.Spec.Name, func(t *testing.T) {

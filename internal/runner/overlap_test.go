@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -108,9 +107,6 @@ func TestGuessesConfirmAcrossMixes(t *testing.T) {
 // whose governor reads nonMem.
 func TestOverlapMatchesWarmCache(t *testing.T) {
 	for _, job := range goldenJobs(t) {
-		if strings.HasSuffix(job.Mix.Name, workload.PartitionedSuffix) {
-			continue
-		}
 		t.Run(job.Mix.Name+"/"+job.Spec.Name, func(t *testing.T) {
 			t.Parallel()
 			ref := matrix(t, job, warmCells)

@@ -14,8 +14,8 @@ func (r *RNG) SetState(s uint64) { r.state = s }
 
 // StreamState is the pure-data checkpoint image of a Stream: the RNG
 // word, the phase cursor, the streaming position, and the generation
-// totals. The profile, mapper, and channel affinity are construction
-// parameters and are rebuilt from configuration on restore.
+// totals. The profile and mapper are construction parameters and are
+// rebuilt from configuration on restore.
 type StreamState struct {
 	RNG        uint64          `json:"rng"`
 	PhaseIdx   int             `json:"phase_idx"`

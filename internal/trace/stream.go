@@ -117,7 +117,6 @@ type Stream struct {
 	cur      config.Location // current streaming position
 	rows     int             // usable rows per bank for the current phase
 	rowLines int             // lines per row region (columns per row)
-	channels []int           // allowed channels (nil = all), for page partitioning
 	totalIn  uint64          // total instructions generated
 
 	// intensity scales the effective miss rate (see SetIntensity);
@@ -138,14 +137,6 @@ type Stream struct {
 // NewStream builds a stream for the given profile and seed. The mapper
 // defines the physical address space accesses are drawn from.
 func NewStream(p Profile, mapper *config.AddressMapper, seed uint64) (*Stream, error) {
-	return NewStreamOnChannels(p, mapper, seed, nil)
-}
-
-// NewStreamOnChannels builds a stream whose accesses are confined to
-// the given memory channels, modelling OS page placement that
-// partitions applications across channels (the "/part" mixes). A nil
-// or empty channel list means all channels.
-func NewStreamOnChannels(p Profile, mapper *config.AddressMapper, seed uint64, channels []int) (*Stream, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -153,7 +144,6 @@ func NewStreamOnChannels(p Profile, mapper *config.AddressMapper, seed uint64, c
 		profile:  p,
 		rng:      NewRNG(seed),
 		mapper:   mapper,
-		channels: append([]int(nil), channels...),
 		rowLines: mapper.Map(mapper.Lines()-1).Col + 1,
 		lines:    mapper.Lines(),
 	}
@@ -224,14 +214,10 @@ func (s *Stream) jump() {
 	s.cur = s.randomLoc()
 }
 
-// randomLoc draws a uniform location within the footprint and channel
-// affinity.
+// randomLoc draws a uniform location within the footprint.
 func (s *Stream) randomLoc() config.Location {
 	loc := s.mapper.Map(s.rng.Uint64() % s.lines)
 	loc.Row %= s.rows
-	if len(s.channels) > 0 {
-		loc.Channel = s.channels[loc.Channel%len(s.channels)]
-	}
 	return loc
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"memscale/internal/config"
 	"memscale/internal/trace"
@@ -57,58 +56,26 @@ type Mix struct {
 	// so the Table 1 experiment can print paper-vs-generated.
 	PaperRPKI float64
 	PaperWPKI float64
-
-	// Partitioned selects OS page placement that confines each
-	// application to its own memory channel (PartitionedStreams instead
-	// of Streams). Partitioned variants are named "<base>/part" and
-	// resolvable through ByName, so the name alone round-trips the
-	// placement through caches and checkpoints.
-	Partitioned bool
-}
-
-// PartitionedSuffix distinguishes the channel-partitioned variant of a
-// mix in its name.
-const PartitionedSuffix = "/part"
-
-// Partition returns the channel-partitioned variant of the mix: same
-// applications and traces, page placement confining application i to
-// channel i mod Channels. Partitioning an already partitioned mix is a
-// no-op.
-func (m Mix) Partition() Mix {
-	if m.Partitioned {
-		return m
-	}
-	m.Partitioned = true
-	m.Name += PartitionedSuffix
-	return m
 }
 
 // Mixes is Table 1 in program form.
 var Mixes = []Mix{
-	{"ILP1", ClassILP, [4]string{"vortex", "gcc", "sixtrack", "mesa"}, 0.37, 0.06, false},
-	{"ILP2", ClassILP, [4]string{"perlbmk", "crafty", "gzip", "eon"}, 0.16, 0.01, false},
-	{"ILP3", ClassILP, [4]string{"sixtrack", "mesa", "perlbmk", "crafty"}, 0.27, 0.01, false},
-	{"ILP4", ClassILP, [4]string{"vortex", "mesa", "perlbmk", "crafty"}, 0.24, 0.06, false},
-	{"MID1", ClassMID, [4]string{"ammp", "gap", "wupwise", "vpr"}, 1.72, 0.01, false},
-	{"MID2", ClassMID, [4]string{"astar", "parser", "twolf", "facerec"}, 2.61, 0.09, false},
-	{"MID3", ClassMID, [4]string{"apsi", "bzip2", "ammp", "gap"}, 2.41, 0.16, false},
-	{"MID4", ClassMID, [4]string{"wupwise", "vpr", "astar", "parser"}, 2.11, 0.07, false},
-	{"MEM1", ClassMEM, [4]string{"swim", "applu", "art", "lucas"}, 17.03, 3.03, false},
-	{"MEM2", ClassMEM, [4]string{"fma3d", "mgrid", "galgel", "equake"}, 8.62, 0.25, false},
-	{"MEM3", ClassMEM, [4]string{"swim", "applu", "galgel", "equake"}, 15.6, 3.71, false},
-	{"MEM4", ClassMEM, [4]string{"art", "lucas", "mgrid", "fma3d"}, 8.96, 0.33, false},
+	{"ILP1", ClassILP, [4]string{"vortex", "gcc", "sixtrack", "mesa"}, 0.37, 0.06},
+	{"ILP2", ClassILP, [4]string{"perlbmk", "crafty", "gzip", "eon"}, 0.16, 0.01},
+	{"ILP3", ClassILP, [4]string{"sixtrack", "mesa", "perlbmk", "crafty"}, 0.27, 0.01},
+	{"ILP4", ClassILP, [4]string{"vortex", "mesa", "perlbmk", "crafty"}, 0.24, 0.06},
+	{"MID1", ClassMID, [4]string{"ammp", "gap", "wupwise", "vpr"}, 1.72, 0.01},
+	{"MID2", ClassMID, [4]string{"astar", "parser", "twolf", "facerec"}, 2.61, 0.09},
+	{"MID3", ClassMID, [4]string{"apsi", "bzip2", "ammp", "gap"}, 2.41, 0.16},
+	{"MID4", ClassMID, [4]string{"wupwise", "vpr", "astar", "parser"}, 2.11, 0.07},
+	{"MEM1", ClassMEM, [4]string{"swim", "applu", "art", "lucas"}, 17.03, 3.03},
+	{"MEM2", ClassMEM, [4]string{"fma3d", "mgrid", "galgel", "equake"}, 8.62, 0.25},
+	{"MEM3", ClassMEM, [4]string{"swim", "applu", "galgel", "equake"}, 15.6, 3.71},
+	{"MEM4", ClassMEM, [4]string{"art", "lucas", "mgrid", "fma3d"}, 8.96, 0.33},
 }
 
-// ByName returns the named mix. A "<base>/part" name resolves to the
-// channel-partitioned variant of the base mix.
+// ByName returns the named mix.
 func ByName(name string) (Mix, error) {
-	if base, ok := strings.CutSuffix(name, PartitionedSuffix); ok {
-		m, err := ByName(base)
-		if err != nil {
-			return Mix{}, err
-		}
-		return m.Partition(), nil
-	}
 	for _, m := range Mixes {
 		if m.Name == name {
 			return m, nil
@@ -145,12 +112,10 @@ func (m Mix) Assignment(core int) string { return m.Apps[core%len(m.Apps)] }
 
 // Streams instantiates the per-core access streams for this mix on a
 // machine with the given number of cores. Each (mix, app, core) tuple
-// gets a stable seed so runs are reproducible and policies see
-// identical traces.
-func (m Mix) Streams(cfg *config.Config) ([]*trace.Stream, error) {
-	if m.Partitioned {
-		return m.PartitionedStreams(cfg)
-	}
+// gets a stable seed, trace.Seed(salt..., mix, app, core), so runs are
+// reproducible and policies see identical traces; the fleet salts it
+// to decorrelate nodes that run the same mix.
+func (m Mix) Streams(cfg *config.Config, salt ...any) ([]*trace.Stream, error) {
 	mapper := config.NewAddressMapper(cfg)
 	streams := make([]*trace.Stream, cfg.Cores)
 	for core := 0; core < cfg.Cores; core++ {
@@ -159,7 +124,13 @@ func (m Mix) Streams(cfg *config.Config) ([]*trace.Stream, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mix %s: %w", m.Name, err)
 		}
-		s, err := trace.NewStream(p, mapper, trace.Seed(m.Name, name, core))
+		// The unsalted draw, which every single run takes, keeps its
+		// seed parts off the heap.
+		seed := trace.Seed(m.Name, name, core)
+		if len(salt) > 0 {
+			seed = trace.Seed(append(salt[:len(salt):len(salt)], m.Name, name, core)...)
+		}
+		s, err := trace.NewStream(p, mapper, seed)
 		if err != nil {
 			return nil, fmt.Errorf("mix %s core %d: %w", m.Name, core, err)
 		}
@@ -190,34 +161,6 @@ func appRateOver(p trace.Profile, instructions uint64, rate func(trace.Phase) fl
 		}
 	}
 	return weighted / float64(instructions)
-}
-
-// PartitionedStreams instantiates the mix with OS page placement that
-// confines each application to its own memory channel (application i
-// of the mix maps to channel i mod Channels). It skews per-channel load
-// while the trace content stays that of Streams; the "/part" golden
-// rows pin how the uniform governor runs on it.
-func (m Mix) PartitionedStreams(cfg *config.Config) ([]*trace.Stream, error) {
-	mapper := config.NewAddressMapper(cfg)
-	// Seed from the base name so a mix and its Partition() variant draw
-	// identical traces — placement, not content, is what differs.
-	base := strings.TrimSuffix(m.Name, PartitionedSuffix)
-	streams := make([]*trace.Stream, cfg.Cores)
-	for core := 0; core < cfg.Cores; core++ {
-		appIdx := core % len(m.Apps)
-		name := m.Apps[appIdx]
-		p, err := App(name)
-		if err != nil {
-			return nil, fmt.Errorf("mix %s: %w", m.Name, err)
-		}
-		channels := []int{appIdx % cfg.Channels}
-		s, err := trace.NewStreamOnChannels(p, mapper, trace.Seed(base, "part", name, core), channels)
-		if err != nil {
-			return nil, fmt.Errorf("mix %s core %d: %w", m.Name, core, err)
-		}
-		streams[core] = s
-	}
-	return streams, nil
 }
 
 // ExpectedRPKI returns the mix's aggregate read-miss rate over the

@@ -58,17 +58,13 @@ func TestByName(t *testing.T) {
 	if m.Apps != [4]string{"apsi", "bzip2", "ammp", "gap"} {
 		t.Errorf("MID3 apps = %v", m.Apps)
 	}
-	for _, name := range []string{"MEM9", "MEM1/ilv2"} {
+	// The channel-interleaved (/ilvK) and channel-partitioned (/part)
+	// variants are retired: every mix interleaves its pages across all
+	// channels.
+	for _, name := range []string{"MEM9", "MEM1/ilv2", "MEM1/part"} {
 		if _, err := ByName(name); !errors.Is(err, ErrUnknownMix) {
 			t.Errorf("ByName(%q) err = %v, want ErrUnknownMix", name, err)
 		}
-	}
-	part, err := ByName("MEM1" + PartitionedSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !part.Partitioned || part.Name != "MEM1/part" {
-		t.Errorf("MEM1/part resolved to %+v", part)
 	}
 }
 
@@ -242,11 +238,11 @@ func TestUniqueApps(t *testing.T) {
 }
 
 // TestAccessLocations draws every Table 1 profile on the paper's
-// mapper, on a non-power-of-two mapper (3 channels), and confined to
-// one channel as /part streams are. Every read and writeback location
-// must lie inside the machine and survive Map(Unmap(loc)) unchanged:
-// the controller queues the stream's location as drawn, which must be
-// the location its line address decodes to.
+// mapper and on a non-power-of-two mapper (3 channels). Every read and
+// writeback location must lie inside the machine and survive
+// Map(Unmap(loc)) unchanged: the controller queues the stream's
+// location as drawn, which must be the location its line address
+// decodes to.
 func TestAccessLocations(t *testing.T) {
 	paper := config.Default()
 	odd := config.Default()
@@ -255,14 +251,11 @@ func TestAccessLocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name     string
-		cfg      config.Config
-		confined bool
+		name string
+		cfg  config.Config
 	}{
-		{"paper", paper, false},
-		{"3ch", odd, false},
-		{"paper/part", paper, true},
-		{"3ch/part", odd, true},
+		{"paper", paper},
+		{"3ch", odd},
 	} {
 		cfg := tc.cfg
 		m := config.NewAddressMapper(&cfg)
@@ -271,11 +264,7 @@ func TestAccessLocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var channels []int
-			if tc.confined {
-				channels = []int{i % cfg.Channels}
-			}
-			s, err := trace.NewStreamOnChannels(p, m, trace.Seed("locations", name, i), channels)
+			s, err := trace.NewStream(p, m, trace.Seed("locations", name, i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,9 +278,6 @@ func TestAccessLocations(t *testing.T) {
 				if !inside {
 					t.Fatalf("%s %s: %s location %+v outside the machine", tc.name, name, what, loc)
 				}
-				if channels != nil && loc.Channel != channels[0] {
-					t.Fatalf("%s %s: %s on channel %d, confined to %d", tc.name, name, what, loc.Channel, channels[0])
-				}
 				if back := m.Map(m.Unmap(loc)); back != loc {
 					t.Fatalf("%s %s: %s location %+v decodes back as %+v", tc.name, name, what, loc, back)
 				}
@@ -301,30 +287,6 @@ func TestAccessLocations(t *testing.T) {
 				check("read", a.Loc)
 				if a.Writeback {
 					check("writeback", a.WBLoc)
-				}
-			}
-		}
-	}
-}
-
-func TestPartitionedStreamsConfineChannels(t *testing.T) {
-	cfg := config.Default()
-	mix := Mix{Name: "HETT2", Class: ClassMID,
-		Apps: [4]string{"swim", "eon", "art", "crafty"}}
-	streams, err := mix.PartitionedStreams(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for core, s := range streams {
-		want := core % len(mix.Apps) % cfg.Channels
-		for i := 0; i < 200; i++ {
-			a := s.Next()
-			if got := a.Loc.Channel; got != want {
-				t.Fatalf("core %d access on channel %d, want %d", core, got, want)
-			}
-			if a.Writeback {
-				if got := a.WBLoc.Channel; got != want {
-					t.Fatalf("core %d writeback on channel %d, want %d", core, got, want)
 				}
 			}
 		}

@@ -108,14 +108,6 @@ type RunConfig struct {
 	Cores    int
 	Channels int
 
-	// Partitioned confines each application of the mix to its own
-	// memory channel (OS page placement; application i maps to channel
-	// i mod Channels). Partitioned runs draw the same per-core traces
-	// as the unpartitioned mix — placement, not content, differs. It is
-	// a placement variant only: the governor still picks one frequency
-	// for all channels, and the "/part" golden rows pin those runs.
-	Partitioned bool
-
 	// Timeline retains per-epoch frequency/CPI records.
 	Timeline bool
 
@@ -174,9 +166,6 @@ func (rc RunConfig) job() (runner.Job, error) {
 	mix, err := workload.ByName(rc.Mix)
 	if err != nil {
 		return runner.Job{}, err
-	}
-	if rc.Partitioned {
-		mix = mix.Partition()
 	}
 	spec, err := policies.ByName(rc.Policy)
 	if err != nil {
@@ -250,12 +239,6 @@ type RunSummary struct {
 
 // Mixes returns the Table 1 workload names.
 func Mixes() []string { return workload.Names() }
-
-// PartitionedSuffix appended to a mix name ("MEM1" + PartitionedSuffix
-// = "MEM1/part") selects the channel-partitioned variant of the mix —
-// equivalent to setting RunConfig.Partitioned on the base mix. This is
-// how fleet node groups request partitioned workloads (NodeGroup.Mix).
-const PartitionedSuffix = workload.PartitionedSuffix
 
 // Policies returns the scheme names accepted by RunConfig.Policy.
 func Policies() []string { return policies.Names() }

@@ -77,6 +77,7 @@ func TestSentinelErrors(t *testing.T) {
 		want error
 	}{
 		{"unknown mix", RunConfig{Mix: "NOPE"}, ErrUnknownMix},
+		{"retired /part mix", RunConfig{Mix: "MEM1/part"}, ErrUnknownMix},
 		{"unknown policy", RunConfig{Mix: "MID1", Policy: "NOPE"}, ErrUnknownPolicy},
 		{"negative epochs", RunConfig{Mix: "MID1", Epochs: -1}, ErrInvalidConfig},
 		{"gamma out of range", RunConfig{Mix: "MID1", Gamma: 1.5}, ErrInvalidConfig},

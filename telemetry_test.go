@@ -3,6 +3,8 @@ package memscale
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"runtime"
@@ -236,4 +238,15 @@ func TestTelemetryExportPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// exportDigest is the SHA-256 of an export's canonical JSONL.
+func exportDigest(t *testing.T, e *TelemetryExport) string {
+	t.Helper()
+	jsonl, err := bitdiff.CanonicalJSONL(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sha256.Sum256(jsonl)
+	return hex.EncodeToString(d[:])
 }

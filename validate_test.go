@@ -90,7 +90,7 @@ func TestRunLengthBound(t *testing.T) {
 	wantEpochsErr("default run", RunConfig{Channels: 1 << 20}.Validate(), "epochs")
 	wantEpochsErr("wrapping channels", RunConfig{Epochs: 1 << 39, Channels: 3 << 60}.Validate(), "epochs")
 
-	f, err := os.Open("testdata/ckpt-mem1part-shards4.bin")
+	f, err := os.Open("testdata/ckpt-mem1-schema1.1.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,17 @@ func TestFleetConfigValidateFieldPaths(t *testing.T) {
 // TestFleetConfigValidateSentinels: unknown names match their specific
 // sentinels as well as ErrInvalidConfig.
 func TestFleetConfigValidateSentinels(t *testing.T) {
-	err := FleetConfig{Groups: []NodeGroup{{Nodes: 1, Mix: "BOGUS"}}}.Validate()
-	if !errors.Is(err, ErrUnknownMix) || !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("unknown mix error %v must match ErrUnknownMix and ErrInvalidConfig", err)
+	for _, mix := range []string{"BOGUS", "MID1/part"} {
+		fc := FleetConfig{Groups: []NodeGroup{{Nodes: 1, Mix: mix}}}
+		err := fc.Validate()
+		if !errors.Is(err, ErrUnknownMix) || !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("mix %q: error %v must match ErrUnknownMix and ErrInvalidConfig", mix, err)
+		}
+		if _, err := RunFleet(context.Background(), fc); !errors.Is(err, ErrUnknownMix) {
+			t.Errorf("mix %q: RunFleet error %v must match ErrUnknownMix", mix, err)
+		}
 	}
-	err = FleetConfig{Groups: []NodeGroup{{Nodes: 1, Mix: "MID1", Policy: "BOGUS"}}}.Validate()
+	err := FleetConfig{Groups: []NodeGroup{{Nodes: 1, Mix: "MID1", Policy: "BOGUS"}}}.Validate()
 	if !errors.Is(err, ErrUnknownPolicy) || !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("unknown policy error %v must match ErrUnknownPolicy and ErrInvalidConfig", err)
 	}
